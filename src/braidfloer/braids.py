@@ -142,12 +142,22 @@ _HEADER = re.compile(r"\s*d=(\d+);")
 _TOKEN = re.compile(r"([st])(\d+)(\^-1)?\Z")
 
 
+def _integer(digits: str, position: int) -> int:
+    """int(digits), or a syntax error for a number longer than the
+    interpreter converts (Python's int-digit limit)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise BraidSyntaxError(
+            f"integer of {len(digits)} digits is too long", position) from None
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse the ``d=<INT>; token*`` grammar, with offsets in errors."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
-    d = int(m.group(1))
+    d = _integer(m.group(1), m.start(1))
     if d < 2:
         raise BraidIndexError("need at least two marked points", f"d={d}", m.start(1))
     letters = []
@@ -156,7 +166,7 @@ def parse_braid(text: str) -> BraidWord:
         t = _TOKEN.match(tok.group())
         if t is None:
             raise BraidSyntaxError(f"bad token {tok.group()!r}", pos)
-        kind, index, inv = t.group(1), int(t.group(2)), t.group(3)
+        kind, index, inv = t.group(1), _integer(t.group(2), pos), t.group(3)
         limit = d - 1 if kind == ARTIN else d
         if not 1 <= index <= limit:
             what = "Artin generator" if kind == ARTIN else "framing twist"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .braids import BraidWord, NonTransitiveBraidError, is_transitive
-from .freegroup import FreeWord, artin_endo
+from .freegroup import FreeGroupEndo, FreeWord
 from .snf import AbelianGroup, IntMatrix, cokernel
 
 
@@ -76,15 +76,17 @@ def _commutator(rank: int, i: int, j: int) -> FreeWord:
     return FreeWord(rank, (i, j, -i, -j))
 
 
-def mapping_torus_presentation(b: BraidWord) -> PresentedGroup:
+def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo) -> PresentedGroup:
     """pi1 of (circle) x (mapping torus of the braid action), minus the
-    surgered torus.  Rejects non-transitive braids: the construction
-    surgers a single closed orbit of the marked points."""
+    surgered torus; ``e`` is the braid's action ``artin_endo(b)``.
+    Rejects non-transitive braids: the construction surgers a single
+    closed orbit of the marked points."""
     if not is_transitive(b):
         raise NonTransitiveBraidError(
             f"braid {b.to_text()!r} does not induce the standard cycle")
     d = b.d
-    e = artin_endo(b)
+    if e.rank != d - 1:
+        raise ValueError(f"endomorphism of rank {e.rank} given for d={d}")
     n = d + 1  # l1, l2, x1..x<d-1>
     gens = ("l1", "l2") + tuple(f"x{i}" for i in range(1, d))
     relators = [_commutator(n, 1, 2)]
@@ -98,15 +100,16 @@ def mapping_torus_presentation(b: BraidWord) -> PresentedGroup:
     return PresentedGroup.make(gens, relators)
 
 
-def assemble_pi1(b: BraidWord) -> PresentedGroup:
+def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
     """Kill the meridian (x1) and the second longitude (l2^d) of the
-    surgered torus; the other gluing side contributes no new generators
-    (its group is the Z already identified with l1)."""
-    base = mapping_torus_presentation(b)
-    n = len(base.generators)
+    surgered torus in ``mapping_torus_presentation``'s group, whose d+1
+    generators are l1, l2, x1..x<d-1>; the other gluing side contributes
+    no new generators (its group is the Z already identified with l1)."""
+    n = len(mapping_torus.generators)
     extra = (FreeWord(n, (3,)),            # meridian: puncture loop x1
-             FreeWord(n, (2,) * b.d))      # second longitude: l2^d
-    return PresentedGroup.make(base.generators, base.relators + extra)
+             FreeWord(n, (2,) * (n - 1)))  # second longitude: l2^d
+    return PresentedGroup.make(mapping_torus.generators,
+                               mapping_torus.relators + extra)
 
 
 def _cyclic_key(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -374,24 +377,49 @@ def default_configuration(d: int) -> SumConfiguration:
 
 def configuration_from_dict(data: dict, d: int) -> SumConfiguration:
     """Build a configuration from parsed JSON; the volume token "d"
-    resolves to the braid's strand count."""
-    def vol(x) -> int:
-        if x == "d":
-            return d
-        if isinstance(x, int) and not isinstance(x, bool):
+    resolves to the braid's strand count.  Values are taken only as the
+    report schema types them: names are strings, chi and sigma are
+    integers (not booleans, floats or strings), volumes are positive
+    integers, ``tori`` is an object and each pairing lists two torus
+    names; anything else raises ConfigurationError."""
+    def integer(x, what: str, least: int | None = None) -> int:
+        if (isinstance(x, int) and not isinstance(x, bool)
+                and (least is None or x >= least)):
             return x
-        raise ConfigurationError(f"bad torus volume {x!r}")
+        kind = "an integer" if least is None else f"an integer >= {least}"
+        raise ConfigurationError(f"{what} must be {kind}, got {x!r}")
+
+    def text(x, what: str) -> str:
+        if isinstance(x, str):
+            return x
+        raise ConfigurationError(f"{what} must be a string, got {x!r}")
+
+    def tori(p) -> tuple[tuple[str, int], ...]:
+        given = p.get("tori", {})
+        if not isinstance(given, dict):
+            raise ConfigurationError(f"tori must be an object, got {given!r}")
+        return tuple(
+            (t, d if v == "d" else integer(v, f"volume of torus {t!r}", 1))
+            for t, v in given.items())
+
+    def pairing(x) -> tuple[str, str]:
+        if (not isinstance(x, (list, tuple)) or len(x) != 2
+                or not all(isinstance(t, str) for t in x)):
+            raise ConfigurationError(
+                f"a pairing must list two torus names, got {x!r}")
+        return (x[0], x[1])
+
     try:
         pieces = tuple(
             GluingPiece(
-                name=p["name"],
-                kind=p.get("kind", "custom"),
-                euler_char=int(p["chi"]),
-                signature=int(p["sigma"]),
-                tori=tuple((t, vol(v)) for t, v in p.get("tori", {}).items()),
+                name=text(p["name"], "piece name"),
+                kind=text(p.get("kind", "custom"), "piece kind"),
+                euler_char=integer(p["chi"], "chi"),
+                signature=integer(p["sigma"], "sigma"),
+                tori=tori(p),
             )
             for p in data["pieces"])
-        pairings = tuple((a, b) for a, b in data["pairings"])
+        pairings = tuple(pairing(x) for x in data["pairings"])
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed configuration: {exc}") from exc
     return SumConfiguration(pieces=pieces, pairings=pairings)

@@ -15,6 +15,14 @@ framing twists act trivially (they are invisible to the fundamental
 group; every invariant computed downstream is framing-blind, and reports
 say so).  Words of letters act under the package-wide composition
 convention: the rightmost letter is applied first.
+
+The sphere action is computed directly in the rank d-1 group: the same
+rules act on the images of x1 .. xd, which start as x1 .. x<d-1> and
+(x1 ... x<d-1>)^-1, and every image is reduced after every letter.  The
+disc images of pseudo-Anosov braids grow exponentially in the braid
+length even where the sphere images stay short, so the rank d disc
+action (``artin_disc_endo``) is kept only as a library function and a
+test oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,7 @@ class FreeWord:
         return FreeWord.from_letters(self.rank, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+        return FreeWord(self.rank, _inverse(self.letters))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -119,7 +131,7 @@ def substitute(word: FreeWord, images: "list[FreeWord] | tuple[FreeWord, ...]") 
     out: list[int] = []
     for x in word.letters:
         img = images[abs(x) - 1].letters
-        seq = img if x > 0 else tuple(-y for y in reversed(img))
+        seq = img if x > 0 else _inverse(img)
         for y in seq:
             if out and out[-1] == -y:
                 out.pop()
@@ -184,18 +196,25 @@ def artin_disc_endo(b: BraidWord) -> FreeGroupEndo:
 def artin_endo(b: BraidWord) -> FreeGroupEndo:
     """Braid action on the punctured-sphere group, rank d-1.
 
-    Eliminates the last puncture loop via xd = (x1 ... x<d-1>)^-1, which
-    the Artin action preserves exactly (it fixes the product x1 ... xd).
+    Applies the Artin rules letter by letter, in the order of
+    ``artin_disc_endo``, to the images of x1 .. xd written in the rank
+    d-1 group, where xd = (x1 ... x<d-1>)^-1 (the Artin action fixes the
+    product x1 ... xd, so the relation is preserved exactly).  Reduced
+    words are unique, so the result equals the disc action followed by
+    that substitution, without ever building the disc images.
     """
     d = b.d
-    disc = artin_disc_endo(b)
-    last = FreeWord(d, tuple(range(1, d))).inverse()  # xd in the quotient
-    with_last = tuple(FreeWord.generator(d, j) for j in range(1, d)) + (last,)
-    out = []
-    for j in range(d - 1):
-        image = substitute(disc.images[j], with_last)
-        out.append(FreeWord(d - 1, image.letters))  # no letter +-d remains
-    return FreeGroupEndo(d - 1, tuple(out))
+    imgs = [(j,) for j in range(1, d)] + [tuple(range(1 - d, 0))]
+    for x in b.letters:
+        if x.kind != ARTIN:
+            continue
+        i = x.index - 1
+        u, v = imgs[i], imgs[i + 1]
+        if x.sign > 0:
+            imgs[i], imgs[i + 1] = _reduce(u + v + _inverse(u)), u
+        else:
+            imgs[i], imgs[i + 1] = v, _reduce(_inverse(v) + u + v)
+    return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))
 
 
 class GroupRingElement:

@@ -68,10 +68,12 @@ class NielsenDecomposition:
     ``entries`` maps canonical class labels to indices, sorted by label.
     When the class space is finite (and small enough to enumerate),
     classes of index 0 are listed too and ``complete`` is True; for an
-    infinite class space only nonzero indices appear.
+    infinite class space only nonzero indices appear.  ``raw`` is the
+    raw trace the indices were projected from, kept for refinement.
     """
 
     space: ClassSpace
+    raw: GroupRingElement
     entries: tuple[tuple[tuple[int, ...], int], ...]
     lefschetz: int
     complete: bool
@@ -99,9 +101,14 @@ class NielsenDecomposition:
 
 
 def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
+    """Project the raw trace onto coker(I - A).  The Lefschetz number is
+    the augmentation of the raw trace: the Fox derivative d(w)/dxj
+    augments to the exponent sum of xj in w, so the trace augments to
+    1 - trace(A)."""
     cs = class_space(e)
+    raw = reidemeister_trace_raw(e)
     agg: dict[tuple[int, ...], int] = {}
-    for word, coeff in reidemeister_trace_raw(e).items():
+    for word, coeff in raw.items():
         label = cs.project(word.exponent_vector())
         agg[label] = agg.get(label, 0) + coeff
     order = cs.order()
@@ -113,8 +120,9 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
         agg = {label: c for label, c in agg.items() if c != 0}
     return NielsenDecomposition(
         space=cs,
+        raw=raw,
         entries=tuple(sorted(agg.items())),
-        lefschetz=lefschetz_number(e),
+        lefschetz=raw.augmentation(),
         complete=complete,
     )
 
@@ -127,18 +135,11 @@ def reidemeister_trace(e: FreeGroupEndo) -> GroupRingElement:
     projecting it returns the label.
     """
     nd = nielsen_decomposition(e)
-    uinv_done: IntMatrix | None = None
     terms: dict[FreeWord, int] = {}
     for label, coeff in nd.entries:
         if coeff == 0:
             continue
-        if uinv_done is None:
-            uinv_done = nd.space.u.inverse_unimodular()
-        kept = [i for i, f in enumerate(nd.space.factors) if f != 1]
-        y = [0] * len(nd.space.factors)
-        for value, i in zip(label, kept):
-            y[i] = value
-        vec = uinv_done.mul_vec(y)
+        vec = nd.space.representative_vector(label)
         letters: list[int] = []
         for j, power in enumerate(vec, start=1):
             letters.extend([j if power > 0 else -j] * abs(power))
@@ -199,14 +200,17 @@ class RefinedClass:
     clusters: tuple[tuple[tuple[FreeWord, ...], int], ...]
 
 
-def refine_decomposition(e: FreeGroupEndo, depth: int) -> tuple[RefinedClass, ...]:
-    """Bounded-depth merge of raw trace terms within homological classes."""
+def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
+                         depth: int) -> tuple[RefinedClass, ...]:
+    """Bounded-depth merge of raw trace terms within homological classes.
+
+    ``nd`` is ``nielsen_decomposition(e)``; its class space and raw
+    trace are reused."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cs = class_space(e)
     by_label: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for word, coeff in reidemeister_trace_raw(e).items():
-        label = cs.project(word.exponent_vector())
+    for word, coeff in nd.raw.items():
+        label = nd.space.project(word.exponent_vector())
         by_label.setdefault(label, []).append((word, coeff))
     out = []
     for label in sorted(by_label):

@@ -10,7 +10,7 @@ surgered) are null and ``warning`` says why.
 from __future__ import annotations
 
 from ._version import __version__
-from .braids import BraidWord, induced_permutation, is_transitive, parse_braid
+from .braids import BraidWord, induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, predict_fiber_sum)
@@ -41,9 +41,8 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     if refine_depth < 0:
         raise ValueError("refine_depth must be >= 0")
     sigma = induced_permutation(braid)
-    transitive = is_transitive(braid)
+    transitive = sigma.is_standard_cycle()
     endo = artin_endo(braid)
-    nd = nielsen_decomposition(endo)
 
     warning = None
     config = nielsen = floer_bound = fiber_sum = pi1 = None
@@ -52,19 +51,23 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
         cfg = (configuration_from_dict(config_data, braid.d)
                if config_data is not None else default_configuration(braid.d))
         config = configuration_to_dict(cfg)
-        nielsen = _nielsen_section(nd)
-        floer_bound = _dims_section(dims_lower_bound(nd))
-        fiber_sum = _fiber_sum_section(nd, braid.d)
-        pi1 = _pi1_section(braid)
         char_numbers = characteristic_numbers(cfg)._asdict()
         tori = anticanonical_tori(braid.d)._asdict()
-        if refine_depth > 0:
-            refined = _refined_section(endo, refine_depth)
+        # pi1 before the raw trace, so that the Tietze pass and the raw
+        # trace, the two largest objects of a report, are never alive at once
+        pi1 = _pi1_section(mapping_torus_presentation(braid, endo))
     else:
         warning = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "
             "(1 2 ... d); no orbit torus to surger, geometric sections "
             "are null")
+    nd = nielsen_decomposition(endo)
+    if transitive:
+        nielsen = _nielsen_section(nd)
+        floer_bound = _dims_section(dims_lower_bound(nd))
+        fiber_sum = _fiber_sum_section(nd, braid.d)
+        if refine_depth > 0:
+            refined = _refined_section(endo, nd, refine_depth)
 
     return {
         "tool": {"name": "braidfloer", "version": __version__},
@@ -128,12 +131,12 @@ def _fiber_sum_section(nd, d: int) -> dict:
     }
 
 
-def _pi1_section(braid: BraidWord) -> dict:
-    assembled = assemble_pi1(braid)
+def _pi1_section(mapping_torus) -> dict:
+    assembled = assemble_pi1(mapping_torus)
     simplified = tietze_simplify(assembled)
     ab = abelianization(assembled)
     return {
-        "mapping_torus": mapping_torus_presentation(braid).to_dict(),
+        "mapping_torus": mapping_torus.to_dict(),
         "assembled": assembled.to_dict(),
         "simplified": simplified.to_dict(),
         "standard_form_order": standard_form_order(simplified),
@@ -143,9 +146,9 @@ def _pi1_section(braid: BraidWord) -> dict:
     }
 
 
-def _refined_section(endo, depth: int) -> dict:
+def _refined_section(endo, nd, depth: int) -> dict:
     classes = []
-    for rc in refine_decomposition(endo, depth):
+    for rc in refine_decomposition(endo, nd, depth):
         classes.append({
             "label": list(rc.label),
             "clusters": [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -333,7 +334,11 @@ class ClassSpace:
         y = [0] * len(self.factors)
         for value, i in zip(label, kept):
             y[i] = value
-        return self.u.inverse_unimodular().mul_vec(y)
+        return self._u_inverse.mul_vec(y)
+
+    @cached_property
+    def _u_inverse(self) -> IntMatrix:
+        return self.u.inverse_unimodular()
 
     def element_order(self, label: Sequence[int]) -> int:
         """Order of the class in the group; 0 stands for infinite."""

@@ -9,6 +9,10 @@ import pytest
 
 from braidfloer import __version__
 from braidfloer.cli import main
+from braidfloer.fourmanifold import (ConfigurationError,
+                                     configuration_from_dict,
+                                     configuration_to_dict,
+                                     default_configuration)
 from braidfloer.report import build_report, render_text
 
 CALIBRATION = "d=3; s1 s2"
@@ -153,6 +157,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "s9" in err
 
+    @pytest.mark.parametrize("word, position", [
+        ("d=" + "9" * 5000 + "; s1", 2),
+        ("d=3; s1 t" + "1" * 5000, 8),
+    ], ids=["header", "token"])
+    def test_overlong_integer_is_2(self, capsys, word, position):
+        code, out, err = run(capsys, "--braid", word)
+        assert code == 2 and out == ""
+        assert f"5000 digits is too long (at position {position})" in err
+
     def test_usage_errors_are_3(self, capsys):
         for argv in ([],
                      ["--braid", "d=2; s1", "--batch", "x"],
@@ -172,6 +185,30 @@ class TestExitCodes:
             main(["--braid", "d=2; s1", "--config", str(bad)])
         assert exc.value.code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [
+        ("chi", "abc"),
+        ("chi", 1.5),
+        ("chi", True),
+        ("tori", ["H1"]),
+        ("pairings", ["H1", "H1p", "H3"]),
+    ])
+    def test_config_values_of_the_wrong_type_are_3(self, capsys, tmp_path,
+                                                   key, value):
+        data = configuration_to_dict(default_configuration(3))
+        data["pieces"][0]["kind"] = "custom"  # no fixed (chi, sigma)
+        if key == "pairings":
+            data["pairings"][0] = value
+        else:
+            data["pieces"][0][key] = value
+        with pytest.raises(ConfigurationError):
+            configuration_from_dict(data, 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, "--braid", "d=3; s1 s2",
+                             "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
 
     def test_inconsistent_config_is_3(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,10 +16,18 @@ from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
                                      default_configuration,
                                      mapping_torus_presentation,
                                      standard_form_order, tietze_simplify)
-from braidfloer.freegroup import FreeWord
+from braidfloer.freegroup import FreeWord, artin_endo
 from braidfloer.snf import AbelianGroup
 
 from _samplers import random_transitive_braid
+
+
+def mapping_torus(b):
+    return mapping_torus_presentation(b, artin_endo(b))
+
+
+def assembled_pi1(b):
+    return assemble_pi1(mapping_torus(b))
 
 
 def W(rank, *letters):
@@ -34,14 +42,14 @@ def P(gens, *relator_letter_tuples):
 
 class TestPresentations:
     def test_mapping_torus_two_strands(self):
-        g = mapping_torus_presentation(parse_braid("d=2; s1"))
+        g = mapping_torus(parse_braid("d=2; s1"))
         assert g.generators == ("l1", "l2", "x1")
         assert g.relator_texts() == ("l1 l2 l1^-1 l2^-1",
                                      "l1 x1 l1^-1 x1^-1",
                                      "l2 x1 l2^-1 x1")
 
     def test_assembled_adds_meridian_and_longitude(self):
-        g = assemble_pi1(parse_braid("d=2; s1"))
+        g = assembled_pi1(parse_braid("d=2; s1"))
         assert g.relator_texts() == ("l1 l2 l1^-1 l2^-1",
                                      "l1 x1 l1^-1 x1^-1",
                                      "l2 x1 l2^-1 x1",
@@ -50,9 +58,14 @@ class TestPresentations:
 
     def test_non_transitive_rejected(self):
         with pytest.raises(NonTransitiveBraidError):
-            mapping_torus_presentation(parse_braid("d=4; s1 s3"))
+            mapping_torus(parse_braid("d=4; s1 s3"))
         with pytest.raises(NonTransitiveBraidError):
-            assemble_pi1(parse_braid("d=3; s2 s1"))
+            mapping_torus(parse_braid("d=3; s2 s1"))
+
+    def test_endomorphism_rank_must_match(self):
+        b = parse_braid("d=3; s1 s2")
+        with pytest.raises(ValueError):
+            mapping_torus_presentation(b, artin_endo(parse_braid("d=4; s1")))
 
     def test_make_normalizes(self):
         g = PresentedGroup.make(("a", "b"),
@@ -68,7 +81,7 @@ class TestPresentations:
         for _ in range(30):
             d = rng.randint(2, 6)
             b = random_transitive_braid(rng, d)
-            assert (abelianization(mapping_torus_presentation(b))
+            assert (abelianization(mapping_torus(b))
                     == AbelianGroup(2, (d,)))
 
 
@@ -98,7 +111,7 @@ class TestTietze:
     def test_assembled_group_reaches_standard_form(self):
         for d in range(2, 7):
             word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
-            simplified = tietze_simplify(assemble_pi1(parse_braid(word)))
+            simplified = tietze_simplify(assembled_pi1(parse_braid(word)))
             assert standard_form_order(simplified) == d
 
     def test_random_assembled_groups_reach_standard_form(self):
@@ -106,7 +119,7 @@ class TestTietze:
         for _ in range(25):
             d = rng.randint(2, 5)
             b = random_transitive_braid(rng, d)
-            simplified = tietze_simplify(assemble_pi1(b))
+            simplified = tietze_simplify(assembled_pi1(b))
             assert standard_form_order(simplified) == d
 
     def test_preserves_abelianization(self):
@@ -114,7 +127,7 @@ class TestTietze:
         for _ in range(25):
             d = rng.randint(2, 6)
             b = random_transitive_braid(rng, d)
-            assembled = assemble_pi1(b)
+            assembled = assembled_pi1(b)
             simplified = tietze_simplify(assembled)
             ab = abelianization(assembled)
             assert ab == abelianization(simplified)
@@ -149,7 +162,7 @@ class TestAbelianizationOfPresentations:
     def test_assembled_values(self):
         for d in (2, 3, 4):
             word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
-            g = assemble_pi1(parse_braid(word))
+            g = assembled_pi1(parse_braid(word))
             assert abelianization(g) == AbelianGroup(1, (d,))
 
     def test_no_generators(self):
@@ -252,11 +265,12 @@ class TestConfigurationSerialization:
             configuration_from_dict({"pieces": [{}]}, 3)
         with pytest.raises(ConfigurationError):
             configuration_from_dict({"pieces": [], "pairings": None}, 3)
-        with pytest.raises(ConfigurationError):
-            configuration_from_dict(
-                {"pieces": [{"name": "A", "chi": 0, "sigma": 0,
-                             "tori": {"T": True}}],
-                 "pairings": []}, 3)
+        for piece in ({"name": "A", "chi": 0, "sigma": 0, "tori": {"T": True}},
+                      {"name": "A", "chi": 0, "sigma": 0, "tori": {"T": 0}},
+                      {"name": 5, "chi": 0, "sigma": 0},
+                      {"name": "A", "kind": None, "chi": 0, "sigma": 0}):
+            with pytest.raises(ConfigurationError):
+                configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
 
 
 class TestAnticanonicalTori:

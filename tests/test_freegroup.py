@@ -242,6 +242,29 @@ class TestArtinAction:
             e = artin_endo(b).compose(artin_endo(b.inverse()))
             assert e == FreeGroupEndo.identity(d - 1)
 
+    def test_sphere_action_equals_disc_action_then_substitution(self):
+        def oracle(b):
+            d = b.d
+            last = FreeWord(d, tuple(range(1, d))).inverse()
+            images = tuple(FreeWord.generator(d, j) for j in range(1, d))
+            images += (last,)
+            return tuple(
+                FreeWord(d - 1, substitute(w, images).letters)
+                for w in artin_disc_endo(b).images[:-1])
+
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(400):
+            d = rng.randint(2, 8)
+            b = random_braid_word(rng, d, max_len=20)
+            seen.update((x.kind, x.index == d - 1, x.sign) for x in b)
+            e = artin_endo(b)
+            assert e.rank == d - 1
+            assert e.images == oracle(b), b.to_text()
+        assert {("t", False, 1), ("s", True, 1), ("s", True, -1)} <= seen
+        pseudo_anosov = parse_braid("d=3; " + " ".join(["s1 s2^-1"] * 6))
+        assert artin_endo(pseudo_anosov).images == oracle(pseudo_anosov)
+
 
 class TestAbelianization:
     def test_frozen_matrix_three_strand(self):

@@ -130,9 +130,11 @@ class TestDecomposition:
         assert nd.complete
 
     def test_decomposition_validates_its_sum(self):
-        cs = class_space(artin_endo(parse_braid("d=2; s1")))
+        e = artin_endo(parse_braid("d=2; s1"))
         with pytest.raises(ValueError):
-            NielsenDecomposition(space=cs, entries=(((0,), 1),),
+            NielsenDecomposition(space=class_space(e),
+                                 raw=reidemeister_trace_raw(e),
+                                 entries=(((0,), 1),),
                                  lefschetz=2, complete=True)
 
 
@@ -193,7 +195,8 @@ class TestRefinement:
             cs = class_space(e)
             raw = reidemeister_trace_raw(e)
             for depth in (0, 2):
-                refined = refine_decomposition(e, depth)
+                refined = refine_decomposition(e, nielsen_decomposition(e),
+                                               depth)
                 seen = {}
                 for rc in refined:
                     for words, coeff in rc.clusters:
@@ -209,10 +212,11 @@ class TestRefinement:
 
     def test_depth_zero_keeps_terms_separate(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))
-        refined = refine_decomposition(e, 0)
+        refined = refine_decomposition(e, nielsen_decomposition(e), 0)
         assert len(refined) == 2
         assert all(len(rc.clusters) == 1 for rc in refined)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
-            refine_decomposition(FreeGroupEndo.identity(2), -1)
+            e = FreeGroupEndo.identity(2)
+            refine_decomposition(e, nielsen_decomposition(e), -1)
