@@ -29,6 +29,7 @@ from typing import Iterable, Iterator
 
 ARTIN = "s"
 TWIST = "t"
+MAX_STRANDS = 1000  # largest d parse_braid accepts: bounds every d-sized object
 
 
 class BraidError(ValueError):
@@ -157,9 +158,12 @@ def parse_braid(text: str) -> BraidWord:
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
-    d = _integer(m.group(1), m.start(1))
-    if d < 2:
-        raise BraidIndexError("need at least two marked points", f"d={d}", m.start(1))
+    digits = m.group(1)
+    d = _integer(digits, m.start(1))
+    if not 2 <= d <= MAX_STRANDS:
+        shown = digits if len(digits) <= 12 else digits[:8] + "..."
+        raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + shown,
+                              m.start(1))
     letters = []
     for tok in re.finditer(r"\S+", text[m.end():]):
         pos = m.end() + tok.start()
@@ -284,11 +288,3 @@ def standard_relabeling(b: BraidWord) -> Permutation | None:
         images[k - 1] = j + 1
         k = sigma(k)
     return Permutation(tuple(images))
-
-
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    return a.compose(b)
-
-
-def invert(b: BraidWord) -> BraidWord:
-    return b.inverse()

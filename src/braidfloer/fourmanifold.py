@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .braids import BraidWord, NonTransitiveBraidError, is_transitive
+from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
+                     induced_permutation)
 from .freegroup import FreeGroupEndo, FreeWord
 from .snf import AbelianGroup, IntMatrix, cokernel
 
@@ -76,12 +77,17 @@ def _commutator(rank: int, i: int, j: int) -> FreeWord:
     return FreeWord(rank, (i, j, -i, -j))
 
 
-def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo) -> PresentedGroup:
+def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
+                               sigma: Permutation | None = None
+                               ) -> PresentedGroup:
     """pi1 of (circle) x (mapping torus of the braid action), minus the
-    surgered torus; ``e`` is the braid's action ``artin_endo(b)``.
+    surgered torus; ``e`` is the braid's action ``artin_endo(b)`` and
+    ``sigma``, when the caller has it, is ``induced_permutation(b)``.
     Rejects non-transitive braids: the construction surgers a single
     closed orbit of the marked points."""
-    if not is_transitive(b):
+    if sigma is None:
+        sigma = induced_permutation(b)
+    if not sigma.is_standard_cycle():
         raise NonTransitiveBraidError(
             f"braid {b.to_text()!r} does not induce the standard cycle")
     d = b.d

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                        abelianization_matrix, fox_derivative)
+from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _inverse,
+                        _reduce, abelianization_matrix, fox_derivative)
 from .snf import ClassSpace, IntMatrix
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
@@ -68,12 +68,15 @@ class NielsenDecomposition:
     ``entries`` maps canonical class labels to indices, sorted by label.
     When the class space is finite (and small enough to enumerate),
     classes of index 0 are listed too and ``complete`` is True; for an
-    infinite class space only nonzero indices appear.  ``raw`` is the
-    raw trace the indices were projected from, kept for refinement.
+    infinite class space only nonzero indices appear.  ``raw_terms``
+    holds the terms (word, coefficient) of the raw trace the indices
+    were projected from, grouped by class label and sorted by label,
+    kept for refinement.
     """
 
     space: ClassSpace
-    raw: GroupRingElement
+    raw_terms: tuple[tuple[tuple[int, ...],
+                           tuple[tuple[FreeWord, int], ...]], ...]
     entries: tuple[tuple[tuple[int, ...], int], ...]
     lefschetz: int
     complete: bool
@@ -107,10 +110,10 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
     1 - trace(A)."""
     cs = class_space(e)
     raw = reidemeister_trace_raw(e)
-    agg: dict[tuple[int, ...], int] = {}
-    for word, coeff in raw.items():
-        label = cs.project(word.exponent_vector())
-        agg[label] = agg.get(label, 0) + coeff
+    groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
+    for term in raw.items():
+        groups.setdefault(cs.project(term[0].exponent_vector()), []).append(term)
+    agg = {label: sum(c for _, c in terms) for label, terms in groups.items()}
     order = cs.order()
     complete = order is not None and order <= ENUMERATION_CAP
     if complete:
@@ -120,7 +123,7 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
         agg = {label: c for label, c in agg.items() if c != 0}
     return NielsenDecomposition(
         space=cs,
-        raw=raw,
+        raw_terms=tuple((label, tuple(groups[label])) for label in sorted(groups)),
         entries=tuple(sorted(agg.items())),
         lefschetz=raw.augmentation(),
         complete=complete,
@@ -151,38 +154,63 @@ def nielsen_bound(e: FreeGroupEndo) -> int:
     return nielsen_decomposition(e).bound()
 
 
+def _twist_steps(e: FreeGroupEndo) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(s, e(s)^-1) for each of the 2n letters s, read off the images.
+
+    Prepending s to a conjugator turns t = u g e(u)^-1 into
+    s t e(s)^-1."""
+    steps = []
+    for j, image in enumerate(e.images, start=1):
+        steps.append((j, _inverse(image.letters)))
+        steps.append((-j, image.letters))
+    return tuple(steps)
+
+
+def _orbit_ball(g: tuple[int, ...], steps, radius: int
+                ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The twisted-conjugation orbit of g out to conjugator length radius.
+
+    Maps each u g e(u)^-1 with |u| <= radius (reduced letter tuples) to
+    a conjugator u of least length, found breadth first, so len(u) is
+    the element's distance from g and the ball of any smaller radius is
+    the part with len(u) <= that radius."""
+    ball = {g: ()}
+    frontier = [g]
+    for _ in range(radius):
+        nxt = []
+        for t in frontier:
+            u = ball[t]
+            for s, image_inv in steps:
+                t2 = _reduce((s,) + t + image_inv)
+                if t2 not in ball:
+                    # s u is reduced: if u began with s^-1, t2 would lie
+                    # one layer nearer g and be in the ball already
+                    ball[t2] = (s,) + u
+                    nxt.append(t2)
+        frontier = nxt
+    return ball
+
+
 def twisted_conjugacy_search(e: FreeGroupEndo, g: FreeWord, h: FreeWord,
                              depth: int) -> FreeWord | None:
     """Look for u with |u| <= depth and h = u g e(u)^-1.
 
-    Breadth-first over the twisted-conjugation orbit: prepending a letter
-    s to the conjugator turns t into s t e(s)^-1.  Returns a witness
-    conjugator, or None.  None proves nothing (merge-only semantics).
+    Meets in the middle: if u = a b with |a| <= depth // 2 and
+    |b| <= (depth + 1) // 2, then b g e(b)^-1 = a^-1 h e(a^-1)^-1, so such
+    a u exists exactly when the radius (depth + 1) // 2 orbit ball of g
+    meets the radius depth // 2 ball of h.  Returns a witness conjugator
+    u = a b, or None.  None
+    only says that no conjugator of length <= depth exists; h may still
+    be twisted conjugate to g by a longer one (merge-only semantics).
     """
     if g.rank != e.rank or h.rank != e.rank:
         raise ValueError("rank mismatch")
-    if g == h:
-        return FreeWord.identity(e.rank)
-    gens = [FreeWord.generator(e.rank, j, p)
-            for j in range(1, e.rank + 1) for p in (1, -1)]
-    image_inv = {w.letters: e.apply(w).inverse() for w in gens}
-    seen = {g: FreeWord.identity(e.rank)}
-    frontier = [g]
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            u = seen[t]
-            for s in gens:
-                t2 = s * t * image_inv[s.letters]
-                if t2 in seen:
-                    continue
-                seen[t2] = s * u
-                if t2 == h:
-                    return seen[t2]
-                nxt.append(t2)
-        if not nxt:
-            break
-        frontier = nxt
+    steps = _twist_steps(e)
+    near_g = _orbit_ball(g.letters, steps, (depth + 1) // 2)
+    for t, a_inv in _orbit_ball(h.letters, steps, depth // 2).items():
+        b = near_g.get(t)
+        if b is not None:
+            return FreeWord.from_letters(e.rank, _inverse(a_inv) + b)
     return None
 
 
@@ -202,19 +230,23 @@ class RefinedClass:
 
 def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
                          depth: int) -> tuple[RefinedClass, ...]:
-    """Bounded-depth merge of raw trace terms within homological classes.
+    """Merge raw trace terms of one homological class whose twisted
+    conjugacy is witnessed by a conjugator of length <= depth.
 
-    ``nd`` is ``nielsen_decomposition(e)``; its class space and raw
-    trace are reused."""
+    ``nd`` is ``nielsen_decomposition(e)``; its class space and its raw
+    trace terms, already grouped by class, are reused.  The merges are
+    those of ``twisted_conjugacy_search`` on every pair of terms, but
+    each term's orbit is built once and only to half the depth: two
+    terms are within depth of each other exactly when the radius
+    (depth + 1) // 2 ball of one meets the radius depth // 2 ball of the
+    other.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    by_label: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for word, coeff in nd.raw.items():
-        label = nd.space.project(word.exponent_vector())
-        by_label.setdefault(label, []).append((word, coeff))
+    steps = _twist_steps(e)
     out = []
-    for label in sorted(by_label):
-        members = sorted(by_label[label], key=lambda t: (len(t[0]), t[0].letters))
+    for label, terms in nd.raw_terms:
+        members = sorted(terms, key=lambda t: (len(t[0]), t[0].letters))
         parent = list(range(len(members)))
 
         def find(i: int) -> int:
@@ -224,13 +256,17 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
             return i
 
         if depth > 0:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    if find(i) == find(j):
-                        continue
-                    if twisted_conjugacy_search(e, members[i][0], members[j][0],
-                                                depth) is not None:
+            # element of a radius depth // 2 ball -> a member that holds
+            # it; members sharing such an element are merged already
+            near: dict[tuple[int, ...], int] = {}
+            for i, (word, _) in enumerate(members):
+                ball = _orbit_ball(word.letters, steps, (depth + 1) // 2)
+                for t, u in ball.items():
+                    j = near.get(t)
+                    if j is not None:
                         parent[find(j)] = find(i)
+                    elif len(u) <= depth // 2:
+                        near[t] = i
         groups: dict[int, list[int]] = {}
         for i in range(len(members)):
             groups.setdefault(find(i), []).append(i)

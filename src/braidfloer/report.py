@@ -55,7 +55,7 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
         tori = anticanonical_tori(braid.d)._asdict()
         # pi1 before the raw trace, so that the Tietze pass and the raw
         # trace, the two largest objects of a report, are never alive at once
-        pi1 = _pi1_section(mapping_torus_presentation(braid, endo))
+        pi1 = _pi1_section(mapping_torus_presentation(braid, endo, sigma))
     else:
         warning = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "

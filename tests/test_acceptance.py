@@ -10,8 +10,7 @@ import subprocess
 import sys
 import time
 
-from braidfloer.braids import (compose, induced_permutation, invert,
-                               is_transitive, parse_braid)
+from braidfloer.braids import induced_permutation, is_transitive, parse_braid
 from braidfloer.floer import FloerDims, suspend_dims
 from braidfloer.fourmanifold import (abelianization, anticanonical_tori,
                                      assemble_pi1, characteristic_numbers,
@@ -177,8 +176,8 @@ def test_criterion_6_property_suites():
         b = random_braid_word(rng, d, max_len=8)
         g = random_braid_word(rng, d, max_len=4)
         nd = nielsen_decomposition(artin_endo(b))
-        nd_conj = nielsen_decomposition(artin_endo(compose(g, compose(b, invert(g)))))
-        nd_inv = nielsen_decomposition(artin_endo(invert(b)))
+        nd_conj = nielsen_decomposition(artin_endo(g.compose(b.compose(g.inverse()))))
+        nd_inv = nielsen_decomposition(artin_endo(b.inverse()))
         assert (nd.lefschetz, nd.bound()) == (nd_conj.lefschetz, nd_conj.bound())
         assert (nd.lefschetz, nd.bound()) == (nd_inv.lefschetz, nd_inv.bound())
 

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
-                               BraidSyntaxError, BraidWord, Permutation,
-                               compose, induced_permutation, invert,
+                               BraidSyntaxError, BraidWord, MAX_STRANDS,
+                               Permutation, induced_permutation,
                                is_transitive, parse_braid, standard_relabeling)
 
 from _samplers import random_braid_word, random_transitive_braid
@@ -50,6 +50,10 @@ class TestParsing:
             parse_braid("d=1;")
         with pytest.raises(BraidIndexError):
             parse_braid("d=0; s1")
+        assert parse_braid(f"d={MAX_STRANDS};").d == MAX_STRANDS
+        with pytest.raises(BraidIndexError) as exc:
+            parse_braid(f" d={MAX_STRANDS + 1}; s1")
+        assert exc.value.position == 3
 
     def test_token_errors(self):
         with pytest.raises(BraidSyntaxError) as exc:
@@ -89,9 +93,9 @@ class TestAlgebra:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert compose(a, invert(a)) == BraidWord.identity(d)
-            assert compose(a, b).inverse() == compose(invert(b), invert(a))
-            assert invert(invert(a)) == a
+            assert a.compose(a.inverse()) == BraidWord.identity(d)
+            assert a.compose(b).inverse() == b.inverse().compose(a.inverse())
+            assert a.inverse().inverse() == a
 
 
 class TestInducedPermutation:
@@ -113,10 +117,10 @@ class TestInducedPermutation:
             d = rng.randint(2, 6)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            lhs = induced_permutation(compose(a, b))
+            lhs = induced_permutation(a.compose(b))
             rhs = induced_permutation(a).compose(induced_permutation(b))
             assert lhs == rhs
-            assert induced_permutation(invert(a)) == induced_permutation(a).inverse()
+            assert induced_permutation(a.inverse()) == induced_permutation(a).inverse()
 
     def test_twists_and_signs_are_inert(self):
         rng = random.Random(13)

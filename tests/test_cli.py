@@ -2,12 +2,19 @@
 shipped report schema."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import braidfloer
 from braidfloer import __version__
+from braidfloer.braids import MAX_STRANDS
 from braidfloer.cli import main
 from braidfloer.fourmanifold import (ConfigurationError,
                                      configuration_from_dict,
@@ -165,6 +172,27 @@ class TestExitCodes:
         code, out, err = run(capsys, "--braid", word)
         assert code == 2 and out == ""
         assert f"5000 digits is too long (at position {position})" in err
+
+    @pytest.mark.parametrize("word, env", [
+        ("d=1000000000; s1", {}),
+        ("d=" + "9" * 5000 + "; s1", {"PYTHONINTMAXSTRDIGITS": "0"}),
+    ], ids=["large", "overlong-without-digit-limit"])
+    def test_d_above_max_strands_is_2(self, word, env):
+        # a fresh interpreter, its address space capped at 1 GiB: without
+        # the bound on d these end in MemoryError and OverflowError
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(braidfloer.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidfloer.cli", "--braid", word],
+            env={**os.environ, "PYTHONPATH": src, **env},
+            preexec_fn=cap_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"d must lie in 2..{MAX_STRANDS}" in proc.stderr
+        assert "(at position 2)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_usage_errors_are_3(self, capsys):
         for argv in ([],

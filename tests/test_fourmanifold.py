@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from braidfloer.braids import NonTransitiveBraidError, parse_braid
+from braidfloer.braids import (NonTransitiveBraidError, induced_permutation,
+                               parse_braid)
 from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
                                      GluingPiece, PresentedGroup,
                                      SumConfiguration, abelianization,
@@ -61,6 +62,16 @@ class TestPresentations:
             mapping_torus(parse_braid("d=4; s1 s3"))
         with pytest.raises(NonTransitiveBraidError):
             mapping_torus(parse_braid("d=3; s2 s1"))
+
+    def test_permutation_from_the_caller_is_used(self):
+        b = parse_braid("d=3; s1 s2")
+        e = artin_endo(b)
+        assert (mapping_torus_presentation(b, e, induced_permutation(b))
+                == mapping_torus_presentation(b, e))
+        bad = parse_braid("d=3; s2 s1")
+        with pytest.raises(NonTransitiveBraidError):
+            mapping_torus_presentation(bad, artin_endo(bad),
+                                       induced_permutation(bad))
 
     def test_endomorphism_rank_must_match(self):
         b = parse_braid("d=3; s1 s2")

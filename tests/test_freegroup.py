@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidfloer.braids import compose, induced_permutation, parse_braid
+from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
                                   abelianization_matrix, artin_disc_endo,
                                   artin_endo, fox_derivative, substitute)
@@ -193,7 +193,7 @@ class TestArtinAction:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert (artin_disc_endo(compose(a, b))
+            assert (artin_disc_endo(a.compose(b))
                     == artin_disc_endo(a).compose(artin_disc_endo(b)))
 
     def test_disc_action_preserves_the_boundary_word(self):
@@ -231,7 +231,7 @@ class TestArtinAction:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert (artin_endo(compose(a, b))
+            assert (artin_endo(a.compose(b))
                     == artin_endo(a).compose(artin_endo(b)))
 
     def test_sphere_action_is_an_automorphism(self):

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from braidfloer.braids import compose, induced_permutation, invert, parse_braid
+from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                                  artin_endo)
+                                  _inverse, _reduce, artin_endo)
 from braidfloer.nielsen import (NielsenDecomposition, class_space,
                                 lefschetz_number, nielsen_bound,
                                 nielsen_decomposition, refine_decomposition,
@@ -25,6 +25,68 @@ from _samplers import random_braid_word, random_free_word, random_transitive_bra
 
 def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
+
+
+def pairwise_search(e, g, h, depth):
+    """Reference: breadth first from g alone, out to the full depth, until
+    h turns up; the letter tuple of a conjugator, or None."""
+    g, h = g.letters, h.letters
+    if g == h:
+        return ()
+    steps = [(s, _inverse(image.letters) if s > 0 else image.letters)
+             for j, image in enumerate(e.images, start=1) for s in (j, -j)]
+    seen = {g: ()}
+    frontier = [g]
+    for _ in range(depth):
+        nxt = []
+        for t in frontier:
+            u = seen[t]
+            for s, image_inv in steps:
+                t2 = _reduce((s,) + t + image_inv)
+                if t2 in seen:
+                    continue
+                seen[t2] = (s,) + u
+                if t2 == h:
+                    return seen[t2]
+                nxt.append(t2)
+        frontier = nxt
+    return None
+
+
+def pairwise_clusters(e, depth):
+    """Reference refinement: project every raw term, then one full-depth
+    search per pair of terms of a class; (label, clusters) per class."""
+    cs = class_space(e)
+    by_label = {}
+    for word, coeff in reidemeister_trace_raw(e).items():
+        label = cs.project(word.exponent_vector())
+        by_label.setdefault(label, []).append((word, coeff))
+    out = []
+    for label in sorted(by_label):
+        members = sorted(by_label[label],
+                         key=lambda t: (len(t[0]), t[0].letters))
+        parent = list(range(len(members)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if find(i) != find(j) and pairwise_search(
+                        e, members[i][0], members[j][0], depth) is not None:
+                    parent[find(j)] = find(i)
+        groups = {}
+        for i in range(len(members)):
+            groups.setdefault(find(i), []).append(i)
+        clusters = tuple(sorted(
+            ((tuple(members[i][0] for i in idxs),
+              sum(members[i][1] for i in idxs)) for idxs in groups.values()),
+            key=lambda cl: tuple((len(w), w.letters) for w in cl[0])))
+        out.append((label, clusters))
+    return tuple(out)
 
 
 class TestCalibrations:
@@ -105,7 +167,7 @@ class TestDecomposition:
             d = rng.randint(2, 5)
             b = random_braid_word(rng, d)
             g = random_braid_word(rng, d, max_len=6)
-            conj = compose(g, compose(b, invert(g)))
+            conj = g.compose(b.compose(g.inverse()))
             nd = nielsen_decomposition(artin_endo(b))
             nd_c = nielsen_decomposition(artin_endo(conj))
             assert nd.lefschetz == nd_c.lefschetz
@@ -118,7 +180,7 @@ class TestDecomposition:
             d = rng.randint(2, 5)
             b = random_braid_word(rng, d)
             nd = nielsen_decomposition(artin_endo(b))
-            nd_i = nielsen_decomposition(artin_endo(invert(b)))
+            nd_i = nielsen_decomposition(artin_endo(b.inverse()))
             assert nd.lefschetz == nd_i.lefschetz
             assert nd.bound() == nd_i.bound()
 
@@ -133,7 +195,7 @@ class TestDecomposition:
         e = artin_endo(parse_braid("d=2; s1"))
         with pytest.raises(ValueError):
             NielsenDecomposition(space=class_space(e),
-                                 raw=reidemeister_trace_raw(e),
+                                 raw_terms=(),
                                  entries=(((0,), 1),),
                                  lefschetz=2, complete=True)
 
@@ -177,6 +239,36 @@ class TestTwistedConjugacy:
         h = W(2, 1, -2)      # class of label 0
         assert twisted_conjugacy_search(e, g, h, depth=3) is None
 
+    def test_witness_equation_at_each_depth(self):
+        # meeting in the middle is exact: a conjugator of length <= depth
+        # always turns up, and the witness is no longer than depth
+        rng = random.Random(117)
+        for depth in (1, 2, 3, 4):
+            for _ in range(40):
+                d = rng.randint(2, 6)
+                e = artin_endo(random_braid_word(rng, d, max_len=8))
+                g = random_free_word(rng, d - 1, 6)
+                u = random_free_word(rng, d - 1, depth)
+                h = u * g * e.apply(u).inverse()
+                witness = twisted_conjugacy_search(e, g, h, depth)
+                assert witness is not None and len(witness) <= depth
+                assert witness * g * e.apply(witness).inverse() == h
+
+    def test_agrees_with_the_pairwise_search(self):
+        rng = random.Random(119)
+        hits = 0
+        for k in range(200):
+            d = rng.randint(2, 5)
+            e = artin_endo(random_braid_word(rng, d, max_len=8))
+            g = random_free_word(rng, d - 1, 5)
+            u = random_free_word(rng, d - 1, 6)  # often longer than depth
+            h = u * g * e.apply(u).inverse()
+            depth = k % 5
+            found = twisted_conjugacy_search(e, g, h, depth)
+            assert (found is None) == (pairwise_search(e, g, h, depth) is None)
+            hits += found is not None
+        assert 40 <= hits <= 160
+
     def test_reflexive(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))
         g = W(2, 1, 2, -1)
@@ -209,6 +301,31 @@ class TestRefinement:
                     label = cs.project(w.exponent_vector())
                     totals[label] = totals.get(label, 0) + c
                 assert seen == totals
+
+    def test_same_clusters_as_the_pairwise_search(self):
+        rng = random.Random(131)
+        merged = 0
+        for k in range(300):
+            d = rng.randint(2, 7)
+            e = artin_endo(random_braid_word(rng, d, max_len=14))
+            depth = k % 5
+            refined = refine_decomposition(e, nielsen_decomposition(e), depth)
+            clusters = tuple((rc.label, rc.clusters) for rc in refined)
+            assert clusters == pairwise_clusters(e, depth)
+            merged += any(len(words) > 1
+                          for rc in refined for words, _ in rc.clusters)
+        assert merged >= 20  # the merges themselves are compared, too
+
+    def test_generator_images_are_read_once(self, monkeypatch):
+        # six raw terms; one search per pair would read the images 24 times
+        e = artin_endo(parse_braid("d=4; s1 s2^-1 s3 s1 s2"))
+        nd = nielsen_decomposition(e)
+        calls = []
+        apply = FreeGroupEndo.apply
+        monkeypatch.setattr(FreeGroupEndo, "apply",
+                            lambda self, w: calls.append(w) or apply(self, w))
+        refine_decomposition(e, nd, 3)
+        assert len(calls) <= 2 * e.rank
 
     def test_depth_zero_keeps_terms_separate(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))

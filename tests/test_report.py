@@ -3,10 +3,11 @@
 import sys
 from collections import Counter
 
-from braidfloer import fourmanifold, freegroup, nielsen
+from braidfloer import braids, fourmanifold, freegroup, nielsen
 from braidfloer.report import build_report
 
-ONCE = ((freegroup, "artin_endo"),
+ONCE = ((braids, "induced_permutation"),
+        (freegroup, "artin_endo"),
         (fourmanifold, "mapping_torus_presentation"),
         (nielsen, "class_space"),
         (nielsen, "reidemeister_trace_raw"))
