@@ -25,8 +25,9 @@ from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
 from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
                         abelianization_matrix, artin_disc_endo, artin_endo,
                         fox_derivative, substitute)
-from .nielsen import (NielsenDecomposition, RefinedClass, class_space,
-                      lefschetz_number, nielsen_bound, nielsen_decomposition,
+from .nielsen import (NielsenDecomposition, RefinedClass,
+                      RefinementLimitError, class_space, lefschetz_number,
+                      nielsen_bound, nielsen_decomposition,
                       refine_decomposition, reidemeister_trace,
                       reidemeister_trace_raw, twisted_conjugacy_search)
 from .report import build_report, render_text
@@ -47,7 +48,7 @@ __all__ = [
     "lefschetz_number", "class_space", "reidemeister_trace_raw",
     "reidemeister_trace", "NielsenDecomposition", "nielsen_decomposition",
     "nielsen_bound", "twisted_conjugacy_search", "RefinedClass",
-    "refine_decomposition",
+    "refine_decomposition", "RefinementLimitError",
     "FloerDims", "dims_lower_bound", "braid_floer_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",
     "PresentedGroup", "mapping_torus_presentation", "assemble_pi1",

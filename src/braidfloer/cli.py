@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a computed report (including the non-transitive case,
 which reports a warning), 2 for a braid that does not parse, 3 for usage
-problems (bad flags, unreadable or inconsistent configuration).
+problems (bad flags, unreadable or inconsistent configuration, or a
+``--refine-depth`` whose orbit balls would exceed
+``nielsen.ORBIT_BALL_CAP`` elements for a braid).
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
@@ -19,6 +21,7 @@ from pathlib import Path
 from ._version import __version__
 from .braids import BraidError
 from .fourmanifold import ConfigurationError
+from .nielsen import RefinementLimitError
 from .report import build_report, render_text
 
 
@@ -96,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     except BraidError as exc:
         print(f"braidfloer: {exc}", file=sys.stderr)
         return 2
-    except ConfigurationError as exc:
+    except (ConfigurationError, RefinementLimitError) as exc:
         print(f"braidfloer: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -33,7 +33,8 @@ from typing import Iterable, NamedTuple
 
 from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
                      induced_permutation)
-from .freegroup import FreeGroupEndo, FreeWord
+from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
+                        _reduce)
 from .snf import AbelianGroup, IntMatrix, cokernel
 
 
@@ -118,14 +119,34 @@ def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
                                mapping_torus.relators + extra)
 
 
+def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation, in linear time.
+
+    Two candidate starts i < j are compared letter by letter; at the
+    first difference after k equal letters, no start in the losing
+    candidate's window of k + 1 letters can be least (Booth, "Lexico-
+    graphically least circular substrings", Inf. Proc. Lett. 10, 1980,
+    gives the failure-function form of the same bound)."""
+    n = len(letters)
+    doubled = letters + letters
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i:i + n]
+
+
 def _cyclic_key(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form of a cyclic word up to rotation and inversion."""
-    if not letters:
-        return letters
-    inv = tuple(-x for x in reversed(letters))
-    candidates = [letters[i:] + letters[:i] for i in range(len(letters))]
-    candidates += [inv[i:] + inv[:i] for i in range(len(inv))]
-    return min(candidates)
+    """Canonical form of a cyclic word up to rotation and inversion: the
+    least rotation of the word or of its inverse."""
+    return min(_least_rotation(letters), _least_rotation(_inverse(letters)))
 
 
 def _substitute_generator(letters: tuple[int, ...], g: int,
@@ -160,17 +181,18 @@ def tietze_simplify(g: PresentedGroup, effort_budget: int = 100) -> PresentedGro
     relators = [r.letters for r in g.relators]
 
     def normalize() -> None:
+        # every move leaves the relators freely reduced
         seen: set[tuple[int, ...]] = set()
         out = []
         for letters in relators:
-            word = FreeWord.from_letters(len(names), letters).cyclically_reduced()
-            if word.is_identity():
+            letters = _cyclic_reduce(letters)
+            if not letters:
                 continue
-            key = _cyclic_key(word.letters)
+            key = _cyclic_key(letters)
             if key in seen:
                 continue
             seen.add(key)
-            out.append(word.letters)
+            out.append(letters)
         relators[:] = out
 
     def try_eliminate() -> bool:
@@ -221,8 +243,7 @@ def tietze_simplify(g: PresentedGroup, effort_budget: int = 100) -> PresentedGro
                         for p in range(len(r)):
                             if doubled[p:p + len(head)] == head and len(head) <= len(r):
                                 new = doubled[p + len(head):p + len(r)] + repl
-                                new = FreeWord.from_letters(len(names), new)
-                                new = new.cyclically_reduced().letters
+                                new = _cyclic_reduce(_reduce(new))
                                 gain = len(r) - len(new)
                                 if gain > 0 and (best is None or gain > best[0]
                                                  or (gain == best[0] and ri < best[1])):

@@ -50,6 +50,14 @@ def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
 
+def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip the letters that cancel cyclically from a reduced word."""
+    i = 0
+    while i * 2 < len(letters) - 1 and letters[i] == -letters[-1 - i]:
+        i += 1
+    return letters[i:len(letters) - i]
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word; letters are signed 1-based generator indices."""
@@ -107,11 +115,7 @@ class FreeWord:
         return tuple(out)
 
     def cyclically_reduced(self) -> "FreeWord":
-        letters = self.letters
-        i = 0
-        while i * 2 < len(letters) - 1 and letters[i] == -letters[-1 - i]:
-            i += 1
-        return FreeWord(self.rank, letters[i:len(letters) - i])
+        return FreeWord(self.rank, _cyclic_reduce(self.letters))
 
     def to_text(self, names: tuple[str, ...] | None = None) -> str:
         """Print like ``x1 x2^-1``; the identity prints as ``1``."""

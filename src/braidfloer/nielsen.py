@@ -16,6 +16,10 @@ classes; their sum is the Lefschetz number L = 1 - trace(A), and
 sum_c |N_c| is a lower bound for the rank of any chain complex whose
 generators split over these classes.
 
+The N_c are read off one prefix scan of each image phi(xj), in time
+linear in the image letters (``_class_indices``); R itself, as words,
+is built only for the twisted-conjugacy refinement and the tests.
+
 The sign and projection conventions above are pinned by geometry:
  * identity endo of rank n: R = (1 - n)[0], the Euler characteristic of
    a wedge of n circles concentrated at the trivial class;
@@ -30,12 +34,22 @@ The sign and projection conventions above are pinned by geometry:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _inverse,
-                        _reduce, abelianization_matrix, fox_derivative)
+                        abelianization_matrix, fox_derivative)
 from .snf import ClassSpace, IntMatrix
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
+# Orbit-ball elements one refinement may build, over all its balls; an
+# element also counts once per BALL_LETTERS_PER_ELEMENT of its letters,
+# so that the cap bounds memory when long images make long elements.
+ORBIT_BALL_CAP = 1_000_000
+BALL_LETTERS_PER_ELEMENT = 32
+
+
+class RefinementLimitError(ValueError):
+    """Twisted-conjugacy refinement would exceed ORBIT_BALL_CAP."""
 
 
 def lefschetz_number(e: FreeGroupEndo) -> int:
@@ -43,10 +57,13 @@ def lefschetz_number(e: FreeGroupEndo) -> int:
     return 1 - abelianization_matrix(e).trace()
 
 
+def _class_space_of(a: IntMatrix) -> ClassSpace:
+    return ClassSpace.from_matrix(IntMatrix.identity(a.rows).sub(a))
+
+
 def class_space(e: FreeGroupEndo) -> ClassSpace:
     """coker(I - A): the homological twisted-conjugacy classes."""
-    a = abelianization_matrix(e)
-    return ClassSpace.from_matrix(IntMatrix.identity(e.rank).sub(a))
+    return _class_space_of(abelianization_matrix(e))
 
 
 def reidemeister_trace_raw(e: FreeGroupEndo) -> GroupRingElement:
@@ -61,6 +78,41 @@ def reidemeister_trace_raw(e: FreeGroupEndo) -> GroupRingElement:
     return total
 
 
+def _class_indices(e: FreeGroupEndo, cs: ClassSpace
+                   ) -> dict[tuple[int, ...], int]:
+    """The raw trace summed per class label, in one scan of each image.
+
+    d(e(xj))/dxj has a term +[p] for each letter xj of e(xj) and a term
+    -[p xj^-1] for each letter xj^-1, p the prefix before the letter, so
+    [p xj^-1] is the prefix after it.  The label of a prefix is linear
+    in its exponent vector, so running sums of the label rows of U over
+    the image give every label the trace needs, without building a
+    term, a word or an exponent vector.  Labels of zero total may
+    appear; nothing else is lost.
+    """
+    rows = cs.label_rows()
+    # per label coordinate: signed letter -> its weight, and the factor
+    weights = []
+    for row, factor in rows:
+        w = {}
+        for g, c in enumerate(row, start=1):
+            w[g], w[-g] = c, -c
+        weights.append((w.__getitem__, factor))
+    totals = {(0,) * len(rows): 1}  # the term [1]
+    for j, image in enumerate(e.images, start=1):
+        letters = image.letters
+        hits = [(t, -1) if x == j else (t + 1, 1)
+                for t, x in enumerate(letters) if x == j or x == -j]
+        if not hits:
+            continue
+        sums = [(list(accumulate(map(weight, letters), initial=0)), factor)
+                for weight, factor in weights]
+        for t, coeff in hits:
+            label = tuple(s[t] % f if f else s[t] for s, f in sums)
+            totals[label] = totals.get(label, 0) + coeff
+    return totals
+
+
 @dataclass(frozen=True)
 class NielsenDecomposition:
     """Class-level fixed point indices N_c over coker(I - A).
@@ -68,15 +120,10 @@ class NielsenDecomposition:
     ``entries`` maps canonical class labels to indices, sorted by label.
     When the class space is finite (and small enough to enumerate),
     classes of index 0 are listed too and ``complete`` is True; for an
-    infinite class space only nonzero indices appear.  ``raw_terms``
-    holds the terms (word, coefficient) of the raw trace the indices
-    were projected from, grouped by class label and sorted by label,
-    kept for refinement.
+    infinite class space only nonzero indices appear.
     """
 
     space: ClassSpace
-    raw_terms: tuple[tuple[tuple[int, ...],
-                           tuple[tuple[FreeWord, int], ...]], ...]
     entries: tuple[tuple[tuple[int, ...], int], ...]
     lefschetz: int
     complete: bool
@@ -104,16 +151,13 @@ class NielsenDecomposition:
 
 
 def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
-    """Project the raw trace onto coker(I - A).  The Lefschetz number is
-    the augmentation of the raw trace: the Fox derivative d(w)/dxj
-    augments to the exponent sum of xj in w, so the trace augments to
-    1 - trace(A)."""
-    cs = class_space(e)
-    raw = reidemeister_trace_raw(e)
-    groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for term in raw.items():
-        groups.setdefault(cs.project(term[0].exponent_vector()), []).append(term)
-    agg = {label: sum(c for _, c in terms) for label, terms in groups.items()}
+    """The raw trace's index per class of coker(I - A), by one prefix scan
+    per image (``_class_indices``).  The Lefschetz number is
+    1 - trace(A) for the A the class space is built from; the indices
+    must sum to it, which checks the scan against A."""
+    a = abelianization_matrix(e)
+    cs = _class_space_of(a)
+    agg = _class_indices(e, cs)
     order = cs.order()
     complete = order is not None and order <= ENUMERATION_CAP
     if complete:
@@ -123,9 +167,8 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
         agg = {label: c for label, c in agg.items() if c != 0}
     return NielsenDecomposition(
         space=cs,
-        raw_terms=tuple((label, tuple(groups[label])) for label in sorted(groups)),
         entries=tuple(sorted(agg.items())),
-        lefschetz=raw.augmentation(),
+        lefschetz=1 - a.trace(),
         complete=complete,
     )
 
@@ -166,29 +209,47 @@ def _twist_steps(e: FreeGroupEndo) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(steps)
 
 
-def _orbit_ball(g: tuple[int, ...], steps, radius: int
-                ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The twisted-conjugation orbit of g out to conjugator length radius.
+def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
+                ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """The twisted-conjugation orbit of g out to conjugator length radius,
+    and its size as ORBIT_BALL_CAP counts it.
 
-    Maps each u g e(u)^-1 with |u| <= radius (reduced letter tuples) to
-    a conjugator u of least length, found breadth first, so len(u) is
-    the element's distance from g and the ball of any smaller radius is
-    the part with len(u) <= that radius."""
+    The ball maps each u g e(u)^-1 with |u| <= radius (reduced letter
+    tuples) to a conjugator u of least length, found breadth first, so
+    len(u) is the element's distance from g and the ball of any smaller
+    radius is the part with len(u) <= that radius.  Raises
+    RefinementLimitError once the size exceeds ``room``."""
     ball = {g: ()}
+    letters = len(g)
+    size = 1 + letters // BALL_LETTERS_PER_ELEMENT
     frontier = [g]
     for _ in range(radius):
         nxt = []
         for t in frontier:
             u = ball[t]
             for s, image_inv in steps:
-                t2 = _reduce((s,) + t + image_inv)
+                # t and e(s)^-1 are reduced, so s t e(s)^-1 can only
+                # cancel at its two junctions: s against t[0], then the
+                # longest overlap at the right seam
+                left = t[1:] if t and t[0] == -s else (s,) + t
+                k, m = 0, min(len(left), len(image_inv))
+                while k < m and left[-1 - k] == -image_inv[k]:
+                    k += 1
+                t2 = left[:len(left) - k] + image_inv[k:]
                 if t2 not in ball:
                     # s u is reduced: if u began with s^-1, t2 would lie
                     # one layer nearer g and be in the ball already
                     ball[t2] = (s,) + u
                     nxt.append(t2)
+                    letters += len(t2)
+            size = len(ball) + letters // BALL_LETTERS_PER_ELEMENT
+            if size > room:
+                raise RefinementLimitError(
+                    f"twisted-conjugacy refinement needs more than "
+                    f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP} orbit-ball elements "
+                    f"(ball radius {radius}); use a smaller refine depth")
         frontier = nxt
-    return ball
+    return ball, size
 
 
 def twisted_conjugacy_search(e: FreeGroupEndo, g: FreeWord, h: FreeWord,
@@ -206,8 +267,11 @@ def twisted_conjugacy_search(e: FreeGroupEndo, g: FreeWord, h: FreeWord,
     if g.rank != e.rank or h.rank != e.rank:
         raise ValueError("rank mismatch")
     steps = _twist_steps(e)
-    near_g = _orbit_ball(g.letters, steps, (depth + 1) // 2)
-    for t, a_inv in _orbit_ball(h.letters, steps, depth // 2).items():
+    near_g, size = _orbit_ball(g.letters, steps, (depth + 1) // 2,
+                               ORBIT_BALL_CAP)
+    near_h, _ = _orbit_ball(h.letters, steps, depth // 2,
+                            ORBIT_BALL_CAP - size)
+    for t, a_inv in near_h.items():
         b = near_g.get(t)
         if b is not None:
             return FreeWord.from_letters(e.rank, _inverse(a_inv) + b)
@@ -233,20 +297,27 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     """Merge raw trace terms of one homological class whose twisted
     conjugacy is witnessed by a conjugator of length <= depth.
 
-    ``nd`` is ``nielsen_decomposition(e)``; its class space and its raw
-    trace terms, already grouped by class, are reused.  The merges are
-    those of ``twisted_conjugacy_search`` on every pair of terms, but
-    each term's orbit is built once and only to half the depth: two
-    terms are within depth of each other exactly when the radius
-    (depth + 1) // 2 ball of one meets the radius depth // 2 ball of the
-    other.
+    ``nd`` is ``nielsen_decomposition(e)``; its class space groups the
+    terms of ``reidemeister_trace_raw(e)``, which only refinement
+    builds.  The merges are those of ``twisted_conjugacy_search`` on
+    every pair of terms, but each term's orbit is built once and only to
+    half the depth: two terms are within depth of each other exactly
+    when the radius (depth + 1) // 2 ball of one meets the radius
+    depth // 2 ball of the other.  All balls together may hold at most
+    ORBIT_BALL_CAP elements (as ``_orbit_ball`` counts them); past that
+    RefinementLimitError is raised.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     steps = _twist_steps(e)
+    groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
+    for term in reidemeister_trace_raw(e).items():
+        groups.setdefault(nd.space.project(term[0].exponent_vector()),
+                          []).append(term)
+    room = ORBIT_BALL_CAP
     out = []
-    for label, terms in nd.raw_terms:
-        members = sorted(terms, key=lambda t: (len(t[0]), t[0].letters))
+    for label in sorted(groups):
+        members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))
         parent = list(range(len(members)))
 
         def find(i: int) -> int:
@@ -260,19 +331,21 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
             # it; members sharing such an element are merged already
             near: dict[tuple[int, ...], int] = {}
             for i, (word, _) in enumerate(members):
-                ball = _orbit_ball(word.letters, steps, (depth + 1) // 2)
+                ball, size = _orbit_ball(word.letters, steps,
+                                         (depth + 1) // 2, room)
+                room -= size
                 for t, u in ball.items():
                     j = near.get(t)
                     if j is not None:
                         parent[find(j)] = find(i)
                     elif len(u) <= depth // 2:
                         near[t] = i
-        groups: dict[int, list[int]] = {}
+        by_root: dict[int, list[int]] = {}
         for i in range(len(members)):
-            groups.setdefault(find(i), []).append(i)
+            by_root.setdefault(find(i), []).append(i)
         clusters = tuple(sorted(
             ((tuple(members[i][0] for i in idxs), sum(members[i][1] for i in idxs))
-             for idxs in groups.values()),
+             for idxs in by_root.values()),
             key=lambda cl: tuple((len(w), w.letters) for w in cl[0])))
         out.append(RefinedClass(label=label, clusters=clusters))
     return tuple(out)

@@ -53,8 +53,9 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
         config = configuration_to_dict(cfg)
         char_numbers = characteristic_numbers(cfg)._asdict()
         tori = anticanonical_tori(braid.d)._asdict()
-        # pi1 before the raw trace, so that the Tietze pass and the raw
-        # trace, the two largest objects of a report, are never alive at once
+        # pi1 before refinement's raw trace, so that the Tietze pass and
+        # the raw trace, the two largest objects of a report, are never
+        # alive at once
         pi1 = _pi1_section(mapping_torus_presentation(braid, endo, sigma))
     else:
         warning = (

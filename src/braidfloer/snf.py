@@ -314,6 +314,11 @@ class ClassSpace:
     def order(self) -> int | None:
         return self.group().order()
 
+    def label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(row of U, factor) per label coordinate: coordinate i of the
+        label of v is row_i . v, reduced modulo factor_i unless it is 0."""
+        return tuple((self.u.entries[i], self.factors[i]) for i in self._kept)
+
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         y = self.u.mul_vec(vec)
         return tuple(y[i] % self.factors[i] if self.factors[i] else y[i]

@@ -16,6 +16,7 @@ import braidfloer
 from braidfloer import __version__
 from braidfloer.braids import MAX_STRANDS
 from braidfloer.cli import main
+from braidfloer.nielsen import ORBIT_BALL_CAP
 from braidfloer.fourmanifold import (ConfigurationError,
                                      configuration_from_dict,
                                      configuration_to_dict,
@@ -34,6 +35,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_capped(argv, env=None):
+    """The CLI in a fresh interpreter whose address space is capped at
+    1 GiB (the cap is set in the child only)."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(braidfloer.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "braidfloer.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        preexec_fn=cap_address_space, capture_output=True, text=True,
+        timeout=120)
 
 
 class TestSingleRun:
@@ -178,20 +193,19 @@ class TestExitCodes:
         ("d=" + "9" * 5000 + "; s1", {"PYTHONINTMAXSTRDIGITS": "0"}),
     ], ids=["large", "overlong-without-digit-limit"])
     def test_d_above_max_strands_is_2(self, word, env):
-        # a fresh interpreter, its address space capped at 1 GiB: without
-        # the bound on d these end in MemoryError and OverflowError
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(braidfloer.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "braidfloer.cli", "--braid", word],
-            env={**os.environ, "PYTHONPATH": src, **env},
-            preexec_fn=cap_address_space, capture_output=True, text=True,
-            timeout=120)
+        # without the bound on d these end in MemoryError and OverflowError
+        proc = run_capped(["--braid", word], env)
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"d must lie in 2..{MAX_STRANDS}" in proc.stderr
         assert "(at position 2)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_refinement_past_the_orbit_ball_cap_is_3(self):
+        # without the cap this ends in MemoryError
+        proc = run_capped(["--braid", "d=7; s1 s2 s3 s4 s5 s6",
+                           "--refine-depth", "16"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_usage_errors_are_3(self, capsys):

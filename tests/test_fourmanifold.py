@@ -15,6 +15,7 @@ from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
                                      configuration_from_dict,
                                      configuration_to_dict,
                                      default_configuration,
+                                     _cyclic_key,
                                      mapping_torus_presentation,
                                      standard_form_order, tietze_simplify)
 from braidfloer.freegroup import FreeWord, artin_endo
@@ -148,6 +149,32 @@ class TestTietze:
         g = P(("a", "b"), (2,), (1, 2, 1, 2))
         out = tietze_simplify(g, effort_budget=0)
         assert out.generators == ("a", "b")
+
+
+def brute_cyclic_key(letters):
+    """Reference key: the least of all rotations of both orientations."""
+    if not letters:
+        return letters
+    inv = tuple(-x for x in reversed(letters))
+    return min(w[i:] + w[:i] for w in (letters, inv) for i in range(len(w)))
+
+
+class TestCyclicKey:
+    def test_small_and_periodic_words(self):
+        for letters in ((), (1,), (-2,), (1, 2, 1, 2), (2, 1, 2, 1),
+                        (1, -2) * 3, (3, 3, 3), (1, 1, 2, 1, 1, 2),
+                        (2, -1, 2, -1, 2), (1, 2, -1, -2)):
+            assert _cyclic_key(letters) == brute_cyclic_key(letters)
+
+    def test_random_words(self):
+        rng = random.Random(163)
+        for _ in range(2000):
+            alphabet = rng.choice(((1, -1), (1, 2, -1), (1, 2, 3, -1, -2, -3)))
+            letters = tuple(rng.choice(alphabet)
+                            for _ in range(rng.randint(0, 24)))
+            if letters and rng.random() < 0.3:  # periodic words
+                letters = letters[:rng.randint(1, 4)] * rng.randint(2, 6)
+            assert _cyclic_key(letters) == brute_cyclic_key(letters)
 
 
 class TestStandardFormDetection:

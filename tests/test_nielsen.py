@@ -10,13 +10,18 @@ import random
 
 import pytest
 
-from braidfloer.braids import induced_permutation, parse_braid
+from braidfloer import nielsen
+from braidfloer.braids import (ARTIN, BraidLetter, BraidWord,
+                               induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
                                   _inverse, _reduce, artin_endo)
-from braidfloer.nielsen import (NielsenDecomposition, class_space,
-                                lefschetz_number, nielsen_bound,
-                                nielsen_decomposition, refine_decomposition,
-                                reidemeister_trace, reidemeister_trace_raw,
+from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
+                                NielsenDecomposition,
+                                RefinementLimitError, _orbit_ball,
+                                _twist_steps, class_space, lefschetz_number,
+                                nielsen_bound, nielsen_decomposition,
+                                refine_decomposition, reidemeister_trace,
+                                reidemeister_trace_raw,
                                 twisted_conjugacy_search)
 from braidfloer.snf import AbelianGroup
 
@@ -87,6 +92,50 @@ def pairwise_clusters(e, depth):
             key=lambda cl: tuple((len(w), w.letters) for w in cl[0])))
         out.append((label, clusters))
     return tuple(out)
+
+
+def projected_entries(e):
+    """Reference decomposition: project every term of the word-level raw
+    trace, sum per label, then list every class of a small finite space
+    or else the nonzero ones."""
+    cs = class_space(e)
+    totals = {}
+    for word, coeff in reidemeister_trace_raw(e).items():
+        label = cs.project(word.exponent_vector())
+        totals[label] = totals.get(label, 0) + coeff
+    order = cs.order()
+    if order is not None and order <= ENUMERATION_CAP:
+        for label in cs.enumerate_labels():
+            totals.setdefault(label, 0)
+    else:
+        totals = {label: c for label, c in totals.items() if c}
+    return tuple(sorted(totals.items()))
+
+
+def squares_braid(rng, d, max_len=6):
+    """A word of squared Artin letters: a pure braid, whose class space
+    coker(I - A) = coker(0) is infinite."""
+    letters = []
+    for _ in range(rng.randint(1, max_len)):
+        x = BraidLetter(ARTIN, rng.randint(1, d - 1), rng.choice((1, -1)))
+        letters += [x, x]
+    return BraidWord.from_letters(d, letters)
+
+
+def reduce_ball(g, steps, radius):
+    """Reference orbit ball: reduce the whole of s t e(s)^-1 per step."""
+    ball = {g: ()}
+    frontier = [g]
+    for _ in range(radius):
+        nxt = []
+        for t in frontier:
+            for s, image_inv in steps:
+                t2 = _reduce((s,) + t + image_inv)
+                if t2 not in ball:
+                    ball[t2] = (s,) + ball[t]
+                    nxt.append(t2)
+        frontier = nxt
+    return ball
 
 
 class TestCalibrations:
@@ -191,11 +240,30 @@ class TestDecomposition:
         assert len(labels) == 4
         assert nd.complete
 
+    def test_prefix_scan_matches_the_projected_raw_trace(self):
+        rng = random.Random(389)
+        kinds = {"transitive": 0, "other": 0, "infinite": 0}
+        for k in range(540):
+            d = 2 + k % 7
+            if k % 3 == 0:
+                b = random_transitive_braid(rng, d, max_len=14)
+            elif k % 3 == 1:
+                b = random_braid_word(rng, d, max_len=14)
+            else:
+                b = squares_braid(rng, d)
+            e = artin_endo(b)
+            nd = nielsen_decomposition(e)
+            assert nd.entries == projected_entries(e), b.to_text()
+            assert nd.lefschetz == lefschetz_number(e)
+            kinds["transitive" if induced_permutation(b).is_standard_cycle()
+                  else "other"] += 1
+            kinds["infinite"] += nd.space.order() is None
+        assert min(kinds.values()) >= 100
+
     def test_decomposition_validates_its_sum(self):
         e = artin_endo(parse_braid("d=2; s1"))
         with pytest.raises(ValueError):
             NielsenDecomposition(space=class_space(e),
-                                 raw_terms=(),
                                  entries=(((0,), 1),),
                                  lefschetz=2, complete=True)
 
@@ -326,6 +394,27 @@ class TestRefinement:
                             lambda self, w: calls.append(w) or apply(self, w))
         refine_decomposition(e, nd, 3)
         assert len(calls) <= 2 * e.rank
+
+    def test_orbit_balls_match_whole_word_reduction(self):
+        rng = random.Random(401)
+        for k in range(200):
+            d = rng.randint(2, 6)
+            e = artin_endo(random_braid_word(rng, d, max_len=10))
+            steps = _twist_steps(e)
+            g = random_free_word(rng, d - 1, 6).letters
+            radius = k % 4
+            ball, _ = _orbit_ball(g, steps, radius, ORBIT_BALL_CAP)
+            assert ball == reduce_ball(g, steps, radius)
+
+    def test_orbit_ball_cap_raises(self, monkeypatch):
+        e = artin_endo(parse_braid("d=5; s1 s2 s3 s4"))
+        nd = nielsen_decomposition(e)
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
+        with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
+            refine_decomposition(e, nd, 8)
+        with pytest.raises(RefinementLimitError):
+            twisted_conjugacy_search(e, W(4, 1), W(4, 2), 8)
+        refine_decomposition(e, nd, 2)  # far below the cap
 
     def test_depth_zero_keeps_terms_separate(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))

@@ -1,4 +1,5 @@
-"""build_report computes each per-braid object once."""
+"""build_report computes each per-braid object once, and the word-level
+trace only when refinement needs it."""
 
 import sys
 from collections import Counter
@@ -8,12 +9,14 @@ from braidfloer.report import build_report
 
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
+        (freegroup, "abelianization_matrix"),
         (fourmanifold, "mapping_torus_presentation"),
-        (nielsen, "class_space"),
         (nielsen, "reidemeister_trace_raw"))
 
 
-def test_each_object_is_built_once(monkeypatch):
+def count_calls(monkeypatch, functions) -> Counter:
+    """Count calls of each (module, name) made through any package module
+    that imported the function."""
     calls = Counter()
 
     def counted(name, fn):
@@ -22,14 +25,27 @@ def test_each_object_is_built_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for home, name in ONCE:
+    for home, name in functions:
         original = getattr(home, name)
         # replace the function wherever a package module imported it
         for modname, module in list(sys.modules.items()):
             if (modname.startswith("braidfloer")
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, counted(name, original))
+    return calls
 
+
+def test_each_object_is_built_once(monkeypatch):
+    calls = count_calls(monkeypatch, ONCE)
     report = build_report("d=4; s1 s2 s3", refine_depth=2)
     assert report["transitive"] and report["refined"] is not None
     assert calls == Counter({name: 1 for _, name in ONCE})
+
+
+def test_no_word_level_trace_without_refinement(monkeypatch):
+    calls = count_calls(monkeypatch, ((freegroup, "fox_derivative"),
+                                      (nielsen, "reidemeister_trace_raw")))
+    for word in ("d=4; s1 s2 s3", "d=5; s1 s1 s2^-1 s3 s4 s2", "d=4; s1 s1"):
+        report = build_report(word, refine_depth=0)
+        assert report["refined"] is None
+    assert calls == Counter()
