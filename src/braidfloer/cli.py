@@ -4,7 +4,7 @@ Exit codes: 0 for a computed report (including the non-transitive case,
 which reports a warning), 2 for a braid that does not parse, 3 for usage
 problems (bad flags, unreadable or inconsistent configuration, or a
 ``--refine-depth`` whose orbit balls would exceed
-``nielsen.ORBIT_BALL_CAP`` elements for a braid).
+``nielsen.ORBIT_BALL_CAP`` elements for one homological class).
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single

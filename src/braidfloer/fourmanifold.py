@@ -33,8 +33,7 @@ from typing import Iterable, NamedTuple
 
 from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
                      induced_permutation)
-from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
-                        _reduce)
+from .freegroup import FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse
 from .snf import AbelianGroup, IntMatrix, cokernel
 
 
@@ -52,7 +51,7 @@ class PresentedGroup:
         for r in self.relators:
             if r.rank != len(self.generators):
                 raise ValueError("relator rank does not match generator count")
-            if r.is_identity() or r != r.cyclically_reduced():
+            if not r.letters or _cyclic_reduce(r.letters) != r.letters:
                 raise ValueError("relators must be cyclically reduced and nonempty")
 
     @classmethod
@@ -151,10 +150,10 @@ def _cyclic_key(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def _substitute_generator(letters: tuple[int, ...], g: int,
                           value: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = _inverse(value)
     out: list[int] = []
     for x in letters:
-        seq = ((x,) if abs(x) != g
-               else (value if x > 0 else tuple(-y for y in reversed(value))))
+        seq = (x,) if abs(x) != g else (value if x > 0 else inverse)
         for y in seq:
             if out and out[-1] == -y:
                 out.pop()
@@ -163,22 +162,20 @@ def _substitute_generator(letters: tuple[int, ...], g: int,
     return tuple(out)
 
 
-def tietze_simplify(g: PresentedGroup, effort_budget: int = 100) -> PresentedGroup:
-    """Deterministic, budgeted presentation shrinking.
+def tietze_simplify(g: PresentedGroup) -> PresentedGroup:
+    """Deterministic presentation shrinking by generator elimination.
 
-    Moves, in priority order, each consuming one unit of budget:
-      1. eliminate a generator that occurs exactly once in some relator
-         (shortest relator first, then lowest generator index);
-      2. shorten a relator by replacing more than half of another relator
-         (viewed cyclically, either orientation) with the complementary
-         shorter piece.
-    Free and cyclic reduction and duplicate removal run between moves for
-    free.  Simplification preserves the group, in particular its
-    abelianization; if the budget runs out the best form so far is
-    returned.
+    While some generator occurs exactly once in some relator, the move
+    takes the shortest such relator (then the lowest generator index,
+    then the first relator), solves it for that generator and
+    substitutes the solution into the other relators.  Free and cyclic
+    reduction and duplicate removal (up to rotation and inversion)
+    follow every move.  Every move removes a generator, so a run makes
+    fewer moves than there are generators.  Eliminations preserve the
+    group, in particular its abelianization.
     """
-    names = list(g.generators)
     relators = [r.letters for r in g.relators]
+    alive = list(range(1, len(g.generators) + 1))
 
     def normalize() -> None:
         # every move leaves the relators freely reduced
@@ -195,7 +192,8 @@ def tietze_simplify(g: PresentedGroup, effort_budget: int = 100) -> PresentedGro
             out.append(letters)
         relators[:] = out
 
-    def try_eliminate() -> bool:
+    normalize()
+    while True:
         candidates = []
         for ri, letters in enumerate(relators):
             counts: dict[int, int] = {}
@@ -205,69 +203,25 @@ def tietze_simplify(g: PresentedGroup, effort_budget: int = 100) -> PresentedGro
                 if cnt == 1:
                     candidates.append((len(letters), gen, ri))
         if not candidates:
-            return False
+            break
         _, gen, ri = min(candidates)
-        letters = relators[ri]
+        letters = relators.pop(ri)
         pos = next(i for i, x in enumerate(letters) if abs(x) == gen)
-        rotated = letters[pos:] + letters[:pos]  # starts with +-gen
-        rest = rotated[1:]
-        # rotated = gen^e * rest = 1, so gen^e = rest^-1
-        value = tuple(-y for y in reversed(rest))
-        if rotated[0] < 0:
-            value = tuple(-y for y in reversed(value))
-        del relators[ri]
+        # gen^e rest = 1 cyclically, so gen^e = rest^-1
+        rest = letters[pos + 1:] + letters[:pos]
+        value = rest if letters[pos] < 0 else _inverse(rest)
         relators[:] = [_substitute_generator(r, gen, value) for r in relators]
-        # drop the generator and renumber the ones above it
-        del names[gen - 1]
-        def shift(x: int) -> int:
-            a = abs(x) - (1 if abs(x) > gen else 0)
-            return a if x > 0 else -a
-        relators[:] = [tuple(shift(x) for x in r) for r in relators]
-        return True
-
-    def try_shorten() -> bool:
-        best = None  # (gain, target index, result letters)
-        for si, s in enumerate(relators):
-            inv = tuple(-x for x in reversed(s))
-            variants = (s,) if inv == s else (s, inv)
-            for var in variants:
-                for k in range(len(var)):
-                    rot = var[k:] + var[:k]
-                    cut = len(rot) // 2 + 1
-                    head, tail = rot[:cut], rot[cut:]
-                    repl = tuple(-y for y in reversed(tail))
-                    for ri, r in enumerate(relators):
-                        if ri == si:
-                            continue
-                        doubled = r + r  # occurrences across the cyclic seam
-                        for p in range(len(r)):
-                            if doubled[p:p + len(head)] == head and len(head) <= len(r):
-                                new = doubled[p + len(head):p + len(r)] + repl
-                                new = _cyclic_reduce(_reduce(new))
-                                gain = len(r) - len(new)
-                                if gain > 0 and (best is None or gain > best[0]
-                                                 or (gain == best[0] and ri < best[1])):
-                                    best = (gain, ri, new)
-        if best is None:
-            return False
-        relators[best[1]] = best[2]
-        return True
-
-    normalize()
-    budget = effort_budget
-    while budget > 0:
-        if try_eliminate():
-            budget -= 1
-            normalize()
-            continue
-        if try_shorten():
-            budget -= 1
-            normalize()
-            continue
-        break
-    return PresentedGroup.make(
-        tuple(names),
-        tuple(FreeWord.from_letters(len(names), r) for r in relators))
+        alive.remove(gen)
+        normalize()
+    # renumber the surviving generators once, keeping their order; the
+    # relators are normalized already, so no second pass through make()
+    index: dict[int, int] = {}
+    for i, gen in enumerate(alive, start=1):
+        index[gen], index[-gen] = i, -i
+    return PresentedGroup(
+        tuple(g.generators[gen - 1] for gen in alive),
+        tuple(FreeWord(len(alive), tuple(index[x] for x in r))
+              for r in relators))
 
 
 def standard_form_order(g: PresentedGroup) -> int | None:

@@ -71,8 +71,11 @@ class FreeWord:
         for x in self.letters:
             if x == 0 or abs(x) > self.rank:
                 raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        if self.letters != _reduce(self.letters):
-            raise ValueError("letters are not freely reduced; use from_letters")
+        prev = 0  # one scan of adjacent pairs: no x followed by x^-1
+        for x in self.letters:
+            if x == -prev:
+                raise ValueError("letters are not freely reduced; use from_letters")
+            prev = x
 
     @classmethod
     def from_letters(cls, rank: int, letters: Iterable[int]) -> "FreeWord":

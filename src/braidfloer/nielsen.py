@@ -41,7 +41,8 @@ from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _inverse,
 from .snf import ClassSpace, IntMatrix
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
-# Orbit-ball elements one refinement may build, over all its balls; an
+# Orbit-ball elements one refinement may build for one class, over the
+# balls of its terms (only one class's balls are alive at once); an
 # element also counts once per BALL_LETTERS_PER_ELEMENT of its letters,
 # so that the cap bounds memory when long images make long elements.
 ORBIT_BALL_CAP = 1_000_000
@@ -303,9 +304,11 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     every pair of terms, but each term's orbit is built once and only to
     half the depth: two terms are within depth of each other exactly
     when the radius (depth + 1) // 2 ball of one meets the radius
-    depth // 2 ball of the other.  All balls together may hold at most
-    ORBIT_BALL_CAP elements (as ``_orbit_ball`` counts them); past that
-    RefinementLimitError is raised.
+    depth // 2 ball of the other.  The balls of one class together may
+    hold at most ORBIT_BALL_CAP elements (as ``_orbit_ball`` counts
+    them); past that RefinementLimitError is raised.  Each class starts
+    the count afresh: the balls of a class are dropped before the next
+    class is searched.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -314,7 +317,6 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     for term in reidemeister_trace_raw(e).items():
         groups.setdefault(nd.space.project(term[0].exponent_vector()),
                           []).append(term)
-    room = ORBIT_BALL_CAP
     out = []
     for label in sorted(groups):
         members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))
@@ -330,6 +332,7 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
             # element of a radius depth // 2 ball -> a member that holds
             # it; members sharing such an element are merged already
             near: dict[tuple[int, ...], int] = {}
+            room = ORBIT_BALL_CAP
             for i, (word, _) in enumerate(members):
                 ball, size = _orbit_ball(word.letters, steps,
                                          (depth + 1) // 2, room)

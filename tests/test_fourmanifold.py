@@ -19,6 +19,7 @@ from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
                                      mapping_torus_presentation,
                                      standard_form_order, tietze_simplify)
 from braidfloer.freegroup import FreeWord, artin_endo
+from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
 from _samplers import random_transitive_braid
@@ -110,15 +111,21 @@ class TestTietze:
         assert len(out.generators) == 1
         assert out.relators == ()
 
-    def test_subword_shortening(self):
-        # no generator occurs exactly once, so only the subword move can
-        # shrink the second relator (it contains more than half of a^6)
+    def test_stops_when_no_generator_occurs_once(self):
+        # a occurs six times in both relators and b twice in the second,
+        # so no elimination applies and the input comes back as it is
         g = P(("a", "b"),
               (1, 1, 1, 1, 1, 1),
               (1, 1, 1, 1, 2, 1, 1, 2))
+        assert tietze_simplify(g) == g
+
+    def test_eliminates_around_kept_generators(self):
+        # b = c^-2 is eliminated from between a and c, and c becomes
+        # the second generator of the result
+        g = P(("a", "b", "c"), (1, 1, 1), (1, 2, 3, -1, -3), (2, 3, 3))
         out = tietze_simplify(g)
-        assert sum(len(r) for r in out.relators) < 14
-        assert abelianization(out) == abelianization(g)
+        assert out.generators == ("a", "c")
+        assert out.relator_texts() == ("a a a", "a c^-1 a^-1 c^-1")
 
     def test_assembled_group_reaches_standard_form(self):
         for d in range(2, 7):
@@ -145,10 +152,13 @@ class TestTietze:
             assert ab == abelianization(simplified)
             assert ab == AbelianGroup(1, (d,))
 
-    def test_budget_zero_only_normalizes(self):
-        g = P(("a", "b"), (2,), (1, 2, 1, 2))
-        out = tietze_simplify(g, effort_budget=0)
-        assert out.generators == ("a", "b")
+    @pytest.mark.parametrize("d", [102, 112])
+    def test_many_generators_reach_standard_form(self, d):
+        # more than 100 eliminations: a cap on moves would stop short
+        word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
+        pi1 = build_report(word)["pi1"]
+        assert pi1["standard_form_order"] == d
+        assert pi1["simplified"]["generators"] == ["l1", "l2"]
 
 
 def brute_cyclic_key(letters):

@@ -416,6 +416,26 @@ class TestRefinement:
             twisted_conjugacy_search(e, W(4, 1), W(4, 2), 8)
         refine_decomposition(e, nd, 2)  # far below the cap
 
+    def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
+        # two classes of one term each: a cap that holds the larger of
+        # their balls holds each class, though not both together
+        e = artin_endo(parse_braid("d=4; s1 s2 s3"))
+        nd = nielsen_decomposition(e)
+        sizes = []
+        orbit_ball = nielsen._orbit_ball
+
+        def counted(*args):
+            ball, size = orbit_ball(*args)
+            sizes.append(size)
+            return ball, size
+
+        monkeypatch.setattr(nielsen, "_orbit_ball", counted)
+        expected = refine_decomposition(e, nd, 2)
+        assert len(expected) == len(sizes) == 2
+        assert max(sizes) < sum(sizes)
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes))
+        assert refine_decomposition(e, nd, 2) == expected
+
     def test_depth_zero_keeps_terms_separate(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))
         refined = refine_decomposition(e, nielsen_decomposition(e), 0)
