@@ -6,10 +6,18 @@ form S together with unimodular transforms U, V satisfying U*M*V = S,
 so every result can be re-verified by multiplication, and cokernels of
 integer matrices come with canonical coordinates (reduce U*v modulo the
 invariant factors).
+
+The pivot search stops at the first unit entry, since nothing is
+smaller, and a unit pivot skips the divisibility scan.  ``cokernel``
+needs only the invariant factors, so it first eliminates unit pivots on
+a sparse copy of the nonzeros and runs ``smith_normal_form`` on the
+small core left; ``ClassSpace`` keeps the full form, whose U gives the
+labels.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,9 +35,12 @@ class IntMatrix:
         if len(widths) > 1:
             raise ValueError("ragged rows")
         for r in self.entries:
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"integer entries required, got {x!r}")
+            # one pass over the types; subclasses of int are looked at
+            # one entry at a time, where bool is told apart
+            if set(map(type, r)) - {int}:
+                for x in r:
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise TypeError(f"integer entries required, got {x!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -185,13 +196,24 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         for r in v:
             r[j] += q * r[k]
 
+    def least():
+        # the row-major first entry of least absolute value in the
+        # trailing block; nothing is less than 1, so the first unit ends
+        # the search with the pivot a full scan would pick
+        best, size = None, 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x and (best is None or abs(x) < size):
+                    best, size = (i, j), abs(x)
+                    if size == 1:
+                        return best
+        return best
+
     t = 0
     while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        best = least()
         if best is None:
             break
         while True:
@@ -215,16 +237,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                     if a[t][j] != 0:
                         dirty = True
             if not dirty:
+                if p == 1:  # 1 divides every entry left
+                    break
                 bad = next(((i, j) for i in range(t + 1, nr)
                             for j in range(t + 1, nc) if a[i][j] % p != 0), None)
                 if bad is None:
                     break
                 row_addmul(t, bad[0], 1)
-            best = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
+            best = least()
         t += 1
 
     return SnfResult(s=IntMatrix.from_rows(a),
@@ -267,10 +287,63 @@ class AbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """The group Z^rows / (column span of m)."""
-    diag = smith_normal_form(m).diagonal()
+    """The group Z^rows / (column span of m).
+
+    Only the invariant factors are wanted, and they do not depend on the
+    elimination order, so the ±1 entries are eliminated first on a
+    sparse copy of the nonzeros: a unit pivot at (r, c) clears its row
+    and column by unimodular operations and leaves Z/1, so row r and
+    column c are dropped and the rows that met column c take a multiple
+    of row r.  Pivots come from the rows with the fewest nonzeros, and
+    within a row from the column with the fewest.  Rows that run out of
+    nonzeros are free summands, and ``smith_normal_form`` runs only on
+    the core that is left, where no entry is a unit.  The cost follows
+    the nonzeros and their fill-in, not the matrix size.
+    """
+    rows = {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.entries)}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        n, r = heapq.heappop(heap)
+        pivot_row = rows.get(r)
+        if pivot_row is None or len(pivot_row) != n:
+            continue  # gone, or changed since this entry was pushed
+        units = [j for j, x in pivot_row.items() if x in (1, -1)]
+        if not units:
+            continue  # pushed again if it ever changes
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        p = pivot_row[c]  # a unit is its own inverse
+        del rows[r]
+        for j in pivot_row:
+            cols[j].discard(r)
+        for i in cols.pop(c):
+            row = rows[i]
+            q = row.pop(c) * p
+            for j, x in pivot_row.items():
+                if j == c:
+                    continue
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            heapq.heappush(heap, (len(row), i))
+    # zero rows are free summands and stay out of the core
+    nonzero = [row for _, row in sorted(rows.items()) if row]
+    live = sorted({j for row in nonzero for j in row})
+    core = IntMatrix.from_rows(tuple(row.get(j, 0) for j in live)
+                               for row in nonzero)
+    diag = smith_normal_form(core).diagonal()
     torsion = tuple(x for x in diag if x not in (0, 1))
-    free_rank = m.rows - sum(1 for x in diag if x != 0)
+    free_rank = len(rows) - sum(1 for x in diag if x != 0)
     return AbelianGroup(free_rank=free_rank, torsion=torsion)
 
 

@@ -2,6 +2,7 @@
 and fiber-sum characteristic numbers."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,10 @@ from braidfloer.freegroup import FreeWord, artin_endo
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
+import _oracles
 from _samplers import random_transitive_braid
+
+DATA = Path(__file__).parent / "data"
 
 
 def mapping_torus(b):
@@ -152,13 +156,67 @@ class TestTietze:
             assert ab == abelianization(simplified)
             assert ab == AbelianGroup(1, (d,))
 
-    @pytest.mark.parametrize("d", [102, 112])
+    @pytest.mark.parametrize("d", [102, 112, 400])
     def test_many_generators_reach_standard_form(self, d):
         # more than 100 eliminations: a cap on moves would stop short
         word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
         pi1 = build_report(word)["pi1"]
         assert pi1["standard_form_order"] == d
         assert pi1["simplified"]["generators"] == ["l1", "l2"]
+
+
+class TestTietzeAgainstRescan:
+    """The incremental pass makes the moves of the full rescan in
+    ``_oracles``, with the same result."""
+
+    def assert_same(self, g):
+        assert tietze_simplify(g) == _oracles.tietze_simplify(g)
+
+    def test_golden_words(self):
+        seen = 0
+        for name in ("golden_words.txt", "golden_words_depth3.txt"):
+            for line in (DATA / name).read_text().splitlines():
+                if not line or line.startswith("#"):
+                    continue
+                b = parse_braid(line)
+                if induced_permutation(b).is_standard_cycle():
+                    self.assert_same(assembled_pi1(b))
+                    seen += 1
+        assert seen > 100
+
+    def test_sampled_transitive_words(self):
+        rng = random.Random(167)
+        for _ in range(600):
+            d = rng.randint(2, 8)
+            b = random_transitive_braid(rng, d, max_len=rng.choice((2 * d, 3 * d)))
+            self.assert_same(assembled_pi1(b))
+
+    def test_standard_words(self):
+        for d in range(2, 151):
+            word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
+            self.assert_same(assembled_pi1(parse_braid(word)))
+
+    # In both traps, c = b^-2 is eliminated by "c b b", and then
+    # "a c^-1 a" becomes "a b b a", the same cyclic word as "a a b b".
+    def test_rewritten_relator_equal_to_an_earlier_one_is_dropped(self):
+        g = P(("a", "b", "c"),
+              (1, 1, 2, 2), (1, 1, 1, 2, 2, 2), (3, 2, 2), (1, -3, 1))
+        out = tietze_simplify(g)
+        assert out.relator_texts() == ("a a b b", "a a a b b b")
+        self.assert_same(g)
+        # the earlier one rewritten too: "a a c^-1" becomes "a a b b"
+        g = P(("a", "b", "c"),
+              (3, 2, 2), (1, -3, 1), (1, 1, 1, 2, 2, 2), (1, 1, -3))
+        out = tietze_simplify(g)
+        assert out.relator_texts() == ("a b b a", "a a a b b b")
+        self.assert_same(g)
+
+    def test_later_relator_equal_to_a_rewritten_one_is_dropped(self):
+        g = P(("a", "b", "c"),
+              (3, 2, 2), (1, -3, 1), (1, 1, 1, 2, 2, 2), (1, 1, 2, 2))
+        out = tietze_simplify(g)
+        assert out.relator_texts() == ("a b b a", "a a a b b b")
+        self.assert_same(g)
 
 
 def brute_cyclic_key(letters):

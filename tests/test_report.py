@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 
 from braidfloer import braids, fourmanifold, freegroup, nielsen
+from braidfloer.braids import parse_braid
 from braidfloer.report import build_report
 
 ONCE = ((braids, "induced_permutation"),
@@ -49,3 +50,20 @@ def test_no_word_level_trace_without_refinement(monkeypatch):
         report = build_report(word, refine_depth=0)
         assert report["refined"] is None
     assert calls == Counter()
+
+
+def test_tietze_work_follows_the_relators_it_touches(monkeypatch):
+    # each move keys and rewrites only the relators that contain the
+    # eliminated generator; a full rescan makes about 56 times the
+    # relator count of each call here
+    word = "d=112; " + " ".join(f"s{i}" for i in range(1, 112))
+    b = parse_braid(word)
+    relators = len(fourmanifold.assemble_pi1(
+        fourmanifold.mapping_torus_presentation(
+            b, freegroup.artin_endo(b))).relators)
+    calls = count_calls(monkeypatch, ((fourmanifold, "_cyclic_key"),
+                                      (fourmanifold, "_substitute_generator")))
+    assert build_report(word)["pi1"]["standard_form_order"] == 112
+    assert relators == 225
+    assert 0 < calls["_cyclic_key"] <= 5 * relators
+    assert 0 < calls["_substitute_generator"] <= 5 * relators

@@ -2,12 +2,14 @@
 cokernels, and the canonical class space coordinates."""
 
 import random
+from enum import IntEnum
 
 import pytest
 
 from braidfloer.snf import (AbelianGroup, ClassSpace, IntMatrix, cokernel,
                             smith_normal_form)
 
+import _oracles
 from _samplers import random_matrix
 
 
@@ -28,8 +30,16 @@ class TestIntMatrix:
             M((1, 2), (3,))
 
     def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
-            M((1.5, 2))
+        for bad in (1.5, True, "3"):
+            with pytest.raises(TypeError, match="integer entries required"):
+                M((2, 0), (1, bad))
+
+    def test_int_subclass_accepted(self):
+        class Level(IntEnum):
+            LOW = 1
+            HIGH = 2
+        m = M((Level.LOW, 0), (3, Level.HIGH))
+        assert m[1, 1] == 2
 
     def test_mul(self):
         a = M((1, 2), (3, 4))
@@ -98,7 +108,47 @@ class TestSmithNormalForm:
             assert res.u.mul(m).mul(res.v) == res.s
 
 
+def sparse_matrix(rng, units=True):
+    """A matrix shaped like the ones the reports build: mostly zeros,
+    the nonzeros mostly +-1, or with no unit entry at all."""
+    r, c = rng.randint(0, 9), rng.randint(0, 9)
+    values = (1, -1, 1, -1, 2, -3, 4) if units else (2, -2, 3, -4, 6, 9)
+    density = rng.choice((0.15, 0.3, 0.6))
+    return IntMatrix.from_rows(
+        tuple(rng.choice(values) if rng.random() < density else 0
+              for _ in range(c))
+        for _ in range(r))
+
+
+def random_matrices(seed, n):
+    rng = random.Random(seed)
+    for k in range(n):
+        if k % 3 == 0:
+            yield random_matrix(rng, max_dim=6, max_entry=rng.choice((2, 9)))
+        else:
+            yield sparse_matrix(rng, units=k % 3 == 1)
+
+
+class TestSmithNormalFormAgainstFullScan:
+    def test_same_transforms(self):
+        # the pivot search may stop early, but at the same pivot
+        for m in random_matrices(181, 3000):
+            assert smith_normal_form(m) == _oracles.smith_normal_form(m)
+
+
 class TestCokernel:
+    def test_unit_pivots_give_the_smith_form_group(self):
+        shapes = [IntMatrix.from_rows(()), IntMatrix.zero(0, 3),
+                  IntMatrix.zero(3, 0), IntMatrix.zero(3, 4),
+                  M((2, 4), (6, 8)), M((0, 3, 0), (9, 0, 6)),
+                  IntMatrix.identity(4), M((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+        for m in shapes + list(random_matrices(191, 1500)):
+            diag = smith_normal_form(m).diagonal()
+            expected = AbelianGroup(
+                free_rank=m.rows - sum(1 for x in diag if x),
+                torsion=tuple(x for x in diag if x > 1))
+            assert cokernel(m) == expected, m
+
     def test_cases(self):
         assert cokernel(M((2,),)) == AbelianGroup(0, (2,))
         assert cokernel(IntMatrix.zero(2, 2)) == AbelianGroup(2, ())
