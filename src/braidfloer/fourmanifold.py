@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple
 from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
                      induced_permutation)
 from .freegroup import FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse
-from .snf import AbelianGroup, IntMatrix, cokernel
+from .snf import AbelianGroup, _cokernel
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,13 @@ def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
     for i in range(1, d):
         relators.append(_commutator(n, 1, 2 + i))
     for i in range(1, d):
-        image = FreeWord(n, tuple((2 if y > 0 else -2) + y for y in e.images[i - 1].letters))
-        twist = FreeWord.from_letters(
-            n, (2, 2 + i, -2) + image.inverse().letters)
-        relators.append(twist)
-    return PresentedGroup.make(gens, relators)
+        # l2 xi l2^-1 phi(xi)^-1: the image is reduced, nonempty and
+        # made of x letters, so nothing cancels at the l2^-1 seam or
+        # cyclically against the leading l2
+        image = e.images[i - 1].letters
+        relators.append(FreeWord(n, (2, 2 + i, -2) + tuple(
+            (-2 if y > 0 else 2) - y for y in reversed(image))))
+    return PresentedGroup(gens, tuple(relators))
 
 
 def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
@@ -121,8 +123,8 @@ def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
     n = len(mapping_torus.generators)
     extra = (FreeWord(n, (3,)),            # meridian: puncture loop x1
              FreeWord(n, (2,) * (n - 1)))  # second longitude: l2^d
-    return PresentedGroup.make(mapping_torus.generators,
-                               mapping_torus.relators + extra)
+    return PresentedGroup(mapping_torus.generators,
+                          mapping_torus.relators + extra)
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,12 +274,15 @@ def standard_form_order(g: PresentedGroup) -> int | None:
 
 
 def abelianization(g: PresentedGroup) -> AbelianGroup:
-    """Z^generators modulo the relator exponent vectors, via SNF."""
-    n = len(g.generators)
-    cols = [r.exponent_vector() for r in g.relators]
-    if not cols:
-        cols = [(0,) * n]
-    return cokernel(IntMatrix.from_rows(zip(*cols)))
+    """Z^generators modulo the relator exponent vectors, via the
+    cokernel of their sparse counts: row i holds, per relator, the
+    exponent sum of generator i in it, where that is not zero."""
+    rows: list[dict[int, int]] = [{} for _ in g.generators]
+    for c, r in enumerate(g.relators):
+        for x, count in Counter(r.letters).items():
+            row = rows[abs(x) - 1]
+            row[c] = row.get(c, 0) + (count if x > 0 else -count)
+    return _cokernel([{c: x for c, x in row.items() if x} for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ classes; their sum is the Lefschetz number L = 1 - trace(A), and
 sum_c |N_c| is a lower bound for the rank of any chain complex whose
 generators split over these classes.
 
-The N_c are read off one prefix scan of each image phi(xj), in time
-linear in the image letters (``_class_indices``); R itself, as words,
-is built only for the twisted-conjugacy refinement and the tests.
+I - A and trace(A) are counted straight off the letters of the images
+as sparse rows (``_identity_minus_action``), and the class space keeps
+the row operations of their Smith elimination in place of U, so no
+n x n matrix is built.  The N_c are read off one prefix scan of each
+image phi(xj), in time linear in the image letters
+(``_class_indices``); R itself, as words, is built only for the
+twisted-conjugacy refinement and the tests.
 
 The sign and projection conventions above are pinned by geometry:
  * identity endo of rank n: R = (1 - n)[0], the Euler characteristic of
@@ -33,12 +37,13 @@ The sign and projection conventions above are pinned by geometry:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _inverse,
-                        abelianization_matrix, fox_derivative)
-from .snf import ClassSpace, IntMatrix
+                        fox_derivative)
+from .snf import ClassSpace
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
 # Orbit-ball elements one refinement may build for one class, over the
@@ -53,18 +58,36 @@ class RefinementLimitError(ValueError):
     """Twisted-conjugacy refinement would exceed ORBIT_BALL_CAP."""
 
 
+def _identity_minus_action(e: FreeGroupEndo
+                           ) -> tuple[list[dict[int, int]], int]:
+    """I - A as sparse rows, each mapping column to nonzero entry, and
+    trace(A), for A the abelianized action: column j of A is the
+    exponent vector of e(xj).  Read straight off the letter counts of
+    the images, so no n x n matrix is built."""
+    rows = [{i: 1} for i in range(e.rank)]
+    trace = 0
+    for j, image in enumerate(e.images):
+        for x, count in Counter(image.letters).items():
+            i = abs(x) - 1
+            exponent = count if x > 0 else -count
+            if i == j:
+                trace += exponent
+            value = rows[i].get(j, 0) - exponent
+            if value:
+                rows[i][j] = value
+            else:
+                del rows[i][j]
+    return rows, trace
+
+
 def lefschetz_number(e: FreeGroupEndo) -> int:
     """1 - trace of the abelianized action."""
-    return 1 - abelianization_matrix(e).trace()
-
-
-def _class_space_of(a: IntMatrix) -> ClassSpace:
-    return ClassSpace.from_matrix(IntMatrix.identity(a.rows).sub(a))
+    return 1 - _identity_minus_action(e)[1]
 
 
 def class_space(e: FreeGroupEndo) -> ClassSpace:
     """coker(I - A): the homological twisted-conjugacy classes."""
-    return _class_space_of(abelianization_matrix(e))
+    return ClassSpace.from_rows(_identity_minus_action(e)[0], e.rank)
 
 
 def reidemeister_trace_raw(e: FreeGroupEndo) -> GroupRingElement:
@@ -156,8 +179,8 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
     per image (``_class_indices``).  The Lefschetz number is
     1 - trace(A) for the A the class space is built from; the indices
     must sum to it, which checks the scan against A."""
-    a = abelianization_matrix(e)
-    cs = _class_space_of(a)
+    rows, trace = _identity_minus_action(e)
+    cs = ClassSpace.from_rows(rows, e.rank)
     agg = _class_indices(e, cs)
     order = cs.order()
     complete = order is not None and order <= ENUMERATION_CAP
@@ -169,7 +192,7 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
     return NielsenDecomposition(
         space=cs,
         entries=tuple(sorted(agg.items())),
-        lefschetz=1 - a.trace(),
+        lefschetz=1 - trace,
         complete=complete,
     )
 

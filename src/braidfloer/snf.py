@@ -7,12 +7,19 @@ so every result can be re-verified by multiplication, and cokernels of
 integer matrices come with canonical coordinates (reduce U*v modulo the
 invariant factors).
 
-The pivot search stops at the first unit entry, since nothing is
-smaller, and a unit pivot skips the divisibility scan.  ``cokernel``
-needs only the invariant factors, so it first eliminates unit pivots on
-a sparse copy of the nonzeros and runs ``smith_normal_form`` on the
-small core left; ``ClassSpace`` keeps the full form, whose U gives the
-labels.
+There is one Smith elimination, ``_smith_eliminate``.  It runs on
+sparse rows (column -> nonzero entry) with an index from each column to
+the rows that hold it, so a row or column operation costs the nonzeros
+it touches.  It logs its operations instead of updating dense
+transforms.  The pivot search stops at the first row holding a unit
+entry, since nothing is smaller (ties are broken row-major, so this is
+the pivot a full scan would pick), and a unit pivot skips the
+divisibility scan.  ``smith_normal_form`` replays the logs into dense U
+and V; ``ClassSpace`` keeps only the row-operation log and replays the
+few rows of U its labels need, and undoes the log to find a
+representative of a label.  ``cokernel`` needs only the invariant
+factors, so it first eliminates unit pivots on the sparse nonzeros and
+runs the elimination on the small core left.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -158,61 +166,117 @@ class SnfResult:
         return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Diagonalize over Z.
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """The nonzeros of each row of m, keyed by column."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
 
-    The returned diagonal is nonnegative and satisfies the divisibility
-    chain d1 | d2 | ... ; U and V are products of elementary integer row
-    and column operations, hence unimodular.
+
+def _smith_eliminate(rows: list[dict[int, int]], ncols: int
+                     ) -> tuple[list[tuple], list[tuple]]:
+    """Diagonalize sparse rows in place; return the row and the column
+    operations, in the order they were made.
+
+    ``rows[i]`` maps column to nonzero entry; a column index maps each
+    column to the rows holding it, so an operation costs the nonzeros it
+    touches.  The pivot is the row-major first entry of least absolute
+    value in the trailing block, found row by row and ending at the
+    first row that holds a unit.  It is moved to (t, t) and made
+    positive; every other row and column then takes the floor multiple
+    of it that leaves a remainder, and while a remainder is left the
+    pivot is searched again.  When the row and column are clear, a pivot
+    other than 1 that fails to divide an entry of the block takes that
+    entry's row into its own.  The result satisfies d1 | d2 | ... .
+
+    Operations are logged as ``("swap", i, k)``, ``("add", i, k, q)``
+    for line i += q * line k, and ``("neg", i)``; row operations log
+    rows, column operations columns.  U is the product of the row
+    operations, V that of the column operations, and U*M*V is the
+    diagonal left in ``rows``.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    nr = len(rows)
+    cols: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
     def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
+        for j in rows[i]:
+            cols[j].discard(i)
+        for j in rows[k]:
+            cols[j].discard(k)
+        rows[i], rows[k] = rows[k], rows[i]
+        for j in rows[i]:
+            cols[j].add(i)
+        for j in rows[k]:
+            cols[j].add(k)
+        row_ops.append(("swap", i, k))
 
     def row_addmul(i, k, q):
-        # row_i += q * row_k
-        a[i] = [x + q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[k])]
+        # row_i += q * row_k, with q != 0
+        row = rows[i]
+        for j, y in rows[k].items():
+            x = row.get(j, 0) + q * y
+            if x:
+                if j not in row:
+                    cols[j].add(i)
+                row[j] = x
+            else:
+                del row[j]
+                cols[j].discard(i)
+        row_ops.append(("add", i, k, q))
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        rows[i] = {j: -x for j, x in rows[i].items()}
+        row_ops.append(("neg", i))
 
     def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
+        for i in cols[j] | cols[k]:
+            row = rows[i]
+            x, y = row.pop(j, 0), row.pop(k, 0)
+            if x:
+                row[k] = x
+            if y:
+                row[j] = y
+        cols[j], cols[k] = cols[k], cols[j]
+        col_ops.append(("swap", j, k))
 
     def col_addmul(j, k, q):
-        # col_j += q * col_k
-        for r in a:
-            r[j] += q * r[k]
-        for r in v:
-            r[j] += q * r[k]
+        # col_j += q * col_k, with q != 0
+        col = cols[j]
+        for i in cols[k]:
+            row = rows[i]
+            x = row.get(j, 0) + q * row[k]
+            if x:
+                if j not in row:
+                    col.add(i)
+                row[j] = x
+            else:
+                del row[j]
+                col.discard(i)
+        col_ops.append(("add", j, k, q))
 
     def least():
-        # the row-major first entry of least absolute value in the
-        # trailing block; nothing is less than 1, so the first unit ends
-        # the search with the pivot a full scan would pick
+        # rows >= t hold no entry left of column t, so their nonzeros
+        # are the trailing block; nothing is less than 1, so the first
+        # row with a unit ends the search with the pivot a full scan
+        # would pick
         best, size = None, 0
         for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x and (best is None or abs(x) < size):
-                    best, size = (i, j), abs(x)
-                    if size == 1:
-                        return best
+            row = rows[i]
+            if not row:
+                continue
+            units = [j for j, x in row.items() if x == 1 or x == -1]
+            if units:
+                return i, min(units)
+            j = min(row, key=lambda j: (abs(row[j]), j))
+            if best is None or abs(row[j]) < size:
+                best, size = (i, j), abs(row[j])
         return best
 
     t = 0
-    while t < min(nr, nc):
+    while t < min(nr, ncols):
         best = least()
         if best is None:
             break
@@ -222,34 +286,70 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 row_swap(t, i0)
             if j0 != t:
                 col_swap(t, j0)
-            if a[t][t] < 0:
+            if rows[t][t] < 0:
                 row_neg(t)
-            p = a[t][t]
+            p = rows[t][t]
             dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    row_addmul(i, t, -(a[i][t] // p))
-                    if a[i][t] != 0:
+            for i in sorted(cols[t]):
+                if i > t:
+                    q = -(rows[i][t] // p)
+                    if q:
+                        row_addmul(i, t, q)
+                    if t in rows[i]:
                         dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    col_addmul(j, t, -(a[t][j] // p))
-                    if a[t][j] != 0:
+            pivot_row = rows[t]
+            for j in sorted(pivot_row):
+                if j > t:
+                    q = -(pivot_row[j] // p)
+                    if q:
+                        col_addmul(j, t, q)
+                    if j in pivot_row:
                         dirty = True
             if not dirty:
                 if p == 1:  # 1 divides every entry left
                     break
-                bad = next(((i, j) for i in range(t + 1, nr)
-                            for j in range(t + 1, nc) if a[i][j] % p != 0), None)
+                bad = next((i for i in range(t + 1, nr)
+                            if any(x % p for x in rows[i].values())), None)
                 if bad is None:
                     break
-                row_addmul(t, bad[0], 1)
+                row_addmul(t, bad, 1)
             best = least()
         t += 1
+    return row_ops, col_ops
 
-    return SnfResult(s=IntMatrix.from_rows(a),
-                     u=IntMatrix.from_rows(u),
-                     v=IntMatrix.from_rows(v))
+
+def _replay(ops: Sequence[tuple], n: int) -> list[list[int]]:
+    """The n x n product of logged row operations, as dense rows."""
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        if op[0] == "add":
+            _, i, k, q = op
+            out[i] = [x + q * y for x, y in zip(out[i], out[k])]
+        elif op[0] == "swap":
+            _, i, k = op
+            out[i], out[k] = out[k], out[i]
+        else:
+            out[op[1]] = [-x for x in out[op[1]]]
+    return out
+
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Diagonalize over Z.
+
+    The returned diagonal is nonnegative and satisfies the divisibility
+    chain d1 | d2 | ... ; U and V are products of elementary integer row
+    and column operations, hence unimodular.  The elimination runs on
+    the nonzeros (``_smith_eliminate``); U and V are replayed from its
+    logs, V as the transpose of its column operations made on rows.
+    """
+    rows = _sparse_rows(m)
+    row_ops, col_ops = _smith_eliminate(rows, m.cols)
+    v = _replay(col_ops, m.cols)
+    return SnfResult(
+        s=IntMatrix.from_rows(tuple(row.get(j, 0) for j in range(m.cols))
+                              for row in rows),
+        u=IntMatrix.from_rows(_replay(row_ops, m.rows)),
+        v=IntMatrix(tuple(zip(*v)) if v else ()))
 
 
 @dataclass(frozen=True)
@@ -287,30 +387,35 @@ class AbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """The group Z^rows / (column span of m).
+    """The group Z^rows / (column span of m); see ``_cokernel``."""
+    return _cokernel(_sparse_rows(m))
+
+
+def _cokernel(rows: list[dict[int, int]]) -> AbelianGroup:
+    """Z^len(rows) / (column span), the matrix given by the nonzeros of
+    its rows, each row keyed by column.  The rows are consumed.
 
     Only the invariant factors are wanted, and they do not depend on the
-    elimination order, so the ±1 entries are eliminated first on a
-    sparse copy of the nonzeros: a unit pivot at (r, c) clears its row
-    and column by unimodular operations and leaves Z/1, so row r and
-    column c are dropped and the rows that met column c take a multiple
-    of row r.  Pivots come from the rows with the fewest nonzeros, and
-    within a row from the column with the fewest.  Rows that run out of
-    nonzeros are free summands, and ``smith_normal_form`` runs only on
-    the core that is left, where no entry is a unit.  The cost follows
-    the nonzeros and their fill-in, not the matrix size.
+    elimination order, so the ±1 entries are eliminated first: a unit
+    pivot at (r, c) clears its row and column by unimodular operations
+    and leaves Z/1, so row r and column c are dropped and the rows that
+    met column c take a multiple of row r.  Pivots come from the rows
+    with the fewest nonzeros, and within a row from the column with the
+    fewest.  Rows that run out of nonzeros are free summands, and the
+    Smith elimination runs only on the core that is left, where no entry
+    is a unit.  The cost follows the nonzeros and their fill-in, not the
+    matrix size.
     """
-    rows = {i: {j: x for j, x in enumerate(row) if x}
-            for i, row in enumerate(m.entries)}
+    live_rows = dict(enumerate(rows))
     cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
+    for i, row in live_rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
+    heap = [(len(row), i) for i, row in live_rows.items()]
     heapq.heapify(heap)
     while heap:
         n, r = heapq.heappop(heap)
-        pivot_row = rows.get(r)
+        pivot_row = live_rows.get(r)
         if pivot_row is None or len(pivot_row) != n:
             continue  # gone, or changed since this entry was pushed
         units = [j for j, x in pivot_row.items() if x in (1, -1)]
@@ -318,11 +423,11 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
             continue  # pushed again if it ever changes
         c = min(units, key=lambda j: (len(cols[j]), j))
         p = pivot_row[c]  # a unit is its own inverse
-        del rows[r]
+        del live_rows[r]
         for j in pivot_row:
             cols[j].discard(r)
         for i in cols.pop(c):
-            row = rows[i]
+            row = live_rows[i]
             q = row.pop(c) * p
             for j, x in pivot_row.items():
                 if j == c:
@@ -337,13 +442,13 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
                     cols[j].discard(i)
             heapq.heappush(heap, (len(row), i))
     # zero rows are free summands and stay out of the core
-    nonzero = [row for _, row in sorted(rows.items()) if row]
-    live = sorted({j for row in nonzero for j in row})
-    core = IntMatrix.from_rows(tuple(row.get(j, 0) for j in live)
-                               for row in nonzero)
-    diag = smith_normal_form(core).diagonal()
+    core = [row for _, row in sorted(live_rows.items()) if row]
+    live = {j: k for k, j in enumerate(sorted({j for row in core for j in row}))}
+    core = [{live[j]: x for j, x in row.items()} for row in core]
+    _smith_eliminate(core, len(live))
+    diag = [row.get(t, 0) for t, row in enumerate(core)]
     torsion = tuple(x for x in diag if x not in (0, 1))
-    free_rank = len(rows) - sum(1 for x in diag if x != 0)
+    free_rank = len(live_rows) - sum(1 for x in diag if x != 0)
     return AbelianGroup(free_rank=free_rank, torsion=torsion)
 
 
@@ -351,10 +456,16 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
 class ClassSpace:
     """Z^n / (column span of a matrix), with canonical coordinates.
 
-    A vector v is classified by reducing U*v modulo the diagonal factors;
-    coordinates whose factor is 1 carry no information and are dropped
-    from labels.  Labels are tuples of ints: entry in [0, f) where the
-    factor f is finite, an unconstrained int where the factor is 0.
+    A vector v is classified by reducing U*v modulo the diagonal factors
+    of the Smith form U*M*V = S; coordinates whose factor is 1 carry no
+    information and are dropped from labels.  Labels are tuples of ints:
+    entry in [0, f) where the factor f is finite, an unconstrained int
+    where the factor is 0.
+
+    U is kept as the log of the elimination's row operations, not as a
+    matrix: row i of U is e_i times U, read by applying the operations
+    to e_i from the right, last first, and U^-1 acts on a vector by the
+    inverse operations, last first, so each costs O(#ops).
 
     Labels depend on the (deterministic) choice of U, so only invariant
     data (factor multiset, coefficient per class, element orders) should
@@ -362,14 +473,21 @@ class ClassSpace:
     """
 
     factors: tuple[int, ...]  # one per ambient coordinate; 0 means a Z summand
-    u: IntMatrix
+    row_ops: tuple[tuple, ...]  # U as its row operations, in order
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "ClassSpace":
-        res = smith_normal_form(m)
-        diag = res.diagonal()
-        factors = tuple(diag[i] if i < len(diag) else 0 for i in range(m.rows))
-        return cls(factors=factors, u=res.u)
+        return cls.from_rows(_sparse_rows(m), m.cols)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict[int, int]],
+                  ncols: int) -> "ClassSpace":
+        """The class space of the matrix whose rows map column to
+        nonzero entry; the rows are not changed."""
+        rows = [dict(row) for row in rows]
+        row_ops, _ = _smith_eliminate(rows, ncols)
+        return cls(factors=tuple(row.get(i, 0) for i, row in enumerate(rows)),
+                   row_ops=tuple(row_ops))
 
     @property
     def _kept(self) -> tuple[int, ...]:
@@ -390,12 +508,35 @@ class ClassSpace:
     def label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(row of U, factor) per label coordinate: coordinate i of the
         label of v is row_i . v, reduced modulo factor_i unless it is 0."""
-        return tuple((self.u.entries[i], self.factors[i]) for i in self._kept)
+        return self._label_rows
+
+    @cached_property
+    def _label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        out = []
+        for i in self._kept:
+            # e_i U = e_i E_m ... E_1 for U = E_m ... E_1
+            r = [0] * len(self.factors)
+            r[i] = 1
+            for op in reversed(self.row_ops):
+                if op[0] == "add":  # E = I + q e_a e_b^T
+                    _, a, b, q = op
+                    r[b] += q * r[a]
+                elif op[0] == "swap":
+                    _, a, b = op
+                    r[a], r[b] = r[b], r[a]
+                else:
+                    r[op[1]] = -r[op[1]]
+            out.append((tuple(r), self.factors[i]))
+        return tuple(out)
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
-        y = self.u.mul_vec(vec)
-        return tuple(y[i] % self.factors[i] if self.factors[i] else y[i]
-                     for i in self._kept)
+        if len(vec) != len(self.factors):
+            raise ValueError("shape mismatch")
+        out = []
+        for row, f in self._label_rows:
+            y = sum(map(mul, row, vec))
+            out.append(y % f if f else y)
+        return tuple(out)
 
     def enumerate_labels(self) -> tuple[tuple[int, ...], ...]:
         """All labels, in lexicographic order.  Finite spaces only."""
@@ -405,18 +546,26 @@ class ClassSpace:
         return tuple(itertools.product(*(range(f) for f in facs)))
 
     def representative_vector(self, label: Sequence[int]) -> tuple[int, ...]:
-        """An integer vector in the ambient Z^n projecting to the label."""
+        """An integer vector in the ambient Z^n projecting to the label:
+        U^-1 y for y the label put in the kept coordinates, zero
+        elsewhere."""
         kept = self._kept
         if len(label) != len(kept):
             raise ValueError("label length mismatch")
         y = [0] * len(self.factors)
         for value, i in zip(label, kept):
             y[i] = value
-        return self._u_inverse.mul_vec(y)
-
-    @cached_property
-    def _u_inverse(self) -> IntMatrix:
-        return self.u.inverse_unimodular()
+        # U^-1 = E_1^-1 ... E_m^-1, so the last operation is undone first
+        for op in reversed(self.row_ops):
+            if op[0] == "add":
+                _, a, b, q = op
+                y[a] -= q * y[b]
+            elif op[0] == "swap":
+                _, a, b = op
+                y[a], y[b] = y[b], y[a]
+            else:
+                y[op[1]] = -y[op[1]]
+        return tuple(y)
 
     def element_order(self, label: Sequence[int]) -> int:
         """Order of the class in the group; 0 stands for infinite."""

@@ -4,6 +4,8 @@ runs with more bookkeeping; both must give identical results."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from braidfloer.fourmanifold import (PresentedGroup, _cyclic_key,
                                      _substitute_generator)
 from braidfloer.freegroup import FreeWord, _cyclic_reduce, _inverse
@@ -61,9 +63,13 @@ def tietze_simplify(g: PresentedGroup) -> PresentedGroup:
               for r in relators))
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with a full scan of the trailing block for every
-    pivot search and a full divisibility scan after every pivot."""
+def smith_normal_form(m: IntMatrix, stop_at_units: bool = False
+                      ) -> SnfResult:
+    """Smith normal form on dense rows, with a full scan of the trailing
+    block for every pivot search and a full divisibility scan after
+    every pivot.  With ``stop_at_units`` the search ends at the first
+    unit (row-major, so at the same pivot) and a unit pivot skips the
+    divisibility scan, which makes large sparse matrices affordable."""
     nr, nc = m.rows, m.cols
     a = [list(r) for r in m.entries]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
@@ -100,6 +106,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 if a[i][j] != 0 and (best is None
                                      or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                     best = (i, j)
+                    if stop_at_units and abs(a[i][j]) == 1:
+                        return best
         return best
 
     t = 0
@@ -128,6 +136,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                     if a[t][j] != 0:
                         dirty = True
             if not dirty:
+                if stop_at_units and p == 1:
+                    break
                 bad = next(((i, j) for i in range(t + 1, nr)
                             for j in range(t + 1, nc) if a[i][j] % p != 0), None)
                 if bad is None:
@@ -139,3 +149,47 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(s=IntMatrix.from_rows(a),
                      u=IntMatrix.from_rows(u),
                      v=IntMatrix.from_rows(v))
+
+
+@dataclass(frozen=True)
+class ClassSpace:
+    """coker(M) labelled by the rows of the dense U of a dense Smith
+    normal form, kept as a matrix."""
+
+    factors: tuple[int, ...]
+    u: IntMatrix
+
+    @classmethod
+    def from_matrix(cls, m: IntMatrix) -> "ClassSpace":
+        res = smith_normal_form(m, stop_at_units=True)
+        diag = res.diagonal()
+        return cls(factors=tuple(diag[i] if i < len(diag) else 0
+                                 for i in range(m.rows)),
+                   u=res.u)
+
+    @classmethod
+    def of_action(cls, a: IntMatrix) -> "ClassSpace":
+        """coker(I - A), with I - A built as a dense matrix."""
+        return cls.from_matrix(IntMatrix.identity(a.rows).sub(a))
+
+    def label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple((self.u.entries[i], f)
+                     for i, f in enumerate(self.factors) if f != 1)
+
+    def project(self, vec) -> tuple[int, ...]:
+        out = []
+        for row, f in self.label_rows():
+            y = sum(a * b for a, b in zip(row, vec))
+            out.append(y % f if f else y)
+        return tuple(out)
+
+
+def assert_same_class_space(cs, oracle: ClassSpace, vectors) -> None:
+    """``cs`` has the oracle's factors, label rows and projections, and
+    the representative of each projected label projects back to it."""
+    assert cs.factors == oracle.factors
+    assert cs.label_rows() == oracle.label_rows()
+    for v in vectors:
+        label = cs.project(v)
+        assert label == oracle.project(v)
+        assert cs.project(cs.representative_vector(label)) == label

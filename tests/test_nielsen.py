@@ -14,7 +14,8 @@ from braidfloer import nielsen
 from braidfloer.braids import (ARTIN, BraidLetter, BraidWord,
                                induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                                  _inverse, _reduce, artin_endo)
+                                  _inverse, _reduce, abelianization_matrix,
+                                  artin_endo)
 from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
                                 NielsenDecomposition,
                                 RefinementLimitError, _orbit_ball,
@@ -25,6 +26,7 @@ from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
                                 twisted_conjugacy_search)
 from braidfloer.snf import AbelianGroup
 
+import _oracles
 from _samplers import random_braid_word, random_free_word, random_transitive_braid
 
 
@@ -120,6 +122,20 @@ def squares_braid(rng, d, max_len=6):
         x = BraidLetter(ARTIN, rng.randint(1, d - 1), rng.choice((1, -1)))
         letters += [x, x]
     return BraidWord.from_letters(d, letters)
+
+
+def mixed_words():
+    """540 words, d = 2..8: transitive, random, and pure (squares_braid)
+    in turn."""
+    rng = random.Random(389)
+    for k in range(540):
+        d = 2 + k % 7
+        if k % 3 == 0:
+            yield random_transitive_braid(rng, d, max_len=14)
+        elif k % 3 == 1:
+            yield random_braid_word(rng, d, max_len=14)
+        else:
+            yield squares_braid(rng, d)
 
 
 def reduce_ball(g, steps, radius):
@@ -241,16 +257,8 @@ class TestDecomposition:
         assert nd.complete
 
     def test_prefix_scan_matches_the_projected_raw_trace(self):
-        rng = random.Random(389)
         kinds = {"transitive": 0, "other": 0, "infinite": 0}
-        for k in range(540):
-            d = 2 + k % 7
-            if k % 3 == 0:
-                b = random_transitive_braid(rng, d, max_len=14)
-            elif k % 3 == 1:
-                b = random_braid_word(rng, d, max_len=14)
-            else:
-                b = squares_braid(rng, d)
+        for b in mixed_words():
             e = artin_endo(b)
             nd = nielsen_decomposition(e)
             assert nd.entries == projected_entries(e), b.to_text()
@@ -266,6 +274,35 @@ class TestDecomposition:
             NielsenDecomposition(space=class_space(e),
                                  entries=(((0,), 1),),
                                  lefschetz=2, complete=True)
+
+
+class TestClassSpaceAgainstDense:
+    """The sparse I - A and its logged elimination label classes as the
+    dense I - A and the dense U of ``_oracles`` do."""
+
+    def assert_same(self, e, rng):
+        vectors = [w.exponent_vector() for w in e.images] + [
+            tuple(rng.randint(-9, 9) for _ in range(e.rank))
+            for _ in range(5)]
+        _oracles.assert_same_class_space(
+            class_space(e),
+            _oracles.ClassSpace.of_action(abelianization_matrix(e)),
+            vectors)
+
+    def test_mixed_words(self):
+        rng = random.Random(401)
+        for b in mixed_words():
+            self.assert_same(artin_endo(b), rng)
+
+    def test_standard_and_random_sign_words(self):
+        rng = random.Random(409)
+        for d in range(2, 151):
+            for signs in ((1,) * (d - 1),
+                          tuple(rng.choice((1, -1)) for _ in range(d - 1))):
+                b = BraidWord.from_letters(
+                    d, (BraidLetter(ARTIN, i, s)
+                        for i, s in enumerate(signs, start=1)))
+                self.assert_same(artin_endo(b), rng)
 
 
 class TestTraceRepresentatives:

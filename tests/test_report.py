@@ -4,13 +4,13 @@ trace only when refinement needs it."""
 import sys
 from collections import Counter
 
-from braidfloer import braids, fourmanifold, freegroup, nielsen
+from braidfloer import braids, fourmanifold, freegroup, nielsen, snf
 from braidfloer.braids import parse_braid
 from braidfloer.report import build_report
 
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
-        (freegroup, "abelianization_matrix"),
+        (nielsen, "_identity_minus_action"),
         (fourmanifold, "mapping_torus_presentation"),
         (nielsen, "reidemeister_trace_raw"))
 
@@ -67,3 +67,20 @@ def test_tietze_work_follows_the_relators_it_touches(monkeypatch):
     assert relators == 225
     assert 0 < calls["_cyclic_key"] <= 5 * relators
     assert 0 < calls["_substitute_generator"] <= 5 * relators
+
+
+def test_no_dense_matrix_on_the_report_path(monkeypatch):
+    # I - A and the relator exponents stay sparse: a dense route builds
+    # (d-1)^2 and (d+1) x (2d+1) entries at d=400
+    sizes = []
+    check = snf.IntMatrix.__post_init__
+
+    def recorded(self):
+        sizes.append(self.rows * self.cols)
+        check(self)
+
+    monkeypatch.setattr(snf.IntMatrix, "__post_init__", recorded)
+    d = 400
+    word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
+    assert build_report(word)["pi1"]["standard_form_order"] == d
+    assert max(sizes, default=0) <= 8 * d

@@ -136,6 +136,24 @@ class TestSmithNormalFormAgainstFullScan:
             assert smith_normal_form(m) == _oracles.smith_normal_form(m)
 
 
+class TestClassSpaceAgainstDense:
+    def test_same_labels_as_the_dense_transform(self):
+        # the row-operation log replays the rows of the dense U
+        rng = random.Random(197)
+        for m in random_matrices(181, 3000):
+            vectors = [tuple(rng.randint(-9, 9) for _ in range(m.rows))
+                       for _ in range(3)]
+            _oracles.assert_same_class_space(
+                ClassSpace.from_matrix(m), _oracles.ClassSpace.from_matrix(m),
+                vectors)
+
+    def test_rows_are_not_changed(self):
+        rows = [{0: 2, 1: 1}, {0: -1}]
+        assert ClassSpace.from_rows(rows, 2) == ClassSpace.from_matrix(
+            M((2, 1), (-1, 0)))
+        assert rows == [{0: 2, 1: 1}, {0: -1}]
+
+
 class TestCokernel:
     def test_unit_pivots_give_the_smith_form_group(self):
         shapes = [IntMatrix.from_rows(()), IntMatrix.zero(0, 3),
