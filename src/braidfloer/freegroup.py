@@ -18,7 +18,8 @@ convention: the rightmost letter is applied first.
 
 The sphere action is computed directly in the rank d-1 group: the same
 rules act on the images of x1 .. xd, which start as x1 .. x<d-1> and
-(x1 ... x<d-1>)^-1, and every image is reduced after every letter.  The
+(x1 ... x<d-1>)^-1.  The images stay reduced, so each rule cancels
+only at the junctions of the reduced words it joins (``_concat``).  The
 disc images of pseudo-Anosov braids grow exponentially in the braid
 length even where the sphere images stay short, so the rank d disc
 action (``artin_disc_endo``) is kept only as a library function and a
@@ -28,6 +29,7 @@ test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Iterator, Mapping
 
 from .braids import ARTIN, BraidWord
@@ -47,7 +49,17 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
+
+
+def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of reduced words u and v: only letters at the
+    junction can cancel, so the cost is the cancelled length plus one
+    copy of each word."""
+    k, m = 0, min(len(u), len(v))
+    while k < m and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -56,6 +68,14 @@ def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     while i * 2 < len(letters) - 1 and letters[i] == -letters[-1 - i]:
         i += 1
     return letters[i:len(letters) - i]
+
+
+def _letter_texts(letters: Iterable[int],
+                  names: tuple[str, ...] | None = None) -> dict[int, str]:
+    """The text of each signed letter given: +j prints as the j-th name
+    (``xj`` without names), -j as that name followed by ``^-1``."""
+    return {x: (names[abs(x) - 1] if names else f"x{abs(x)}")
+            + ("^-1" if x < 0 else "") for x in letters}
 
 
 @dataclass(frozen=True)
@@ -124,10 +144,8 @@ class FreeWord:
         """Print like ``x1 x2^-1``; the identity prints as ``1``."""
         if not self.letters:
             return "1"
-        def name(j: int) -> str:
-            return names[j - 1] if names else f"x{j}"
-        return " ".join(name(abs(x)) + ("^-1" if x < 0 else "")
-                        for x in self.letters)
+        table = _letter_texts(set(self.letters), names)
+        return " ".join(map(table.__getitem__, self.letters))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -218,9 +236,9 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
         i = x.index - 1
         u, v = imgs[i], imgs[i + 1]
         if x.sign > 0:
-            imgs[i], imgs[i + 1] = _reduce(u + v + _inverse(u)), u
+            imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
         else:
-            imgs[i], imgs[i + 1] = v, _reduce(_inverse(v) + u + v)
+            imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
     return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))
 
 

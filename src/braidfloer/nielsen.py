@@ -41,8 +41,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _inverse,
-                        fox_derivative)
+from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _concat,
+                        _inverse, fox_derivative)
 from .snf import ClassSpace
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
@@ -256,10 +256,7 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
                 # cancel at its two junctions: s against t[0], then the
                 # longest overlap at the right seam
                 left = t[1:] if t and t[0] == -s else (s,) + t
-                k, m = 0, min(len(left), len(image_inv))
-                while k < m and left[-1 - k] == -image_inv[k]:
-                    k += 1
-                t2 = left[:len(left) - k] + image_inv[k:]
+                t2 = _concat(left, image_inv)
                 if t2 not in ball:
                     # s u is reduced: if u began with s^-1, t2 would lie
                     # one layer nearer g and be in the ball already

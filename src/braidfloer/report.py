@@ -136,9 +136,16 @@ def _pi1_section(mapping_torus) -> dict:
     assembled = assemble_pi1(mapping_torus)
     simplified = tietze_simplify(assembled)
     ab = abelianization(assembled)
+    torus = mapping_torus.to_dict()
+    # the assembled relators are the mapping torus ones plus two more:
+    # render only those two
+    extra = assembled.relators[len(mapping_torus.relators):]
     return {
-        "mapping_torus": mapping_torus.to_dict(),
-        "assembled": assembled.to_dict(),
+        "mapping_torus": torus,
+        "assembled": {
+            "generators": list(assembled.generators),
+            "relators": torus["relators"] + [
+                r.to_text(assembled.generators) for r in extra]},
         "simplified": simplified.to_dict(),
         "standard_form_order": standard_form_order(simplified),
         "abelianization": {"free_rank": ab.free_rank,

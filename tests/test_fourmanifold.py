@@ -131,6 +131,30 @@ class TestTietze:
         assert out.generators == ("a", "c")
         assert out.relator_texts() == ("a a a", "a c^-1 a^-1 c^-1")
 
+    def test_shared_fingerprint_without_duplicate_keeps_both(self):
+        # "a a b b" and "a b a b" have one length and the same letter
+        # counts, but no rotation or inversion maps one to the other
+        g = P(("a", "b"), (1, 1, 2, 2), (1, 2, 1, 2))
+        assert tietze_simplify(g) == g
+        assert tietze_simplify(g) == _oracles.tietze_simplify(g)
+
+    def test_rotated_inverse_of_an_earlier_relator_is_dropped(self):
+        # b^-1 a^-1 a^-1 b^-1 is "a a b b" inverted and rotated
+        g = P(("a", "b"), (1, 1, 2, 2), (-2, -1, -1, -2))
+        out = tietze_simplify(g)
+        assert out.relator_texts() == ("a a b b",)
+        assert out == _oracles.tietze_simplify(g)
+
+    def test_rewritten_relator_is_keyed_again(self):
+        # "b a^-1" and "b^-1 a^-1" share a fingerprint, so both get keys;
+        # eliminating a = b turns the second into "b^-1 b^-1" and the
+        # third into "b b", which only the second's new key shows to be
+        # its duplicate
+        g = P(("a", "b"), (2, -1), (-2, -1), (1, 1))
+        out = tietze_simplify(g)
+        assert out.relator_texts() == ("b^-1 b^-1",)
+        assert out == _oracles.tietze_simplify(g)
+
     def test_assembled_group_reaches_standard_form(self):
         for d in range(2, 7):
             word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))

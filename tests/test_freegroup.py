@@ -7,6 +7,7 @@ import pytest
 
 from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
+                                  _concat, _inverse, _reduce,
                                   abelianization_matrix, artin_disc_endo,
                                   artin_endo, fox_derivative, substitute)
 
@@ -24,12 +25,39 @@ class TestFreeWord:
         assert FreeWord.identity(3) == W(3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FreeWord(2, (1, -1))  # not reduced
-        with pytest.raises(ValueError):
-            FreeWord(2, (3,))  # letter out of range
-        with pytest.raises(ValueError):
+        unreduced = "^letters are not freely reduced; use from_letters$"
+        with pytest.raises(ValueError, match=unreduced):
+            FreeWord(2, (1, -1))
+        with pytest.raises(ValueError, match=unreduced):
+            FreeWord(2, (1, 2, 1, 2, -2))  # the pair at the end
+        with pytest.raises(ValueError, match="^letter 3 out of range for rank 2$"):
+            FreeWord(2, (3,))
+        with pytest.raises(ValueError, match="^letter -3 out of range for rank 2$"):
+            FreeWord(2, (1, -3))  # below -rank
+        with pytest.raises(ValueError, match="^letter 0 out of range for rank 2$"):
             FreeWord(2, (0,))
+        # both faults: the range check comes first and names the first
+        # bad letter
+        with pytest.raises(ValueError, match="^letter -4 out of range for rank 2$"):
+            FreeWord(2, (1, -1, 2, -4, 3))
+        with pytest.raises(ValueError, match="^negative rank$"):
+            FreeWord(-1, ())
+
+    def test_concat_cancels_only_at_the_junction(self):
+        assert _concat((), ()) == ()
+        assert _concat((1, 2), ()) == (1, 2)
+        assert _concat((), (-2, 1)) == (-2, 1)
+        rng = random.Random(173)
+        for _ in range(2000):
+            rank = rng.randint(1, 3)
+            u = random_free_word(rng, rank).letters
+            v = random_free_word(rng, rank).letters
+            kind = rng.random()
+            if kind < 0.2:  # full cancellation
+                v = _inverse(u)
+            elif kind < 0.6:  # partial overlap: v starts by undoing u's end
+                v = _reduce(_inverse(u[rng.randint(0, len(u)):]) + v)
+            assert _concat(u, v) == _reduce(u + v)
 
     def test_group_laws(self):
         rng = random.Random(3)
