@@ -2,9 +2,10 @@
 braid words, and bookkeeping for the four-manifold obtained by fiber
 summing the associated mapping torus with a four-torus and two K3s.
 
-Everything is exact integer computation: free group words, Fox calculus,
-Smith normal form with certified transforms, and index sums over
-homological twisted-conjugacy classes.
+Everything is exact integer computation: free group words, the
+Reidemeister trace read off prefixes of the braid action's images, Smith
+normal form with certified transforms, and index sums over homological
+twisted-conjugacy classes.
 """
 
 from ._version import __version__
@@ -22,14 +23,11 @@ from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
                            configuration_to_dict, default_configuration,
                            mapping_torus_presentation, standard_form_order,
                            tietze_simplify)
-from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                        abelianization_matrix, artin_disc_endo, artin_endo,
-                        fox_derivative, substitute)
+from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
 from .nielsen import (NielsenDecomposition, RefinedClass,
                       RefinementLimitError, class_space, lefschetz_number,
-                      nielsen_bound, nielsen_decomposition,
-                      refine_decomposition, reidemeister_trace,
-                      reidemeister_trace_raw, twisted_conjugacy_search)
+                      nielsen_decomposition, refine_decomposition,
+                      reidemeister_trace_raw)
 from .report import build_report, render_text
 from .snf import (AbelianGroup, ClassSpace, IntMatrix, SnfResult, cokernel,
                   smith_normal_form)
@@ -40,14 +38,11 @@ __all__ = [
     "BraidWord", "NonTransitiveBraidError", "Permutation",
     "induced_permutation", "is_transitive", "parse_braid",
     "standard_relabeling",
-    "FreeWord", "FreeGroupEndo", "GroupRingElement", "substitute",
-    "artin_disc_endo", "artin_endo", "fox_derivative",
-    "abelianization_matrix",
+    "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
     "IntMatrix", "SnfResult", "smith_normal_form", "AbelianGroup",
     "cokernel", "ClassSpace",
     "lefschetz_number", "class_space", "reidemeister_trace_raw",
-    "reidemeister_trace", "NielsenDecomposition", "nielsen_decomposition",
-    "nielsen_bound", "twisted_conjugacy_search", "RefinedClass",
+    "NielsenDecomposition", "nielsen_decomposition", "RefinedClass",
     "refine_decomposition", "RefinementLimitError",
     "FloerDims", "dims_lower_bound", "braid_floer_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",

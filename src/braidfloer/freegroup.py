@@ -1,4 +1,4 @@
-"""Free group words, braid-induced endomorphisms, and Fox calculus.
+"""Free group words and braid-induced endomorphisms.
 
 Words in the free group of rank n on x1..xn are stored as tuples of
 nonzero signed indices (+j for xj, -j for xj^-1) in free reduction
@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import neg
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .braids import ARTIN, BraidWord
-from .snf import IntMatrix
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -123,7 +122,7 @@ class FreeWord:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return FreeWord.from_letters(self.rank, self.letters + other.letters)
+        return FreeWord(self.rank, _concat(self.letters, other.letters))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, _inverse(self.letters))
@@ -151,21 +150,6 @@ class FreeWord:
         return self.to_text()
 
 
-def substitute(word: FreeWord, images: "list[FreeWord] | tuple[FreeWord, ...]") -> FreeWord:
-    """Replace each letter +-j by images[j-1]^{+-1}, reducing on the fly."""
-    out: list[int] = []
-    for x in word.letters:
-        img = images[abs(x) - 1].letters
-        seq = img if x > 0 else _inverse(img)
-        for y in seq:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    rank = images[0].rank if images else 0
-    return FreeWord(rank, tuple(out))
-
-
 @dataclass(frozen=True)
 class FreeGroupEndo:
     """An endomorphism of a free group, given by generator images."""
@@ -183,17 +167,6 @@ class FreeGroupEndo:
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupEndo":
         return cls(rank, tuple(FreeWord.generator(rank, j) for j in range(1, rank + 1)))
-
-    def apply(self, word: FreeWord) -> FreeWord:
-        if word.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return substitute(word, self.images)
-
-    def compose(self, other: "FreeGroupEndo") -> "FreeGroupEndo":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeGroupEndo(self.rank, tuple(self.apply(w) for w in other.images))
 
 
 def artin_disc_endo(b: BraidWord) -> FreeGroupEndo:
@@ -240,128 +213,3 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
         else:
             imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
     return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))
-
-
-class GroupRingElement:
-    """An element of the integral group ring Z[F], a finite formal sum.
-
-    Immutable by convention; all operations return fresh elements and
-    zero coefficients are dropped eagerly.
-    """
-
-    __slots__ = ("rank", "_terms")
-
-    def __init__(self, rank: int, terms: Mapping[FreeWord, int] | None = None):
-        self.rank = rank
-        clean: dict[FreeWord, int] = {}
-        for word, coeff in (terms or {}).items():
-            if word.rank != rank:
-                raise ValueError("word rank mismatch")
-            if coeff:
-                clean[word] = coeff
-        self._terms = clean
-
-    @classmethod
-    def zero(cls, rank: int) -> "GroupRingElement":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "GroupRingElement":
-        return cls(rank, {FreeWord.identity(rank): 1})
-
-    @classmethod
-    def from_word(cls, word: FreeWord, coeff: int = 1) -> "GroupRingElement":
-        return cls(word.rank, {word: coeff})
-
-    def items(self) -> list[tuple[FreeWord, int]]:
-        return list(self._terms.items())
-
-    def coefficient(self, word: FreeWord) -> int:
-        return self._terms.get(word, 0)
-
-    def augmentation(self) -> int:
-        return sum(self._terms.values())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupRingElement)
-                and self.rank == other.rank and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self._terms.items())))
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.rank, {w: -c for w, c in self._terms.items()})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return GroupRingElement(self.rank, terms)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement | FreeWord | int") -> "GroupRingElement":
-        if isinstance(other, int):
-            return GroupRingElement(self.rank, {w: c * other for w, c in self._terms.items()})
-        if isinstance(other, FreeWord):
-            other = GroupRingElement.from_word(other)
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        terms: dict[FreeWord, int] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 * w2
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return GroupRingElement(self.rank, terms)
-
-    def __rmul__(self, other: "FreeWord | int") -> "GroupRingElement":
-        if isinstance(other, int):
-            return self * other
-        return GroupRingElement.from_word(other) * self
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].letters)):
-            sign = "-" if c < 0 else ("+" if bits else "")
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            bits.append(f"{sign} {mag}{w}" if bits else f"{sign}{mag}{w}")
-        return " ".join(bits)
-
-
-def fox_derivative(word: FreeWord, j: int) -> GroupRingElement:
-    """The Fox free derivative d(word)/d(xj).
-
-    Defined by d(xj)/d(xj) = 1, d(xi)/d(xj) = 0 for i != j, and the
-    product rule d(uv) = du + u*dv; consequently d(xj^-1)/d(xj) = -xj^-1.
-    """
-    if not 1 <= j <= word.rank:
-        raise IndexError(f"generator index {j} out of range for rank {word.rank}")
-    terms: dict[FreeWord, int] = {}
-    prefix: list[int] = []
-    for x in word.letters:
-        if x == j:
-            w = FreeWord(word.rank, tuple(prefix))
-            terms[w] = terms.get(w, 0) + 1
-        elif x == -j:
-            w = FreeWord.from_letters(word.rank, prefix + [-j])
-            terms[w] = terms.get(w, 0) - 1
-        # prefix is reduced since word is; appending keeps it reduced
-        prefix.append(x)
-    return GroupRingElement(word.rank, terms)
-
-
-def abelianization_matrix(e: FreeGroupEndo) -> IntMatrix:
-    """Column j is the exponent vector of the image of xj."""
-    cols = [w.exponent_vector() for w in e.images]
-    return IntMatrix.from_rows(zip(*cols))

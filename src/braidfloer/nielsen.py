@@ -21,8 +21,9 @@ as sparse rows (``_identity_minus_action``), and the class space keeps
 the row operations of their Smith elimination in place of U, so no
 n x n matrix is built.  The N_c are read off one prefix scan of each
 image phi(xj), in time linear in the image letters
-(``_class_indices``); R itself, as words, is built only for the
-twisted-conjugacy refinement and the tests.
+(``_class_indices``).  Every term of R is a prefix of an image, found by
+one rule (``_hits``); R itself, as words (``reidemeister_trace_raw``),
+is built only for the twisted-conjugacy refinement.
 
 The sign and projection conventions above are pinned by geometry:
  * identity endo of rank n: R = (1 - n)[0], the Euler characteristic of
@@ -41,8 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .freegroup import (FreeGroupEndo, FreeWord, GroupRingElement, _concat,
-                        _inverse, fox_derivative)
+from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
 ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
@@ -90,29 +90,41 @@ def class_space(e: FreeGroupEndo) -> ClassSpace:
     return ClassSpace.from_rows(_identity_minus_action(e)[0], e.rank)
 
 
-def reidemeister_trace_raw(e: FreeGroupEndo) -> GroupRingElement:
-    """[1] - sum_j d(e(xj))/dxj, before any class projection.
+def _hits(letters: tuple[int, ...], j: int) -> list[tuple[int, int]]:
+    """The terms of -d(w)/dxj for the reduced word w = letters, as
+    (prefix length t, coefficient): -[p] for each letter xj, +[p xj^-1]
+    for each letter xj^-1, p the prefix before the letter, so the term
+    of an xj^-1 is the prefix after it.  Every term is the reduced
+    prefix letters[:t]."""
+    return [(t, -1) if x == j else (t + 1, 1)
+            for t, x in enumerate(letters) if x == j or x == -j]
+
+
+def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
+    """[1] - sum_j d(e(xj))/dxj, before any class projection, as a map
+    from group element to nonzero coefficient (``_hits``).
 
     Individual terms depend on basepoint conventions; only their images
     in the twisted-conjugacy quotient are invariant.
     """
-    total = GroupRingElement.one(e.rank)
-    for j in range(1, e.rank + 1):
-        total = total - fox_derivative(e.images[j - 1], j)
-    return total
+    terms = {(): 1}
+    for j, image in enumerate(e.images, start=1):
+        letters = image.letters
+        for t, coeff in _hits(letters, j):
+            prefix = letters[:t]
+            terms[prefix] = terms.get(prefix, 0) + coeff
+    return {FreeWord(e.rank, p): c for p, c in terms.items() if c}
 
 
 def _class_indices(e: FreeGroupEndo, cs: ClassSpace
                    ) -> dict[tuple[int, ...], int]:
     """The raw trace summed per class label, in one scan of each image.
 
-    d(e(xj))/dxj has a term +[p] for each letter xj of e(xj) and a term
-    -[p xj^-1] for each letter xj^-1, p the prefix before the letter, so
-    [p xj^-1] is the prefix after it.  The label of a prefix is linear
-    in its exponent vector, so running sums of the label rows of U over
-    the image give every label the trace needs, without building a
-    term, a word or an exponent vector.  Labels of zero total may
-    appear; nothing else is lost.
+    Each term of the trace is a prefix of an image (``_hits``).  The
+    label of a prefix is linear in its exponent vector, so running sums
+    of the label rows of U over the image give every label the trace
+    needs, without building a term, a word or an exponent vector.
+    Labels of zero total may appear; nothing else is lost.
     """
     rows = cs.label_rows()
     # per label coordinate: signed letter -> its weight, and the factor
@@ -125,8 +137,7 @@ def _class_indices(e: FreeGroupEndo, cs: ClassSpace
     totals = {(0,) * len(rows): 1}  # the term [1]
     for j, image in enumerate(e.images, start=1):
         letters = image.letters
-        hits = [(t, -1) if x == j else (t + 1, 1)
-                for t, x in enumerate(letters) if x == j or x == -j]
+        hits = _hits(letters, j)
         if not hits:
             continue
         sums = [(list(accumulate(map(weight, letters), initial=0)), factor)
@@ -197,30 +208,6 @@ def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
     )
 
 
-def reidemeister_trace(e: FreeGroupEndo) -> GroupRingElement:
-    """R(phi) as a formal sum over canonical class representatives.
-
-    One representative word per homological class with nonzero index;
-    the representative realizes the canonical label through U^-1, so
-    projecting it returns the label.
-    """
-    nd = nielsen_decomposition(e)
-    terms: dict[FreeWord, int] = {}
-    for label, coeff in nd.entries:
-        if coeff == 0:
-            continue
-        vec = nd.space.representative_vector(label)
-        letters: list[int] = []
-        for j, power in enumerate(vec, start=1):
-            letters.extend([j if power > 0 else -j] * abs(power))
-        terms[FreeWord(e.rank, tuple(letters))] = coeff
-    return GroupRingElement(e.rank, terms)
-
-
-def nielsen_bound(e: FreeGroupEndo) -> int:
-    return nielsen_decomposition(e).bound()
-
-
 def _twist_steps(e: FreeGroupEndo) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(s, e(s)^-1) for each of the 2n letters s, read off the images.
 
@@ -273,32 +260,6 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
     return ball, size
 
 
-def twisted_conjugacy_search(e: FreeGroupEndo, g: FreeWord, h: FreeWord,
-                             depth: int) -> FreeWord | None:
-    """Look for u with |u| <= depth and h = u g e(u)^-1.
-
-    Meets in the middle: if u = a b with |a| <= depth // 2 and
-    |b| <= (depth + 1) // 2, then b g e(b)^-1 = a^-1 h e(a^-1)^-1, so such
-    a u exists exactly when the radius (depth + 1) // 2 orbit ball of g
-    meets the radius depth // 2 ball of h.  Returns a witness conjugator
-    u = a b, or None.  None
-    only says that no conjugator of length <= depth exists; h may still
-    be twisted conjugate to g by a longer one (merge-only semantics).
-    """
-    if g.rank != e.rank or h.rank != e.rank:
-        raise ValueError("rank mismatch")
-    steps = _twist_steps(e)
-    near_g, size = _orbit_ball(g.letters, steps, (depth + 1) // 2,
-                               ORBIT_BALL_CAP)
-    near_h, _ = _orbit_ball(h.letters, steps, depth // 2,
-                            ORBIT_BALL_CAP - size)
-    for t, a_inv in near_h.items():
-        b = near_g.get(t)
-        if b is not None:
-            return FreeWord.from_letters(e.rank, _inverse(a_inv) + b)
-    return None
-
-
 @dataclass(frozen=True)
 class RefinedClass:
     """Clusters of raw trace terms inside one homological class.
@@ -320,11 +281,12 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
 
     ``nd`` is ``nielsen_decomposition(e)``; its class space groups the
     terms of ``reidemeister_trace_raw(e)``, which only refinement
-    builds.  The merges are those of ``twisted_conjugacy_search`` on
-    every pair of terms, but each term's orbit is built once and only to
-    half the depth: two terms are within depth of each other exactly
-    when the radius (depth + 1) // 2 ball of one meets the radius
-    depth // 2 ball of the other.  The balls of one class together may
+    builds.  Each term's orbit is built once and only to half the depth,
+    meeting in the middle: if u = a b with |a| <= depth // 2 and
+    |b| <= (depth + 1) // 2, then h = u g e(u)^-1 exactly when
+    b g e(b)^-1 = a^-1 h e(a^-1)^-1, so two terms g and h are within
+    depth of each other exactly when the radius (depth + 1) // 2 ball of
+    one meets the radius depth // 2 ball of the other.  The balls of one class together may
     hold at most ORBIT_BALL_CAP elements (as ``_orbit_ball`` counts
     them); past that RefinementLimitError is raised.  Each class starts
     the count afresh: the balls of a class are dropped before the next

@@ -2,9 +2,9 @@
 
 All arithmetic is arbitrary-precision (plain Python int); nothing here
 may silently overflow or round.  smith_normal_form returns the diagonal
-form S together with unimodular transforms U, V satisfying U*M*V = S,
-so every result can be re-verified by multiplication, and cokernels of
-integer matrices come with canonical coordinates (reduce U*v modulo the
+form S together with unimodular transforms U, V satisfying U*M*V = S
+(the tests re-verify this by multiplication), and cokernels of integer
+matrices come with canonical coordinates (reduce U*v modulo the
 invariant factors).
 
 There is one Smith elimination, ``_smith_eliminate``.  It runs on
@@ -16,8 +16,7 @@ entry, since nothing is smaller (ties are broken row-major, so this is
 the pivot a full scan would pick), and a unit pivot skips the
 divisibility scan.  ``smith_normal_form`` replays the logs into dense U
 and V; ``ClassSpace`` keeps only the row-operation log and replays the
-few rows of U its labels need, and undoes the log to find a
-representative of a label.  ``cokernel`` needs only the invariant
+few rows of U its labels need.  ``cokernel`` needs only the invariant
 factors, so it first eliminates unit pivots on the sparse nonzeros and
 runs the elimination on the small core left.
 """
@@ -28,7 +27,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -74,84 +72,16 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
-
-    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.entries, other.entries)))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
     def trace(self) -> int:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
-
-    def det(self) -> int:
-        """Fraction-free Bareiss elimination; exact for any size."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("not square")
-        a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        inv = [row[n:] for row in a]
-        if any(x.denominator != 1 for row in inv for x in row):
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
 
 
 @dataclass(frozen=True)
@@ -464,8 +394,7 @@ class ClassSpace:
 
     U is kept as the log of the elimination's row operations, not as a
     matrix: row i of U is e_i times U, read by applying the operations
-    to e_i from the right, last first, and U^-1 acts on a vector by the
-    inverse operations, last first, so each costs O(#ops).
+    to e_i from the right, last first, at a cost of O(#ops).
 
     Labels depend on the (deterministic) choice of U, so only invariant
     data (factor multiset, coefficient per class, element orders) should
@@ -544,28 +473,6 @@ class ClassSpace:
         if any(f == 0 for f in facs):
             raise ValueError("cannot enumerate an infinite class space")
         return tuple(itertools.product(*(range(f) for f in facs)))
-
-    def representative_vector(self, label: Sequence[int]) -> tuple[int, ...]:
-        """An integer vector in the ambient Z^n projecting to the label:
-        U^-1 y for y the label put in the kept coordinates, zero
-        elsewhere."""
-        kept = self._kept
-        if len(label) != len(kept):
-            raise ValueError("label length mismatch")
-        y = [0] * len(self.factors)
-        for value, i in zip(label, kept):
-            y[i] = value
-        # U^-1 = E_1^-1 ... E_m^-1, so the last operation is undone first
-        for op in reversed(self.row_ops):
-            if op[0] == "add":
-                _, a, b, q = op
-                y[a] -= q * y[b]
-            elif op[0] == "swap":
-                _, a, b = op
-                y[a], y[b] = y[b], y[a]
-            else:
-                y[op[1]] = -y[op[1]]
-        return tuple(y)
 
     def element_order(self, label: Sequence[int]) -> int:
         """Order of the class in the group; 0 stands for infinite."""

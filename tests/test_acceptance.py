@@ -16,13 +16,13 @@ from braidfloer.fourmanifold import (abelianization, anticanonical_tori,
                                      assemble_pi1, characteristic_numbers,
                                      default_configuration,
                                      mapping_torus_presentation)
-from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                                  artin_endo, fox_derivative)
+from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.nielsen import (class_space, lefschetz_number,
                                 nielsen_decomposition, reidemeister_trace_raw)
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup, smith_normal_form
 
+from _oracles import det, fox_derivative, matmul, ring_add, ring_mul
 from _samplers import (random_braid_word, random_free_word, random_matrix,
                        random_transitive_braid)
 
@@ -99,7 +99,7 @@ def test_criterion_3_lefschetz_constant():
         d = rng.randint(2, 6)
         b = random_transitive_braid(rng, d, max_len=12)
         e_b = artin_endo(b)
-        aug = reidemeister_trace_raw(e_b).augmentation()
+        aug = sum(reidemeister_trace_raw(e_b).values())
         lef = lefschetz_number(e_b)
         oracle = 1 - _quotient_cycle_trace(induced_permutation(b))
         assert aug == lef == oracle == 2, b.to_text()
@@ -130,7 +130,7 @@ def test_criterion_5_identity_consistency():
         n = d - 1
         e = FreeGroupEndo.identity(n)
         raw = reidemeister_trace_raw(e)
-        assert raw == (1 - n) * GroupRingElement.one(n)
+        assert raw == ({FreeWord.identity(n): 1 - n} if n > 1 else {})
         assert lefschetz_number(e) == 1 - n == 2 - d
     _announce(5, "identity endomorphism gives trace (1-n)[0] and "
                  "Lefschetz 1-n = 2-d for d=2..8")
@@ -146,25 +146,26 @@ def test_criterion_6_property_suites():
         u = random_free_word(rng, rank, 6)
         v = random_free_word(rng, rank, 6)
         j = rng.randint(1, rank)
-        assert (fox_derivative(u * v, j)
-                == fox_derivative(u, j) + u * fox_derivative(v, j))
+        assert fox_derivative(u * v, j) == ring_add(
+            fox_derivative(u, j), ring_mul({u: 1}, fox_derivative(v, j)))
 
     rng = random.Random(31338)
     for _ in range(cases):
         rank = rng.randint(1, 4)
         w = random_free_word(rng, rank, 6)
-        acc = GroupRingElement.zero(rank)
-        for j in range(1, rank + 1):
-            gen = GroupRingElement.from_word(FreeWord.generator(rank, j))
-            acc = acc + fox_derivative(w, j) * (gen - GroupRingElement.one(rank))
-        assert acc == GroupRingElement.from_word(w) - GroupRingElement.one(rank)
+        one = FreeWord.identity(rank)
+        acc = ring_add(*(
+            ring_mul(fox_derivative(w, j),
+                     ring_add({FreeWord.generator(rank, j): 1}, {one: -1}))
+            for j in range(1, rank + 1)))
+        assert acc == ring_add({w: 1}, {one: -1})
 
     rng = random.Random(31339)
     for _ in range(cases):
         m = random_matrix(rng, max_dim=4, max_entry=9)
         res = smith_normal_form(m)
-        assert res.u.mul(m).mul(res.v) == res.s
-        assert res.u.is_unimodular() and res.v.is_unimodular()
+        assert matmul(matmul(res.u, m), res.v) == res.s
+        assert abs(det(res.u)) == abs(det(res.v)) == 1
         diag = res.diagonal()
         assert all(x >= 0 for x in diag)
         for prev, cur in zip(diag, diag[1:]):

@@ -13,17 +13,14 @@ import pytest
 from braidfloer import nielsen
 from braidfloer.braids import (ARTIN, BraidLetter, BraidWord,
                                induced_permutation, parse_braid)
-from braidfloer.freegroup import (FreeGroupEndo, FreeWord, GroupRingElement,
-                                  _inverse, _reduce, abelianization_matrix,
+from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse, _reduce,
                                   artin_endo)
 from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
                                 NielsenDecomposition,
                                 RefinementLimitError, _orbit_ball,
                                 _twist_steps, class_space, lefschetz_number,
-                                nielsen_bound, nielsen_decomposition,
-                                refine_decomposition, reidemeister_trace,
-                                reidemeister_trace_raw,
-                                twisted_conjugacy_search)
+                                nielsen_decomposition, refine_decomposition,
+                                reidemeister_trace_raw)
 from braidfloer.snf import AbelianGroup
 
 import _oracles
@@ -60,12 +57,34 @@ def pairwise_search(e, g, h, depth):
     return None
 
 
+def meet_in_the_middle(e, g, h, depth):
+    """Refinement's test of one pair: the radius (depth + 1) // 2 orbit
+    ball of g meets the radius depth // 2 ball of h.  A conjugator
+    u = a b with h = u g e(u)^-1, read off a common element
+    b g e(b)^-1 = a^-1 h e(a^-1)^-1, or None."""
+    steps = _twist_steps(e)
+    near_g, _ = _orbit_ball(g.letters, steps, (depth + 1) // 2,
+                            ORBIT_BALL_CAP)
+    near_h, _ = _orbit_ball(h.letters, steps, depth // 2, ORBIT_BALL_CAP)
+    for t, a_inv in near_h.items():
+        b = near_g.get(t)
+        if b is not None:
+            return FreeWord.from_letters(e.rank, _inverse(a_inv) + b)
+    return None
+
+
+def twisted_conjugate(e, u, g):
+    """u g e(u)^-1."""
+    return u * g * _oracles.substitute(u, e.images).inverse()
+
+
 def pairwise_clusters(e, depth):
-    """Reference refinement: project every raw term, then one full-depth
-    search per pair of terms of a class; (label, clusters) per class."""
+    """Reference refinement: project every term of the Fox-derivative
+    trace, then one full-depth search per pair of terms of a class;
+    (label, clusters) per class."""
     cs = class_space(e)
     by_label = {}
-    for word, coeff in reidemeister_trace_raw(e).items():
+    for word, coeff in _oracles.reidemeister_trace_raw(e).items():
         label = cs.project(word.exponent_vector())
         by_label.setdefault(label, []).append((word, coeff))
     out = []
@@ -97,12 +116,12 @@ def pairwise_clusters(e, depth):
 
 
 def projected_entries(e):
-    """Reference decomposition: project every term of the word-level raw
+    """Reference decomposition: project every term of the Fox-derivative
     trace, sum per label, then list every class of a small finite space
     or else the nonzero ones."""
     cs = class_space(e)
     totals = {}
-    for word, coeff in reidemeister_trace_raw(e).items():
+    for word, coeff in _oracles.reidemeister_trace_raw(e).items():
         label = cs.project(word.exponent_vector())
         totals[label] = totals.get(label, 0) + coeff
     order = cs.order()
@@ -164,9 +183,7 @@ class TestCalibrations:
         assert nd.complete
         assert nd.entries == (((0,), 1), ((1,), 1))
         assert nd.bound() == 2
-        raw = reidemeister_trace_raw(e)
-        assert raw == (GroupRingElement.one(1)
-                       + GroupRingElement.from_word(W(1, -1)))
+        assert reidemeister_trace_raw(e) == {W(1): 1, W(1, -1): 1}
 
     def test_three_strand_third_turn(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))
@@ -177,20 +194,18 @@ class TestCalibrations:
         assert nd.complete
         assert sorted(index for _, index in nd.entries) == [0, 1, 1]
         assert nd.bound() == 2
-        raw = reidemeister_trace_raw(e)
-        assert raw == (GroupRingElement.from_word(W(2, 1, 2, -1))
-                       + GroupRingElement.from_word(W(2, 1, -2)))
+        assert reidemeister_trace_raw(e) == {W(2, 1, 2, -1): 1, W(2, 1, -2): 1}
 
     def test_identity_endomorphism_family(self):
         for n in range(1, 8):
             e = FreeGroupEndo.identity(n)
             assert lefschetz_number(e) == 1 - n
-            raw = reidemeister_trace_raw(e)
-            assert raw == (1 - n) * GroupRingElement.one(n)
+            # zero coefficients are dropped: at n = 1 the trace is 0
+            assert reidemeister_trace_raw(e) == ({W(n): 1 - n} if n > 1
+                                                 else {})
             nd = nielsen_decomposition(e)
             assert not nd.complete
             assert nd.bound() == n - 1
-            assert nielsen_bound(e) == n - 1
 
 
 class TestDecomposition:
@@ -268,6 +283,12 @@ class TestDecomposition:
             kinds["infinite"] += nd.space.order() is None
         assert min(kinds.values()) >= 100
 
+    def test_raw_trace_matches_the_fox_derivatives(self):
+        for b in mixed_words():
+            e = artin_endo(b)
+            assert (reidemeister_trace_raw(e)
+                    == _oracles.reidemeister_trace_raw(e)), b.to_text()
+
     def test_decomposition_validates_its_sum(self):
         e = artin_endo(parse_braid("d=2; s1"))
         with pytest.raises(ValueError):
@@ -286,7 +307,7 @@ class TestClassSpaceAgainstDense:
             for _ in range(5)]
         _oracles.assert_same_class_space(
             class_space(e),
-            _oracles.ClassSpace.of_action(abelianization_matrix(e)),
+            _oracles.ClassSpace.of_action(_oracles.abelianization_matrix(e)),
             vectors)
 
     def test_mixed_words(self):
@@ -305,23 +326,10 @@ class TestClassSpaceAgainstDense:
                 self.assert_same(artin_endo(b), rng)
 
 
-class TestTraceRepresentatives:
-    def test_canonical_trace_matches_class_indices(self):
-        rng = random.Random(109)
-        for _ in range(60):
-            d = rng.randint(2, 5)
-            b = random_transitive_braid(rng, d)
-            e = artin_endo(b)
-            nd = nielsen_decomposition(e)
-            cs = nd.space
-            canonical = reidemeister_trace(e)
-            by_label = {cs.project(w.exponent_vector()): c
-                        for w, c in canonical.items()}
-            expected = {label: c for label, c in nd.entries if c != 0}
-            assert by_label == expected
-
-
 class TestTwistedConjugacy:
+    """Orbit balls that meet in the middle, as refinement tests each pair
+    of terms, against explicit conjugators and the pairwise search."""
+
     def test_finds_explicit_conjugators(self):
         rng = random.Random(113)
         found = 0
@@ -330,11 +338,11 @@ class TestTwistedConjugacy:
             e = artin_endo(random_braid_word(rng, d, max_len=6))
             g = random_free_word(rng, d - 1, 4)
             s = random_free_word(rng, d - 1, 2)
-            h = s * g * e.apply(s).inverse()
-            witness = twisted_conjugacy_search(e, g, h, depth=3)
+            h = twisted_conjugate(e, s, g)
+            witness = meet_in_the_middle(e, g, h, depth=3)
             if witness is None:
                 continue  # shallow search may miss long conjugators
-            assert witness * g * e.apply(witness).inverse() == h
+            assert twisted_conjugate(e, witness, g) == h
             found += 1
         assert found >= 30
 
@@ -342,7 +350,7 @@ class TestTwistedConjugacy:
         e = artin_endo(parse_braid("d=3; s1 s2"))
         g = W(2, 1, 2, -1)   # class of label 1
         h = W(2, 1, -2)      # class of label 0
-        assert twisted_conjugacy_search(e, g, h, depth=3) is None
+        assert meet_in_the_middle(e, g, h, depth=3) is None
 
     def test_witness_equation_at_each_depth(self):
         # meeting in the middle is exact: a conjugator of length <= depth
@@ -354,10 +362,10 @@ class TestTwistedConjugacy:
                 e = artin_endo(random_braid_word(rng, d, max_len=8))
                 g = random_free_word(rng, d - 1, 6)
                 u = random_free_word(rng, d - 1, depth)
-                h = u * g * e.apply(u).inverse()
-                witness = twisted_conjugacy_search(e, g, h, depth)
+                h = twisted_conjugate(e, u, g)
+                witness = meet_in_the_middle(e, g, h, depth)
                 assert witness is not None and len(witness) <= depth
-                assert witness * g * e.apply(witness).inverse() == h
+                assert twisted_conjugate(e, witness, g) == h
 
     def test_agrees_with_the_pairwise_search(self):
         rng = random.Random(119)
@@ -367,9 +375,9 @@ class TestTwistedConjugacy:
             e = artin_endo(random_braid_word(rng, d, max_len=8))
             g = random_free_word(rng, d - 1, 5)
             u = random_free_word(rng, d - 1, 6)  # often longer than depth
-            h = u * g * e.apply(u).inverse()
+            h = twisted_conjugate(e, u, g)
             depth = k % 5
-            found = twisted_conjugacy_search(e, g, h, depth)
+            found = meet_in_the_middle(e, g, h, depth)
             assert (found is None) == (pairwise_search(e, g, h, depth) is None)
             hits += found is not None
         assert 40 <= hits <= 160
@@ -377,9 +385,9 @@ class TestTwistedConjugacy:
     def test_reflexive(self):
         e = artin_endo(parse_braid("d=3; s1 s2"))
         g = W(2, 1, 2, -1)
-        witness = twisted_conjugacy_search(e, g, g, depth=1)
+        witness = meet_in_the_middle(e, g, g, depth=1)
         assert witness is not None
-        assert witness * g * e.apply(witness).inverse() == g
+        assert twisted_conjugate(e, witness, g) == g
 
 
 class TestRefinement:
@@ -390,7 +398,7 @@ class TestRefinement:
             b = random_braid_word(rng, d)
             e = artin_endo(b)
             cs = class_space(e)
-            raw = reidemeister_trace_raw(e)
+            raw = _oracles.reidemeister_trace_raw(e)
             for depth in (0, 2):
                 refined = refine_decomposition(e, nielsen_decomposition(e),
                                                depth)
@@ -422,15 +430,17 @@ class TestRefinement:
         assert merged >= 20  # the merges themselves are compared, too
 
     def test_generator_images_are_read_once(self, monkeypatch):
-        # six raw terms; one search per pair would read the images 24 times
+        # six raw terms, and one ball per term; the twisted-conjugation
+        # steps are read off the images once for all of them
         e = artin_endo(parse_braid("d=4; s1 s2^-1 s3 s1 s2"))
         nd = nielsen_decomposition(e)
         calls = []
-        apply = FreeGroupEndo.apply
-        monkeypatch.setattr(FreeGroupEndo, "apply",
-                            lambda self, w: calls.append(w) or apply(self, w))
+        twist_steps = nielsen._twist_steps
+        monkeypatch.setattr(nielsen, "_twist_steps",
+                            lambda e: calls.append(e) or twist_steps(e))
         refine_decomposition(e, nd, 3)
-        assert len(calls) <= 2 * e.rank
+        assert len(reidemeister_trace_raw(e)) == 6
+        assert len(calls) == 1
 
     def test_orbit_balls_match_whole_word_reduction(self):
         rng = random.Random(401)
@@ -449,8 +459,6 @@ class TestRefinement:
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
         with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
             refine_decomposition(e, nd, 8)
-        with pytest.raises(RefinementLimitError):
-            twisted_conjugacy_search(e, W(4, 1), W(4, 2), 8)
         refine_decomposition(e, nd, 2)  # far below the cap
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):

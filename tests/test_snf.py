@@ -10,6 +10,7 @@ from braidfloer.snf import (AbelianGroup, ClassSpace, IntMatrix, cokernel,
                             smith_normal_form)
 
 import _oracles
+from _oracles import det, matmul, transpose
 from _samplers import random_matrix
 
 
@@ -41,34 +42,30 @@ class TestIntMatrix:
         m = M((Level.LOW, 0), (3, Level.HIGH))
         assert m[1, 1] == 2
 
+    # matmul, transpose and det are the oracles the certificates are
+    # checked with
+
     def test_mul(self):
         a = M((1, 2), (3, 4))
         b = M((0, 1), (1, 0))
-        assert a.mul(b) == M((2, 1), (4, 3))
-        assert a.mul_vec((1, 1)) == (3, 7)
+        assert matmul(a, b) == M((2, 1), (4, 3))
+        assert matmul(a, M((1,), (1,))) == M((3,), (7,))
         with pytest.raises(ValueError):
-            a.mul(M((1, 2),))
+            matmul(a, M((1, 2),))
 
     def test_trace_and_transpose(self):
         a = M((1, 2), (3, 4))
         assert a.trace() == 5
-        assert a.transpose() == M((1, 3), (2, 4))
+        assert transpose(a) == M((1, 3), (2, 4))
         with pytest.raises(ValueError):
             M((1, 2),).trace()
 
     def test_det(self):
-        assert M((1, 1), (-1, 2)).det() == 3
-        assert IntMatrix.identity(4).det() == 1
-        assert M((2, 4), (1, 2)).det() == 0
-        assert M((0, 1, 2), (1, 0, 3), (4, -3, 8)).det() == -2
-        assert IntMatrix.from_rows(()).det() == 1
-
-    def test_unimodular_inverse(self):
-        u = M((2, 1), (1, 1))
-        assert u.is_unimodular()
-        assert u.mul(u.inverse_unimodular()) == IntMatrix.identity(2)
-        with pytest.raises(ValueError):
-            M((2, 0), (0, 2)).inverse_unimodular()
+        assert det(M((1, 1), (-1, 2))) == 3
+        assert det(IntMatrix.identity(4)) == 1
+        assert det(M((2, 4), (1, 2))) == 0
+        assert det(M((0, 1, 2), (1, 0, 3), (4, -3, 8))) == -2
+        assert det(IntMatrix.from_rows(())) == 1
 
 
 class TestSmithNormalForm:
@@ -85,9 +82,8 @@ class TestSmithNormalForm:
         for _ in range(300):
             m = random_matrix(rng)
             res = smith_normal_form(m)
-            assert res.u.mul(m).mul(res.v) == res.s
-            assert res.u.is_unimodular()
-            assert res.v.is_unimodular()
+            assert matmul(matmul(res.u, m), res.v) == res.s
+            assert abs(det(res.u)) == abs(det(res.v)) == 1
             diag = res.diagonal()
             for i in range(res.s.rows):
                 for j in range(res.s.cols):
@@ -105,7 +101,7 @@ class TestSmithNormalForm:
         for m in (IntMatrix.from_rows(()), IntMatrix.zero(0, 3),
                   IntMatrix.zero(3, 0)):
             res = smith_normal_form(m)
-            assert res.u.mul(m).mul(res.v) == res.s
+            assert matmul(matmul(res.u, m), res.v) == res.s
 
 
 def sparse_matrix(rng, units=True):
@@ -210,21 +206,6 @@ class TestClassSpace:
                 for i in range(m.rows):
                     shift[i] += k * m[i, j]
             assert cs.project(v) == cs.project(shift)
-
-    def test_representatives_round_trip(self):
-        rng = random.Random(79)
-        seen_nontrivial = 0
-        for _ in range(200):
-            m = random_matrix(rng, max_dim=3, max_entry=5)
-            cs = ClassSpace.from_matrix(m)
-            if cs.order() is None or cs.order() > 60:
-                continue
-            for label in cs.enumerate_labels():
-                rep = cs.representative_vector(label)
-                assert cs.project(rep) == label
-            if cs.order() > 1:
-                seen_nontrivial += 1
-        assert seen_nontrivial > 10
 
     def test_element_orders(self):
         cs = ClassSpace.from_matrix(M((4, 0), (0, 6)))
