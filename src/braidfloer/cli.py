@@ -75,19 +75,24 @@ def main(argv: list[str] | None = None) -> int:
     config_data = None
     if args.config is not None:
         try:
-            config_data = json.loads(Path(args.config).read_text())
+            config_data = json.loads(
+                Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             parser.error(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            parser.error(f"config file is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # bytes that are not UTF-8, text that is not JSON, nesting
+            # past the recursion limit or an integer past the digit limit
+            parser.error(f"config file is not valid UTF-8 JSON: {exc}")
 
     if args.braid is not None:
         words = [args.braid]
     else:
         try:
-            text = Path(args.batch).read_text()
+            text = Path(args.batch).read_text(encoding="utf-8")
         except OSError as exc:
             parser.error(f"cannot read batch file: {exc}")
+        except UnicodeDecodeError as exc:
+            parser.error(f"batch file is not UTF-8: {exc}")
         words = [w for w in (line.strip() for line in text.splitlines())
                  if w and not w.startswith("#")]
 

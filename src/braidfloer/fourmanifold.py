@@ -19,7 +19,11 @@ longitude, which depends on framing and basepoint bookkeeping, lies in
 the normal closure of the meridian classes: transitivity makes the
 monodromy relators sweep the relator x1 through every puncture class, so
 every xi already dies in the quotient and the assembled group, hence its
-certified abelianization Z + Z/d, does not depend on that choice.
+certified abelianization Z + Z/d, does not depend on that choice.  The
+report reads that abelianization off the simplified presentation: the
+Tietze moves below preserve the group, so it has the invariant factors
+of the assembled one, from two generators (in standard form) instead of
+d+1.
 
 Tietze simplification eliminates generators one at a time.  An index
 from each generator to the relators that contain it and a heap of
@@ -44,7 +48,7 @@ from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
                      induced_permutation)
 from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
                         _letter_texts)
-from .snf import AbelianGroup, _cokernel
+from .snf import AbelianGroup, ClassSpace
 
 
 @dataclass(frozen=True)
@@ -317,21 +321,28 @@ def standard_form_order(g: PresentedGroup) -> int | None:
 
 
 def abelianization(g: PresentedGroup) -> AbelianGroup:
-    """Z^generators modulo the relator exponent vectors, via the
-    cokernel of their sparse counts: row i holds, per relator, the
-    exponent sum of generator i in it, where that is not zero."""
+    """Z^generators modulo the relator exponent vectors, the group of
+    the class space of their sparse counts: row i holds, per relator,
+    the exponent sum of generator i in it, where that is not zero."""
     rows: list[dict[int, int]] = [{} for _ in g.generators]
     for c, r in enumerate(g.relators):
         for x, count in Counter(r.letters).items():
             row = rows[abs(x) - 1]
             row[c] = row.get(c, 0) + (count if x > 0 else -count)
-    return _cokernel([{c: x for c, x in row.items() if x} for row in rows])
+    return ClassSpace.from_rows(
+        [{c: x for c, x in row.items() if x} for row in rows],
+        len(g.relators)).group()
 
 
 # ---------------------------------------------------------------------------
 # gluing configuration and characteristic numbers
 
 KNOWN_KINDS = {"mapping_torus": (0, 0), "four_torus": (0, 0), "k3": (24, -16)}
+
+# the largest |chi|, |sigma| and volume a configuration may give; the
+# report prints sums and multiples of them, which stay far from the
+# interpreter's limit on the digits of a printed integer
+CONFIG_INT_BOUND = 10 ** 18
 
 
 class ConfigurationError(ValueError):
@@ -438,14 +449,16 @@ def configuration_from_dict(data: dict, d: int) -> SumConfiguration:
     resolves to the braid's strand count.  Values are taken only as the
     report schema types them: names are strings, chi and sigma are
     integers (not booleans, floats or strings), volumes are positive
-    integers, ``tori`` is an object and each pairing lists two torus
-    names; anything else raises ConfigurationError."""
-    def integer(x, what: str, least: int | None = None) -> int:
+    integers, all of absolute value at most ``CONFIG_INT_BOUND``,
+    ``tori`` is an object and each pairing lists two torus names;
+    anything else raises ConfigurationError."""
+    def integer(x, what: str, least: int = -CONFIG_INT_BOUND) -> int:
         if (isinstance(x, int) and not isinstance(x, bool)
-                and (least is None or x >= least)):
+                and least <= x <= CONFIG_INT_BOUND):
             return x
-        kind = "an integer" if least is None else f"an integer >= {least}"
-        raise ConfigurationError(f"{what} must be {kind}, got {x!r}")
+        raise ConfigurationError(
+            f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
+            f"got {x!r}")
 
     def text(x, what: str) -> str:
         if isinstance(x, str):

@@ -135,7 +135,7 @@ def _fiber_sum_section(nd, d: int) -> dict:
 def _pi1_section(mapping_torus) -> dict:
     assembled = assemble_pi1(mapping_torus)
     simplified = tietze_simplify(assembled)
-    ab = abelianization(assembled)
+    ab = abelianization(simplified)
     torus = mapping_torus.to_dict()
     # the assembled relators are the mapping torus ones plus two more:
     # render only those two

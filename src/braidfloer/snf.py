@@ -16,14 +16,11 @@ entry, since nothing is smaller (ties are broken row-major, so this is
 the pivot a full scan would pick), and a unit pivot skips the
 divisibility scan.  ``smith_normal_form`` replays the logs into dense U
 and V; ``ClassSpace`` keeps only the row-operation log and replays the
-few rows of U its labels need.  ``cokernel`` needs only the invariant
-factors, so it first eliminates unit pivots on the sparse nonzeros and
-runs the elimination on the small core left.
+few rows of U its labels need, and ``cokernel`` is its group.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -316,72 +313,6 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix) -> AbelianGroup:
-    """The group Z^rows / (column span of m); see ``_cokernel``."""
-    return _cokernel(_sparse_rows(m))
-
-
-def _cokernel(rows: list[dict[int, int]]) -> AbelianGroup:
-    """Z^len(rows) / (column span), the matrix given by the nonzeros of
-    its rows, each row keyed by column.  The rows are consumed.
-
-    Only the invariant factors are wanted, and they do not depend on the
-    elimination order, so the ±1 entries are eliminated first: a unit
-    pivot at (r, c) clears its row and column by unimodular operations
-    and leaves Z/1, so row r and column c are dropped and the rows that
-    met column c take a multiple of row r.  Pivots come from the rows
-    with the fewest nonzeros, and within a row from the column with the
-    fewest.  Rows that run out of nonzeros are free summands, and the
-    Smith elimination runs only on the core that is left, where no entry
-    is a unit.  The cost follows the nonzeros and their fill-in, not the
-    matrix size.
-    """
-    live_rows = dict(enumerate(rows))
-    cols: dict[int, set[int]] = {}
-    for i, row in live_rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in live_rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        n, r = heapq.heappop(heap)
-        pivot_row = live_rows.get(r)
-        if pivot_row is None or len(pivot_row) != n:
-            continue  # gone, or changed since this entry was pushed
-        units = [j for j, x in pivot_row.items() if x in (1, -1)]
-        if not units:
-            continue  # pushed again if it ever changes
-        c = min(units, key=lambda j: (len(cols[j]), j))
-        p = pivot_row[c]  # a unit is its own inverse
-        del live_rows[r]
-        for j in pivot_row:
-            cols[j].discard(r)
-        for i in cols.pop(c):
-            row = live_rows[i]
-            q = row.pop(c) * p
-            for j, x in pivot_row.items():
-                if j == c:
-                    continue
-                y = row.get(j, 0) - q * x
-                if y:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            heapq.heappush(heap, (len(row), i))
-    # zero rows are free summands and stay out of the core
-    core = [row for _, row in sorted(live_rows.items()) if row]
-    live = {j: k for k, j in enumerate(sorted({j for row in core for j in row}))}
-    core = [{live[j]: x for j, x in row.items()} for row in core]
-    _smith_eliminate(core, len(live))
-    diag = [row.get(t, 0) for t, row in enumerate(core)]
-    torsion = tuple(x for x in diag if x not in (0, 1))
-    free_rank = len(live_rows) - sum(1 for x in diag if x != 0)
-    return AbelianGroup(free_rank=free_rank, torsion=torsion)
-
-
 @dataclass(frozen=True)
 class ClassSpace:
     """Z^n / (column span of a matrix), with canonical coordinates.
@@ -485,3 +416,8 @@ class ClassSpace:
             else:
                 out = lcm(out, f // gcd(f, value % f))
         return out
+
+
+def cokernel(m: IntMatrix) -> AbelianGroup:
+    """The group Z^rows / (column span of m)."""
+    return ClassSpace.from_matrix(m).group()

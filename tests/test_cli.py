@@ -164,6 +164,15 @@ class TestBatch:
         _, second, _ = run(capsys, "--batch", str(f), "--format", "json")
         assert first.encode() == second.encode()
 
+    def test_non_utf8_batch_is_3(self, capsys, tmp_path):
+        f = tmp_path / "batch.txt"
+        f.write_bytes(b"d=3; s1 s2\n\xfe\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--batch", str(f)])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "not UTF-8" in err
+
     def test_aborts_on_first_parse_error(self, capsys, tmp_path):
         f = tmp_path / "batch.txt"
         f.write_text("d=2; s1\nd=3; nope\nd=2; s1\n")
@@ -222,11 +231,16 @@ class TestExitCodes:
 
     def test_invalid_config_json_is_3(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
-        bad.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["--braid", "d=2; s1", "--config", str(bad)])
-        assert exc.value.code == 3
-        capsys.readouterr()
+        for content in (b"{not json",
+                        b'{"pieces": "\xff"}',  # not UTF-8
+                        b"[" * 100_000 + b"]" * 100_000,  # too deep
+                        b'{"chi": ' + b"7" * 5000 + b"}"):  # too many digits
+            bad.write_bytes(content)
+            with pytest.raises(SystemExit) as exc:
+                main(["--braid", "d=2; s1", "--config", str(bad)])
+            assert exc.value.code == 3
+            _, err = capsys.readouterr()
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("chi", "abc"),
@@ -234,6 +248,9 @@ class TestExitCodes:
         ("chi", True),
         ("tori", ["H1"]),
         ("pairings", ["H1", "H1p", "H3"]),
+        # c1^2 = 2 chi + 3 sigma would have 4,301 digits, one past what
+        # json.dumps prints under the default digit limit
+        pytest.param("chi", 10 ** 4299, id="chi-4300-digits"),
     ])
     def test_config_values_of_the_wrong_type_are_3(self, capsys, tmp_path,
                                                    key, value):

@@ -37,6 +37,17 @@ def assembled_pi1(b):
     return assemble_pi1(mapping_torus(b))
 
 
+def transitive_golden_braids(*names):
+    """The golden words of the named data files that induce the
+    standard cycle."""
+    for name in names:
+        for line in (DATA / name).read_text().splitlines():
+            if line and not line.startswith("#"):
+                b = parse_braid(line)
+                if induced_permutation(b).is_standard_cycle():
+                    yield b
+
+
 def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
 
@@ -170,15 +181,21 @@ class TestTietze:
             assert standard_form_order(simplified) == d
 
     def test_preserves_abelianization(self):
+        # the report abelianizes the simplified group in place of the
+        # assembled one
         rng = random.Random(157)
-        for _ in range(25):
-            d = rng.randint(2, 6)
-            b = random_transitive_braid(rng, d)
+        braids = [random_transitive_braid(rng, rng.randint(2, 6))
+                  for _ in range(25)]
+        braids += transitive_golden_braids("golden_words.txt")
+        braids += [parse_braid(f"d={d}; " + " ".join(
+                       f"s{i}" for i in range(1, d)))
+                   for d in (*range(2, 61), 150)]
+        for b in braids:
             assembled = assembled_pi1(b)
             simplified = tietze_simplify(assembled)
             ab = abelianization(assembled)
-            assert ab == abelianization(simplified)
-            assert ab == AbelianGroup(1, (d,))
+            assert ab == abelianization(simplified), b.to_text()
+            assert ab == AbelianGroup(1, (b.d,))
 
     @pytest.mark.parametrize("d", [102, 112, 400])
     def test_many_generators_reach_standard_form(self, d):
@@ -198,14 +215,10 @@ class TestTietzeAgainstRescan:
 
     def test_golden_words(self):
         seen = 0
-        for name in ("golden_words.txt", "golden_words_depth3.txt"):
-            for line in (DATA / name).read_text().splitlines():
-                if not line or line.startswith("#"):
-                    continue
-                b = parse_braid(line)
-                if induced_permutation(b).is_standard_cycle():
-                    self.assert_same(assembled_pi1(b))
-                    seen += 1
+        for b in transitive_golden_braids("golden_words.txt",
+                                          "golden_words_depth3.txt"):
+            self.assert_same(assembled_pi1(b))
+            seen += 1
         assert seen > 100
 
     def test_sampled_transitive_words(self):

@@ -27,13 +27,17 @@ def count_calls(monkeypatch, functions) -> Counter:
         return wrapper
 
     for home, name in functions:
-        original = getattr(home, name)
-        # replace the function wherever a package module imported it
-        for modname, module in list(sys.modules.items()):
-            if (modname.startswith("braidfloer")
-                    and getattr(module, name, None) is original):
-                monkeypatch.setattr(module, name, counted(name, original))
+        replace(monkeypatch, home, name, counted(name, getattr(home, name)))
     return calls
+
+
+def replace(monkeypatch, home, name, replacement) -> None:
+    """Replace a function wherever a package module imported it."""
+    original = getattr(home, name)
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("braidfloer")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def test_each_object_is_built_once(monkeypatch):
@@ -86,3 +90,21 @@ def test_no_dense_matrix_on_the_report_path(monkeypatch):
     word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
     assert build_report(word)["pi1"]["standard_form_order"] == d
     assert max(sizes, default=0) <= 8 * d
+
+
+def test_abelianization_reads_the_simplified_group(monkeypatch):
+    # Tietze moves keep the group, so the two generators of the standard
+    # form give the invariant factors of the d+1 assembled ones
+    seen = []
+    original = fourmanifold.abelianization
+
+    def recorded(g):
+        seen.append(len(g.generators))
+        return original(g)
+
+    replace(monkeypatch, fourmanifold, "abelianization", recorded)
+    d = 400
+    word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
+    ab = build_report(word)["pi1"]["abelianization"]
+    assert seen == [2]
+    assert ab == {"free_rank": 1, "torsion": [d], "pretty": f"Z x Z/{d}"}

@@ -157,7 +157,8 @@ class TestCokernel:
                   M((2, 4), (6, 8)), M((0, 3, 0), (9, 0, 6)),
                   IntMatrix.identity(4), M((1, 1, 0), (0, 1, 1), (1, 0, 1))]
         for m in shapes + list(random_matrices(191, 1500)):
-            diag = smith_normal_form(m).diagonal()
+            # the package's smith_normal_form runs cokernel's elimination
+            diag = _oracles.smith_normal_form(m).diagonal()
             expected = AbelianGroup(
                 free_rank=m.rows - sum(1 for x in diag if x),
                 torsion=tuple(x for x in diag if x > 1))
