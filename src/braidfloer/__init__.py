@@ -3,18 +3,18 @@ braid words, and bookkeeping for the four-manifold obtained by fiber
 summing the associated mapping torus with a four-torus and two K3s.
 
 Everything is exact integer computation: free group words, the
-Reidemeister trace read off prefixes of the braid action's images, Smith
-normal form with certified transforms, and index sums over homological
-twisted-conjugacy classes.
+Reidemeister trace read off prefixes of the braid action's images, class
+spaces read off one sparse Smith elimination, and index sums over
+homological twisted-conjugacy classes.
 """
 
 from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, NonTransitiveBraidError,
                      Permutation, induced_permutation, is_transitive,
-                     parse_braid, standard_relabeling)
-from .floer import (FiberSumPrediction, FloerDims, braid_floer_bound,
-                    dims_lower_bound, predict_fiber_sum, suspend_dims)
+                     parse_braid)
+from .floer import (FiberSumPrediction, FloerDims, dims_lower_bound,
+                    predict_fiber_sum, suspend_dims)
 from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
                            ConfigurationError, GluingPiece, PresentedGroup,
                            SumConfiguration, abelianization,
@@ -29,22 +29,19 @@ from .nielsen import (NielsenDecomposition, RefinedClass,
                       nielsen_decomposition, refine_decomposition,
                       reidemeister_trace_raw)
 from .report import build_report, render_text
-from .snf import (AbelianGroup, ClassSpace, IntMatrix, SnfResult, cokernel,
-                  smith_normal_form)
+from .snf import AbelianGroup, ClassSpace
 
 __all__ = [
     "__version__",
     "BraidError", "BraidIndexError", "BraidLetter", "BraidSyntaxError",
     "BraidWord", "NonTransitiveBraidError", "Permutation",
     "induced_permutation", "is_transitive", "parse_braid",
-    "standard_relabeling",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
-    "IntMatrix", "SnfResult", "smith_normal_form", "AbelianGroup",
-    "cokernel", "ClassSpace",
+    "AbelianGroup", "ClassSpace",
     "lefschetz_number", "class_space", "reidemeister_trace_raw",
     "NielsenDecomposition", "nielsen_decomposition", "RefinedClass",
     "refine_decomposition", "RefinementLimitError",
-    "FloerDims", "dims_lower_bound", "braid_floer_bound", "suspend_dims",
+    "FloerDims", "dims_lower_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",
     "PresentedGroup", "mapping_torus_presentation", "assemble_pi1",
     "tietze_simplify", "standard_form_order", "abelianization",

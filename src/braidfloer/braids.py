@@ -191,10 +191,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, d + 1)):
             raise ValueError(f"not a permutation of 1..{d}: {self.images}")
 
-    @classmethod
-    def identity(cls, d: int) -> "Permutation":
-        return cls(tuple(range(1, d + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -242,10 +238,6 @@ class Permutation:
         d = self.degree
         return self.images == tuple(range(2, d + 1)) + (1,)
 
-    def is_transitive(self) -> bool:
-        """True iff a single orbit, i.e. some d-cycle."""
-        return len(self.cycles()) == 1 and self.degree >= 1
-
 
 def induced_permutation(b: BraidWord) -> Permutation:
     """Permutation of the marked points induced by the braid.
@@ -263,28 +255,6 @@ def induced_permutation(b: BraidWord) -> Permutation:
     return Permutation(tuple(images))
 
 
-def is_transitive(b: BraidWord, relaxed: bool = False) -> bool:
-    """Strict mode: the induced permutation equals (1 2 ... d) exactly.
-
-    Relaxed mode accepts any single d-cycle; use standard_relabeling to
-    recover the conjugating relabeling in that case.
-    """
-    sigma = induced_permutation(b)
-    return sigma.is_transitive() if relaxed else sigma.is_standard_cycle()
-
-
-def standard_relabeling(b: BraidWord) -> Permutation | None:
-    """A relabeling rho with rho . sigma . rho^-1 = (1 2 ... d).
-
-    Returns None when the braid is not transitive.  The relabeling sends
-    the orbit 1, sigma(1), sigma^2(1), ... to 1, 2, 3, ...
-    """
-    sigma = induced_permutation(b)
-    if not sigma.is_transitive():
-        return None
-    images = [0] * sigma.degree
-    k = 1
-    for j in range(sigma.degree):
-        images[k - 1] = j + 1
-        k = sigma(k)
-    return Permutation(tuple(images))
+def is_transitive(b: BraidWord) -> bool:
+    """True iff the induced permutation equals (1 2 ... d) exactly."""
+    return induced_permutation(b).is_standard_cycle()

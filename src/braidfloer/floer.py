@@ -16,7 +16,7 @@ the flux class a1, the one pairing with the surface-direction loop l1:
 the summand at the torsion class [l2] carries the suspended braid group,
 every other nonzero torsion multiple of [l2] carries zero, and summing
 over the two generators +-a1 doubles the total.  All outputs keep an
-``exact`` flag and never upgrade a bound to an equality on their own.
+``exact`` flag; the figures computed here are bounds, so it is False.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def dims_lower_bound(nd: NielsenDecomposition) -> FloerDims:
     return FloerDims(even=even, odd=odd, exact=False)
 
 
-def braid_floer_bound(nd: NielsenDecomposition) -> tuple[int, int]:
-    """(lower bound for the total dimension, its parity)."""
-    return nd.bound(), nd.lefschetz % 2
-
-
 def suspend_dims(f: FloerDims) -> FloerDims:
     """Tensor with H_*(T^2): both parities receive 2 * total."""
     t = f.total()
@@ -112,25 +107,19 @@ class FiberSumPrediction:
             raise ValueError("total must be exactly twice the summand figure")
 
 
-def predict_fiber_sum(nd: NielsenDecomposition, d: int,
-                      exact_dims: FloerDims | None = None) -> FiberSumPrediction:
+def predict_fiber_sum(nd: NielsenDecomposition, d: int) -> FiberSumPrediction:
     """Predicted Floer summand dimensions of the fiber-sum four-manifold.
 
     Requires a finite class space, which for braid data holds exactly
-    when the braid is transitive.  With no ``exact_dims`` the figures are
-    the certified lower bounds (4x and 8x the Nielsen bound); supplying
-    exact dimensions for the braid monodromy upgrades them to exact 4x
-    and 8x values, the only way the exact flag can become True.
+    when the braid is transitive.  The figures are the certified lower
+    bounds, 4x and 8x the Nielsen bound, so they are never exact.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if nd.space.order() is None:
         raise ValueError(
             "fiber-sum predictions need a transitive braid (finite class space)")
-    base = exact_dims if exact_dims is not None else dims_lower_bound(nd)
-    if exact_dims is not None and exact_dims.euler() != nd.lefschetz:
-        raise ValueError("exact dimensions contradict the Lefschetz number")
-    summand = suspend_dims(base)
+    summand = suspend_dims(dims_lower_bound(nd))
     return FiberSumPrediction(
         d=d,
         flux_class="a1",
@@ -139,6 +128,6 @@ def predict_fiber_sum(nd: NielsenDecomposition, d: int,
         summand_total=summand.total(),
         zero_torsion_multiples=tuple(range(2, d)),
         total=2 * summand.total(),
-        exact=base.exact,
+        exact=summand.exact,
         notes=(RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE),
     )

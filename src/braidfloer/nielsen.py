@@ -174,16 +174,6 @@ class NielsenDecomposition:
         """sum_c |N_c|, the Nielsen-type lower bound."""
         return sum(abs(c) for _, c in self.entries)
 
-    def order_index_multiset(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (element order, index) pairs; invariant under conjugation.
-
-        Element order 0 stands for infinite.  Zero indices are dropped so
-        the multiset does not depend on whether enumeration was possible.
-        """
-        pairs = [(self.space.element_order(label), c)
-                 for label, c in self.entries if c != 0]
-        return tuple(sorted(pairs))
-
 
 def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
     """The raw trace's index per class of coker(I - A), by one prefix scan

@@ -1,22 +1,20 @@
-"""Exact integer matrices and Smith normal form with certificates.
+"""Class spaces of integer matrices and finitely generated abelian groups.
 
 All arithmetic is arbitrary-precision (plain Python int); nothing here
-may silently overflow or round.  smith_normal_form returns the diagonal
-form S together with unimodular transforms U, V satisfying U*M*V = S
-(the tests re-verify this by multiplication), and cokernels of integer
-matrices come with canonical coordinates (reduce U*v modulo the
-invariant factors).
+may silently overflow or round.  A ``ClassSpace`` is the quotient
+Z^rows / (column span of M) with canonical coordinates: a vector is
+labelled by U*v reduced modulo the invariant factors, where U*M*V is
+the Smith normal form, and ``group()`` is its ``AbelianGroup``.
 
 There is one Smith elimination, ``_smith_eliminate``.  It runs on
 sparse rows (column -> nonzero entry) with an index from each column to
 the rows that hold it, so a row or column operation costs the nonzeros
-it touches.  It logs its operations instead of updating dense
-transforms.  The pivot search stops at the first row holding a unit
-entry, since nothing is smaller (ties are broken row-major, so this is
-the pivot a full scan would pick), and a unit pivot skips the
-divisibility scan.  ``smith_normal_form`` replays the logs into dense U
-and V; ``ClassSpace`` keeps only the row-operation log and replays the
-few rows of U its labels need, and ``cokernel`` is its group.
+it touches.  It logs its row operations instead of updating a dense U.
+The pivot search stops at the first row holding a unit entry, since
+nothing is smaller (ties are broken row-major, so this is the pivot a
+full scan would pick), and a unit pivot skips the divisibility scan.
+``ClassSpace`` keeps the row-operation log and replays the few rows of
+U its labels need.
 """
 
 from __future__ import annotations
@@ -26,82 +24,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        for r in self.entries:
-            # one pass over the types; subclasses of int are looked at
-            # one entry at a time, where bool is told apart
-            if set(map(type, r)) - {int}:
-                for x in r:
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise TypeError(f"integer entries required, got {x!r}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Certified factorization U*M*V = S with S diagonal."""
-
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
-
-
-def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
-    """The nonzeros of each row of m, keyed by column."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-
-
-def _smith_eliminate(rows: list[dict[int, int]], ncols: int
-                     ) -> tuple[list[tuple], list[tuple]]:
-    """Diagonalize sparse rows in place; return the row and the column
-    operations, in the order they were made.
+def _smith_eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
+    """Diagonalize sparse rows in place; return the row operations, in
+    the order they were made.
 
     ``rows[i]`` maps column to nonzero entry; a column index maps each
     column to the rows holding it, so an operation costs the nonzeros it
@@ -114,11 +42,10 @@ def _smith_eliminate(rows: list[dict[int, int]], ncols: int
     other than 1 that fails to divide an entry of the block takes that
     entry's row into its own.  The result satisfies d1 | d2 | ... .
 
-    Operations are logged as ``("swap", i, k)``, ``("add", i, k, q)``
-    for line i += q * line k, and ``("neg", i)``; row operations log
-    rows, column operations columns.  U is the product of the row
-    operations, V that of the column operations, and U*M*V is the
-    diagonal left in ``rows``.
+    Row operations are logged as ``("swap", i, k)``, ``("add", i, k, q)``
+    for row i += q * row k, and ``("neg", i)``.  U is their product, and
+    U*M*V is the diagonal left in ``rows`` for the product V of the
+    column operations, which are made but not logged.
     """
     nr = len(rows)
     cols: list[set[int]] = [set() for _ in range(ncols)]
@@ -126,7 +53,6 @@ def _smith_eliminate(rows: list[dict[int, int]], ncols: int
         for j in row:
             cols[j].add(i)
     row_ops: list[tuple] = []
-    col_ops: list[tuple] = []
 
     def row_swap(i, k):
         for j in rows[i]:
@@ -167,7 +93,6 @@ def _smith_eliminate(rows: list[dict[int, int]], ncols: int
             if y:
                 row[j] = y
         cols[j], cols[k] = cols[k], cols[j]
-        col_ops.append(("swap", j, k))
 
     def col_addmul(j, k, q):
         # col_j += q * col_k, with q != 0
@@ -182,7 +107,6 @@ def _smith_eliminate(rows: list[dict[int, int]], ncols: int
             else:
                 del row[j]
                 col.discard(i)
-        col_ops.append(("add", j, k, q))
 
     def least():
         # rows >= t hold no entry left of column t, so their nonzeros
@@ -242,41 +166,7 @@ def _smith_eliminate(rows: list[dict[int, int]], ncols: int
                 row_addmul(t, bad, 1)
             best = least()
         t += 1
-    return row_ops, col_ops
-
-
-def _replay(ops: Sequence[tuple], n: int) -> list[list[int]]:
-    """The n x n product of logged row operations, as dense rows."""
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    for op in ops:
-        if op[0] == "add":
-            _, i, k, q = op
-            out[i] = [x + q * y for x, y in zip(out[i], out[k])]
-        elif op[0] == "swap":
-            _, i, k = op
-            out[i], out[k] = out[k], out[i]
-        else:
-            out[op[1]] = [-x for x in out[op[1]]]
-    return out
-
-
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Diagonalize over Z.
-
-    The returned diagonal is nonnegative and satisfies the divisibility
-    chain d1 | d2 | ... ; U and V are products of elementary integer row
-    and column operations, hence unimodular.  The elimination runs on
-    the nonzeros (``_smith_eliminate``); U and V are replayed from its
-    logs, V as the transpose of its column operations made on rows.
-    """
-    rows = _sparse_rows(m)
-    row_ops, col_ops = _smith_eliminate(rows, m.cols)
-    v = _replay(col_ops, m.cols)
-    return SnfResult(
-        s=IntMatrix.from_rows(tuple(row.get(j, 0) for j in range(m.cols))
-                              for row in rows),
-        u=IntMatrix.from_rows(_replay(row_ops, m.rows)),
-        v=IntMatrix(tuple(zip(*v)) if v else ()))
+    return row_ops
 
 
 @dataclass(frozen=True)
@@ -336,16 +226,12 @@ class ClassSpace:
     row_ops: tuple[tuple, ...]  # U as its row operations, in order
 
     @classmethod
-    def from_matrix(cls, m: IntMatrix) -> "ClassSpace":
-        return cls.from_rows(_sparse_rows(m), m.cols)
-
-    @classmethod
     def from_rows(cls, rows: Sequence[dict[int, int]],
                   ncols: int) -> "ClassSpace":
         """The class space of the matrix whose rows map column to
         nonzero entry; the rows are not changed."""
         rows = [dict(row) for row in rows]
-        row_ops, _ = _smith_eliminate(rows, ncols)
+        row_ops = _smith_eliminate(rows, ncols)
         return cls(factors=tuple(row.get(i, 0) for i, row in enumerate(rows)),
                    row_ops=tuple(row_ops))
 
@@ -417,7 +303,3 @@ class ClassSpace:
                 out = lcm(out, f // gcd(f, value % f))
         return out
 
-
-def cokernel(m: IntMatrix) -> AbelianGroup:
-    """The group Z^rows / (column span of m)."""
-    return ClassSpace.from_matrix(m).group()

@@ -5,12 +5,81 @@ runs with more bookkeeping; both must give identical results."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from braidfloer.fourmanifold import (PresentedGroup, _cyclic_key,
                                      _substitute_generator)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce,
                                   _inverse)
-from braidfloer.snf import IntMatrix, SnfResult
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """A dense integer matrix, for the reference eliminations and the
+    matrix identities that check them."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        widths = {len(r) for r in self.entries}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        for r in self.entries:
+            for x in r:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"integer entries required, got {x!r}")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        return cls(tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
+                         for i in range(n)))
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls(tuple((0,) * cols for _ in range(rows)))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    def __getitem__(self, ij: tuple[int, int]) -> int:
+        return self.entries[ij[0]][ij[1]]
+
+    def sub(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
+                               for r1, r2 in zip(self.entries, other.entries)))
+
+    def trace(self) -> int:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return sum(self.entries[i][i] for i in range(self.rows))
+
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """The nonzeros of each row, keyed by column: the input of
+        ``braidfloer.snf.ClassSpace.from_rows``."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.entries]
+
+
+@dataclass(frozen=True)
+class SnfResult:
+    """A factorization U*M*V = S with S diagonal."""
+
+    s: IntMatrix
+    u: IntMatrix
+    v: IntMatrix
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
 
 
 def substitute(word: FreeWord, images) -> FreeWord:

@@ -7,7 +7,8 @@ import random
 from braidfloer.braids import (ARTIN, TWIST, BraidLetter, BraidWord,
                                is_transitive)
 from braidfloer.freegroup import FreeWord
-from braidfloer.snf import IntMatrix
+
+from _oracles import IntMatrix
 
 
 def random_letter(rng: random.Random, d: int,

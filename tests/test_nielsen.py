@@ -31,6 +31,16 @@ def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
 
 
+def order_index_multiset(nd):
+    """Sorted (element order, index) pairs; invariant under conjugation.
+
+    Element order 0 stands for infinite.  Zero indices are dropped so
+    the multiset does not depend on whether enumeration was possible.
+    """
+    return tuple(sorted((nd.space.element_order(label), c)
+                        for label, c in nd.entries if c != 0))
+
+
 def pairwise_search(e, g, h, depth):
     """Reference: breadth first from g alone, out to the full depth, until
     h turns up; the letter tuple of a conjugator, or None."""
@@ -252,7 +262,7 @@ class TestDecomposition:
             nd_c = nielsen_decomposition(artin_endo(conj))
             assert nd.lefschetz == nd_c.lefschetz
             assert nd.bound() == nd_c.bound()
-            assert nd.order_index_multiset() == nd_c.order_index_multiset()
+            assert order_index_multiset(nd) == order_index_multiset(nd_c)
 
     def test_inversion_symmetry(self):
         rng = random.Random(107)

@@ -1,21 +1,31 @@
-"""Exact integer matrices, Smith normal form with certified transforms,
-cokernels, and the canonical class space coordinates."""
+"""The class space and its abelian group, checked against the dense
+reference Smith normal form of the test oracles, whose transforms are
+certified here by matrix products and determinants."""
 
 import random
 from enum import IntEnum
 
 import pytest
 
-from braidfloer.snf import (AbelianGroup, ClassSpace, IntMatrix, cokernel,
-                            smith_normal_form)
+from braidfloer.snf import AbelianGroup, ClassSpace
 
 import _oracles
-from _oracles import det, matmul, transpose
+from _oracles import IntMatrix, det, matmul, transpose
 from _samplers import random_matrix
+
+# the oracle's two pivot rules: a full scan of the trailing block, and
+# the search that stops at the first unit, which _oracles.ClassSpace
+# runs and the package's elimination follows
+PIVOT_RULES = (False, True)
 
 
 def M(*rows):
     return IntMatrix.from_rows(rows)
+
+
+def space(m):
+    """The package's class space of a dense matrix."""
+    return ClassSpace.from_rows(m.sparse_rows(), m.cols)
 
 
 class TestIntMatrix:
@@ -70,38 +80,40 @@ class TestIntMatrix:
 
 class TestSmithNormalForm:
     def test_frozen_examples(self):
-        assert smith_normal_form(M((1, 1), (-1, 2))).diagonal() == (1, 3)
-        assert smith_normal_form(M((2, 0), (0, 3))).diagonal() == (1, 6)
-        assert smith_normal_form(M((4, 6), (2, 4))).diagonal() == (2, 2)
-        assert smith_normal_form(IntMatrix.zero(2, 3)).diagonal() == (0, 0)
-        assert smith_normal_form(M((6,),)).diagonal() == (6,)
-        assert smith_normal_form(M((-6,),)).diagonal() == (6,)
+        examples = ((M((1, 1), (-1, 2)), (1, 3)), (M((2, 0), (0, 3)), (1, 6)),
+                    (M((4, 6), (2, 4)), (2, 2)), (IntMatrix.zero(2, 3), (0, 0)),
+                    (M((6,),), (6,)), (M((-6,),), (6,)))
+        for m, diagonal in examples:
+            for stop in PIVOT_RULES:
+                res = _oracles.smith_normal_form(m, stop_at_units=stop)
+                assert res.diagonal() == diagonal
 
     def test_certificates(self):
         rng = random.Random(71)
-        for _ in range(300):
-            m = random_matrix(rng)
-            res = smith_normal_form(m)
-            assert matmul(matmul(res.u, m), res.v) == res.s
-            assert abs(det(res.u)) == abs(det(res.v)) == 1
-            diag = res.diagonal()
-            for i in range(res.s.rows):
-                for j in range(res.s.cols):
-                    if i != j:
-                        assert res.s[i, j] == 0
-            assert all(x >= 0 for x in diag)
-            for prev, cur in zip(diag, diag[1:]):
-                if cur != 0:
-                    assert prev != 0 and cur % prev == 0
-                # zeros only at the end
-                if prev == 0:
-                    assert cur == 0
+        for m in [random_matrix(rng) for _ in range(300)]:
+            for stop in PIVOT_RULES:
+                res = _oracles.smith_normal_form(m, stop_at_units=stop)
+                assert matmul(matmul(res.u, m), res.v) == res.s
+                assert abs(det(res.u)) == abs(det(res.v)) == 1
+                diag = res.diagonal()
+                for i in range(res.s.rows):
+                    for j in range(res.s.cols):
+                        if i != j:
+                            assert res.s[i, j] == 0
+                assert all(x >= 0 for x in diag)
+                for prev, cur in zip(diag, diag[1:]):
+                    if cur != 0:
+                        assert prev != 0 and cur % prev == 0
+                    # zeros only at the end
+                    if prev == 0:
+                        assert cur == 0
 
     def test_empty_shapes(self):
         for m in (IntMatrix.from_rows(()), IntMatrix.zero(0, 3),
                   IntMatrix.zero(3, 0)):
-            res = smith_normal_form(m)
-            assert matmul(matmul(res.u, m), res.v) == res.s
+            for stop in PIVOT_RULES:
+                res = _oracles.smith_normal_form(m, stop_at_units=stop)
+                assert matmul(matmul(res.u, m), res.v) == res.s
 
 
 def sparse_matrix(rng, units=True):
@@ -127,9 +139,11 @@ def random_matrices(seed, n):
 
 class TestSmithNormalFormAgainstFullScan:
     def test_same_transforms(self):
-        # the pivot search may stop early, but at the same pivot
+        # the search that stops at the first unit finds the pivot a full
+        # scan finds, so the two rules make the same transforms
         for m in random_matrices(181, 3000):
-            assert smith_normal_form(m) == _oracles.smith_normal_form(m)
+            assert (_oracles.smith_normal_form(m, stop_at_units=True)
+                    == _oracles.smith_normal_form(m))
 
 
 class TestClassSpaceAgainstDense:
@@ -140,13 +154,13 @@ class TestClassSpaceAgainstDense:
             vectors = [tuple(rng.randint(-9, 9) for _ in range(m.rows))
                        for _ in range(3)]
             _oracles.assert_same_class_space(
-                ClassSpace.from_matrix(m), _oracles.ClassSpace.from_matrix(m),
-                vectors)
+                space(m), _oracles.ClassSpace.from_matrix(m), vectors)
 
     def test_rows_are_not_changed(self):
         rows = [{0: 2, 1: 1}, {0: -1}]
-        assert ClassSpace.from_rows(rows, 2) == ClassSpace.from_matrix(
-            M((2, 1), (-1, 0)))
+        _oracles.assert_same_class_space(
+            ClassSpace.from_rows(rows, 2),
+            _oracles.ClassSpace.from_matrix(M((2, 1), (-1, 0))), [(1, 0)])
         assert rows == [{0: 2, 1: 1}, {0: -1}]
 
 
@@ -157,20 +171,19 @@ class TestCokernel:
                   M((2, 4), (6, 8)), M((0, 3, 0), (9, 0, 6)),
                   IntMatrix.identity(4), M((1, 1, 0), (0, 1, 1), (1, 0, 1))]
         for m in shapes + list(random_matrices(191, 1500)):
-            # the package's smith_normal_form runs cokernel's elimination
             diag = _oracles.smith_normal_form(m).diagonal()
             expected = AbelianGroup(
                 free_rank=m.rows - sum(1 for x in diag if x),
                 torsion=tuple(x for x in diag if x > 1))
-            assert cokernel(m) == expected, m
+            assert space(m).group() == expected, m
 
     def test_cases(self):
-        assert cokernel(M((2,),)) == AbelianGroup(0, (2,))
-        assert cokernel(IntMatrix.zero(2, 2)) == AbelianGroup(2, ())
-        assert cokernel(M((1, 1), (-1, 2))) == AbelianGroup(0, (3,))
-        assert cokernel(M((2, 3),)) == AbelianGroup(0, ())
-        assert cokernel(IntMatrix.identity(3)) == AbelianGroup(0, ())
-        assert cokernel(M((2, 0), (0, 3))) == AbelianGroup(0, (6,))
+        assert space(M((2,),)).group() == AbelianGroup(0, (2,))
+        assert space(IntMatrix.zero(2, 2)).group() == AbelianGroup(2, ())
+        assert space(M((1, 1), (-1, 2))).group() == AbelianGroup(0, (3,))
+        assert space(M((2, 3),)).group() == AbelianGroup(0, ())
+        assert space(IntMatrix.identity(3)).group() == AbelianGroup(0, ())
+        assert space(M((2, 0), (0, 3))).group() == AbelianGroup(0, (6,))
 
     def test_group_api(self):
         g = AbelianGroup(1, (2, 4))
@@ -186,7 +199,7 @@ class TestCokernel:
 
 class TestClassSpace:
     def test_finite_space(self):
-        cs = ClassSpace.from_matrix(M((1, 1), (-1, 2)))
+        cs = space(M((1, 1), (-1, 2)))
         assert cs.invariant_factors() == (3,)
         assert cs.group() == AbelianGroup(0, (3,))
         assert cs.order() == 3
@@ -199,7 +212,7 @@ class TestClassSpace:
             m = random_matrix(rng, max_dim=3, max_entry=5)
             if m.rows == 0:
                 continue
-            cs = ClassSpace.from_matrix(m)
+            cs = space(m)
             v = [rng.randint(-9, 9) for _ in range(m.rows)]
             shift = list(v)
             for j in range(m.cols):
@@ -209,14 +222,14 @@ class TestClassSpace:
             assert cs.project(v) == cs.project(shift)
 
     def test_element_orders(self):
-        cs = ClassSpace.from_matrix(M((4, 0), (0, 6)))
+        cs = space(M((4, 0), (0, 6)))
         assert cs.invariant_factors() == (2, 12)
         orders = {cs.element_order(label) for label in cs.enumerate_labels()}
         assert orders == {1, 2, 3, 4, 6, 12}
         assert cs.element_order((0, 0)) == 1
 
     def test_infinite_space(self):
-        cs = ClassSpace.from_matrix(IntMatrix.zero(2, 2))
+        cs = space(IntMatrix.zero(2, 2))
         assert cs.order() is None
         assert cs.element_order((1, 0)) == 0
         with pytest.raises(ValueError):
