@@ -15,8 +15,8 @@ Predictions about the glued four-manifold are dimension statements for
 the flux class a1, the one pairing with the surface-direction loop l1:
 the summand at the torsion class [l2] carries the suspended braid group,
 every other nonzero torsion multiple of [l2] carries zero, and summing
-over the two generators +-a1 doubles the total.  All outputs keep an
-``exact`` flag; the figures computed here are bounds, so it is False.
+over the two generators +-a1 doubles the total.  Every figure computed
+here is a lower bound, never an exact dimension.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ SYMPLECTIC_CLASS_NOTE = (
 
 @dataclass(frozen=True)
 class FloerDims:
-    """Even/odd dimensions, either known exactly or as lower bounds."""
+    """Lower bounds on the even and odd dimensions."""
 
     even: int
     odd: int
-    exact: bool
 
     def __post_init__(self) -> None:
         if self.even < 0 or self.odd < 0:
@@ -73,13 +72,13 @@ def dims_lower_bound(nd: NielsenDecomposition) -> FloerDims:
     """
     even = sum(c for _, c in nd.entries if c > 0)
     odd = sum(-c for _, c in nd.entries if c < 0)
-    return FloerDims(even=even, odd=odd, exact=False)
+    return FloerDims(even=even, odd=odd)
 
 
 def suspend_dims(f: FloerDims) -> FloerDims:
     """Tensor with H_*(T^2): both parities receive 2 * total."""
     t = f.total()
-    return FloerDims(even=2 * t, odd=2 * t, exact=f.exact)
+    return FloerDims(even=2 * t, odd=2 * t)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ class FiberSumPrediction:
     summand_total: int
     zero_torsion_multiples: tuple[int, ...]
     total: int
-    exact: bool
     notes: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -112,7 +110,7 @@ def predict_fiber_sum(nd: NielsenDecomposition, d: int) -> FiberSumPrediction:
 
     Requires a finite class space, which for braid data holds exactly
     when the braid is transitive.  The figures are the certified lower
-    bounds, 4x and 8x the Nielsen bound, so they are never exact.
+    bounds, 4x and 8x the Nielsen bound.
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -128,6 +126,5 @@ def predict_fiber_sum(nd: NielsenDecomposition, d: int) -> FiberSumPrediction:
         summand_total=summand.total(),
         zero_torsion_multiples=tuple(range(2, d)),
         total=2 * summand.total(),
-        exact=summand.exact,
         notes=(RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE),
     )

@@ -1,10 +1,11 @@
 """Assemble all invariants of one braid into a single report.
 
 The report is a plain dict with a fixed key order, so that JSON output
-is deterministic byte for byte.  A non-transitive braid still produces a
-report: the braid data and the Lefschetz number are always present, the
-geometric sections (which need the single closed orbit that gets
-surgered) are null and ``warning`` says why.
+is deterministic byte for byte.  The Lefschetz number is read off the
+induced permutation, so every braid gets the braid data and it.  The
+other sections need the single closed orbit that gets surgered: a braid
+that is not the standard cycle stops at its permutation, with those
+sections null and ``warning`` saying why, and builds no images.
 """
 
 from __future__ import annotations
@@ -34,60 +35,58 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     ``config_data`` is a parsed gluing-configuration dict (see
     ``configuration_from_dict``); volume tokens "d" resolve against this
     braid.  ``refine_depth`` > 0 adds the bounded twisted-conjugacy
-    refinement of the raw trace terms.
+    refinement of the raw trace terms.  Neither is read for a braid that
+    is not the standard cycle, whose report stops at its permutation.
     """
     if isinstance(braid, str):
         braid = parse_braid(braid)
     if refine_depth < 0:
         raise ValueError("refine_depth must be >= 0")
     sigma = induced_permutation(braid)
-    transitive = sigma.is_standard_cycle()
-    endo = artin_endo(braid)
-
-    warning = None
-    config = nielsen = floer_bound = fiber_sum = pi1 = None
-    char_numbers = tori = refined = None
-    if transitive:
-        cfg = (configuration_from_dict(config_data, braid.d)
-               if config_data is not None else default_configuration(braid.d))
-        config = configuration_to_dict(cfg)
-        char_numbers = characteristic_numbers(cfg)._asdict()
-        tori = anticanonical_tori(braid.d)._asdict()
-        # pi1 before refinement's raw trace, so that the Tietze pass and
-        # the raw trace, the two largest objects of a report, are never
-        # alive at once
-        pi1 = _pi1_section(mapping_torus_presentation(braid, endo, sigma))
-    else:
-        warning = (
-            f"braid induces {_cycle_text(sigma)}, not the standard cycle "
-            "(1 2 ... d); no orbit torus to surger, geometric sections "
-            "are null")
-    nd = nielsen_decomposition(endo)
-    if transitive:
-        nielsen = _nielsen_section(nd)
-        floer_bound = _dims_section(dims_lower_bound(nd))
-        fiber_sum = _fiber_sum_section(nd, braid.d)
-        if refine_depth > 0:
-            refined = _refined_section(endo, nd, refine_depth)
-
-    return {
+    report = {
         "tool": {"name": "braidfloer", "version": __version__},
-        "config": config,
+        "config": None,
         "input": braid.to_text(),
         "d": braid.d,
         "permutation": list(sigma.images),
-        "transitive": transitive,
-        "warning": warning,
-        "lefschetz": nd.lefschetz,
-        "nielsen": nielsen,
-        "floer_bound": floer_bound,
-        "fiber_sum": fiber_sum,
-        "pi1": pi1,
-        "characteristic_numbers": char_numbers,
-        "anticanonical_tori": tori,
+        "transitive": sigma.is_standard_cycle(),
+        "warning": None,
+        # 1 - trace(A): A permutes the classes e_j of Z^d/(1,...,1) as sigma
+        "lefschetz": 2 - sigma.fixed_point_count(),
+        "nielsen": None,
+        "floer_bound": None,
+        "fiber_sum": None,
+        "pi1": None,
+        "characteristic_numbers": None,
+        "anticanonical_tori": None,
         "statements": list(STATEMENTS),
-        "refined": refined,
+        "refined": None,
     }
+    if not report["transitive"]:
+        report["warning"] = (
+            f"braid induces {_cycle_text(sigma)}, not the standard cycle "
+            "(1 2 ... d); no orbit torus to surger, geometric sections "
+            "are null")
+        return report
+
+    cfg = (configuration_from_dict(config_data, braid.d)
+           if config_data is not None else default_configuration(braid.d))
+    report["config"] = configuration_to_dict(cfg)
+    report["characteristic_numbers"] = characteristic_numbers(cfg)._asdict()
+    report["anticanonical_tori"] = anticanonical_tori(braid.d)._asdict()
+    endo = artin_endo(braid)
+    # pi1 before refinement's raw trace, so that the Tietze pass and the
+    # raw trace, the two largest objects of a report, are never alive at
+    # once
+    report["pi1"] = _pi1_section(
+        mapping_torus_presentation(braid, endo, sigma))
+    nd = nielsen_decomposition(endo)
+    report["nielsen"] = _nielsen_section(nd)
+    report["floer_bound"] = _dims_section(dims_lower_bound(nd))
+    report["fiber_sum"] = _fiber_sum_section(nd, braid.d)
+    if refine_depth > 0:
+        report["refined"] = _refined_section(endo, nd, refine_depth)
+    return report
 
 
 def _cycle_text(sigma) -> str:
@@ -115,7 +114,7 @@ def _nielsen_section(nd) -> dict:
 
 def _dims_section(f) -> dict:
     return {"even": f.even, "odd": f.odd, "total": f.total(),
-            "euler": f.euler(), "exact": f.exact}
+            "euler": f.euler(), "exact": False}
 
 
 def _fiber_sum_section(nd, d: int) -> dict:
@@ -127,7 +126,7 @@ def _fiber_sum_section(nd, d: int) -> dict:
         "summand_total": p.summand_total,
         "zero_torsion_multiples": list(p.zero_torsion_multiples),
         "total": p.total,
-        "exact": p.exact,
+        "exact": False,
         "notes": list(p.notes),
     }
 
@@ -198,14 +197,12 @@ def render_text(report: dict) -> str:
         lines.append(f"nielsen bound: {n['bound']}")
     if report["floer_bound"] is not None:
         f = report["floer_bound"]
-        kind = "exact" if f["exact"] else "lower bound"
-        lines.append(f"floer dims ({kind}): even {f['even']}, "
+        lines.append(f"floer dims (lower bound): even {f['even']}, "
                      f"odd {f['odd']}, total {f['total']}")
     if report["fiber_sum"] is not None:
         p = report["fiber_sum"]
         s = p["summand"]
-        kind = "exact" if p["exact"] else "lower bound"
-        lines.append(f"fiber sum at flux {p['flux_class']} ({kind}):")
+        lines.append(f"fiber sum at flux {p['flux_class']} (lower bound):")
         lines.append(f"  summand at [{p['summand_class']}]: even {s['even']}, "
                      f"odd {s['odd']}, total {p['summand_total']}")
         if p["zero_torsion_multiples"]:

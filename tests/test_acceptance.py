@@ -193,10 +193,10 @@ def test_criterion_6_property_suites():
 
     rng = random.Random(31342)
     for _ in range(cases):
-        a = FloerDims(rng.randint(0, 50), rng.randint(0, 50), False)
-        b = FloerDims(rng.randint(0, 50), rng.randint(0, 50), False)
+        a = FloerDims(rng.randint(0, 50), rng.randint(0, 50))
+        b = FloerDims(rng.randint(0, 50), rng.randint(0, 50))
         sa, sb = suspend_dims(a), suspend_dims(b)
-        s_sum = suspend_dims(FloerDims(a.even + b.even, a.odd + b.odd, False))
+        s_sum = suspend_dims(FloerDims(a.even + b.even, a.odd + b.odd))
         assert sa.euler() == 0
         assert (s_sum.even, s_sum.odd) == (sa.even + sb.even, sa.odd + sb.odd)
 

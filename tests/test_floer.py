@@ -20,18 +20,18 @@ def _nd(text):
 
 class TestFloerDims:
     def test_totals(self):
-        f = FloerDims(even=3, odd=1, exact=False)
+        f = FloerDims(even=3, odd=1)
         assert f.total() == 4
         assert f.euler() == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            FloerDims(even=-1, odd=0, exact=False)
+            FloerDims(even=-1, odd=0)
 
     def test_lower_bound_splits_by_index_sign(self):
         nd = _nd("d=2; s1")
         f = dims_lower_bound(nd)
-        assert (f.even, f.odd, f.exact) == (2, 0, False)
+        assert (f.even, f.odd) == (2, 0)
         assert f.euler() == nd.lefschetz
 
     def test_lower_bound_euler_is_lefschetz(self):
@@ -42,23 +42,21 @@ class TestFloerDims:
             f = dims_lower_bound(nd)
             assert f.euler() == nd.lefschetz
             assert f.total() == nd.bound()
-            assert not f.exact
 
 
 class TestSuspension:
     def test_doubles_into_both_parities(self):
-        assert suspend_dims(FloerDims(2, 0, False)) == FloerDims(4, 4, False)
-        assert suspend_dims(FloerDims(1, 1, True)) == FloerDims(4, 4, True)
-        assert suspend_dims(FloerDims(0, 0, False)) == FloerDims(0, 0, False)
+        assert suspend_dims(FloerDims(2, 0)) == FloerDims(4, 4)
+        assert suspend_dims(FloerDims(0, 0)) == FloerDims(0, 0)
 
     def test_euler_vanishes_and_additivity(self):
         rng = random.Random(137)
         for _ in range(300):
-            a = FloerDims(rng.randint(0, 9), rng.randint(0, 9), False)
-            b = FloerDims(rng.randint(0, 9), rng.randint(0, 9), False)
+            a = FloerDims(rng.randint(0, 9), rng.randint(0, 9))
+            b = FloerDims(rng.randint(0, 9), rng.randint(0, 9))
             sa, sb = suspend_dims(a), suspend_dims(b)
             assert sa.euler() == 0
-            both = FloerDims(a.even + b.even, a.odd + b.odd, False)
+            both = FloerDims(a.even + b.even, a.odd + b.odd)
             s_both = suspend_dims(both)
             assert (s_both.even, s_both.odd) == (sa.even + sb.even,
                                                  sa.odd + sb.odd)
@@ -67,12 +65,11 @@ class TestSuspension:
 class TestFiberSumPrediction:
     def test_two_strand_figures(self):
         p = predict_fiber_sum(_nd("d=2; s1"), 2)
-        assert p.summand == FloerDims(4, 4, False)
+        assert p.summand == FloerDims(4, 4)
         assert p.summand_total == 8
         assert p.total == 16
         assert p.zero_torsion_multiples == ()
         assert (p.flux_class, p.summand_class) == ("a1", "l2")
-        assert not p.exact
 
     def test_three_strand_figures(self):
         p = predict_fiber_sum(_nd("d=3; s1 s2"), 3)
@@ -90,11 +87,6 @@ class TestFiberSumPrediction:
             assert p.total == 8 * nd.bound()
             assert p.total == 2 * p.summand_total
             assert p.zero_torsion_multiples == tuple(range(2, d))
-
-    def test_exact_flag_never_self_upgrades(self):
-        p = predict_fiber_sum(_nd("d=3; s1 s2"), 3)
-        assert not p.exact
-        assert not p.summand.exact
 
     def test_rejects_infinite_class_space(self):
         e = FreeGroupEndo.identity(2)

@@ -21,6 +21,7 @@ from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
                                 _twist_steps, class_space, lefschetz_number,
                                 nielsen_decomposition, refine_decomposition,
                                 reidemeister_trace_raw)
+from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
 import _oracles
@@ -233,7 +234,9 @@ class TestDecomposition:
             d = rng.randint(2, 6)
             b = random_braid_word(rng, d)
             sigma = induced_permutation(b)
-            assert lefschetz_number(artin_endo(b)) == 2 - sigma.fixed_point_count()
+            lefschetz = lefschetz_number(artin_endo(b))
+            assert lefschetz == 2 - sigma.fixed_point_count()
+            assert build_report(b)["lefschetz"] == lefschetz
 
     def test_transitive_braids_have_cyclic_class_space(self):
         rng = random.Random(97)

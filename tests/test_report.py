@@ -1,11 +1,15 @@
-"""build_report computes each per-braid object once, and the word-level
-trace only when refinement needs it."""
+"""build_report computes each per-braid object once, the word-level
+trace only when refinement needs it, and nothing past the permutation
+for a braid that is not the standard cycle."""
 
 import sys
 from collections import Counter
 
+import pytest
+
 from braidfloer import braids, fourmanifold, freegroup, nielsen
 from braidfloer.braids import parse_braid
+from braidfloer.fourmanifold import ConfigurationError
 from braidfloer.report import build_report
 
 ONCE = ((braids, "induced_permutation"),
@@ -55,6 +59,26 @@ def test_no_word_level_trace_without_refinement(monkeypatch):
         report = build_report(word, refine_depth=0)
         assert report["refined"] is None
     assert calls == Counter()
+
+
+def test_a_braid_off_the_standard_cycle_stops_at_its_permutation(monkeypatch):
+    # the last word builds about 0.9M image letters when its images are
+    # computed; its report needs only the fixed points of the permutation
+    words = ("d=4; s1 s1", "d=5; s1 s2^-1 s3",
+             "d=5; " + "s1 s2^-1 s3 s4^-1 " * 8 + "s1 s2 s3 s4")
+    calls = count_calls(monkeypatch, (
+        (braids, "induced_permutation"), (freegroup, "artin_endo"),
+        (nielsen, "_identity_minus_action"),
+        (nielsen, "nielsen_decomposition"),
+        (fourmanifold, "mapping_torus_presentation")))
+    for word in words:
+        report = build_report(word)
+        assert not report["transitive"] and report["warning"]
+    assert calls == Counter({"induced_permutation": len(words)})
+    # a bad configuration fails before the images are built
+    with pytest.raises(ConfigurationError):
+        build_report("d=4; s1 s2 s3", config_data={"pieces": []})
+    assert calls["artin_endo"] == 0
 
 
 def test_tietze_work_follows_the_relators_it_touches(monkeypatch):
