@@ -3,9 +3,9 @@ braid words, and bookkeeping for the four-manifold obtained by fiber
 summing the associated mapping torus with a four-torus and two K3s.
 
 Everything is exact integer computation: free group words, the
-Reidemeister trace read off prefixes of the braid action's images, class
-spaces read off one sparse Smith elimination, and index sums over
-homological twisted-conjugacy classes.
+Reidemeister trace read off prefixes of the braid action's images, and
+index sums over homological twisted-conjugacy classes, which a d-cycle
+braid labels by exponent sums mod d.
 """
 
 from ._version import __version__

@@ -1,8 +1,9 @@
 """Floer dimension bookkeeping for braid monodromies and their fiber sums.
 
 Gradings are modeled by the Z/2 splitting only (a nondegenerate fixed
-point is even or odd according to the sign of det(1 - Dphi)).  A
-NielsenDecomposition gives the certified lower bounds
+point is even or odd according to the sign of det(1 - Dphi)).  The
+NielsenDecomposition of a d-cycle braid, over its classes in Z/d, gives
+the certified lower bounds
 
     dim_even >= sum_c max(N_c, 0),   dim_odd >= sum_c max(-N_c, 0),
 
@@ -15,8 +16,9 @@ Predictions about the glued four-manifold are dimension statements for
 the flux class a1, the one pairing with the surface-direction loop l1:
 the summand at the torsion class [l2] carries the suspended braid group,
 every other nonzero torsion multiple of [l2] carries zero, and summing
-over the two generators +-a1 doubles the total.  Every figure computed
-here is a lower bound, never an exact dimension.
+over the two generators +-a1 doubles the total.  The torsion order d is
+the decomposition's own, so a prediction needs nothing else.  Every
+figure computed here is a lower bound, never an exact dimension.
 """
 
 from __future__ import annotations
@@ -105,26 +107,21 @@ class FiberSumPrediction:
             raise ValueError("total must be exactly twice the summand figure")
 
 
-def predict_fiber_sum(nd: NielsenDecomposition, d: int) -> FiberSumPrediction:
-    """Predicted Floer summand dimensions of the fiber-sum four-manifold.
+def predict_fiber_sum(nd: NielsenDecomposition) -> FiberSumPrediction:
+    """Predicted Floer summand dimensions of the fiber-sum four-manifold
+    of the d-cycle braid that ``nd`` decomposes, d = ``nd.d``.
 
-    Requires a finite class space, which for braid data holds exactly
-    when the braid is transitive.  The figures are the certified lower
-    bounds, 4x and 8x the Nielsen bound.
+    The figures are the certified lower bounds, 4x and 8x the Nielsen
+    bound.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if nd.space.order() is None:
-        raise ValueError(
-            "fiber-sum predictions need a transitive braid (finite class space)")
     summand = suspend_dims(dims_lower_bound(nd))
     return FiberSumPrediction(
-        d=d,
+        d=nd.d,
         flux_class="a1",
         summand_class="l2",
         summand=summand,
         summand_total=summand.total(),
-        zero_torsion_multiples=tuple(range(2, d)),
+        zero_torsion_multiples=tuple(range(2, nd.d)),
         total=2 * summand.total(),
         notes=(RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE),
     )

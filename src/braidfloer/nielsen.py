@@ -16,18 +16,24 @@ classes; their sum is the Lefschetz number L = 1 - trace(A), and
 sum_c |N_c| is a lower bound for the rank of any chain complex whose
 generators split over these classes.
 
-I - A and trace(A) are counted straight off the letters of the images
-as sparse rows (``_identity_minus_action``), and the class space keeps
-the row operations of their Smith elimination in place of U, so no
-n x n matrix is built.  The N_c are read off one prefix scan of each
-image phi(xj), in time linear in the image letters
-(``_class_indices``).  Every term of R is a prefix of an image, found by
-one rule (``_hits``); R itself, as words (``reidemeister_trace_raw``),
+The decomposition is built only for a braid whose permutation sigma is
+one d-cycle, which is what the report surgers.  A permutes the puncture
+classes of Z^d/(1, ..., 1) as sigma does, so coker(I - A) is Z/d, every
+generator xj lies in class 1, and the class of a group element is its
+exponent sum mod d; a d-cycle fixes no puncture, so L = 2.  The N_c are
+read off one prefix scan of each image phi(xj), in time linear in the
+image letters (``_class_indices``), and must sum to 2, which checks the
+images against sigma.  Every term of R is a prefix of an image, found
+by one rule (``_hits``); R itself, as words (``reidemeister_trace_raw``),
 is built only for the twisted-conjugacy refinement.
 
+``lefschetz_number`` and ``class_space`` read I - A off the images
+instead (``_identity_minus_action``), for any endomorphism; they are the
+image-based references the permutation is checked against.
+
 The sign and projection conventions above are pinned by geometry:
- * identity endo of rank n: R = (1 - n)[0], the Euler characteristic of
-   a wedge of n circles concentrated at the trivial class;
+ * identity endo of rank n: the raw trace is 1 - n times the trivial
+   element, the Euler characteristic of a wedge of n circles;
  * the half twist on two punctures (phi: x -> x^-1): R = [0] + [1] in
    coker(I - A) = Z/2, matching the rotation of the sphere by pi about
    a polar axis, which has two fixed points of index +1 in distinct
@@ -41,11 +47,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from math import gcd
 
+from .braids import Permutation
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
-ENUMERATION_CAP = 512  # list every class of a finite coker up to this order
+ENUMERATION_CAP = 512  # list every class of Z/d up to this d
 # Orbit-ball elements one refinement may build for one class, over the
 # balls of its terms (only one class's balls are alive at once); an
 # element also counts once per BALL_LETTERS_PER_ELEMENT of its letters,
@@ -116,50 +124,43 @@ def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
     return {FreeWord(e.rank, p): c for p, c in terms.items() if c}
 
 
-def _class_indices(e: FreeGroupEndo, cs: ClassSpace
-                   ) -> dict[tuple[int, ...], int]:
-    """The raw trace summed per class label, in one scan of each image.
+def _class_indices(e: FreeGroupEndo, d: int) -> dict[tuple[int], int]:
+    """The raw trace summed per class of Z/d, in one scan of each image.
 
-    Each term of the trace is a prefix of an image (``_hits``).  The
-    label of a prefix is linear in its exponent vector, so running sums
-    of the label rows of U over the image give every label the trace
-    needs, without building a term, a word or an exponent vector.
-    Labels of zero total may appear; nothing else is lost.
+    Each term of the trace is a prefix of an image (``_hits``), and its
+    class is its exponent sum mod d, so one running sum of the letter
+    signs over an image labels every term in it, without building a
+    term, a word or an exponent vector.  Labels of zero total may
+    appear; nothing else is lost.
     """
-    rows = cs.label_rows()
-    # per label coordinate: signed letter -> its weight, and the factor
-    weights = []
-    for row, factor in rows:
-        w = {}
-        for g, c in enumerate(row, start=1):
-            w[g], w[-g] = c, -c
-        weights.append((w.__getitem__, factor))
-    totals = {(0,) * len(rows): 1}  # the term [1]
+    sign = {}
+    for g in range(1, e.rank + 1):
+        sign[g], sign[-g] = 1, -1
+    totals = {(0,): 1}  # the term [1]
     for j, image in enumerate(e.images, start=1):
         letters = image.letters
         hits = _hits(letters, j)
         if not hits:
             continue
-        sums = [(list(accumulate(map(weight, letters), initial=0)), factor)
-                for weight, factor in weights]
+        s = list(accumulate(map(sign.__getitem__, letters), initial=0))
         for t, coeff in hits:
-            label = tuple(s[t] % f if f else s[t] for s, f in sums)
+            label = (s[t] % d,)
             totals[label] = totals.get(label, 0) + coeff
     return totals
 
 
 @dataclass(frozen=True)
 class NielsenDecomposition:
-    """Class-level fixed point indices N_c over coker(I - A).
+    """Class-level fixed point indices N_c over coker(I - A) = Z/d.
 
-    ``entries`` maps canonical class labels to indices, sorted by label.
-    When the class space is finite (and small enough to enumerate),
-    classes of index 0 are listed too and ``complete`` is True; for an
-    infinite class space only nonzero indices appear.
+    ``entries`` maps labels (k,), k the exponent sum mod d, to indices,
+    sorted by label.  When d <= ENUMERATION_CAP, classes of index 0 are
+    listed too and ``complete`` is True; otherwise only nonzero indices
+    appear.
     """
 
-    space: ClassSpace
-    entries: tuple[tuple[tuple[int, ...], int], ...]
+    d: int
+    entries: tuple[tuple[tuple[int], int], ...]
     lefschetz: int
     complete: bool
 
@@ -167,33 +168,44 @@ class NielsenDecomposition:
         if sum(c for _, c in self.entries) != self.lefschetz:
             raise ValueError("class indices do not sum to the Lefschetz number")
 
-    def indices(self) -> dict[tuple[int, ...], int]:
+    def indices(self) -> dict[tuple[int], int]:
         return dict(self.entries)
 
     def bound(self) -> int:
         """sum_c |N_c|, the Nielsen-type lower bound."""
         return sum(abs(c) for _, c in self.entries)
 
+    def element_order(self, label: tuple[int]) -> int:
+        """Order of the class in Z/d."""
+        return self.d // gcd(self.d, label[0])
 
-def nielsen_decomposition(e: FreeGroupEndo) -> NielsenDecomposition:
-    """The raw trace's index per class of coker(I - A), by one prefix scan
-    per image (``_class_indices``).  The Lefschetz number is
-    1 - trace(A) for the A the class space is built from; the indices
-    must sum to it, which checks the scan against A."""
-    rows, trace = _identity_minus_action(e)
-    cs = ClassSpace.from_rows(rows, e.rank)
-    agg = _class_indices(e, cs)
-    order = cs.order()
-    complete = order is not None and order <= ENUMERATION_CAP
+
+def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation
+                          ) -> NielsenDecomposition:
+    """The raw trace's index per class of Z/d, for the action e of a
+    braid whose permutation sigma is one cycle of degree d = e.rank + 1,
+    by one prefix scan per image (``_class_indices``).
+
+    Raises ValueError for any other sigma: only a d-cycle makes
+    coker(I - A) the Z/d of exponent sums.
+    """
+    d = e.rank + 1
+    if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
+        raise ValueError(f"need one cycle of degree {d} >= 2, "
+                         f"got permutation {sigma.images}")
+    agg = _class_indices(e, d)
+    complete = d <= ENUMERATION_CAP
     if complete:
-        for label in cs.enumerate_labels():
-            agg.setdefault(label, 0)
+        for k in range(d):
+            agg.setdefault((k,), 0)
     else:
         agg = {label: c for label, c in agg.items() if c != 0}
     return NielsenDecomposition(
-        space=cs,
+        d=d,
         entries=tuple(sorted(agg.items())),
-        lefschetz=1 - trace,
+        # 1 - trace(A): A permutes the puncture classes as sigma does,
+        # and a d-cycle fixes none of them
+        lefschetz=2,
         complete=complete,
     )
 
@@ -269,10 +281,11 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     """Merge raw trace terms of one homological class whose twisted
     conjugacy is witnessed by a conjugator of length <= depth.
 
-    ``nd`` is ``nielsen_decomposition(e)``; its class space groups the
-    terms of ``reidemeister_trace_raw(e)``, which only refinement
-    builds.  Each term's orbit is built once and only to half the depth,
-    meeting in the middle: if u = a b with |a| <= depth // 2 and
+    ``nd`` is ``nielsen_decomposition(e, sigma)``; the terms of
+    ``reidemeister_trace_raw(e)``, which only refinement builds, are
+    grouped by their exponent sum mod ``nd.d``, its class labels.  Each
+    term's orbit is built once and only to half the depth, meeting in
+    the middle: if u = a b with |a| <= depth // 2 and
     |b| <= (depth + 1) // 2, then h = u g e(u)^-1 exactly when
     b g e(b)^-1 = a^-1 h e(a^-1)^-1, so two terms g and h are within
     depth of each other exactly when the radius (depth + 1) // 2 ball of
@@ -287,8 +300,8 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     steps = _twist_steps(e)
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
     for term in reidemeister_trace_raw(e).items():
-        groups.setdefault(nd.space.project(term[0].exponent_vector()),
-                          []).append(term)
+        label = (sum(1 if x > 0 else -1 for x in term[0].letters) % nd.d,)
+        groups.setdefault(label, []).append(term)
     out = []
     for label in sorted(groups):
         members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))

@@ -80,10 +80,10 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     # once
     report["pi1"] = _pi1_section(
         mapping_torus_presentation(braid, endo, sigma))
-    nd = nielsen_decomposition(endo)
+    nd = nielsen_decomposition(endo, sigma)
     report["nielsen"] = _nielsen_section(nd)
     report["floer_bound"] = _dims_section(dims_lower_bound(nd))
-    report["fiber_sum"] = _fiber_sum_section(nd, braid.d)
+    report["fiber_sum"] = _fiber_sum_section(nd)
     if refine_depth > 0:
         report["refined"] = _refined_section(endo, nd, refine_depth)
     return report
@@ -95,17 +95,16 @@ def _cycle_text(sigma) -> str:
 
 
 def _nielsen_section(nd) -> dict:
-    group = nd.space.group()
     return {
         "class_space": {
-            "invariant_factors": list(nd.space.invariant_factors()),
-            "group": group.pretty(),
-            "order": group.order(),
+            "invariant_factors": [nd.d],
+            "group": f"Z/{nd.d}",
+            "order": nd.d,
         },
         "complete": nd.complete,
         "classes": [
             {"label": list(label),
-             "element_order": nd.space.element_order(label),
+             "element_order": nd.element_order(label),
              "index": index}
             for label, index in nd.entries],
         "bound": nd.bound(),
@@ -117,8 +116,8 @@ def _dims_section(f) -> dict:
             "euler": f.euler(), "exact": False}
 
 
-def _fiber_sum_section(nd, d: int) -> dict:
-    p = predict_fiber_sum(nd, d)
+def _fiber_sum_section(nd) -> dict:
+    p = predict_fiber_sum(nd)
     return {
         "flux_class": p.flux_class,
         "summand_class": p.summand_class,

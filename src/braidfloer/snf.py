@@ -15,14 +15,18 @@ nothing is smaller (ties are broken row-major, so this is the pivot a
 full scan would pick), and a unit pivot skips the divisibility scan.
 ``ClassSpace`` keeps the row-operation log and replays the few rows of
 U its labels need.
+
+The report reaches the elimination once per braid, for the group of the
+abelianized pi1 presentation.  The Nielsen classes of a d-cycle braid
+need none: their space is Z/d, labelled by the exponent sum
+(``nielsen``), and ``nielsen.class_space`` keeps the general
+coker(I - A) only as the image-based reference for it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -218,8 +222,8 @@ class ClassSpace:
     to e_i from the right, last first, at a cost of O(#ops).
 
     Labels depend on the (deterministic) choice of U, so only invariant
-    data (factor multiset, coefficient per class, element orders) should
-    be compared across different matrices.
+    data (factor multiset, coefficient per class) should be compared
+    across different matrices.
     """
 
     factors: tuple[int, ...]  # one per ambient coordinate; 0 means a Z summand
@@ -248,16 +252,10 @@ class ClassSpace:
         return AbelianGroup(free_rank=sum(1 for f in facs if f == 0),
                             torsion=tuple(f for f in facs if f))
 
-    def order(self) -> int | None:
-        return self.group().order()
-
-    def label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(row of U, factor) per label coordinate: coordinate i of the
-        label of v is row_i . v, reduced modulo factor_i unless it is 0."""
-        return self._label_rows
-
     @cached_property
     def _label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(row of U, factor) per label coordinate: coordinate i of the
+        label of v is row_i . v, reduced modulo factor_i unless it is 0."""
         out = []
         for i in self._kept:
             # e_i U = e_i E_m ... E_1 for U = E_m ... E_1
@@ -283,23 +281,3 @@ class ClassSpace:
             y = sum(map(mul, row, vec))
             out.append(y % f if f else y)
         return tuple(out)
-
-    def enumerate_labels(self) -> tuple[tuple[int, ...], ...]:
-        """All labels, in lexicographic order.  Finite spaces only."""
-        facs = self.invariant_factors()
-        if any(f == 0 for f in facs):
-            raise ValueError("cannot enumerate an infinite class space")
-        return tuple(itertools.product(*(range(f) for f in facs)))
-
-    def element_order(self, label: Sequence[int]) -> int:
-        """Order of the class in the group; 0 stands for infinite."""
-        out = 1
-        for value, i in zip(label, self._kept):
-            f = self.factors[i]
-            if f == 0:
-                if value != 0:
-                    return 0
-            else:
-                out = lcm(out, f // gcd(f, value % f))
-        return out
-

@@ -356,6 +356,6 @@ class ClassSpace:
 def assert_same_class_space(cs, oracle: ClassSpace, vectors) -> None:
     """``cs`` has the oracle's factors, label rows and projections."""
     assert cs.factors == oracle.factors
-    assert cs.label_rows() == oracle.label_rows()
+    assert cs._label_rows == oracle.label_rows()
     for v in vectors:
         assert cs.project(v) == oracle.project(v)

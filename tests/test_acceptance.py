@@ -110,14 +110,16 @@ def test_criterion_3_lefschetz_constant():
 
 def test_criterion_4_calibration_models():
     """Frozen decompositions for the two rotation models."""
-    e2 = artin_endo(parse_braid("d=2; s1"))
-    nd2 = nielsen_decomposition(e2)
+    b2 = parse_braid("d=2; s1")
+    e2 = artin_endo(b2)
+    nd2 = nielsen_decomposition(e2, induced_permutation(b2))
     assert class_space(e2).group() == AbelianGroup(0, (2,))
     assert sorted(nd2.indices().values()) == [1, 1]
     assert nd2.bound() == 2
 
-    e3 = artin_endo(parse_braid("d=3; s1 s2"))
-    nd3 = nielsen_decomposition(e3)
+    b3 = parse_braid("d=3; s1 s2")
+    e3 = artin_endo(b3)
+    nd3 = nielsen_decomposition(e3, induced_permutation(b3))
     assert class_space(e3).group() == AbelianGroup(0, (3,))
     assert sorted(c for c in nd3.indices().values() if c != 0) == [1, 1]
     assert nd3.bound() == 2
@@ -173,21 +175,24 @@ def test_criterion_6_property_suites():
             for prev, cur in zip(diag, diag[1:]):
                 assert (cur == 0) or (prev != 0 and cur % prev == 0)
 
+    def decompose(b):
+        return nielsen_decomposition(artin_endo(b), induced_permutation(b))
+
     rng = random.Random(31340)
     for _ in range(cases):
         d = rng.randint(2, 5)
-        b = random_braid_word(rng, d, max_len=8)
+        b = random_transitive_braid(rng, d, max_len=8)
         g = random_braid_word(rng, d, max_len=4)
-        nd = nielsen_decomposition(artin_endo(b))
-        nd_conj = nielsen_decomposition(artin_endo(g.compose(b.compose(g.inverse()))))
-        nd_inv = nielsen_decomposition(artin_endo(b.inverse()))
+        nd = decompose(b)
+        nd_conj = decompose(g.compose(b.compose(g.inverse())))
+        nd_inv = decompose(b.inverse())
         assert (nd.lefschetz, nd.bound()) == (nd_conj.lefschetz, nd_conj.bound())
         assert (nd.lefschetz, nd.bound()) == (nd_inv.lefschetz, nd_inv.bound())
 
     rng = random.Random(31341)
     for _ in range(cases):
         d = rng.randint(2, 6)
-        nd = nielsen_decomposition(artin_endo(random_braid_word(rng, d, max_len=10)))
+        nd = decompose(random_transitive_braid(rng, d, max_len=10))
         assert nd.bound() >= abs(nd.lefschetz)
         assert (nd.bound() - nd.lefschetz) % 2 == 0
 

@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from braidfloer.braids import parse_braid
+from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.floer import (FloerDims, dims_lower_bound, predict_fiber_sum,
                               suspend_dims)
-from braidfloer.freegroup import FreeGroupEndo, artin_endo
+from braidfloer.freegroup import artin_endo
 from braidfloer.nielsen import nielsen_decomposition
 
-from _samplers import random_braid_word, random_transitive_braid
+from _samplers import random_transitive_braid
 
 
-def _nd(text):
-    return nielsen_decomposition(artin_endo(parse_braid(text)))
+def _nd(b):
+    return nielsen_decomposition(artin_endo(b), induced_permutation(b))
 
 
 class TestFloerDims:
@@ -29,7 +29,7 @@ class TestFloerDims:
             FloerDims(even=-1, odd=0)
 
     def test_lower_bound_splits_by_index_sign(self):
-        nd = _nd("d=2; s1")
+        nd = _nd(parse_braid("d=2; s1"))
         f = dims_lower_bound(nd)
         assert (f.even, f.odd) == (2, 0)
         assert f.euler() == nd.lefschetz
@@ -38,7 +38,7 @@ class TestFloerDims:
         rng = random.Random(131)
         for _ in range(150):
             d = rng.randint(2, 6)
-            nd = nielsen_decomposition(artin_endo(random_braid_word(rng, d)))
+            nd = _nd(random_transitive_braid(rng, d))
             f = dims_lower_bound(nd)
             assert f.euler() == nd.lefschetz
             assert f.total() == nd.bound()
@@ -64,7 +64,7 @@ class TestSuspension:
 
 class TestFiberSumPrediction:
     def test_two_strand_figures(self):
-        p = predict_fiber_sum(_nd("d=2; s1"), 2)
+        p = predict_fiber_sum(_nd(parse_braid("d=2; s1")))
         assert p.summand == FloerDims(4, 4)
         assert p.summand_total == 8
         assert p.total == 16
@@ -72,7 +72,7 @@ class TestFiberSumPrediction:
         assert (p.flux_class, p.summand_class) == ("a1", "l2")
 
     def test_three_strand_figures(self):
-        p = predict_fiber_sum(_nd("d=3; s1 s2"), 3)
+        p = predict_fiber_sum(_nd(parse_braid("d=3; s1 s2")))
         assert p.summand_total == 8
         assert p.total == 16
         assert p.zero_torsion_multiples == (2,)
@@ -81,18 +81,9 @@ class TestFiberSumPrediction:
         rng = random.Random(139)
         for _ in range(60):
             d = rng.randint(2, 6)
-            nd = nielsen_decomposition(artin_endo(random_transitive_braid(rng, d)))
-            p = predict_fiber_sum(nd, d)
+            nd = _nd(random_transitive_braid(rng, d))
+            p = predict_fiber_sum(nd)
             assert p.summand_total == 4 * nd.bound()
             assert p.total == 8 * nd.bound()
             assert p.total == 2 * p.summand_total
             assert p.zero_torsion_multiples == tuple(range(2, d))
-
-    def test_rejects_infinite_class_space(self):
-        e = FreeGroupEndo.identity(2)
-        with pytest.raises(ValueError):
-            predict_fiber_sum(nielsen_decomposition(e), 3)
-
-    def test_rejects_bad_strand_count(self):
-        with pytest.raises(ValueError):
-            predict_fiber_sum(_nd("d=2; s1"), 1)

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from braidfloer import nielsen
-from braidfloer.braids import (ARTIN, BraidLetter, BraidWord,
+from braidfloer.braids import (ARTIN, BraidLetter, BraidWord, Permutation,
                                induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse, _reduce,
                                   artin_endo)
@@ -32,13 +32,18 @@ def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
 
 
+def decompose(b):
+    """The decomposition of braid b, which must induce one d-cycle."""
+    return nielsen_decomposition(artin_endo(b), induced_permutation(b))
+
+
 def order_index_multiset(nd):
     """Sorted (element order, index) pairs; invariant under conjugation.
 
-    Element order 0 stands for infinite.  Zero indices are dropped so
-    the multiset does not depend on whether enumeration was possible.
+    Zero indices are dropped so the multiset does not depend on whether
+    enumeration was possible.
     """
-    return tuple(sorted((nd.space.element_order(label), c)
+    return tuple(sorted((nd.element_order(label), c)
                         for label, c in nd.entries if c != 0))
 
 
@@ -127,18 +132,19 @@ def pairwise_clusters(e, depth):
 
 
 def projected_entries(e):
-    """Reference decomposition: project every term of the Fox-derivative
-    trace, sum per label, then list every class of a small finite space
-    or else the nonzero ones."""
+    """Reference decomposition for the action e of a d-cycle braid:
+    project every term of the Fox-derivative trace through the
+    image-based class space coker(I - A) = Z/d, sum per label, then list
+    every class if d <= ENUMERATION_CAP or else the nonzero ones."""
     cs = class_space(e)
     totals = {}
     for word, coeff in _oracles.reidemeister_trace_raw(e).items():
         label = cs.project(word.exponent_vector())
         totals[label] = totals.get(label, 0) + coeff
-    order = cs.order()
-    if order is not None and order <= ENUMERATION_CAP:
-        for label in cs.enumerate_labels():
-            totals.setdefault(label, 0)
+    order = cs.group().order()
+    if order <= ENUMERATION_CAP:
+        for k in range(order):
+            totals.setdefault((k,), 0)
     else:
         totals = {label: c for label, c in totals.items() if c}
     return tuple(sorted(totals.items()))
@@ -186,22 +192,24 @@ def reduce_ball(g, steps, radius):
 
 class TestCalibrations:
     def test_two_strand_half_turn(self):
-        e = artin_endo(parse_braid("d=2; s1"))
+        b = parse_braid("d=2; s1")
+        e = artin_endo(b)
         assert lefschetz_number(e) == 2
         cs = class_space(e)
         assert cs.group() == AbelianGroup(0, (2,))
-        nd = nielsen_decomposition(e)
+        nd = nielsen_decomposition(e, induced_permutation(b))
         assert nd.complete
         assert nd.entries == (((0,), 1), ((1,), 1))
         assert nd.bound() == 2
         assert reidemeister_trace_raw(e) == {W(1): 1, W(1, -1): 1}
 
     def test_three_strand_third_turn(self):
-        e = artin_endo(parse_braid("d=3; s1 s2"))
+        b = parse_braid("d=3; s1 s2")
+        e = artin_endo(b)
         assert lefschetz_number(e) == 2
         cs = class_space(e)
         assert cs.group() == AbelianGroup(0, (3,))
-        nd = nielsen_decomposition(e)
+        nd = nielsen_decomposition(e, induced_permutation(b))
         assert nd.complete
         assert sorted(index for _, index in nd.entries) == [0, 1, 1]
         assert nd.bound() == 2
@@ -214,9 +222,6 @@ class TestCalibrations:
             # zero coefficients are dropped: at n = 1 the trace is 0
             assert reidemeister_trace_raw(e) == ({W(n): 1 - n} if n > 1
                                                  else {})
-            nd = nielsen_decomposition(e)
-            assert not nd.complete
-            assert nd.bound() == n - 1
 
 
 class TestDecomposition:
@@ -224,9 +229,10 @@ class TestDecomposition:
         rng = random.Random(83)
         for _ in range(200):
             d = rng.randint(2, 6)
-            e = artin_endo(random_braid_word(rng, d))
-            nd = nielsen_decomposition(e)
-            assert sum(nd.indices().values()) == nd.lefschetz == lefschetz_number(e)
+            b = random_transitive_braid(rng, d)
+            nd = decompose(b)
+            assert (sum(nd.indices().values()) == nd.lefschetz
+                    == lefschetz_number(artin_endo(b)) == 2)
 
     def test_lefschetz_agrees_with_fixed_point_count(self):
         rng = random.Random(89)
@@ -249,8 +255,7 @@ class TestDecomposition:
         rng = random.Random(101)
         for _ in range(200):
             d = rng.randint(2, 6)
-            e = artin_endo(random_braid_word(rng, d))
-            nd = nielsen_decomposition(e)
+            nd = decompose(random_transitive_braid(rng, d))
             assert nd.bound() >= abs(nd.lefschetz)
             assert (nd.bound() - nd.lefschetz) % 2 == 0
 
@@ -258,11 +263,10 @@ class TestDecomposition:
         rng = random.Random(103)
         for _ in range(150):
             d = rng.randint(2, 5)
-            b = random_braid_word(rng, d)
+            b = random_transitive_braid(rng, d)
             g = random_braid_word(rng, d, max_len=6)
-            conj = g.compose(b.compose(g.inverse()))
-            nd = nielsen_decomposition(artin_endo(b))
-            nd_c = nielsen_decomposition(artin_endo(conj))
+            nd = decompose(b)
+            nd_c = decompose(g.compose(b.compose(g.inverse())))
             assert nd.lefschetz == nd_c.lefschetz
             assert nd.bound() == nd_c.bound()
             assert order_index_multiset(nd) == order_index_multiset(nd_c)
@@ -271,30 +275,70 @@ class TestDecomposition:
         rng = random.Random(107)
         for _ in range(150):
             d = rng.randint(2, 5)
-            b = random_braid_word(rng, d)
-            nd = nielsen_decomposition(artin_endo(b))
-            nd_i = nielsen_decomposition(artin_endo(b.inverse()))
+            b = random_transitive_braid(rng, d)
+            nd = decompose(b)
+            nd_i = decompose(b.inverse())
             assert nd.lefschetz == nd_i.lefschetz
             assert nd.bound() == nd_i.bound()
 
     def test_entries_are_sorted_and_complete_when_small(self):
-        nd = nielsen_decomposition(artin_endo(parse_braid("d=4; s1 s2 s3")))
+        nd = decompose(parse_braid("d=4; s1 s2 s3"))
         labels = [label for label, _ in nd.entries]
         assert labels == sorted(labels)
         assert len(labels) == 4
         assert nd.complete
 
     def test_prefix_scan_matches_the_projected_raw_trace(self):
-        kinds = {"transitive": 0, "other": 0, "infinite": 0}
+        # on the standard cycle the exponent sum is the label the Smith
+        # elimination of the image-based I - A gives; a conjugated
+        # d-cycle may label its classes by another generator of Z/d, so
+        # there only the (element order, index) pairs must agree
+        rng = random.Random(397)
+        standard = conjugated = 0
         for b in mixed_words():
+            if not induced_permutation(b).is_standard_cycle():
+                continue
             e = artin_endo(b)
-            nd = nielsen_decomposition(e)
+            nd = decompose(b)
             assert nd.entries == projected_entries(e), b.to_text()
             assert nd.lefschetz == lefschetz_number(e)
-            kinds["transitive" if induced_permutation(b).is_standard_cycle()
-                  else "other"] += 1
-            kinds["infinite"] += nd.space.order() is None
-        assert min(kinds.values()) >= 100
+            standard += 1
+            g = random_braid_word(rng, b.d, max_len=6)
+            conj = g.compose(b.compose(g.inverse()))
+            if induced_permutation(conj).is_standard_cycle():
+                continue
+            e = artin_endo(conj)
+            reference = NielsenDecomposition(
+                d=b.d, entries=projected_entries(e),
+                lefschetz=lefschetz_number(e), complete=True)
+            assert (order_index_multiset(decompose(conj))
+                    == order_index_multiset(reference)), conj.to_text()
+            conjugated += 1
+        assert standard >= 180 and conjugated >= 100
+
+    def test_precondition_is_one_cycle_of_degree_rank_plus_one(self):
+        e = artin_endo(parse_braid("d=4; s1 s2 s3"))
+        for sigma in (Permutation((1, 2, 3, 4)), Permutation((2, 1, 4, 3)),
+                      Permutation((2, 3, 1)), Permutation((2, 3, 4, 5, 1))):
+            with pytest.raises(ValueError):
+                nielsen_decomposition(e, sigma)
+        with pytest.raises(ValueError):
+            nielsen_decomposition(FreeGroupEndo.identity(0), Permutation((1,)))
+        # any 4-cycle will do, not only the standard one
+        assert nielsen_decomposition(e, Permutation((3, 4, 2, 1))).d == 4
+
+    def test_past_the_enumeration_cap_only_nonzero_classes(self):
+        d = ENUMERATION_CAP + 1
+        for signs in ((1,) * (d - 1), (1, -1) * (d // 2)):
+            b = BraidWord.from_letters(
+                d, (BraidLetter(ARTIN, i, s)
+                    for i, s in enumerate(signs, start=1)))
+            e = artin_endo(b)
+            nd = decompose(b)
+            assert not nd.complete
+            assert all(c != 0 for _, c in nd.entries)
+            assert nd.entries == projected_entries(e)
+            assert sum(nd.indices().values()) == nd.lefschetz == 2
 
     def test_raw_trace_matches_the_fox_derivatives(self):
         for b in mixed_words():
@@ -303,10 +347,8 @@ class TestDecomposition:
                     == _oracles.reidemeister_trace_raw(e)), b.to_text()
 
     def test_decomposition_validates_its_sum(self):
-        e = artin_endo(parse_braid("d=2; s1"))
         with pytest.raises(ValueError):
-            NielsenDecomposition(space=class_space(e),
-                                 entries=(((0,), 1),),
+            NielsenDecomposition(d=2, entries=(((0,), 1),),
                                  lefschetz=2, complete=True)
 
 
@@ -408,13 +450,12 @@ class TestRefinement:
         rng = random.Random(127)
         for _ in range(40):
             d = rng.randint(2, 5)
-            b = random_braid_word(rng, d)
+            b = random_transitive_braid(rng, d)
             e = artin_endo(b)
             cs = class_space(e)
             raw = _oracles.reidemeister_trace_raw(e)
             for depth in (0, 2):
-                refined = refine_decomposition(e, nielsen_decomposition(e),
-                                               depth)
+                refined = refine_decomposition(e, decompose(b), depth)
                 seen = {}
                 for rc in refined:
                     for words, coeff in rc.clusters:
@@ -431,11 +472,12 @@ class TestRefinement:
     def test_same_clusters_as_the_pairwise_search(self):
         rng = random.Random(131)
         merged = 0
-        for k in range(300):
+        for k in range(500):
             d = rng.randint(2, 7)
-            e = artin_endo(random_braid_word(rng, d, max_len=14))
+            b = random_transitive_braid(rng, d, max_len=14)
+            e = artin_endo(b)
             depth = k % 5
-            refined = refine_decomposition(e, nielsen_decomposition(e), depth)
+            refined = refine_decomposition(e, decompose(b), depth)
             clusters = tuple((rc.label, rc.clusters) for rc in refined)
             assert clusters == pairwise_clusters(e, depth)
             merged += any(len(words) > 1
@@ -445,8 +487,9 @@ class TestRefinement:
     def test_generator_images_are_read_once(self, monkeypatch):
         # six raw terms, and one ball per term; the twisted-conjugation
         # steps are read off the images once for all of them
-        e = artin_endo(parse_braid("d=4; s1 s2^-1 s3 s1 s2"))
-        nd = nielsen_decomposition(e)
+        b = parse_braid("d=4; s1 s2^-1 s3 s1 s2")
+        e = artin_endo(b)
+        nd = decompose(b)
         calls = []
         twist_steps = nielsen._twist_steps
         monkeypatch.setattr(nielsen, "_twist_steps",
@@ -467,8 +510,9 @@ class TestRefinement:
             assert ball == reduce_ball(g, steps, radius)
 
     def test_orbit_ball_cap_raises(self, monkeypatch):
-        e = artin_endo(parse_braid("d=5; s1 s2 s3 s4"))
-        nd = nielsen_decomposition(e)
+        b = parse_braid("d=5; s1 s2 s3 s4")
+        e = artin_endo(b)
+        nd = decompose(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
         with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
             refine_decomposition(e, nd, 8)
@@ -477,8 +521,9 @@ class TestRefinement:
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
         # two classes of one term each: a cap that holds the larger of
         # their balls holds each class, though not both together
-        e = artin_endo(parse_braid("d=4; s1 s2 s3"))
-        nd = nielsen_decomposition(e)
+        b = parse_braid("d=4; s1 s2 s3")
+        e = artin_endo(b)
+        nd = decompose(b)
         sizes = []
         orbit_ball = nielsen._orbit_ball
 
@@ -495,12 +540,12 @@ class TestRefinement:
         assert refine_decomposition(e, nd, 2) == expected
 
     def test_depth_zero_keeps_terms_separate(self):
-        e = artin_endo(parse_braid("d=3; s1 s2"))
-        refined = refine_decomposition(e, nielsen_decomposition(e), 0)
+        b = parse_braid("d=3; s1 s2")
+        refined = refine_decomposition(artin_endo(b), decompose(b), 0)
         assert len(refined) == 2
         assert all(len(rc.clusters) == 1 for rc in refined)
 
     def test_negative_depth_rejected(self):
+        b = parse_braid("d=3; s1 s2")
         with pytest.raises(ValueError):
-            e = FreeGroupEndo.identity(2)
-            refine_decomposition(e, nielsen_decomposition(e), -1)
+            refine_decomposition(artin_endo(b), decompose(b), -1)

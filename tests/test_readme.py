@@ -35,6 +35,6 @@ def test_library_example_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"),
                  namespace)
-    # nd.lefschetz, nd.bound(), the class group, nd.indices() and two
+    # nd.lefschetz, nd.bound(), nd.d, nd.indices() and two
     # report fields
     assert checked == 6

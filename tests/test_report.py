@@ -1,20 +1,20 @@
 """build_report computes each per-braid object once, the word-level
-trace only when refinement needs it, and nothing past the permutation
-for a braid that is not the standard cycle."""
+trace only when refinement needs it, the class space from the
+permutation, and nothing past the permutation for a braid that is not
+the standard cycle."""
 
 import sys
 from collections import Counter
 
 import pytest
 
-from braidfloer import braids, fourmanifold, freegroup, nielsen
+from braidfloer import braids, fourmanifold, freegroup, nielsen, snf
 from braidfloer.braids import parse_braid
 from braidfloer.fourmanifold import ConfigurationError
 from braidfloer.report import build_report
 
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
-        (nielsen, "_identity_minus_action"),
         (fourmanifold, "mapping_torus_presentation"),
         (nielsen, "reidemeister_trace_raw"))
 
@@ -45,10 +45,24 @@ def replace(monkeypatch, home, name, replacement) -> None:
 
 
 def test_each_object_is_built_once(monkeypatch):
-    calls = count_calls(monkeypatch, ONCE)
+    calls = count_calls(monkeypatch,
+                        ONCE + ((nielsen, "_identity_minus_action"),))
+    eliminated = []
+    eliminate = snf._smith_eliminate
+
+    def recorded(rows, ncols):
+        eliminated.append(len(rows))
+        return eliminate(rows, ncols)
+
+    replace(monkeypatch, snf, "_smith_eliminate", recorded)
     report = build_report("d=4; s1 s2 s3", refine_depth=2)
     assert report["transitive"] and report["refined"] is not None
     assert calls == Counter({name: 1 for _, name in ONCE})
+    # the class space Z/4 comes from the permutation, so I - A is never
+    # read off the images, and the one elimination is the abelianization
+    # of the simplified presentation, on its 2 generators
+    assert calls["_identity_minus_action"] == 0
+    assert eliminated == [2]
 
 
 def test_no_word_level_trace_without_refinement(monkeypatch):
