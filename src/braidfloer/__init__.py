@@ -21,8 +21,8 @@ from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
                            anticanonical_tori, assemble_pi1,
                            characteristic_numbers, configuration_from_dict,
                            configuration_to_dict, default_configuration,
-                           mapping_torus_presentation, standard_form_order,
-                           tietze_simplify)
+                           mapping_torus_presentation, simplified_pi1,
+                           standard_form_order, tietze_simplify)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
 from .nielsen import (NielsenDecomposition, RefinedClass,
                       RefinementLimitError, class_space, lefschetz_number,
@@ -44,7 +44,8 @@ __all__ = [
     "FloerDims", "dims_lower_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",
     "PresentedGroup", "mapping_torus_presentation", "assemble_pi1",
-    "tietze_simplify", "standard_form_order", "abelianization",
+    "simplified_pi1", "tietze_simplify", "standard_form_order",
+    "abelianization",
     "GluingPiece", "SumConfiguration", "ConfigurationError",
     "CharacteristicNumbers", "characteristic_numbers",
     "default_configuration", "configuration_from_dict",

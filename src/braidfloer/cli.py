@@ -4,7 +4,12 @@ Exit codes: 0 for a computed report (including the non-transitive case,
 which reports a warning), 2 for a braid that does not parse, 3 for usage
 problems (bad flags, unreadable or inconsistent configuration, or a
 ``--refine-depth`` whose orbit balls would exceed
-``nielsen.ORBIT_BALL_CAP`` elements for one homological class).
+``nielsen.ORBIT_BALL_CAP`` elements for one homological class) and for
+a report that runs out of memory.  The images of a pseudo-Anosov braid
+grow exponentially in its length and nothing caps them yet, so a short
+word can need more memory than the process may take (say under
+``ulimit -v``); the resulting ``MemoryError`` exits 3 with a one-line
+message instead of a traceback.
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
@@ -106,6 +111,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigurationError, RefinementLimitError) as exc:
         print(f"braidfloer: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("braidfloer: out of memory while computing a report",
+              file=sys.stderr)
         return 3
     return 0
 

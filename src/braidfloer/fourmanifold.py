@@ -19,11 +19,17 @@ longitude, which depends on framing and basepoint bookkeeping, lies in
 the normal closure of the meridian classes: transitivity makes the
 monodromy relators sweep the relator x1 through every puncture class, so
 every xi already dies in the quotient and the assembled group, hence its
-certified abelianization Z + Z/d, does not depend on that choice.  The
-report reads that abelianization off the simplified presentation: the
-Tietze moves below preserve the group, so it has the invariant factors
-of the assembled one, from two generators (in standard form) instead of
-d+1.
+certified abelianization Z + Z/d, does not depend on that choice.
+
+The report does not run a Tietze pass.  For a braid that induces the
+standard cycle, every move the pass makes on the assembled group
+deletes one x generator by a relator of length 1, and the result is
+< l1, l2 | [l1,l2], l2^d > (``simplified_pi1`` proves it and checks
+its one condition on the images), so the report reads that
+presentation, its standard form order d and its abelianization Z + Z/d
+off d.  ``tietze_simplify``, ``standard_form_order`` and
+``abelianization`` stay as library functions and as the references the
+tests check that reading against.
 
 Tietze simplification eliminates generators one at a time.  An index
 from each generator to the relators that contain it and a heap of
@@ -139,6 +145,50 @@ def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
              FreeWord(n, (2,) * (n - 1)))  # second longitude: l2^d
     return PresentedGroup(mapping_torus.generators,
                           mapping_torus.relators + extra)
+
+
+def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
+    """``tietze_simplify`` of the assembled group of a braid whose
+    sphere action is ``e``, read off the images instead of run:
+    < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >, with d = rank + 1.
+
+    For a braid that induces the standard cycle, the Artin action sends
+    xk to a conjugate of x(k+1), so each reduced image phi(xk) with
+    1 <= k <= d-2 reads u x(k+1) u^-1.  Under that condition every move
+    the pass makes on ``assemble_pi1(mapping_torus_presentation(b, e))``
+    solves a relator of length 1 for one generator and deletes it:
+
+    * the meridian relator x1 is the only relator of length 1 at the
+      start, and starts the chain;
+    * once x1 .. xk are deleted, the monodromy relator
+      l2 xk l2^-1 phi(xk)^-1 reduces cyclically to x(k+1)^-1, or to
+      nothing when k = d-1, while every other relator left is a
+      commutator, l2^d, or keeps l2 xj l2^-1 for a live xj, so it is
+      the only relator of length 1;
+    * deleting letters commutes with free and cyclic reduction, so the
+      order in which the relators are rewritten does not change them.
+
+    Deleting xk empties [l1, xk], and no two relators ever meet as
+    duplicates.  What is left is relator 0, [l1, l2], and relator 2d,
+    l2^d, which no move touches and in which no generator occurs
+    exactly once, so the pass stops there (Tietze moves: Magnus, Karrass
+    and Solitar, *Combinatorial Group Theory*, 1966, sec. 1.5).  So
+    ``standard_form_order`` of the result is d and the group
+    abelianizes to Z x Z/d.
+
+    The condition is checked with one comparison of tuple slices per
+    image; an image that fails it raises ValueError.
+    """
+    if e.rank < 1:
+        raise ValueError("need an endomorphism of rank >= 1 (d >= 2)")
+    for k, image in enumerate(e.images[:-1], start=1):
+        w = image.letters
+        m = len(w) // 2
+        if len(w) % 2 == 0 or w[m] != k + 1 or w[:m] != _inverse(w[m + 1:]):
+            raise ValueError(
+                f"the image of x{k} is not a conjugate of x{k + 1}")
+    return PresentedGroup(("l1", "l2"), (_commutator(2, 1, 2),
+                                         FreeWord(2, (2,) * (e.rank + 1))))
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:

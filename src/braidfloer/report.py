@@ -5,7 +5,11 @@ is deterministic byte for byte.  The Lefschetz number is read off the
 induced permutation, so every braid gets the braid data and it.  The
 other sections need the single closed orbit that gets surgered: a braid
 that is not the standard cycle stops at its permutation, with those
-sections null and ``warning`` saying why, and builds no images.
+sections null and ``warning`` saying why, and builds no images.  For
+one that is, the simplified pi1, its standard form order and its
+abelianization Z x Z/d are read off d (``fourmanifold.simplified_pi1``
+checks, on the images, the condition under which a Tietze pass would
+reach them), so a report runs no Tietze pass and no Smith elimination.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from .braids import BraidWord, induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, predict_fiber_sum)
-from .fourmanifold import (SumConfiguration, abelianization,
-                           anticanonical_tori, assemble_pi1,
+from .fourmanifold import (anticanonical_tori, assemble_pi1,
                            characteristic_numbers, configuration_from_dict,
                            configuration_to_dict, default_configuration,
-                           mapping_torus_presentation, standard_form_order,
-                           tietze_simplify)
+                           mapping_torus_presentation, simplified_pi1)
 from .freegroup import artin_endo
 from .nielsen import nielsen_decomposition, refine_decomposition
+from .snf import AbelianGroup
 
 STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
               RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE)
@@ -75,11 +78,11 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     report["characteristic_numbers"] = characteristic_numbers(cfg)._asdict()
     report["anticanonical_tori"] = anticanonical_tori(braid.d)._asdict()
     endo = artin_endo(braid)
-    # pi1 before refinement's raw trace, so that the Tietze pass and the
+    # pi1 before refinement's raw trace, so that the relators and the
     # raw trace, the two largest objects of a report, are never alive at
     # once
     report["pi1"] = _pi1_section(
-        mapping_torus_presentation(braid, endo, sigma))
+        mapping_torus_presentation(braid, endo, sigma), endo)
     nd = nielsen_decomposition(endo, sigma)
     report["nielsen"] = _nielsen_section(nd)
     report["floer_bound"] = _dims_section(dims_lower_bound(nd))
@@ -130,10 +133,11 @@ def _fiber_sum_section(nd) -> dict:
     }
 
 
-def _pi1_section(mapping_torus) -> dict:
+def _pi1_section(mapping_torus, endo) -> dict:
     assembled = assemble_pi1(mapping_torus)
-    simplified = tietze_simplify(assembled)
-    ab = abelianization(simplified)
+    simplified = simplified_pi1(endo)
+    d = endo.rank + 1
+    ab = AbelianGroup(1, (d,))
     torus = mapping_torus.to_dict()
     # the assembled relators are the mapping torus ones plus two more:
     # render only those two
@@ -145,7 +149,7 @@ def _pi1_section(mapping_torus) -> dict:
             "relators": torus["relators"] + [
                 r.to_text(assembled.generators) for r in extra]},
         "simplified": simplified.to_dict(),
-        "standard_form_order": standard_form_order(simplified),
+        "standard_form_order": d,
         "abelianization": {"free_rank": ab.free_rank,
                            "torsion": list(ab.torsion),
                            "pretty": ab.pretty()},

@@ -16,11 +16,13 @@ full scan would pick), and a unit pivot skips the divisibility scan.
 ``ClassSpace`` keeps the row-operation log and replays the few rows of
 U its labels need.
 
-The report reaches the elimination once per braid, for the group of the
-abelianized pi1 presentation.  The Nielsen classes of a d-cycle braid
-need none: their space is Z/d, labelled by the exponent sum
-(``nielsen``), and ``nielsen.class_space`` keeps the general
-coker(I - A) only as the image-based reference for it.
+The report reaches no elimination.  The Nielsen classes of a d-cycle
+braid have the space Z/d, labelled by the exponent sum (``nielsen``),
+and the pi1 of its fiber sum abelianizes to Z x Z/d, read off d
+(``fourmanifold.simplified_pi1``).  ``nielsen.class_space`` keeps the
+general coker(I - A), and ``fourmanifold.abelianization`` the group of
+a presentation, as the references the tests check those readings
+against.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import braidfloer
-from braidfloer import __version__
+from braidfloer import __version__, cli
 from braidfloer.braids import MAX_STRANDS
 from braidfloer.cli import main
 from braidfloer.nielsen import ORBIT_BALL_CAP
@@ -216,6 +216,17 @@ class TestExitCodes:
         assert proc.returncode == 3 and proc.stdout == ""
         assert f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_is_3(self, capsys, monkeypatch):
+        # the images of a pseudo-Anosov word are not capped, so a short
+        # word can exhaust memory; that exits 3 without a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_report", exhausted)
+        code, out, err = run(capsys, "--braid", CALIBRATION)
+        assert code == 3 and out == ""
+        assert err == "braidfloer: out of memory while computing a report\n"
 
     def test_usage_errors_are_3(self, capsys):
         for argv in ([],

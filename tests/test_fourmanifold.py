@@ -1,5 +1,6 @@
-"""Mapping torus presentations, Tietze simplification, abelianization,
-and fiber-sum characteristic numbers."""
+"""Mapping torus presentations, Tietze simplification, the simplified
+group the report reads off d, abelianization, and fiber-sum
+characteristic numbers."""
 
 import random
 from pathlib import Path
@@ -18,8 +19,9 @@ from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
                                      default_configuration,
                                      _cyclic_key,
                                      mapping_torus_presentation,
-                                     standard_form_order, tietze_simplify)
-from braidfloer.freegroup import FreeWord, artin_endo
+                                     simplified_pi1, standard_form_order,
+                                     tietze_simplify)
+from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
@@ -46,6 +48,20 @@ def transitive_golden_braids(*names):
                 b = parse_braid(line)
                 if induced_permutation(b).is_standard_cycle():
                     yield b
+
+
+def sampled_transitive_braids():
+    """600 short random words inducing the standard cycle, d = 2..8."""
+    rng = random.Random(167)
+    for _ in range(600):
+        d = rng.randint(2, 8)
+        yield random_transitive_braid(rng, d,
+                                      max_len=rng.choice((2 * d, 3 * d)))
+
+
+def standard_braids(ds):
+    for d in ds:
+        yield parse_braid(f"d={d}; " + " ".join(f"s{i}" for i in range(1, d)))
 
 
 def W(rank, *letters):
@@ -181,8 +197,8 @@ class TestTietze:
             assert standard_form_order(simplified) == d
 
     def test_preserves_abelianization(self):
-        # the report abelianizes the simplified group in place of the
-        # assembled one
+        # the simplified group has the invariant factors of the assembled
+        # one, from two generators instead of d+1
         rng = random.Random(157)
         braids = [random_transitive_braid(rng, rng.randint(2, 6))
                   for _ in range(25)]
@@ -200,8 +216,11 @@ class TestTietze:
     @pytest.mark.parametrize("d", [102, 112, 400])
     def test_many_generators_reach_standard_form(self, d):
         # more than 100 eliminations: a cap on moves would stop short
-        word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
-        pi1 = build_report(word)["pi1"]
+        b, = standard_braids([d])
+        simplified = tietze_simplify(assembled_pi1(b))
+        assert standard_form_order(simplified) == d
+        assert simplified.generators == ("l1", "l2")
+        pi1 = build_report(b)["pi1"]
         assert pi1["standard_form_order"] == d
         assert pi1["simplified"]["generators"] == ["l1", "l2"]
 
@@ -222,16 +241,12 @@ class TestTietzeAgainstRescan:
         assert seen > 100
 
     def test_sampled_transitive_words(self):
-        rng = random.Random(167)
-        for _ in range(600):
-            d = rng.randint(2, 8)
-            b = random_transitive_braid(rng, d, max_len=rng.choice((2 * d, 3 * d)))
+        for b in sampled_transitive_braids():
             self.assert_same(assembled_pi1(b))
 
     def test_standard_words(self):
-        for d in range(2, 151):
-            word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
-            self.assert_same(assembled_pi1(parse_braid(word)))
+        for b in standard_braids(range(2, 151)):
+            self.assert_same(assembled_pi1(b))
 
     # In both traps, c = b^-2 is eliminated by "c b b", and then
     # "a c^-1 a" becomes "a b b a", the same cyclic word as "a a b b".
@@ -254,6 +269,58 @@ class TestTietzeAgainstRescan:
         out = tietze_simplify(g)
         assert out.relator_texts() == ("a b b a", "a a a b b b")
         self.assert_same(g)
+
+
+class TestSimplifiedPi1:
+    """The report's simplified group, standard form order and
+    abelianization, read off d, are what the Tietze pass and the
+    abelianization of the assembled group give."""
+
+    def assert_report_matches(self, braids):
+        seen = 0
+        for b in braids:
+            assembled = assembled_pi1(b)
+            simplified = tietze_simplify(assembled)
+            ab = abelianization(assembled)
+            pi1 = build_report(b)["pi1"]
+            assert pi1["simplified"] == simplified.to_dict(), b.to_text()
+            assert pi1["standard_form_order"] == standard_form_order(simplified)
+            assert pi1["abelianization"] == {
+                "free_rank": ab.free_rank, "torsion": list(ab.torsion),
+                "pretty": ab.pretty()}
+            assert simplified_pi1(artin_endo(b)) == simplified
+            seen += 1
+        return seen
+
+    def test_golden_words(self):
+        assert self.assert_report_matches(transitive_golden_braids(
+            "golden_words.txt", "golden_words_depth3.txt")) > 100
+
+    def test_sampled_transitive_words(self):
+        assert self.assert_report_matches(sampled_transitive_braids()) == 600
+
+    def test_standard_words(self):
+        assert self.assert_report_matches(standard_braids(range(2, 151))) == 149
+
+    def test_rank_one_has_no_condition(self):
+        out = simplified_pi1(FreeGroupEndo.identity(1))
+        assert out.to_dict() == {"generators": ["l1", "l2"],
+                                 "relators": ["l1 l2 l1^-1 l2^-1", "l2 l2"]}
+
+    @pytest.mark.parametrize("images, k", [
+        (((1,), (2,), (3,)), 1),             # the identity of rank 3
+        (((2, 1), (1,), (3,)), 1),           # even length
+        (((1, 2, 1), (1,), (3,)), 1),        # x1 x2 x1: not a conjugate
+        (((-1, 2, 1), (2, 3, 2), (1,)), 2),  # x1 is fine, x2 is not
+    ])
+    def test_image_that_is_not_a_conjugate_is_rejected(self, images, k):
+        e = FreeGroupEndo(3, tuple(W(3, *w) for w in images))
+        with pytest.raises(ValueError, match=f"image of x{k} is not"):
+            simplified_pi1(e)
+
+    def test_rank_zero_is_rejected(self):
+        with pytest.raises(ValueError):
+            simplified_pi1(FreeGroupEndo.identity(0))
 
 
 def brute_cyclic_key(letters):

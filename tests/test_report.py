@@ -1,6 +1,7 @@
 """build_report computes each per-braid object once, the word-level
 trace only when refinement needs it, the class space from the
-permutation, and nothing past the permutation for a braid that is not
+permutation, the simplified pi1 from d without a Tietze pass or a Smith
+elimination, and nothing past the permutation for a braid that is not
 the standard cycle."""
 
 import sys
@@ -44,25 +45,22 @@ def replace(monkeypatch, home, name, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
+NEVER = ((nielsen, "_identity_minus_action"),
+         (fourmanifold, "tietze_simplify"),
+         (fourmanifold, "standard_form_order"),
+         (fourmanifold, "abelianization"),
+         (snf, "_smith_eliminate"))
+
+
 def test_each_object_is_built_once(monkeypatch):
-    calls = count_calls(monkeypatch,
-                        ONCE + ((nielsen, "_identity_minus_action"),))
-    eliminated = []
-    eliminate = snf._smith_eliminate
-
-    def recorded(rows, ncols):
-        eliminated.append(len(rows))
-        return eliminate(rows, ncols)
-
-    replace(monkeypatch, snf, "_smith_eliminate", recorded)
+    calls = count_calls(monkeypatch, ONCE + NEVER)
     report = build_report("d=4; s1 s2 s3", refine_depth=2)
     assert report["transitive"] and report["refined"] is not None
-    assert calls == Counter({name: 1 for _, name in ONCE})
     # the class space Z/4 comes from the permutation, so I - A is never
-    # read off the images, and the one elimination is the abelianization
-    # of the simplified presentation, on its 2 generators
-    assert calls["_identity_minus_action"] == 0
-    assert eliminated == [2]
+    # read off the images, and the simplified pi1 and its group
+    # Z x Z/4 come from d, so nothing is simplified or eliminated
+    assert calls == Counter({name: 1 for _, name in ONCE})
+    assert report["pi1"]["standard_form_order"] == 4
 
 
 def test_no_word_level_trace_without_refinement(monkeypatch):
@@ -100,32 +98,28 @@ def test_tietze_work_follows_the_relators_it_touches(monkeypatch):
     # generator, and keys only those that share a fingerprint with
     # another relator (none here: the 3 keys are standard_form_order's);
     # a full rescan makes about 56 times the relator count of each call
-    word = "d=112; " + " ".join(f"s{i}" for i in range(1, 112))
-    b = parse_braid(word)
-    relators = len(fourmanifold.assemble_pi1(
-        fourmanifold.mapping_torus_presentation(
-            b, freegroup.artin_endo(b))).relators)
+    b = parse_braid("d=112; " + " ".join(f"s{i}" for i in range(1, 112)))
+    assembled = fourmanifold.assemble_pi1(
+        fourmanifold.mapping_torus_presentation(b, freegroup.artin_endo(b)))
+    relators = len(assembled.relators)
     calls = count_calls(monkeypatch, ((fourmanifold, "_cyclic_key"),
                                       (fourmanifold, "_substitute_generator")))
-    assert build_report(word)["pi1"]["standard_form_order"] == 112
+    simplified = fourmanifold.tietze_simplify(assembled)
+    assert fourmanifold.standard_form_order(simplified) == 112
     assert relators == 225
     assert 0 < calls["_cyclic_key"] <= 10
     assert 0 < calls["_substitute_generator"] <= 5 * relators
 
 
 def test_abelianization_reads_the_simplified_group(monkeypatch):
-    # Tietze moves keep the group, so the two generators of the standard
-    # form give the invariant factors of the d+1 assembled ones
-    seen = []
-    original = fourmanifold.abelianization
-
-    def recorded(g):
-        seen.append(len(g.generators))
-        return original(g)
-
-    replace(monkeypatch, fourmanifold, "abelianization", recorded)
+    # the report reads Z x Z/d off d; Tietze moves keep the group, so
+    # the abelianization of the simplified assembled group agrees
     d = 400
-    word = f"d={d}; " + " ".join(f"s{i}" for i in range(1, d))
-    ab = build_report(word)["pi1"]["abelianization"]
-    assert seen == [2]
+    b = parse_braid(f"d={d}; " + " ".join(f"s{i}" for i in range(1, d)))
+    calls = count_calls(monkeypatch, ((fourmanifold, "abelianization"),))
+    ab = build_report(b)["pi1"]["abelianization"]
+    assert calls == Counter()
     assert ab == {"free_rank": 1, "torsion": [d], "pretty": f"Z x Z/{d}"}
+    simplified = fourmanifold.tietze_simplify(fourmanifold.assemble_pi1(
+        fourmanifold.mapping_torus_presentation(b, freegroup.artin_endo(b))))
+    assert fourmanifold.abelianization(simplified) == snf.AbelianGroup(1, (d,))
