@@ -17,12 +17,11 @@ from .floer import (FiberSumPrediction, FloerDims, dims_lower_bound,
                     predict_fiber_sum, suspend_dims)
 from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
                            ConfigurationError, GluingPiece, PresentedGroup,
-                           SumConfiguration, abelianization,
-                           anticanonical_tori, assemble_pi1,
-                           characteristic_numbers, configuration_from_dict,
-                           configuration_to_dict, default_configuration,
-                           mapping_torus_presentation, simplified_pi1,
-                           standard_form_order, tietze_simplify)
+                           SumConfiguration, anticanonical_tori,
+                           assemble_pi1, characteristic_numbers,
+                           configuration_from_dict, configuration_to_dict,
+                           default_configuration, mapping_torus_presentation,
+                           simplified_pi1)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
 from .nielsen import (NielsenDecomposition, RefinedClass,
                       RefinementLimitError, class_space, lefschetz_number,
@@ -44,8 +43,7 @@ __all__ = [
     "FloerDims", "dims_lower_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",
     "PresentedGroup", "mapping_torus_presentation", "assemble_pi1",
-    "simplified_pi1", "tietze_simplify", "standard_form_order",
-    "abelianization",
+    "simplified_pi1",
     "GluingPiece", "SumConfiguration", "ConfigurationError",
     "CharacteristicNumbers", "characteristic_numbers",
     "default_configuration", "configuration_from_dict",

@@ -21,22 +21,13 @@ monodromy relators sweep the relator x1 through every puncture class, so
 every xi already dies in the quotient and the assembled group, hence its
 certified abelianization Z + Z/d, does not depend on that choice.
 
-The report does not run a Tietze pass.  For a braid that induces the
-standard cycle, every move the pass makes on the assembled group
-deletes one x generator by a relator of length 1, and the result is
-< l1, l2 | [l1,l2], l2^d > (``simplified_pi1`` proves it and checks
-its one condition on the images), so the report reads that
+The group is simplified by reading, not by a Tietze pass.  For a braid
+that induces the standard cycle, every move the pass makes on the
+assembled group deletes one x generator by a relator of length 1, and
+the result is < l1, l2 | [l1,l2], l2^d > (``simplified_pi1`` proves it
+and checks its one condition on the images), so the report reads that
 presentation, its standard form order d and its abelianization Z + Z/d
-off d.  ``tietze_simplify``, ``standard_form_order`` and
-``abelianization`` stay as library functions and as the references the
-tests check that reading against.
-
-Tietze simplification eliminates generators one at a time.  An index
-from each generator to the relators that contain it and a heap of
-candidate moves make each move cost the relators it rewrites, and a
-relator's cyclic key is computed only when another relator has its
-length and letter counts, so the d=1000 standard word reaches
-< l1, l2 | [l1,l2], l2^d > in under a second.
+off d.
 
 Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
@@ -45,16 +36,13 @@ invariants live in a configuration table, not in code.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
                      induced_permutation)
 from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
                         _letter_texts)
-from .snf import AbelianGroup, ClassSpace
 
 
 @dataclass(frozen=True)
@@ -73,17 +61,6 @@ class PresentedGroup:
                 raise ValueError("relator rank does not match generator count")
             if not r.letters or _cyclic_reduce(r.letters) != r.letters:
                 raise ValueError("relators must be cyclically reduced and nonempty")
-
-    @classmethod
-    def make(cls, generators: Iterable[str],
-             relators: Iterable[FreeWord]) -> "PresentedGroup":
-        gens = tuple(generators)
-        cleaned = []
-        for r in relators:
-            r = r.cyclically_reduced()
-            if not r.is_identity():
-                cleaned.append(r)
-        return cls(gens, tuple(cleaned))
 
     def relator_texts(self) -> tuple[str, ...]:
         n = len(self.generators)
@@ -148,15 +125,19 @@ def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
 
 
 def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
-    """``tietze_simplify`` of the assembled group of a braid whose
-    sphere action is ``e``, read off the images instead of run:
+    """The Tietze-simplified assembled group of a braid whose sphere
+    action is ``e``, read off the images instead of computed:
     < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >, with d = rank + 1.
 
     For a braid that induces the standard cycle, the Artin action sends
     xk to a conjugate of x(k+1), so each reduced image phi(xk) with
-    1 <= k <= d-2 reads u x(k+1) u^-1.  Under that condition every move
-    the pass makes on ``assemble_pi1(mapping_torus_presentation(b, e))``
-    solves a relator of length 1 for one generator and deletes it:
+    1 <= k <= d-2 reads u x(k+1) u^-1.  The pass the proof describes is
+    the reference Tietze pass in ``tests/_oracles.py``: while some
+    generator occurs exactly once in a relator, it solves the shortest
+    such relator for it, substitutes, and drops empty and duplicate
+    relators.  Under that condition every move it makes on
+    ``assemble_pi1(mapping_torus_presentation(b, e))`` solves a relator
+    of length 1 for one generator and deletes it:
 
     * the meridian relator x1 is the only relator of length 1 at the
       start, and starts the chain;
@@ -172,9 +153,9 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
     duplicates.  What is left is relator 0, [l1, l2], and relator 2d,
     l2^d, which no move touches and in which no generator occurs
     exactly once, so the pass stops there (Tietze moves: Magnus, Karrass
-    and Solitar, *Combinatorial Group Theory*, 1966, sec. 1.5).  So
-    ``standard_form_order`` of the result is d and the group
-    abelianizes to Z x Z/d.
+    and Solitar, *Combinatorial Group Theory*, 1966, sec. 1.5).  So the
+    result has the standard form of order d, and the group abelianizes
+    to Z x Z/d.
 
     The condition is checked with one comparison of tuple slices per
     image; an image that fails it raises ValueError.
@@ -189,199 +170,6 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
                 f"the image of x{k} is not a conjugate of x{k + 1}")
     return PresentedGroup(("l1", "l2"), (_commutator(2, 1, 2),
                                          FreeWord(2, (2,) * (e.rank + 1))))
-
-
-def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation, in linear time.
-
-    Two candidate starts i < j are compared letter by letter; at the
-    first difference after k equal letters, no start in the losing
-    candidate's window of k + 1 letters can be least (Booth, "Lexico-
-    graphically least circular substrings", Inf. Proc. Lett. 10, 1980,
-    gives the failure-function form of the same bound)."""
-    n = len(letters)
-    doubled = letters + letters
-    i, j, k = 0, 1, 0
-    while j < n and k < n:
-        a, b = doubled[i + k], doubled[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i, j = j, max(j, i + k) + 1
-        else:
-            j += k + 1
-        k = 0
-    return doubled[i:i + n]
-
-
-def _cyclic_key(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form of a cyclic word up to rotation and inversion: the
-    least rotation of the word or of its inverse."""
-    return min(_least_rotation(letters), _least_rotation(_inverse(letters)))
-
-
-def _substitute_generator(letters: tuple[int, ...], g: int,
-                          value: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = _inverse(value)
-    out: list[int] = []
-    for x in letters:
-        if x != g and x != -g:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-            continue
-        for y in value if x > 0 else inverse:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
-
-
-def tietze_simplify(g: PresentedGroup) -> PresentedGroup:
-    """Deterministic presentation shrinking by generator elimination.
-
-    While some generator occurs exactly once in some relator, the move
-    takes the shortest such relator (then the lowest generator index,
-    then the first relator), solves it for that generator and
-    substitutes the solution into the other relators.  Free and cyclic
-    reduction and duplicate removal (up to rotation and inversion)
-    follow every move.  Every move removes a generator, so a run makes
-    fewer moves than there are generators.  Eliminations preserve the
-    group, in particular its abelianization.
-
-    A move costs what it touches.  Relators keep their list position as
-    an id; an index from each generator to the ids of the relators that
-    contain it gives the relators a move rewrites, and only those are
-    substituted into and reduced again.  Each relator's least candidate
-    sits in a heap keyed ``(len, generator, relator id)``; an entry
-    whose relator has changed since it was pushed is skipped when it
-    comes up.  Ids follow list order, so the heap breaks ties as the
-    list index would, and duplicates resolve as a pass over the list
-    keeps the first of each: a rewritten relator equal to an earlier
-    one is dropped, and a later one equal to a rewritten relator is
-    dropped in its place.
-
-    Duplicates are found by ``_cyclic_key``, computed only when a
-    fingerprint collides.  Rotation and inversion keep a relator's
-    length and how often each generator occurs in it; each relator is
-    filed under the hash of those (its fingerprint), and keys are
-    computed, and kept, only for relators whose fingerprint another live
-    relator shares.  Unequal fingerprints that hash alike cost only
-    their keys, so the result does not depend on the hash.
-    """
-    relators: dict[int, tuple[int, ...]] = {}
-    prints: dict[int, int] = {}            # relator id -> fingerprint
-    sharing: dict[int, list[int]] = {}     # fingerprint -> relator ids
-    keys: dict[int, tuple[int, ...]] = {}  # the cyclic keys computed
-    containing: dict[int, set[int]] = {}   # generator -> relator ids
-    heap: list[tuple[int, int, int, tuple[int, ...]]] = []
-
-    def key(rid: int) -> tuple[int, ...]:
-        k = keys.get(rid)
-        if k is None:
-            k = keys[rid] = _cyclic_key(relators[rid])
-        return k
-
-    def drop(rid: int) -> tuple[int, ...]:
-        letters = relators.pop(rid)
-        keys.pop(rid, None)
-        fingerprint = prints.pop(rid)
-        peers = sharing[fingerprint]
-        peers.remove(rid)
-        if not peers:
-            del sharing[fingerprint]
-        for gen in set(map(abs, letters)):
-            containing[gen].discard(rid)
-        return letters
-
-    def keep(rid: int, letters: tuple[int, ...]) -> None:
-        # of the relators with one key, the one with the least id stays,
-        # whatever the order they are kept in
-        letters = _cyclic_reduce(letters)
-        if not letters:
-            return
-        counts = Counter(map(abs, letters))
-        fingerprint = hash((len(letters), frozenset(counts.items())))
-        peers = sharing.get(fingerprint)
-        if peers:
-            mine = _cyclic_key(letters)
-            # live relators have distinct keys: at most one peer matches
-            other = next((p for p in peers if key(p) == mine), None)
-            if other is not None:
-                if other < rid:
-                    return
-                drop(other)
-            keys[rid] = mine
-        relators[rid], prints[rid] = letters, fingerprint
-        sharing.setdefault(fingerprint, []).append(rid)
-        for gen in counts:
-            containing.setdefault(gen, set()).add(rid)
-        once = [gen for gen, cnt in counts.items() if cnt == 1]
-        if once:
-            heapq.heappush(heap, (len(letters), min(once), rid, letters))
-
-    for rid, r in enumerate(g.relators):
-        keep(rid, r.letters)
-    alive = list(range(1, len(g.generators) + 1))
-    while heap:
-        _, gen, rid, letters = heapq.heappop(heap)
-        if relators.get(rid) is not letters:
-            continue  # the relator changed or went after this entry
-        drop(rid)
-        # gen occurs exactly once, with one sign
-        pos = letters.index(gen if gen in letters else -gen)
-        # gen^e rest = 1 cyclically, so gen^e = rest^-1
-        rest = letters[pos + 1:] + letters[:pos]
-        value = rest if letters[pos] < 0 else _inverse(rest)
-        for t in list(containing[gen]):
-            keep(t, _substitute_generator(drop(t), gen, value))
-        del containing[gen]
-        alive.remove(gen)
-    # renumber the surviving generators once, keeping their order; the
-    # relators are normalized already, so no second pass through make()
-    index: dict[int, int] = {}
-    for i, gen in enumerate(alive, start=1):
-        index[gen], index[-gen] = i, -i
-    return PresentedGroup(
-        tuple(g.generators[gen - 1] for gen in alive),
-        tuple(FreeWord(len(alive),
-                       tuple(map(index.__getitem__, relators[rid])))
-              for rid in sorted(relators)))
-
-
-def standard_form_order(g: PresentedGroup) -> int | None:
-    """If g is syntactically < u, v | [u,v], v^k > (up to generator order,
-    rotation and inversion of relators), return k; else None."""
-    if len(g.generators) != 2 or len(g.relators) != 2:
-        return None
-    comm = _cyclic_key((1, 2, -1, -2))
-    keys = [_cyclic_key(r.letters) for r in g.relators]
-    for i in (0, 1):
-        if keys[i] != comm:
-            continue
-        other = g.relators[1 - i].letters
-        gens = {abs(x) for x in other}
-        signs = {x > 0 for x in other}
-        if len(gens) == 1 and len(signs) == 1:
-            return len(other)
-    return None
-
-
-def abelianization(g: PresentedGroup) -> AbelianGroup:
-    """Z^generators modulo the relator exponent vectors, the group of
-    the class space of their sparse counts: row i holds, per relator,
-    the exponent sum of generator i in it, where that is not zero."""
-    rows: list[dict[int, int]] = [{} for _ in g.generators]
-    for c, r in enumerate(g.relators):
-        for x, count in Counter(r.letters).items():
-            row = rows[abs(x) - 1]
-            row[c] = row.get(c, 0) + (count if x > 0 else -count)
-    return ClassSpace.from_rows(
-        [{c: x for c, x in row.items() if x} for row in rows],
-        len(g.relators)).group()
 
 
 # ---------------------------------------------------------------------------

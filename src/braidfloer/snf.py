@@ -20,9 +20,9 @@ The report reaches no elimination.  The Nielsen classes of a d-cycle
 braid have the space Z/d, labelled by the exponent sum (``nielsen``),
 and the pi1 of its fiber sum abelianizes to Z x Z/d, read off d
 (``fourmanifold.simplified_pi1``).  ``nielsen.class_space`` keeps the
-general coker(I - A), and ``fourmanifold.abelianization`` the group of
-a presentation, as the references the tests check those readings
-against.
+general coker(I - A) as the reference the tests check the first reading
+against; the second is checked against the abelianization of a
+presentation in ``tests/_oracles.py``, which builds its group here.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Reference implementations that the package's faster paths are tested
-against.  Each is a straightforward version of an algorithm the package
-runs with more bookkeeping; both must give identical results."""
+"""Reference implementations that the package's faster paths and
+read-off results are tested against.  Each is a straightforward version
+of an algorithm the package runs with more bookkeeping, or skips because
+its result can be read off; both must give identical results."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from braidfloer.fourmanifold import (PresentedGroup, _cyclic_key,
-                                     _substitute_generator)
+from braidfloer import snf
+from braidfloer.fourmanifold import PresentedGroup
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce,
                                   _inverse)
 
@@ -181,11 +183,79 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def presented_group(generators: Iterable[str],
+                    relators: Iterable[FreeWord]) -> PresentedGroup:
+    """The group with these generators and relators, each relator
+    cyclically reduced and the empty ones dropped."""
+    cleaned = (r.cyclically_reduced() for r in relators)
+    return PresentedGroup(tuple(generators),
+                          tuple(r for r in cleaned if not r.is_identity()))
+
+
+def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation, in linear time.
+
+    Two candidate starts i < j are compared letter by letter; at the
+    first difference after k equal letters, no start in the losing
+    candidate's window of k + 1 letters can be least (Booth, "Lexico-
+    graphically least circular substrings", Inf. Proc. Lett. 10, 1980,
+    gives the failure-function form of the same bound)."""
+    n = len(letters)
+    doubled = letters + letters
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i:i + n]
+
+
+def _cyclic_key(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical form of a cyclic word up to rotation and inversion: the
+    least rotation of the word or of its inverse."""
+    return min(_least_rotation(letters), _least_rotation(_inverse(letters)))
+
+
+def _substitute_generator(letters: tuple[int, ...], g: int,
+                          value: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = _inverse(value)
+    out: list[int] = []
+    for x in letters:
+        if x != g and x != -g:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+            continue
+        for y in value if x > 0 else inverse:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
 def tietze_simplify(g: PresentedGroup) -> PresentedGroup:
-    """Generator elimination that rescans every relator after every
-    move: the candidate search counts the letters of all relators, the
-    move substitutes into all of them, and normalization keys them all
-    again, keeping the first of each set of duplicates."""
+    """Deterministic presentation shrinking by generator elimination.
+
+    While some generator occurs exactly once in some relator, the move
+    takes the shortest such relator (then the lowest generator index,
+    then the first relator), solves it for that generator and
+    substitutes the solution into the other relators.  Free and cyclic
+    reduction and duplicate removal (up to rotation and inversion)
+    follow every move.  Every move removes a generator and preserves
+    the group, in particular its abelianization.
+
+    Every relator is rescanned after every move: the candidate search
+    counts the letters of all relators, the move substitutes into all
+    of them, and normalization keys them all again, keeping the first
+    of each set of duplicates."""
     relators = [r.letters for r in g.relators]
     alive = list(range(1, len(g.generators) + 1))
 
@@ -230,6 +300,39 @@ def tietze_simplify(g: PresentedGroup) -> PresentedGroup:
         tuple(g.generators[gen - 1] for gen in alive),
         tuple(FreeWord(len(alive), tuple(index[x] for x in r))
               for r in relators))
+
+
+def standard_form_order(g: PresentedGroup) -> int | None:
+    """If g is syntactically < u, v | [u,v], v^k > (up to generator order,
+    rotation and inversion of relators), return k; else None."""
+    if len(g.generators) != 2 or len(g.relators) != 2:
+        return None
+    comm = _cyclic_key((1, 2, -1, -2))
+    keys = [_cyclic_key(r.letters) for r in g.relators]
+    for i in (0, 1):
+        if keys[i] != comm:
+            continue
+        other = g.relators[1 - i].letters
+        gens = {abs(x) for x in other}
+        signs = {x > 0 for x in other}
+        if len(gens) == 1 and len(signs) == 1:
+            return len(other)
+    return None
+
+
+def abelianization(g: PresentedGroup) -> snf.AbelianGroup:
+    """Z^generators modulo the relator exponent vectors, the group of
+    the package's class space of their sparse counts: row i holds, per
+    relator, the exponent sum of generator i in it, where that is not
+    zero."""
+    rows: list[dict[int, int]] = [{} for _ in g.generators]
+    for c, r in enumerate(g.relators):
+        for x, count in Counter(r.letters).items():
+            row = rows[abs(x) - 1]
+            row[c] = row.get(c, 0) + (count if x > 0 else -count)
+    return snf.ClassSpace.from_rows(
+        [{c: x for c, x in row.items() if x} for row in rows],
+        len(g.relators)).group()
 
 
 def smith_normal_form(m: IntMatrix, stop_at_units: bool = False

@@ -12,8 +12,8 @@ import time
 
 from braidfloer.braids import induced_permutation, is_transitive, parse_braid
 from braidfloer.floer import FloerDims, suspend_dims
-from braidfloer.fourmanifold import (abelianization, anticanonical_tori,
-                                     assemble_pi1, characteristic_numbers,
+from braidfloer.fourmanifold import (anticanonical_tori, assemble_pi1,
+                                     characteristic_numbers,
                                      default_configuration,
                                      mapping_torus_presentation)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
@@ -22,8 +22,8 @@ from braidfloer.nielsen import (class_space, lefschetz_number,
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
-from _oracles import (det, fox_derivative, matmul, ring_add, ring_mul,
-                      smith_normal_form)
+from _oracles import (abelianization, det, fox_derivative, matmul, ring_add,
+                      ring_mul, smith_normal_form)
 from _samplers import (random_braid_word, random_free_word, random_matrix,
                        random_transitive_braid)
 
