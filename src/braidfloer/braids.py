@@ -13,6 +13,16 @@ No other braid relations are applied, so two BraidWord values compare
 equal exactly when their reduced words coincide, not when they present
 the same group element.
 
+``BraidLetter`` and ``BraidWord`` check their fields when a library
+caller builds them: kind, sign and index range, and free reduction.
+``parse_braid`` checks the text instead, where it enters the program:
+the header bounds d, and each token's kind, sign and index are read off
+the grammar and range-checked against d.  Its letters are therefore
+valid and its word is reduced once, so it builds both with ``_trusted``,
+which skips the checks.  ``freegroup`` and ``fourmanifold`` build the
+words and presentations of a report the same way, each site saying why
+its values are valid by construction.
+
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
 functions written left to right, so in ``a.compose(b)`` (the word "a b")
@@ -55,6 +65,16 @@ class BraidIndexError(BraidError):
 
 class NonTransitiveBraidError(BraidError):
     """Raised by constructions that only exist for transitive braids."""
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with these fields,
+    made without running its ``__post_init__`` checks.  Only for values
+    the package built valid by construction; it equals, and hashes as,
+    the instance the checked constructor makes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -154,7 +174,10 @@ def _integer(digits: str, position: int) -> int:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors."""
+    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors.
+
+    The text is checked here, so the letters and the reduced word are
+    built with ``_trusted``."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -176,8 +199,9 @@ def parse_braid(text: str) -> BraidWord:
             what = "Artin generator" if kind == ARTIN else "framing twist"
             raise BraidIndexError(
                 f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
-        letters.append(BraidLetter(kind, index, -1 if inv else 1))
-    return BraidWord.from_letters(d, letters)
+        letters.append(_trusted(BraidLetter, kind=kind, index=index,
+                                sign=-1 if inv else 1))
+    return _trusted(BraidWord, d=d, letters=_free_reduce(letters))
 
 
 @dataclass(frozen=True)

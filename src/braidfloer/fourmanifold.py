@@ -29,6 +29,16 @@ and checks its one condition on the images), so the report reads that
 presentation, its standard form order d and its abelianization Z + Z/d
 off d.
 
+Checking.  ``PresentedGroup`` checks, for library callers, that its
+generator names are distinct and that each relator has their rank and is
+nonempty and cyclically reduced.  The presentations of a report skip
+that rescan: they are built with ``braids._trusted``, since each of
+their relators is valid by construction.  A commutator of two distinct
+generators is.  So is a monodromy relator l2 xi l2^-1 phi(xi)^-1 once
+the image is nonempty, which ``mapping_torus_presentation`` checks.  So
+are the meridian x1 and the power l2^d, which ``assemble_pi1`` adds to
+relators already valid once it has checked that x1 is a generator.
+
 Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
 invariants live in a configuration table, not in code.
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
-                     induced_permutation)
+                     _trusted, induced_permutation)
 from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
                         _letter_texts)
 
@@ -75,7 +85,8 @@ class PresentedGroup:
 
 
 def _commutator(rank: int, i: int, j: int) -> FreeWord:
-    return FreeWord(rank, (i, j, -i, -j))
+    """[xi, xj] for generators 1 <= i != j <= rank."""
+    return _trusted(FreeWord, rank=rank, letters=(i, j, -i, -j))
 
 
 def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
@@ -85,7 +96,8 @@ def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
     surgered torus; ``e`` is the braid's action ``artin_endo(b)`` and
     ``sigma``, when the caller has it, is ``induced_permutation(b)``.
     Rejects non-transitive braids: the construction surgers a single
-    closed orbit of the marked points."""
+    closed orbit of the marked points; and an ``e`` with a trivial
+    image, which no braid induces."""
     if sigma is None:
         sigma = induced_permutation(b)
     if not sigma.is_standard_cycle():
@@ -107,21 +119,30 @@ def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
         # made of x letters, so nothing cancels at the l2^-1 seam or
         # cyclically against the leading l2
         image = e.images[i - 1].letters
-        relators.append(FreeWord(n, (2, 2 + i, -2) + tuple(
-            map(inverted.__getitem__, reversed(image)))))
-    return PresentedGroup(gens, tuple(relators))
+        if not image:
+            raise ValueError(f"the image of x{i} is trivial")
+        relators.append(_trusted(FreeWord, rank=n, letters=(2, 2 + i, -2)
+                                 + tuple(map(inverted.__getitem__,
+                                             reversed(image)))))
+    return _trusted(PresentedGroup, generators=gens,
+                    relators=tuple(relators))
 
 
 def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
     """Kill the meridian (x1) and the second longitude (l2^d) of the
     surgered torus in ``mapping_torus_presentation``'s group, whose d+1
     generators are l1, l2, x1..x<d-1>; the other gluing side contributes
-    no new generators (its group is the Z already identified with l1)."""
+    no new generators (its group is the Z already identified with l1).
+    Rejects a group of fewer than three generators."""
     n = len(mapping_torus.generators)
-    extra = (FreeWord(n, (3,)),            # meridian: puncture loop x1
-             FreeWord(n, (2,) * (n - 1)))  # second longitude: l2^d
-    return PresentedGroup(mapping_torus.generators,
-                          mapping_torus.relators + extra)
+    if n < 3:
+        raise ValueError(f"need the d+1 >= 3 generators of a mapping torus "
+                         f"group, got {n}")
+    extra = (_trusted(FreeWord, rank=n, letters=(3,)),  # meridian: x1
+             # second longitude: l2^d
+             _trusted(FreeWord, rank=n, letters=(2,) * (n - 1)))
+    return _trusted(PresentedGroup, generators=mapping_torus.generators,
+                    relators=mapping_torus.relators + extra)
 
 
 def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
@@ -168,8 +189,9 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
         if len(w) % 2 == 0 or w[m] != k + 1 or w[:m] != _inverse(w[m + 1:]):
             raise ValueError(
                 f"the image of x{k} is not a conjugate of x{k + 1}")
-    return PresentedGroup(("l1", "l2"), (_commutator(2, 1, 2),
-                                         FreeWord(2, (2,) * (e.rank + 1))))
+    return _trusted(PresentedGroup, generators=("l1", "l2"), relators=(
+        _commutator(2, 1, 2),
+        _trusted(FreeWord, rank=2, letters=(2,) * (e.rank + 1))))
 
 
 # ---------------------------------------------------------------------------

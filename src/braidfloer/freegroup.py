@@ -24,6 +24,15 @@ disc images of pseudo-Anosov braids grow exponentially in the braid
 length even where the sphere images stay short, so the rank d disc
 action (``artin_disc_endo``) is kept only as a library function and a
 test oracle.
+
+``FreeWord`` checks, for library callers, that its letters lie in range
+and are freely reduced, and ``FreeGroupEndo`` that it has one image of
+its rank per generator.  ``artin_endo`` builds both with
+``braids._trusted``, which skips the checks: its starting images are
+reduced words in the letters +-1 .. +-(d-1), and its rules only invert
+reduced words and join them with ``_concat``, which keep both
+properties.  ``nielsen.reidemeister_trace_raw`` builds its terms the
+same way, since a prefix of a reduced word is reduced.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Iterable, Iterator
 
-from .braids import ARTIN, BraidWord
+from .braids import ARTIN, BraidWord, _trusted
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -127,17 +136,11 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, _inverse(self.letters))
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def exponent_vector(self) -> tuple[int, ...]:
         out = [0] * self.rank
         for x in self.letters:
             out[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(out)
-
-    def cyclically_reduced(self) -> "FreeWord":
-        return FreeWord(self.rank, _cyclic_reduce(self.letters))
 
     def to_text(self, names: tuple[str, ...] | None = None) -> str:
         """Print like ``x1 x2^-1``; the identity prints as ``1``."""
@@ -212,4 +215,5 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
             imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
         else:
             imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
-    return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))
+    return _trusted(FreeGroupEndo, rank=d - 1, images=tuple(
+        _trusted(FreeWord, rank=d - 1, letters=w) for w in imgs[:-1]))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
-from .braids import Permutation
+from .braids import Permutation, _trusted
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
@@ -121,7 +121,9 @@ def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
         for t, coeff in _hits(letters, j):
             prefix = letters[:t]
             terms[prefix] = terms.get(prefix, 0) + coeff
-    return {FreeWord(e.rank, p): c for p, c in terms.items() if c}
+    # a prefix of a reduced image is reduced, with letters in range
+    return {_trusted(FreeWord, rank=e.rank, letters=p): c
+            for p, c in terms.items() if c}
 
 
 def _class_indices(e: FreeGroupEndo, d: int) -> dict[tuple[int], int]:

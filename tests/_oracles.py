@@ -187,9 +187,9 @@ def presented_group(generators: Iterable[str],
                     relators: Iterable[FreeWord]) -> PresentedGroup:
     """The group with these generators and relators, each relator
     cyclically reduced and the empty ones dropped."""
-    cleaned = (r.cyclically_reduced() for r in relators)
+    cleaned = (FreeWord(r.rank, _cyclic_reduce(r.letters)) for r in relators)
     return PresentedGroup(tuple(generators),
-                          tuple(r for r in cleaned if not r.is_identity()))
+                          tuple(w for w in cleaned if w.letters))
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:

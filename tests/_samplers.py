@@ -67,6 +67,15 @@ def random_transitive_braid(rng: random.Random, d: int, max_len: int = 12,
     raise RuntimeError("failed to sample a transitive braid")
 
 
+def sampled_transitive_braids():
+    """600 short random words inducing the standard cycle, d = 2..8."""
+    rng = random.Random(167)
+    for _ in range(600):
+        d = rng.randint(2, 8)
+        yield random_transitive_braid(rng, d,
+                                      max_len=rng.choice((2 * d, 3 * d)))
+
+
 def random_free_word(rng: random.Random, rank: int,
                      max_len: int = 8) -> FreeWord:
     if rank == 0:

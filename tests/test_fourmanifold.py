@@ -24,7 +24,7 @@ from braidfloer.snf import AbelianGroup
 
 from _oracles import (_cyclic_key, abelianization, presented_group,
                       standard_form_order, tietze_simplify)
-from _samplers import random_transitive_braid
+from _samplers import random_transitive_braid, sampled_transitive_braids
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,15 +46,6 @@ def transitive_golden_braids(*names):
                 b = parse_braid(line)
                 if induced_permutation(b).is_standard_cycle():
                     yield b
-
-
-def sampled_transitive_braids():
-    """600 short random words inducing the standard cycle, d = 2..8."""
-    rng = random.Random(167)
-    for _ in range(600):
-        d = rng.randint(2, 8)
-        yield random_transitive_braid(rng, d,
-                                      max_len=rng.choice((2 * d, 3 * d)))
 
 
 def standard_braids(ds):
@@ -108,6 +99,15 @@ class TestPresentations:
         b = parse_braid("d=3; s1 s2")
         with pytest.raises(ValueError):
             mapping_torus_presentation(b, artin_endo(parse_braid("d=4; s1")))
+
+    def test_inputs_that_would_give_invalid_relators_are_rejected(self):
+        # the relators skip the PresentedGroup rescan, so these inputs
+        # are checked where they enter
+        b = parse_braid("d=3; s1 s2")
+        with pytest.raises(ValueError, match="^the image of x1 is trivial$"):
+            mapping_torus_presentation(b, FreeGroupEndo(2, (W(2), W(2, 1))))
+        with pytest.raises(ValueError, match="got 2$"):
+            assemble_pi1(PresentedGroup(("l1", "l2"), ()))
 
     def test_make_normalizes(self):
         g = presented_group(("a", "b"),

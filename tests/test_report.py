@@ -2,19 +2,27 @@
 trace only when refinement needs it, the class space from the
 permutation, the simplified pi1 from d without a Tietze pass or a Smith
 elimination, and nothing past the permutation for a braid that is not
-the standard cycle."""
+the standard cycle.  It checks no word, letter or presentation it built
+itself, and each of them passes the checked constructor."""
 
+import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from braidfloer import braids, fourmanifold, freegroup, nielsen, snf
-from braidfloer.braids import parse_braid
-from braidfloer.fourmanifold import ConfigurationError
-from braidfloer.report import build_report
+from braidfloer.braids import BraidLetter, BraidWord, _trusted, parse_braid
+from braidfloer.cli import main
+from braidfloer.fourmanifold import ConfigurationError, PresentedGroup
+from braidfloer.freegroup import FreeGroupEndo, FreeWord
+from braidfloer.report import build_report, render_text
 
 import _oracles
+from _samplers import sampled_transitive_braids
+
+DATA = Path(__file__).parent / "data"
 
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
@@ -105,3 +113,71 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     simplified = _oracles.tietze_simplify(fourmanifold.assemble_pi1(
         fourmanifold.mapping_torus_presentation(b, freegroup.artin_endo(b))))
     assert _oracles.abelianization(simplified) == snf.AbelianGroup(1, (d,))
+
+
+CHECKED = (FreeWord, PresentedGroup, BraidWord, BraidLetter)
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
+    # the text is checked by the parser; every word, letter and
+    # presentation after it is built valid by construction
+    calls = Counter()
+    for cls in CHECKED:
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    word = "d=4; t2^-1 s1 s1 s1 s2^-1 s3 s2 s2"
+    report = build_report(word, refine_depth=depth)
+    render_text(report)
+    assert report["transitive"]
+    assert (report["refined"] is None) == (depth == 0)
+    assert calls == Counter()
+    # the counters see a checked construction
+    BraidWord.from_letters(4, [BraidLetter("s", 1, 1)])
+    assert calls == Counter({"BraidLetter": 1, "BraidWord": 1})
+
+
+def test_trusted_objects_equal_the_checked_ones():
+    letter = ("s", 2, -1)
+    word = (BraidLetter("t", 3, 1), BraidLetter(*letter))
+    relators = (FreeWord(2, (1, 2, -1, -2)), FreeWord(2, (2, 2)))
+    for cls, fields in (
+            (BraidLetter, dict(zip(("kind", "index", "sign"), letter))),
+            (BraidWord, dict(d=3, letters=word)),
+            (FreeWord, dict(rank=3, letters=(1, -2, 3))),
+            (FreeGroupEndo, dict(rank=2, images=relators)),
+            (PresentedGroup, dict(generators=("l1", "l2"),
+                                  relators=relators))):
+        trusted, checked = _trusted(cls, **fields), cls(**fields)
+        assert type(trusted) is cls
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+
+
+def test_checked_construction_gives_the_same_reports(monkeypatch, capsys):
+    # every object the package builds trusted must pass the checks of
+    # its constructor: route the builds through them and rerun the
+    # golden words and 600 sampled transitive words
+    sampled = [(b, 3 if k % 4 == 0 else 0)
+               for k, b in enumerate(sampled_transitive_braids())]
+    trusted = [json.dumps(build_report(b.to_text(), refine_depth=depth))
+               for b, depth in sampled]
+    built = Counter()
+
+    def checked(cls, **fields):
+        built[cls.__name__] += 1
+        return cls(**fields)
+
+    replace(monkeypatch, braids, "_trusted", checked)
+    out = []
+    for words, depth in (("golden_words.txt", 0),
+                         ("golden_words_depth3.txt", 3)):
+        assert main(["--batch", str(DATA / words), "--format", "json",
+                     "--refine-depth", str(depth)]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (DATA / "golden.jsonl").read_text()
+    assert [json.dumps(build_report(b.to_text(), refine_depth=depth))
+            for b, depth in sampled] == trusted
+    assert set(built) == {cls.__name__ for cls in CHECKED + (FreeGroupEndo,)}
