@@ -5,9 +5,10 @@ A braid word on d marked points of the sphere is written in the grammar
     input := "d=" INT ";" token*
     token := ("s" | "t") INT ("^-1")?
 
-where ``s<i>`` is the Artin half-twist exchanging the marked points i and
-i+1 (valid for 1 <= i <= d-1) and ``t<k>`` is the framing twist of the
-disc around marked point k (valid for 1 <= k <= d).  Words are kept in
+where INT is a run of ASCII digits 0-9, ``s<i>`` is the Artin
+half-twist exchanging the marked points i and i+1 (valid for
+1 <= i <= d-1) and ``t<k>`` is the framing twist of the disc around
+marked point k (valid for 1 <= k <= d).  Words are kept in
 free reduction normal form: a letter never sits next to its own inverse.
 No other braid relations are applied, so two BraidWord values compare
 equal exactly when their reduced words coincide, not when they present
@@ -159,8 +160,9 @@ class BraidWord:
         return self.to_text()
 
 
-_HEADER = re.compile(r"\s*d=(\d+);")
-_TOKEN = re.compile(r"([st])(\d+)(\^-1)?\Z")
+# [0-9], not \d, which would also match (and int() read) any Unicode digit
+_HEADER = re.compile(r"\s*d=([0-9]+);")
+_TOKEN = re.compile(r"([st])([0-9]+)(\^-1)?\Z")
 
 
 def _integer(digits: str, position: int) -> int:

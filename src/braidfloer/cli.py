@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 for a computed report (including the non-transitive case,
-which reports a warning), 2 for a braid that does not parse, 3 for usage
-problems (bad flags, unreadable or inconsistent configuration, or a
-``--refine-depth`` whose orbit balls would exceed
-``nielsen.ORBIT_BALL_CAP`` elements for one homological class) and for
-a report that runs out of memory.  The images of a pseudo-Anosov braid
+which reports a warning), 2 for a braid that does not parse (its numbers
+are ASCII digits 0-9), 3 for usage problems and for a report that runs
+out of memory.  Usage problems are bad flags (``--refine-depth`` too
+takes ASCII digits 0-9 only), an unreadable or inconsistent
+configuration, which fails whatever the braid, and a ``--refine-depth``
+whose orbit balls would exceed ``nielsen.ORBIT_BALL_CAP`` elements for
+one homological class.  The images of a pseudo-Anosov braid
 grow exponentially in its length and nothing caps them yet, so a short
 word can need more memory than the process may take (say under
 ``ulimit -v``); the resulting ``MemoryError`` exits 3 with a one-line
@@ -39,6 +41,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _depth(text: str) -> int:
+    """ASCII digits 0-9 only: int() would also read '0_1', '+1', ' 2 '
+    and other Unicode digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected ASCII digits 0-9, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="braidfloer",
@@ -53,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "lines and # comments are skipped")
     p.add_argument("--format", choices=("json", "text"), default="text",
                    help="output format (default: text)")
-    p.add_argument("--refine-depth", type=int, default=0, metavar="N",
+    p.add_argument("--refine-depth", type=_depth, default=0, metavar="N",
                    help="twisted-conjugacy refinement search depth "
                         "(default: 0, no refinement)")
     p.add_argument("--config", metavar="PATH",
@@ -74,8 +85,6 @@ def _emit(report: dict, fmt: str, out) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.refine_depth < 0:
-        parser.error("--refine-depth must be >= 0")
 
     config_data = None
     if args.config is not None:

@@ -71,7 +71,8 @@ def _identity_minus_action(e: FreeGroupEndo
     """I - A as sparse rows, each mapping column to nonzero entry, and
     trace(A), for A the abelianized action: column j of A is the
     exponent vector of e(xj).  Read straight off the letter counts of
-    the images, so no n x n matrix is built."""
+    the images; ``class_space`` makes the rows dense for its Smith
+    elimination."""
     rows = [{i: 1} for i in range(e.rank)]
     trace = 0
     for j, image in enumerate(e.images):

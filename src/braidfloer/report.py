@@ -37,9 +37,11 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
 
     ``config_data`` is a parsed gluing-configuration dict (see
     ``configuration_from_dict``); volume tokens "d" resolve against this
-    braid.  ``refine_depth`` > 0 adds the bounded twisted-conjugacy
-    refinement of the raw trace terms.  Neither is read for a braid that
-    is not the standard cycle, whose report stops at its permutation.
+    braid.  It is validated for every braid, so a malformed one fails
+    whatever the braid, but only the standard cycle's report shows it.
+    ``refine_depth`` > 0 adds the bounded twisted-conjugacy refinement
+    of the raw trace terms; it is not read for a braid that is not the
+    standard cycle, whose report stops at its permutation.
     """
     if isinstance(braid, str):
         braid = parse_braid(braid)
@@ -65,6 +67,9 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
         "statements": list(STATEMENTS),
         "refined": None,
     }
+    cfg = (configuration_from_dict(config_data, braid.d)
+           if config_data is not None else default_configuration(braid.d))
+    numbers = characteristic_numbers(cfg)  # validates cfg
     if not report["transitive"]:
         report["warning"] = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "
@@ -72,10 +77,8 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
             "are null")
         return report
 
-    cfg = (configuration_from_dict(config_data, braid.d)
-           if config_data is not None else default_configuration(braid.d))
     report["config"] = configuration_to_dict(cfg)
-    report["characteristic_numbers"] = characteristic_numbers(cfg)._asdict()
+    report["characteristic_numbers"] = numbers._asdict()
     report["anticanonical_tori"] = anticanonical_tori(braid.d)._asdict()
     endo = artin_endo(braid)
     # pi1 before refinement's raw trace, so that the relators and the

@@ -54,6 +54,12 @@ class TestParsing:
         with pytest.raises(BraidIndexError) as exc:
             parse_braid(f" d={MAX_STRANDS + 1}; s1")
         assert exc.value.position == 3
+        # INT is ASCII: int() would read these Arabic-Indic and
+        # fullwidth digits as 3
+        for text in ("d=\u0663; s1 s2", "d=\uff13; s1 s2", "d=3\u0663; s1"):
+            with pytest.raises(BraidSyntaxError) as exc:
+                parse_braid(text)
+            assert exc.value.position == 0
 
     def test_token_errors(self):
         with pytest.raises(BraidSyntaxError) as exc:
@@ -63,6 +69,12 @@ class TestParsing:
             parse_braid("d=3; s1^2")
         with pytest.raises(BraidSyntaxError):
             parse_braid("d=3; s")
+        for text, position in (("d=3; s\u0661 s2", 5),
+                               ("d=3; s1 s\uff12", 8),
+                               ("d=3; t1\u0663", 5)):
+            with pytest.raises(BraidSyntaxError) as exc:
+                parse_braid(text)
+            assert exc.value.position == position
 
     def test_index_ranges(self):
         with pytest.raises(BraidIndexError) as exc:

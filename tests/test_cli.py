@@ -240,6 +240,22 @@ class TestExitCodes:
             assert exc.value.code == 3
             capsys.readouterr()
 
+    @pytest.mark.parametrize("word", ["d=\u0663; s1 s2", "d=3; s\u0661 s\uff12"])
+    def test_non_ascii_digits_are_2(self, capsys, word):
+        # int() reads these as 3, 1 and 2, which would report "d=3; s1 s2"
+        code, out, err = run(capsys, "--braid", word, "--format", "json")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", ["0_1", "+1", " \u0662 ", "\uff12", "1.0"])
+    def test_refine_depth_takes_ascii_digits_only(self, capsys, depth):
+        # argparse's int would read the first four as 1, 1, 2 and 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--braid", "d=2; s1", "--refine-depth", depth])
+        assert exc.value.code == 3
+        _, err = capsys.readouterr()
+        assert "expected ASCII digits 0-9" in err
+
     def test_invalid_config_json_is_3(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
         for content in (b"{not json",
@@ -294,6 +310,33 @@ class TestExitCodes:
 
 
 class TestConfigOption:
+    @pytest.mark.parametrize("data", [
+        {"pieces": 5},
+        {"pieces": [{"name": "A", "kind": "k3", "chi": 24, "sigma": -16,
+                     "tori": {"T": 1}}],
+         "pairings": []},
+    ], ids=["malformed", "unpaired"])
+    def test_bad_config_is_3_whatever_the_braid(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        for word in ("d=4; s1 s2 s3", "d=4; s1 s1"):
+            code, out, err = run(capsys, "--braid", word, "--config", str(cfg))
+            assert code == 3 and out == ""
+            assert "Traceback" not in err
+
+    def test_valid_config_leaves_a_non_transitive_report(self, capsys,
+                                                         tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            configuration_to_dict(default_configuration(4))))
+        for fmt in ("json", "text"):
+            plain = run(capsys, "--braid", "d=4; s1 s1", "--format", fmt)
+            configured = run(capsys, "--braid", "d=4; s1 s1", "--format", fmt,
+                             "--config", str(cfg))
+            assert configured == plain and plain[0] == 0
+            if fmt == "json":
+                assert json.loads(plain[1])["config"] is None
+
     def test_custom_configuration_flows_into_the_report(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

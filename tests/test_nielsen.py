@@ -353,8 +353,9 @@ class TestDecomposition:
 
 
 class TestClassSpaceAgainstDense:
-    """The sparse I - A and its logged elimination label classes as the
-    dense I - A and the dense U of ``_oracles`` do."""
+    """I - A read off the image letters, and the package's elimination
+    of it, label classes as the dense I - A and the dense U of
+    ``_oracles`` do."""
 
     def assert_same(self, e, rng):
         vectors = [w.exponent_vector() for w in e.images] + [

@@ -31,8 +31,8 @@ ONCE = ((braids, "induced_permutation"),
 
 
 def count_calls(monkeypatch, functions) -> Counter:
-    """Count calls of each (module, name) made through any package module
-    that imported the function."""
+    """Count calls of each (module or class, name) made through any
+    package module that imported the function, or through the class."""
     calls = Counter()
 
     def counted(name, fn):
@@ -47,7 +47,11 @@ def count_calls(monkeypatch, functions) -> Counter:
 
 
 def replace(monkeypatch, home, name, replacement) -> None:
-    """Replace a function wherever a package module imported it."""
+    """Replace a function wherever a package module imported it, or a
+    method on its class."""
+    if isinstance(home, type):
+        monkeypatch.setattr(home, name, replacement)
+        return
     original = getattr(home, name)
     for modname, module in list(sys.modules.items()):
         if (modname.startswith("braidfloer")
@@ -56,6 +60,7 @@ def replace(monkeypatch, home, name, replacement) -> None:
 
 
 NEVER = ((nielsen, "_identity_minus_action"),
+         (snf.ClassSpace, "from_rows"),
          (snf, "_smith_eliminate"))
 
 
@@ -64,8 +69,9 @@ def test_each_object_is_built_once(monkeypatch):
     report = build_report("d=4; s1 s2 s3", refine_depth=2)
     assert report["transitive"] and report["refined"] is not None
     # the class space Z/4 comes from the permutation, so I - A is never
-    # read off the images, and the simplified pi1 and its group
-    # Z x Z/4 come from d, so nothing is simplified or eliminated
+    # read off the images and no ClassSpace is built, and the
+    # simplified pi1 and its group Z x Z/4 come from d, so nothing is
+    # simplified or eliminated
     assert calls == Counter({name: 1 for _, name in ONCE})
     assert report["pi1"]["standard_form_order"] == 4
 

@@ -148,7 +148,8 @@ class TestSmithNormalFormAgainstFullScan:
 
 class TestClassSpaceAgainstDense:
     def test_same_labels_as_the_dense_transform(self):
-        # the row-operation log replays the rows of the dense U
+        # the elimination follows the oracle's pivot rule, so its U
+        # has the rows of the oracle's dense U
         rng = random.Random(197)
         for m in random_matrices(181, 3000):
             vectors = [tuple(rng.randint(-9, 9) for _ in range(m.rows))
@@ -164,7 +165,7 @@ class TestClassSpaceAgainstDense:
         assert rows == [{0: 2, 1: 1}, {0: -1}]
 
 
-class TestCokernel:
+class TestClassSpaceGroup:
     def test_unit_pivots_give_the_smith_form_group(self):
         shapes = [IntMatrix.from_rows(()), IntMatrix.zero(0, 3),
                   IntMatrix.zero(3, 0), IntMatrix.zero(3, 4),
