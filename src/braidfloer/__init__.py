@@ -10,18 +10,15 @@ braid labels by exponent sums mod d.
 
 from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
-                     BraidSyntaxError, BraidWord, NonTransitiveBraidError,
-                     Permutation, induced_permutation, is_transitive,
-                     parse_braid)
+                     BraidSyntaxError, BraidWord, Permutation,
+                     induced_permutation, is_transitive, parse_braid)
 from .floer import (FiberSumPrediction, FloerDims, dims_lower_bound,
                     predict_fiber_sum, suspend_dims)
 from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
-                           ConfigurationError, GluingPiece, PresentedGroup,
-                           SumConfiguration, anticanonical_tori,
-                           assemble_pi1, characteristic_numbers,
+                           ConfigurationError, GluingPiece, SumConfiguration,
+                           anticanonical_tori, characteristic_numbers,
                            configuration_from_dict, configuration_to_dict,
-                           default_configuration, mapping_torus_presentation,
-                           simplified_pi1)
+                           default_configuration, pi1_presentations)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
 from .nielsen import (NielsenDecomposition, RefinedClass,
                       RefinementLimitError, class_space, lefschetz_number,
@@ -33,7 +30,7 @@ from .snf import AbelianGroup, ClassSpace
 __all__ = [
     "__version__",
     "BraidError", "BraidIndexError", "BraidLetter", "BraidSyntaxError",
-    "BraidWord", "NonTransitiveBraidError", "Permutation",
+    "BraidWord", "Permutation",
     "induced_permutation", "is_transitive", "parse_braid",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
     "AbelianGroup", "ClassSpace",
@@ -42,8 +39,7 @@ __all__ = [
     "refine_decomposition", "RefinementLimitError",
     "FloerDims", "dims_lower_bound", "suspend_dims",
     "FiberSumPrediction", "predict_fiber_sum",
-    "PresentedGroup", "mapping_torus_presentation", "assemble_pi1",
-    "simplified_pi1",
+    "pi1_presentations",
     "GluingPiece", "SumConfiguration", "ConfigurationError",
     "CharacteristicNumbers", "characteristic_numbers",
     "default_configuration", "configuration_from_dict",

@@ -5,7 +5,9 @@ A braid word on d marked points of the sphere is written in the grammar
     input := "d=" INT ";" token*
     token := ("s" | "t") INT ("^-1")?
 
-where INT is a run of ASCII digits 0-9, ``s<i>`` is the Artin
+where INT is a run of ASCII digits 0-9, the header and the tokens are
+separated by ASCII whitespace only (space, tab, newline, carriage
+return, form feed, vertical tab), ``s<i>`` is the Artin
 half-twist exchanging the marked points i and i+1 (valid for
 1 <= i <= d-1) and ``t<k>`` is the framing twist of the disc around
 marked point k (valid for 1 <= k <= d).  Words are kept in
@@ -20,9 +22,9 @@ caller builds them: kind, sign and index range, and free reduction.
 the header bounds d, and each token's kind, sign and index are read off
 the grammar and range-checked against d.  Its letters are therefore
 valid and its word is reduced once, so it builds both with ``_trusted``,
-which skips the checks.  ``freegroup`` and ``fourmanifold`` build the
-words and presentations of a report the same way, each site saying why
-its values are valid by construction.
+which skips the checks.  ``freegroup`` and ``nielsen`` build the words
+of a report the same way, each site saying why its values are valid by
+construction.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
@@ -62,10 +64,6 @@ class BraidIndexError(BraidError):
         super().__init__(f"{message}: token {token!r} (at position {position})")
         self.token = token
         self.position = position
-
-
-class NonTransitiveBraidError(BraidError):
-    """Raised by constructions that only exist for transitive braids."""
 
 
 def _trusted(cls, **fields):
@@ -160,8 +158,11 @@ class BraidWord:
         return self.to_text()
 
 
-# [0-9], not \d, which would also match (and int() read) any Unicode digit
-_HEADER = re.compile(r"\s*d=([0-9]+);")
+# [0-9], not \d, which would also match (and int() read) any Unicode
+# digit; re.ASCII keeps \s and \S to ASCII whitespace, so that a Unicode
+# space (U+3000, U+00A0, NEL) is a syntax error, not a separator
+_HEADER = re.compile(r"\s*d=([0-9]+);", re.ASCII)
+_TOKENS = re.compile(r"\S+", re.ASCII)
 _TOKEN = re.compile(r"([st])([0-9]+)(\^-1)?\Z")
 
 
@@ -190,8 +191,8 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + shown,
                               m.start(1))
     letters = []
-    for tok in re.finditer(r"\S+", text[m.end():]):
-        pos = m.end() + tok.start()
+    for tok in _TOKENS.finditer(text, m.end()):
+        pos = tok.start()
         t = _TOKEN.match(tok.group())
         if t is None:
             raise BraidSyntaxError(f"bad token {tok.group()!r}", pos)

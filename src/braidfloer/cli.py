@@ -2,26 +2,30 @@
 
 Exit codes: 0 for a computed report (including the non-transitive case,
 which reports a warning), 2 for a braid that does not parse (its numbers
-are ASCII digits 0-9), 3 for usage problems and for a report that runs
-out of memory.  Usage problems are bad flags (``--refine-depth`` too
-takes ASCII digits 0-9 only), an unreadable or inconsistent
-configuration, which fails whatever the braid, and a ``--refine-depth``
-whose orbit balls would exceed ``nielsen.ORBIT_BALL_CAP`` elements for
-one homological class.  The images of a pseudo-Anosov braid
-grow exponentially in its length and nothing caps them yet, so a short
-word can need more memory than the process may take (say under
-``ulimit -v``); the resulting ``MemoryError`` exits 3 with a one-line
-message instead of a traceback.
+are ASCII digits 0-9 and its separators ASCII whitespace), 3 for usage
+problems and for a report that runs out of memory.  Usage problems are
+bad flags (``--refine-depth`` too takes ASCII digits 0-9 only, and one
+with more digits than the interpreter converts gets a one-line message
+naming the limit), an unreadable or inconsistent configuration, which
+fails whatever the braid, and a ``--refine-depth`` whose orbit balls
+would exceed ``nielsen.ORBIT_BALL_CAP`` elements for one homological
+class.  The images of a pseudo-Anosov braid grow exponentially in its
+length and nothing caps them yet, so a short word can need more memory
+than the process may take (say under ``ulimit -v``); the resulting
+``MemoryError`` exits 3 with a one-line message instead of a traceback.
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
-runs; the first parse error aborts the batch.
+runs; the first parse error aborts the batch.  Lines end at ``\n`` and
+lose ASCII whitespace only, so a Unicode space or line break (U+3000,
+NEL) stays in its line and is a parse error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from pathlib import Path
 
@@ -43,11 +47,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _depth(text: str) -> int:
     """ASCII digits 0-9 only: int() would also read '0_1', '+1', ' 2 '
-    and other Unicode digits."""
+    and other Unicode digits.  A long value is echoed shortened."""
     if not (text.isascii() and text.isdigit()):
+        shown = text if len(text) <= 12 else text[:8] + "..."
         raise argparse.ArgumentTypeError(
-            f"expected ASCII digits 0-9, got {text!r}")
-    return int(text)
+            f"expected ASCII digits 0-9, got {shown!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"integer of {len(text)} digits is too long (the limit is "
+            f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"cannot read batch file: {exc}")
         except UnicodeDecodeError as exc:
             parser.error(f"batch file is not UTF-8: {exc}")
-        words = [w for w in (line.strip() for line in text.splitlines())
+        words = [w for w in (line.strip(string.whitespace)
+                             for line in text.split("\n"))
                  if w and not w.startswith("#")]
 
     try:

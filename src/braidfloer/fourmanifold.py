@@ -24,20 +24,11 @@ certified abelianization Z + Z/d, does not depend on that choice.
 The group is simplified by reading, not by a Tietze pass.  For a braid
 that induces the standard cycle, every move the pass makes on the
 assembled group deletes one x generator by a relator of length 1, and
-the result is < l1, l2 | [l1,l2], l2^d > (``simplified_pi1`` proves it
-and checks its one condition on the images), so the report reads that
-presentation, its standard form order d and its abelianization Z + Z/d
-off d.
-
-Checking.  ``PresentedGroup`` checks, for library callers, that its
-generator names are distinct and that each relator has their rank and is
-nonempty and cyclically reduced.  The presentations of a report skip
-that rescan: they are built with ``braids._trusted``, since each of
-their relators is valid by construction.  A commutator of two distinct
-generators is.  So is a monodromy relator l2 xi l2^-1 phi(xi)^-1 once
-the image is nonempty, which ``mapping_torus_presentation`` checks.  So
-are the meridian x1 and the power l2^d, which ``assemble_pi1`` adds to
-relators already valid once it has checked that x1 is a generator.
+the result is < l1, l2 | [l1,l2], l2^d > (``pi1_presentations`` proves
+it and checks its one condition on the images), so the report reads
+that presentation, its standard form order d and its abelianization
+Z + Z/d off d, and renders all three presentations as text straight
+from d and the image letters.
 
 Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
@@ -49,106 +40,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .braids import (BraidWord, NonTransitiveBraidError, Permutation,
-                     _trusted, induced_permutation)
-from .freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce, _inverse,
-                        _letter_texts)
+from .freegroup import FreeGroupEndo, _inverse, _letter_texts
 
 
-@dataclass(frozen=True)
-class PresentedGroup:
-    """Generators by name, relators as words over them (freely and
-    cyclically reduced)."""
-
-    generators: tuple[str, ...]
-    relators: tuple[FreeWord, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError("duplicate generator names")
-        for r in self.relators:
-            if r.rank != len(self.generators):
-                raise ValueError("relator rank does not match generator count")
-            if not r.letters or _cyclic_reduce(r.letters) != r.letters:
-                raise ValueError("relators must be cyclically reduced and nonempty")
-
-    def relator_texts(self) -> tuple[str, ...]:
-        n = len(self.generators)
-        table = _letter_texts((*range(-n, 0), *range(1, n + 1)),
-                              self.generators)
-        return tuple(" ".join(map(table.__getitem__, r.letters))
-                     for r in self.relators)
-
-    def to_dict(self) -> dict:
-        return {"generators": list(self.generators),
-                "relators": list(self.relator_texts())}
-
-
-def _commutator(rank: int, i: int, j: int) -> FreeWord:
-    """[xi, xj] for generators 1 <= i != j <= rank."""
-    return _trusted(FreeWord, rank=rank, letters=(i, j, -i, -j))
-
-
-def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo,
-                               sigma: Permutation | None = None
-                               ) -> PresentedGroup:
-    """pi1 of (circle) x (mapping torus of the braid action), minus the
-    surgered torus; ``e`` is the braid's action ``artin_endo(b)`` and
-    ``sigma``, when the caller has it, is ``induced_permutation(b)``.
-    Rejects non-transitive braids: the construction surgers a single
-    closed orbit of the marked points; and an ``e`` with a trivial
-    image, which no braid induces."""
-    if sigma is None:
-        sigma = induced_permutation(b)
-    if not sigma.is_standard_cycle():
-        raise NonTransitiveBraidError(
-            f"braid {b.to_text()!r} does not induce the standard cycle")
-    d = b.d
-    if e.rank != d - 1:
-        raise ValueError(f"endomorphism of rank {e.rank} given for d={d}")
-    n = d + 1  # l1, l2, x1..x<d-1>
-    gens = ("l1", "l2") + tuple(f"x{i}" for i in range(1, d))
-    relators = [_commutator(n, 1, 2)]
-    for i in range(1, d):
-        relators.append(_commutator(n, 1, 2 + i))
-    # a letter of an image, inverted and renumbered past l1, l2
-    inverted = {y: (-2 if y > 0 else 2) - y
-                for y in (*range(1 - d, 0), *range(1, d))}
-    for i in range(1, d):
-        # l2 xi l2^-1 phi(xi)^-1: the image is reduced, nonempty and
-        # made of x letters, so nothing cancels at the l2^-1 seam or
-        # cyclically against the leading l2
-        image = e.images[i - 1].letters
-        if not image:
-            raise ValueError(f"the image of x{i} is trivial")
-        relators.append(_trusted(FreeWord, rank=n, letters=(2, 2 + i, -2)
-                                 + tuple(map(inverted.__getitem__,
-                                             reversed(image)))))
-    return _trusted(PresentedGroup, generators=gens,
-                    relators=tuple(relators))
-
-
-def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
-    """Kill the meridian (x1) and the second longitude (l2^d) of the
-    surgered torus in ``mapping_torus_presentation``'s group, whose d+1
-    generators are l1, l2, x1..x<d-1>; the other gluing side contributes
-    no new generators (its group is the Z already identified with l1).
-    Rejects a group of fewer than three generators."""
-    n = len(mapping_torus.generators)
-    if n < 3:
-        raise ValueError(f"need the d+1 >= 3 generators of a mapping torus "
-                         f"group, got {n}")
-    extra = (_trusted(FreeWord, rank=n, letters=(3,)),  # meridian: x1
-             # second longitude: l2^d
-             _trusted(FreeWord, rank=n, letters=(2,) * (n - 1)))
-    return _trusted(PresentedGroup, generators=mapping_torus.generators,
-                    relators=mapping_torus.relators + extra)
-
-
-def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
-    """The Tietze-simplified assembled group of a braid whose sphere
-    action is ``e``, read off the images instead of computed:
-    < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >, with d = rank + 1.
+def pi1_presentations(e: FreeGroupEndo) -> dict:
+    """The report's three presentations of pi1 as generator names and
+    relator texts, for a braid that induces the standard cycle and whose
+    sphere action is ``e``; d = rank + 1.  ``mapping_torus`` is pi1 of
+    (circle) x (mapping torus of the braid action) minus the surgered
+    torus: [l1, l2], the [l1, xi] and l2 xi l2^-1 phi(xi)^-1.
+    ``assembled`` adds the meridian x1 and the second longitude l2^d,
+    which the gluing kills (the other side adds no generators: its group
+    is the Z already identified with l1).  ``simplified`` is the
+    Tietze-simplified assembled group, read off the images:
+    < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >.
 
     For a braid that induces the standard cycle, the Artin action sends
     xk to a conjugate of x(k+1), so each reduced image phi(xk) with
@@ -156,9 +61,8 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
     the reference Tietze pass in ``tests/_oracles.py``: while some
     generator occurs exactly once in a relator, it solves the shortest
     such relator for it, substitutes, and drops empty and duplicate
-    relators.  Under that condition every move it makes on
-    ``assemble_pi1(mapping_torus_presentation(b, e))`` solves a relator
-    of length 1 for one generator and deletes it:
+    relators.  Under that condition every move it makes on the assembled
+    group solves a relator of length 1 for one generator and deletes it:
 
     * the meridian relator x1 is the only relator of length 1 at the
       start, and starts the chain;
@@ -179,7 +83,9 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
     to Z x Z/d.
 
     The condition is checked with one comparison of tuple slices per
-    image; an image that fails it raises ValueError.
+    image, and the last image must be nonempty, so that no monodromy
+    relator cancels at its l2^-1 seam or cyclically; an image that
+    fails either check raises ValueError.
     """
     if e.rank < 1:
         raise ValueError("need an endomorphism of rank >= 1 (d >= 2)")
@@ -189,9 +95,24 @@ def simplified_pi1(e: FreeGroupEndo) -> PresentedGroup:
         if len(w) % 2 == 0 or w[m] != k + 1 or w[:m] != _inverse(w[m + 1:]):
             raise ValueError(
                 f"the image of x{k} is not a conjugate of x{k + 1}")
-    return _trusted(PresentedGroup, generators=("l1", "l2"), relators=(
-        _commutator(2, 1, 2),
-        _trusted(FreeWord, rank=2, letters=(2,) * (e.rank + 1))))
+    d = e.rank + 1
+    if not e.images[-1].letters:
+        raise ValueError(f"the image of x{d - 1} is trivial")
+    generators = ["l1", "l2", *(f"x{i}" for i in range(1, d))]
+    table = _letter_texts((*range(1 - d, 0), *range(1, d)))
+    relators = ["l1 l2 l1^-1 l2^-1"]
+    relators += [f"l1 x{i} l1^-1 x{i}^-1" for i in range(1, d)]
+    relators += [f"l2 x{i} l2^-1 "
+                 + " ".join(map(table.__getitem__, _inverse(image.letters)))
+                 for i, image in enumerate(e.images, start=1)]
+    longitude = " ".join(["l2"] * d)
+    return {
+        "mapping_torus": {"generators": generators, "relators": relators},
+        "assembled": {"generators": list(generators),
+                      "relators": relators + ["x1", longitude]},
+        "simplified": {"generators": ["l1", "l2"],
+                       "relators": ["l1 l2 l1^-1 l2^-1", longitude]},
+    }
 
 
 # ---------------------------------------------------------------------------

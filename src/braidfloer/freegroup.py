@@ -70,14 +70,6 @@ def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u[:len(u) - k] + v[k:]
 
 
-def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Strip the letters that cancel cyclically from a reduced word."""
-    i = 0
-    while i * 2 < len(letters) - 1 and letters[i] == -letters[-1 - i]:
-        i += 1
-    return letters[i:len(letters) - i]
-
-
 def _letter_texts(letters: Iterable[int],
                   names: tuple[str, ...] | None = None) -> dict[int, str]:
     """The text of each signed letter given: +j prints as the j-th name

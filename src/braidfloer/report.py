@@ -6,10 +6,12 @@ induced permutation, so every braid gets the braid data and it.  The
 other sections need the single closed orbit that gets surgered: a braid
 that is not the standard cycle stops at its permutation, with those
 sections null and ``warning`` saying why, and builds no images.  For
-one that is, the simplified pi1, its standard form order and its
-abelianization Z x Z/d are read off d (``fourmanifold.simplified_pi1``
-checks, on the images, the condition under which a Tietze pass would
-reach them), so a report runs no Tietze pass and no Smith elimination.
+one that is, ``fourmanifold.pi1_presentations`` renders the three pi1
+presentations as text from d and the image letters, and checks on the
+images the condition under which a Tietze pass would reach the
+simplified one; its standard form order and its abelianization
+Z x Z/d are read off d, so a report runs no Tietze pass and no Smith
+elimination.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from .braids import BraidWord, induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, predict_fiber_sum)
-from .fourmanifold import (anticanonical_tori, assemble_pi1,
-                           characteristic_numbers, configuration_from_dict,
-                           configuration_to_dict, default_configuration,
-                           mapping_torus_presentation, simplified_pi1)
+from .fourmanifold import (anticanonical_tori, characteristic_numbers,
+                           configuration_from_dict, configuration_to_dict,
+                           default_configuration, pi1_presentations)
 from .freegroup import artin_endo
 from .nielsen import nielsen_decomposition, refine_decomposition
 from .snf import AbelianGroup
@@ -84,8 +85,7 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     # pi1 before refinement's raw trace, so that the relators and the
     # raw trace, the two largest objects of a report, are never alive at
     # once
-    report["pi1"] = _pi1_section(
-        mapping_torus_presentation(braid, endo, sigma), endo)
+    report["pi1"] = _pi1_section(endo)
     nd = nielsen_decomposition(endo, sigma)
     report["nielsen"] = _nielsen_section(nd)
     report["floer_bound"] = _dims_section(dims_lower_bound(nd))
@@ -136,22 +136,11 @@ def _fiber_sum_section(nd) -> dict:
     }
 
 
-def _pi1_section(mapping_torus, endo) -> dict:
-    assembled = assemble_pi1(mapping_torus)
-    simplified = simplified_pi1(endo)
+def _pi1_section(endo) -> dict:
     d = endo.rank + 1
     ab = AbelianGroup(1, (d,))
-    torus = mapping_torus.to_dict()
-    # the assembled relators are the mapping torus ones plus two more:
-    # render only those two
-    extra = assembled.relators[len(mapping_torus.relators):]
     return {
-        "mapping_torus": torus,
-        "assembled": {
-            "generators": list(assembled.generators),
-            "relators": torus["relators"] + [
-                r.to_text(assembled.generators) for r in extra]},
-        "simplified": simplified.to_dict(),
+        **pi1_presentations(endo),
         "standard_form_order": d,
         "abelianization": {"free_rank": ab.free_rank,
                            "torsion": list(ab.torsion),

@@ -15,7 +15,7 @@ The report reaches no elimination and no ``ClassSpace``: it uses
 ``AbelianGroup`` alone.  The Nielsen classes of a d-cycle braid have
 the space Z/d, labelled by the exponent sum (``nielsen``), and the pi1
 of its fiber sum abelianizes to Z x Z/d, read off d
-(``fourmanifold.simplified_pi1``).  ``nielsen.class_space`` keeps the
+(``fourmanifold.pi1_presentations``).  ``nielsen.class_space`` keeps the
 general coker(I - A) as the reference the tests check the first reading
 against; the second is checked against the abelianization of a
 presentation in ``tests/_oracles.py``, which builds its group here.

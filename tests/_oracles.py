@@ -1,7 +1,9 @@
 """Reference implementations that the package's faster paths and
 read-off results are tested against.  Each is a straightforward version
 of an algorithm the package runs with more bookkeeping, or skips because
-its result can be read off; both must give identical results."""
+its result can be read off; both must give identical results.  The
+presentations of pi1 are built here as checked words (``PresentedGroup``),
+which the report renders as text straight from d and the images."""
 
 from __future__ import annotations
 
@@ -10,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from braidfloer import snf
-from braidfloer.fourmanifold import PresentedGroup
-from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _cyclic_reduce,
-                                  _inverse)
+from braidfloer.braids import BraidWord, induced_permutation
+from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse,
+                                  _letter_texts)
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,94 @@ def det(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip the letters that cancel cyclically from a reduced word."""
+    i = 0
+    while i * 2 < len(letters) - 1 and letters[i] == -letters[-1 - i]:
+        i += 1
+    return letters[i:len(letters) - i]
+
+
+@dataclass(frozen=True)
+class PresentedGroup:
+    """Generators by name, relators as words over them (freely and
+    cyclically reduced)."""
+
+    generators: tuple[str, ...]
+    relators: tuple[FreeWord, ...]
+
+    def __post_init__(self) -> None:
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError("duplicate generator names")
+        for r in self.relators:
+            if r.rank != len(self.generators):
+                raise ValueError("relator rank does not match generator count")
+            if not r.letters or _cyclic_reduce(r.letters) != r.letters:
+                raise ValueError("relators must be cyclically reduced and nonempty")
+
+    def relator_texts(self) -> tuple[str, ...]:
+        n = len(self.generators)
+        table = _letter_texts((*range(-n, 0), *range(1, n + 1)),
+                              self.generators)
+        return tuple(" ".join(map(table.__getitem__, r.letters))
+                     for r in self.relators)
+
+    def to_dict(self) -> dict:
+        return {"generators": list(self.generators),
+                "relators": list(self.relator_texts())}
+
+
+def _commutator(rank: int, i: int, j: int) -> FreeWord:
+    """[xi, xj] for generators 1 <= i != j <= rank."""
+    return FreeWord(rank, (i, j, -i, -j))
+
+
+def mapping_torus_presentation(b: BraidWord, e: FreeGroupEndo
+                               ) -> PresentedGroup:
+    """pi1 of (circle) x (mapping torus of the braid action), minus the
+    surgered torus, as words; ``e`` is the braid's action
+    ``artin_endo(b)``.  The reference the report's ``mapping_torus``
+    text is checked against.  Rejects, with ValueError, a braid that is
+    not the standard cycle: the construction surgers a single closed
+    orbit of the marked points; and an ``e`` with a trivial image,
+    which no braid induces."""
+    if not induced_permutation(b).is_standard_cycle():
+        raise ValueError(
+            f"braid {b.to_text()!r} does not induce the standard cycle")
+    d = b.d
+    if e.rank != d - 1:
+        raise ValueError(f"endomorphism of rank {e.rank} given for d={d}")
+    n = d + 1  # l1, l2, x1..x<d-1>
+    gens = ("l1", "l2") + tuple(f"x{i}" for i in range(1, d))
+    relators = [_commutator(n, 1, 2)]
+    for i in range(1, d):
+        relators.append(_commutator(n, 1, 2 + i))
+    for i in range(1, d):
+        # l2 xi l2^-1 phi(xi)^-1, with the x letters of the image
+        # renumbered past l1, l2
+        image = e.images[i - 1].letters
+        if not image:
+            raise ValueError(f"the image of x{i} is trivial")
+        shifted = tuple(y + 2 if y > 0 else y - 2 for y in image)
+        relators.append(FreeWord(n, (2, 2 + i, -2) + _inverse(shifted)))
+    return PresentedGroup(gens, tuple(relators))
+
+
+def assemble_pi1(mapping_torus: PresentedGroup) -> PresentedGroup:
+    """Kill the meridian (x1) and the second longitude (l2^d) of the
+    surgered torus in ``mapping_torus_presentation``'s group, whose d+1
+    generators are l1, l2, x1..x<d-1>.  The reference the report's
+    ``assembled`` text is checked against.  Rejects a group of fewer
+    than three generators."""
+    n = len(mapping_torus.generators)
+    if n < 3:
+        raise ValueError(f"need the d+1 >= 3 generators of a mapping torus "
+                         f"group, got {n}")
+    return PresentedGroup(mapping_torus.generators, mapping_torus.relators + (
+        FreeWord(n, (3,)),            # meridian: x1
+        FreeWord(n, (2,) * (n - 1))))  # second longitude: l2^d
 
 
 def presented_group(generators: Iterable[str],

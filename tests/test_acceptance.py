@@ -12,18 +12,18 @@ import time
 
 from braidfloer.braids import induced_permutation, is_transitive, parse_braid
 from braidfloer.floer import FloerDims, suspend_dims
-from braidfloer.fourmanifold import (anticanonical_tori, assemble_pi1,
+from braidfloer.fourmanifold import (anticanonical_tori,
                                      characteristic_numbers,
-                                     default_configuration,
-                                     mapping_torus_presentation)
+                                     default_configuration)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.nielsen import (class_space, lefschetz_number,
                                 nielsen_decomposition, reidemeister_trace_raw)
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
-from _oracles import (abelianization, det, fox_derivative, matmul, ring_add,
-                      ring_mul, smith_normal_form)
+from _oracles import (abelianization, assemble_pi1, det, fox_derivative,
+                      mapping_torus_presentation, matmul, ring_add, ring_mul,
+                      smith_normal_form)
 from _samplers import (random_braid_word, random_free_word, random_matrix,
                        random_transitive_braid)
 

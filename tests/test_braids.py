@@ -60,6 +60,12 @@ class TestParsing:
             with pytest.raises(BraidSyntaxError) as exc:
                 parse_braid(text)
             assert exc.value.position == 0
+        # the header too is led by ASCII whitespace only
+        for text in ("\u3000d=3; s1 s2", "\u00a0d=3; s1", "\u2003d=3;",
+                     "\x85d=3; s1 s2"):
+            with pytest.raises(BraidSyntaxError) as exc:
+                parse_braid(text)
+            assert exc.value.position == 0
 
     def test_token_errors(self):
         with pytest.raises(BraidSyntaxError) as exc:
@@ -75,6 +81,17 @@ class TestParsing:
             with pytest.raises(BraidSyntaxError) as exc:
                 parse_braid(text)
             assert exc.value.position == position
+        # tokens are separated by ASCII whitespace only: a Unicode
+        # space or NEL would otherwise vanish from the reported word
+        for text, position in (("d=3; s1\u3000s2", 5),
+                               ("d=3; s1\u00a0s2", 5),
+                               ("d=3;\u2003s1 s2", 4),
+                               ("d=3; s1\x85s2", 5),
+                               ("d=3; s1 s2\u3000", 8)):
+            with pytest.raises(BraidSyntaxError) as exc:
+                parse_braid(text)
+            assert exc.value.position == position
+        assert parse_braid("d=3;\ts1\r\ns2\x0b\x0c").to_text() == "d=3; s1 s2"
 
     def test_index_ranges(self):
         with pytest.raises(BraidIndexError) as exc:

@@ -181,6 +181,30 @@ class TestBatch:
         assert len(out.splitlines()) == 1  # only the line before the error
         assert "nope" in err
 
+    @pytest.mark.parametrize("text, bad", [
+        ("d=2; s1\nd=3; s1 s2\x85d=3; s1\n", "'s2\\x85d=3;'"),
+        ("d=2; s1\n\u3000d=3; s1 s2\n", "header"),
+        ("d=2; s1\nd=3; s1 s2\u00a0\n", "'s2\\xa0'"),
+    ], ids=["nel-inside-a-line", "leading-u3000", "trailing-nbsp"])
+    def test_unicode_whitespace_is_a_parse_error(self, capsys, tmp_path,
+                                                 text, bad):
+        # lines end at "\n" only and lose only ASCII whitespace, so a
+        # NEL does not split a line and a Unicode space is not stripped
+        f = tmp_path / "batch.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "--batch", str(f), "--format", "json")
+        assert code == 2
+        assert len(out.splitlines()) == 1  # only the line before the error
+        assert bad in err and "Traceback" not in err
+
+    def test_crlf_line_endings_are_read(self, capsys, tmp_path):
+        f = tmp_path / "batch.txt"
+        f.write_bytes(b"d=2; s1\r\n# comment\r\n\r\nd=3; s1 s2\r\n")
+        code, out, _ = run(capsys, "--batch", str(f), "--format", "json")
+        assert code == 0
+        assert [json.loads(x)["input"] for x in out.splitlines()] == [
+            "d=2; s1", "d=3; s1 s2"]
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
@@ -255,6 +279,19 @@ class TestExitCodes:
         assert exc.value.code == 3
         _, err = capsys.readouterr()
         assert "expected ASCII digits 0-9" in err
+
+    @pytest.mark.parametrize("depth, shown", [
+        ("9" * 5000, "integer of 5000 digits is too long (the limit is "),
+        ("x" * 5000, "got 'xxxxxxxx...'"),
+    ], ids=["overlong-digits", "overlong-non-digits"])
+    def test_long_refine_depth_is_a_one_line_error(self, depth, shown):
+        # int() would raise ValueError on the first, and argparse would
+        # echo every character of either in its message
+        proc = run_capped(["--braid", CALIBRATION, "--refine-depth", depth])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert shown in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 300
 
     def test_invalid_config_json_is_3(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"

@@ -1,29 +1,28 @@
-"""Mapping torus presentations, the simplified group the report reads
-off d, the rescan Tietze pass and abelianization of ``_oracles`` that it
-is checked against, and fiber-sum characteristic numbers."""
+"""The report's pi1 presentations, rendered from d and the images,
+against the checked presentations, rescan Tietze pass and
+abelianization of ``_oracles``, and fiber-sum characteristic numbers."""
 
 import random
 from pathlib import Path
 
 import pytest
 
-from braidfloer.braids import (NonTransitiveBraidError, induced_permutation,
-                               parse_braid)
+from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
-                                     GluingPiece, PresentedGroup,
-                                     SumConfiguration, anticanonical_tori,
-                                     assemble_pi1, characteristic_numbers,
+                                     GluingPiece, SumConfiguration,
+                                     anticanonical_tori,
+                                     characteristic_numbers,
                                      configuration_from_dict,
                                      configuration_to_dict,
                                      default_configuration,
-                                     mapping_torus_presentation,
-                                     simplified_pi1)
+                                     pi1_presentations)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
-from _oracles import (_cyclic_key, abelianization, presented_group,
-                      standard_form_order, tietze_simplify)
+from _oracles import (PresentedGroup, _cyclic_key, abelianization,
+                      assemble_pi1, mapping_torus_presentation,
+                      presented_group, standard_form_order, tietze_simplify)
 from _samplers import random_transitive_braid, sampled_transitive_braids
 
 DATA = Path(__file__).parent / "data"
@@ -80,20 +79,10 @@ class TestPresentations:
                                      "l2 l2")
 
     def test_non_transitive_rejected(self):
-        with pytest.raises(NonTransitiveBraidError):
+        with pytest.raises(ValueError, match="standard cycle"):
             mapping_torus(parse_braid("d=4; s1 s3"))
-        with pytest.raises(NonTransitiveBraidError):
+        with pytest.raises(ValueError, match="standard cycle"):
             mapping_torus(parse_braid("d=3; s2 s1"))
-
-    def test_permutation_from_the_caller_is_used(self):
-        b = parse_braid("d=3; s1 s2")
-        e = artin_endo(b)
-        assert (mapping_torus_presentation(b, e, induced_permutation(b))
-                == mapping_torus_presentation(b, e))
-        bad = parse_braid("d=3; s2 s1")
-        with pytest.raises(NonTransitiveBraidError):
-            mapping_torus_presentation(bad, artin_endo(bad),
-                                       induced_permutation(bad))
 
     def test_endomorphism_rank_must_match(self):
         b = parse_braid("d=3; s1 s2")
@@ -101,8 +90,8 @@ class TestPresentations:
             mapping_torus_presentation(b, artin_endo(parse_braid("d=4; s1")))
 
     def test_inputs_that_would_give_invalid_relators_are_rejected(self):
-        # the relators skip the PresentedGroup rescan, so these inputs
-        # are checked where they enter
+        # these inputs are named where they enter, before the checked
+        # constructors would reject the relators they give
         b = parse_braid("d=3; s1 s2")
         with pytest.raises(ValueError, match="^the image of x1 is trivial$"):
             mapping_torus_presentation(b, FreeGroupEndo(2, (W(2), W(2, 1))))
@@ -245,23 +234,26 @@ class TestTietzeAgainstRescan:
 
 
 class TestSimplifiedPi1:
-    """The report's simplified group, standard form order and
-    abelianization, read off d, are what the rescan Tietze pass and the
-    abelianization of the assembled group give."""
+    """The report's presentations, rendered from d and the images, are
+    the oracle's checked ones, and its simplified group, standard form
+    order and abelianization, read off d, are what the rescan Tietze
+    pass and the abelianization of the assembled group give."""
 
     def assert_report_matches(self, braids):
         seen = 0
         for b in braids:
-            assembled = assembled_pi1(b)
+            torus = mapping_torus(b)
+            assembled = assemble_pi1(torus)
             simplified = tietze_simplify(assembled)
             ab = abelianization(assembled)
             pi1 = build_report(b)["pi1"]
+            assert pi1["mapping_torus"] == torus.to_dict(), b.to_text()
+            assert pi1["assembled"] == assembled.to_dict(), b.to_text()
             assert pi1["simplified"] == simplified.to_dict(), b.to_text()
             assert pi1["standard_form_order"] == standard_form_order(simplified)
             assert pi1["abelianization"] == {
                 "free_rank": ab.free_rank, "torsion": list(ab.torsion),
                 "pretty": ab.pretty()}
-            assert simplified_pi1(artin_endo(b)) == simplified
             seen += 1
         return seen
 
@@ -276,9 +268,9 @@ class TestSimplifiedPi1:
         assert self.assert_report_matches(standard_braids(range(2, 151))) == 149
 
     def test_rank_one_has_no_condition(self):
-        out = simplified_pi1(FreeGroupEndo.identity(1))
-        assert out.to_dict() == {"generators": ["l1", "l2"],
-                                 "relators": ["l1 l2 l1^-1 l2^-1", "l2 l2"]}
+        out = pi1_presentations(FreeGroupEndo.identity(1))["simplified"]
+        assert out == {"generators": ["l1", "l2"],
+                       "relators": ["l1 l2 l1^-1 l2^-1", "l2 l2"]}
 
     @pytest.mark.parametrize("images, k", [
         (((1,), (2,), (3,)), 1),             # the identity of rank 3
@@ -289,11 +281,24 @@ class TestSimplifiedPi1:
     def test_image_that_is_not_a_conjugate_is_rejected(self, images, k):
         e = FreeGroupEndo(3, tuple(W(3, *w) for w in images))
         with pytest.raises(ValueError, match=f"image of x{k} is not"):
-            simplified_pi1(e)
+            pi1_presentations(e)
 
     def test_rank_zero_is_rejected(self):
         with pytest.raises(ValueError):
-            simplified_pi1(FreeGroupEndo.identity(0))
+            pi1_presentations(FreeGroupEndo.identity(0))
+
+    @pytest.mark.parametrize("images", [
+        ((),),              # rank 1: the only image is the last
+        ((2,), ()),         # x1 is fine, x2 is trivial
+        ((-1, 2, 1), (3,), ()),
+    ])
+    def test_trivial_last_image_is_rejected(self, images):
+        # l2 x<d-1> l2^-1 would reduce cyclically to x<d-1>
+        rank = len(images)
+        e = FreeGroupEndo(rank, tuple(W(rank, *w) for w in images))
+        with pytest.raises(ValueError,
+                           match=f"^the image of x{rank} is trivial$"):
+            pi1_presentations(e)
 
 
 def brute_cyclic_key(letters):

@@ -7,12 +7,13 @@ import pytest
 
 from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat,
-                                  _cyclic_reduce, _inverse, _reduce,
-                                  artin_disc_endo, artin_endo)
+                                  _inverse, _reduce, artin_disc_endo,
+                                  artin_endo)
 from braidfloer.nielsen import _identity_minus_action
 
-from _oracles import (IntMatrix, abelianization_matrix, compose, det,
-                      fox_derivative, ring_add, ring_mul, substitute)
+from _oracles import (IntMatrix, _cyclic_reduce, abelianization_matrix,
+                      compose, det, fox_derivative, ring_add, ring_mul,
+                      substitute)
 from _samplers import random_braid_word, random_free_word
 
 

@@ -2,8 +2,8 @@
 trace only when refinement needs it, the class space from the
 permutation, the simplified pi1 from d without a Tietze pass or a Smith
 elimination, and nothing past the permutation for a braid that is not
-the standard cycle.  It checks no word, letter or presentation it built
-itself, and each of them passes the checked constructor."""
+the standard cycle.  It checks no word or letter it built itself, and
+each of them passes the checked constructor."""
 
 import json
 import sys
@@ -15,7 +15,7 @@ import pytest
 from braidfloer import braids, fourmanifold, freegroup, nielsen, snf
 from braidfloer.braids import BraidLetter, BraidWord, _trusted, parse_braid
 from braidfloer.cli import main
-from braidfloer.fourmanifold import ConfigurationError, PresentedGroup
+from braidfloer.fourmanifold import ConfigurationError
 from braidfloer.freegroup import FreeGroupEndo, FreeWord
 from braidfloer.report import build_report, render_text
 
@@ -26,7 +26,7 @@ DATA = Path(__file__).parent / "data"
 
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
-        (fourmanifold, "mapping_torus_presentation"),
+        (fourmanifold, "pi1_presentations"),
         (nielsen, "reidemeister_trace_raw"))
 
 
@@ -95,7 +95,7 @@ def test_a_braid_off_the_standard_cycle_stops_at_its_permutation(monkeypatch):
         (braids, "induced_permutation"), (freegroup, "artin_endo"),
         (nielsen, "_identity_minus_action"),
         (nielsen, "nielsen_decomposition"),
-        (fourmanifold, "mapping_torus_presentation")))
+        (fourmanifold, "pi1_presentations")))
     for word in words:
         report = build_report(word)
         assert not report["transitive"] and report["warning"]
@@ -116,18 +116,18 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     ab = build_report(b)["pi1"]["abelianization"]
     assert calls == Counter()
     assert ab == {"free_rank": 1, "torsion": [d], "pretty": f"Z x Z/{d}"}
-    simplified = _oracles.tietze_simplify(fourmanifold.assemble_pi1(
-        fourmanifold.mapping_torus_presentation(b, freegroup.artin_endo(b))))
+    simplified = _oracles.tietze_simplify(_oracles.assemble_pi1(
+        _oracles.mapping_torus_presentation(b, freegroup.artin_endo(b))))
     assert _oracles.abelianization(simplified) == snf.AbelianGroup(1, (d,))
 
 
-CHECKED = (FreeWord, PresentedGroup, BraidWord, BraidLetter)
+CHECKED = (FreeWord, BraidWord, BraidLetter)
 
 
 @pytest.mark.parametrize("depth", [0, 3])
 def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
-    # the text is checked by the parser; every word, letter and
-    # presentation after it is built valid by construction
+    # the text is checked by the parser; every word and letter after it
+    # is built valid by construction, and pi1 is rendered as text
     calls = Counter()
     for cls in CHECKED:
         def counted(self, check=cls.__post_init__, name=cls.__name__):
@@ -148,14 +148,12 @@ def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
 def test_trusted_objects_equal_the_checked_ones():
     letter = ("s", 2, -1)
     word = (BraidLetter("t", 3, 1), BraidLetter(*letter))
-    relators = (FreeWord(2, (1, 2, -1, -2)), FreeWord(2, (2, 2)))
+    images = (FreeWord(2, (1, 2, -1, -2)), FreeWord(2, (2, 2)))
     for cls, fields in (
             (BraidLetter, dict(zip(("kind", "index", "sign"), letter))),
             (BraidWord, dict(d=3, letters=word)),
             (FreeWord, dict(rank=3, letters=(1, -2, 3))),
-            (FreeGroupEndo, dict(rank=2, images=relators)),
-            (PresentedGroup, dict(generators=("l1", "l2"),
-                                  relators=relators))):
+            (FreeGroupEndo, dict(rank=2, images=images))):
         trusted, checked = _trusted(cls, **fields), cls(**fields)
         assert type(trusted) is cls
         assert trusted == checked and hash(trusted) == hash(checked)
