@@ -12,8 +12,7 @@ from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, Permutation,
                      induced_permutation, is_transitive, parse_braid)
-from .floer import (FiberSumPrediction, FloerDims, dims_lower_bound,
-                    predict_fiber_sum, suspend_dims)
+from .floer import FloerDims, dims_lower_bound, suspend_dims
 from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
                            ConfigurationError, GluingPiece, SumConfiguration,
                            anticanonical_tori, characteristic_numbers,
@@ -38,7 +37,6 @@ __all__ = [
     "NielsenDecomposition", "nielsen_decomposition", "RefinedClass",
     "refine_decomposition", "RefinementLimitError",
     "FloerDims", "dims_lower_bound", "suspend_dims",
-    "FiberSumPrediction", "predict_fiber_sum",
     "pi1_presentations",
     "GluingPiece", "SumConfiguration", "ConfigurationError",
     "CharacteristicNumbers", "characteristic_numbers",

@@ -12,13 +12,12 @@ is that of the Lefschetz number.  Suspending by a two-torus (the product
 with T^2 taken inside the fiber sum) tensors with H_*(T^2), doubling
 into both parities.
 
-Predictions about the glued four-manifold are dimension statements for
-the flux class a1, the one pairing with the surface-direction loop l1:
-the summand at the torsion class [l2] carries the suspended braid group,
-every other nonzero torsion multiple of [l2] carries zero, and summing
-over the two generators +-a1 doubles the total.  The torsion order d is
-the decomposition's own, so a prediction needs nothing else.  Every
-figure computed here is a lower bound, never an exact dimension.
+The statements about the glued four-manifold, at the flux class a1, are
+read off these figures by the report (``report._fiber_sum_section``):
+the suspended bounds of the braid, 4x its Nielsen bound, at the torsion
+class [l2], zero at every other nonzero torsion multiple, and twice the
+summand over the two flux generators.  Every figure computed here is a
+lower bound, never an exact dimension.
 """
 
 from __future__ import annotations
@@ -81,47 +80,3 @@ def suspend_dims(f: FloerDims) -> FloerDims:
     """Tensor with H_*(T^2): both parities receive 2 * total."""
     t = f.total()
     return FloerDims(even=2 * t, odd=2 * t)
-
-
-@dataclass(frozen=True)
-class FiberSumPrediction:
-    """Dimension statements for the glued manifold at flux class a1.
-
-    ``summand`` sits at the torsion class [l2] of H_1 = Z<l1> + Z/d<l2>;
-    ``zero_torsion_multiples`` lists the k with HF(.; k[l2]) predicted
-    zero (k = 2..d-1); ``total`` sums over both flux generators +-a1 and
-    all torsion classes, which is exactly twice the summand figure.
-    """
-
-    d: int
-    flux_class: str
-    summand_class: str
-    summand: FloerDims
-    summand_total: int
-    zero_torsion_multiples: tuple[int, ...]
-    total: int
-    notes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.total != 2 * self.summand_total:
-            raise ValueError("total must be exactly twice the summand figure")
-
-
-def predict_fiber_sum(nd: NielsenDecomposition) -> FiberSumPrediction:
-    """Predicted Floer summand dimensions of the fiber-sum four-manifold
-    of the d-cycle braid that ``nd`` decomposes, d = ``nd.d``.
-
-    The figures are the certified lower bounds, 4x and 8x the Nielsen
-    bound.
-    """
-    summand = suspend_dims(dims_lower_bound(nd))
-    return FiberSumPrediction(
-        d=nd.d,
-        flux_class="a1",
-        summand_class="l2",
-        summand=summand,
-        summand_total=summand.total(),
-        zero_torsion_multiples=tuple(range(2, nd.d)),
-        total=2 * summand.total(),
-        notes=(RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE),
-    )

@@ -70,12 +70,10 @@ def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u[:len(u) - k] + v[k:]
 
 
-def _letter_texts(letters: Iterable[int],
-                  names: tuple[str, ...] | None = None) -> dict[int, str]:
-    """The text of each signed letter given: +j prints as the j-th name
-    (``xj`` without names), -j as that name followed by ``^-1``."""
-    return {x: (names[abs(x) - 1] if names else f"x{abs(x)}")
-            + ("^-1" if x < 0 else "") for x in letters}
+def _letter_texts(letters: Iterable[int]) -> dict[int, str]:
+    """The text of each signed letter given: +j prints as ``xj``, -j as
+    ``xj^-1``."""
+    return {x: f"x{abs(x)}" + ("^-1" if x < 0 else "") for x in letters}
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,11 @@ class FreeWord:
             out[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(out)
 
-    def to_text(self, names: tuple[str, ...] | None = None) -> str:
+    def to_text(self) -> str:
         """Print like ``x1 x2^-1``; the identity prints as ``1``."""
         if not self.letters:
             return "1"
-        table = _letter_texts(set(self.letters), names)
+        table = _letter_texts(set(self.letters))
         return " ".join(map(table.__getitem__, self.letters))
 
     def __str__(self) -> str:

@@ -21,10 +21,10 @@ one d-cycle, which is what the report surgers.  A permutes the puncture
 classes of Z^d/(1, ..., 1) as sigma does, so coker(I - A) is Z/d, every
 generator xj lies in class 1, and the class of a group element is its
 exponent sum mod d; a d-cycle fixes no puncture, so L = 2.  The N_c are
-read off one prefix scan of each image phi(xj), in time linear in the
-image letters (``_class_indices``), and must sum to 2, which checks the
-images against sigma.  Every term of R is a prefix of an image, found
-by one rule (``_hits``); R itself, as words (``reidemeister_trace_raw``),
+read off one prefix scan of each image phi(xj) (``_trace_terms``), in
+time linear in the image letters, and must sum to 2, which checks the
+images against sigma: every term of R is a prefix of an image, labelled
+by its exponent sum.  R itself, as words (``reidemeister_trace_raw``),
 is built only for the twisted-conjugacy refinement.
 
 ``lefschetz_number`` and ``class_space`` read I - A off the images
@@ -45,8 +45,8 @@ The sign and projection conventions above are pinned by geometry:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd
 
 from .braids import Permutation, _trusted
@@ -99,56 +99,52 @@ def class_space(e: FreeGroupEndo) -> ClassSpace:
     return ClassSpace.from_rows(_identity_minus_action(e)[0], e.rank)
 
 
-def _hits(letters: tuple[int, ...], j: int) -> list[tuple[int, int]]:
-    """The terms of -d(w)/dxj for the reduced word w = letters, as
-    (prefix length t, coefficient): -[p] for each letter xj, +[p xj^-1]
-    for each letter xj^-1, p the prefix before the letter, so the term
-    of an xj^-1 is the prefix after it.  Every term is the reduced
-    prefix letters[:t]."""
-    return [(t, -1) if x == j else (t + 1, 1)
-            for t, x in enumerate(letters) if x == j or x == -j]
+def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:
+    """The terms of [1] - sum_j d(e(xj))/dxj, [1] first, as (image
+    letters w, prefix length t, coefficient, exponent sum of w[:t]): the
+    term is the reduced prefix w[:t].  -d(w)/dxj is -[p] for each letter
+    xj and +[p xj^-1] for each xj^-1, p the prefix before the letter, so
+    the term of an xj^-1 is the prefix after it."""
+    yield (), 0, 1, 0
+    for j, image in enumerate(e.images, start=1):
+        w = image.letters
+        s = 0
+        for t, x in enumerate(w):
+            if x == j:
+                yield w, t, -1, s
+                s += 1
+            elif x == -j:
+                s -= 1
+                yield w, t + 1, 1, s
+            elif x > 0:
+                s += 1
+            else:
+                s -= 1
 
 
 def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
     """[1] - sum_j d(e(xj))/dxj, before any class projection, as a map
-    from group element to nonzero coefficient (``_hits``).
+    from group element to nonzero coefficient (``_trace_terms``).
 
     Individual terms depend on basepoint conventions; only their images
     in the twisted-conjugacy quotient are invariant.
     """
-    terms = {(): 1}
-    for j, image in enumerate(e.images, start=1):
-        letters = image.letters
-        for t, coeff in _hits(letters, j):
-            prefix = letters[:t]
-            terms[prefix] = terms.get(prefix, 0) + coeff
+    terms: dict[tuple[int, ...], int] = {}
+    for w, t, coeff, _ in _trace_terms(e):
+        prefix = w[:t]
+        terms[prefix] = terms.get(prefix, 0) + coeff
     # a prefix of a reduced image is reduced, with letters in range
     return {_trusted(FreeWord, rank=e.rank, letters=p): c
             for p, c in terms.items() if c}
 
 
-def _class_indices(e: FreeGroupEndo, d: int) -> dict[tuple[int], int]:
-    """The raw trace summed per class of Z/d, in one scan of each image.
-
-    Each term of the trace is a prefix of an image (``_hits``), and its
-    class is its exponent sum mod d, so one running sum of the letter
-    signs over an image labels every term in it, without building a
-    term, a word or an exponent vector.  Labels of zero total may
-    appear; nothing else is lost.
-    """
-    sign = {}
-    for g in range(1, e.rank + 1):
-        sign[g], sign[-g] = 1, -1
-    totals = {(0,): 1}  # the term [1]
-    for j, image in enumerate(e.images, start=1):
-        letters = image.letters
-        hits = _hits(letters, j)
-        if not hits:
-            continue
-        s = list(accumulate(map(sign.__getitem__, letters), initial=0))
-        for t, coeff in hits:
-            label = (s[t] % d,)
-            totals[label] = totals.get(label, 0) + coeff
+def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
+    """The raw trace summed per class of Z/d, indexed by class: a term's
+    class is its exponent sum mod d, which ``_trace_terms`` carries, so
+    no term, word or exponent vector is built."""
+    totals = [0] * d
+    for _, _, coeff, s in _trace_terms(e):
+        totals[s % d] += coeff
     return totals
 
 
@@ -196,16 +192,11 @@ def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation
     if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
         raise ValueError(f"need one cycle of degree {d} >= 2, "
                          f"got permutation {sigma.images}")
-    agg = _class_indices(e, d)
     complete = d <= ENUMERATION_CAP
-    if complete:
-        for k in range(d):
-            agg.setdefault((k,), 0)
-    else:
-        agg = {label: c for label, c in agg.items() if c != 0}
     return NielsenDecomposition(
         d=d,
-        entries=tuple(sorted(agg.items())),
+        entries=tuple(((k,), c) for k, c in enumerate(_class_indices(e, d))
+                      if c or complete),
         # 1 - trace(A): A permutes the puncture classes as sigma does,
         # and a d-cycle fixes none of them
         lefschetz=2,
@@ -279,6 +270,12 @@ class RefinedClass:
     clusters: tuple[tuple[tuple[FreeWord, ...], int], ...]
 
 
+def _check_depth(depth) -> None:
+    """Raise ValueError unless depth is an int >= 0 (a bool is not)."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"refine depth must be an int >= 0, got {depth!r:.40}")
+
+
 def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
                          depth: int) -> tuple[RefinedClass, ...]:
     """Merge raw trace terms of one homological class whose twisted
@@ -298,8 +295,7 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     the count afresh: the balls of a class are dropped before the next
     class is searched.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _check_depth(depth)
     steps = _twist_steps(e)
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
     for term in reidemeister_trace_raw(e).items():
@@ -331,12 +327,12 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
                         parent[find(j)] = find(i)
                     elif len(u) <= depth // 2:
                         near[t] = i
+        # each cluster listed from its least member, in members' order
         by_root: dict[int, list[int]] = {}
         for i in range(len(members)):
             by_root.setdefault(find(i), []).append(i)
-        clusters = tuple(sorted(
-            ((tuple(members[i][0] for i in idxs), sum(members[i][1] for i in idxs))
-             for idxs in by_root.values()),
-            key=lambda cl: tuple((len(w), w.letters) for w in cl[0])))
+        clusters = tuple(
+            (tuple(members[i][0] for i in idxs), sum(members[i][1] for i in idxs))
+            for idxs in by_root.values())
         out.append(RefinedClass(label=label, clusters=clusters))
     return tuple(out)

@@ -11,7 +11,8 @@ presentations as text from d and the image letters, and checks on the
 images the condition under which a Tietze pass would reach the
 simplified one; its standard form order and its abelianization
 Z x Z/d are read off d, so a report runs no Tietze pass and no Smith
-elimination.
+elimination.  The Floer bounds are computed once from the class
+indices, and the fiber-sum section suspends them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from ._version import __version__
 from .braids import BraidWord, induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
-                    dims_lower_bound, predict_fiber_sum)
+                    dims_lower_bound, suspend_dims)
 from .fourmanifold import (anticanonical_tori, characteristic_numbers,
                            configuration_from_dict, configuration_to_dict,
                            default_configuration, pi1_presentations)
 from .freegroup import artin_endo
-from .nielsen import nielsen_decomposition, refine_decomposition
+from .nielsen import (_check_depth, nielsen_decomposition,
+                      refine_decomposition)
 from .snf import AbelianGroup
 
 STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
@@ -46,8 +48,7 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     """
     if isinstance(braid, str):
         braid = parse_braid(braid)
-    if refine_depth < 0:
-        raise ValueError("refine_depth must be >= 0")
+    _check_depth(refine_depth)
     sigma = induced_permutation(braid)
     report = {
         "tool": {"name": "braidfloer", "version": __version__},
@@ -88,8 +89,9 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     report["pi1"] = _pi1_section(endo)
     nd = nielsen_decomposition(endo, sigma)
     report["nielsen"] = _nielsen_section(nd)
-    report["floer_bound"] = _dims_section(dims_lower_bound(nd))
-    report["fiber_sum"] = _fiber_sum_section(nd)
+    dims = dims_lower_bound(nd)
+    report["floer_bound"] = _dims_section(dims)
+    report["fiber_sum"] = _fiber_sum_section(dims, nd.d)
     if refine_depth > 0:
         report["refined"] = _refined_section(endo, nd, refine_depth)
     return report
@@ -122,17 +124,27 @@ def _dims_section(f) -> dict:
             "euler": f.euler(), "exact": False}
 
 
-def _fiber_sum_section(nd) -> dict:
-    p = predict_fiber_sum(nd)
+def _fiber_sum_section(dims, d: int) -> dict:
+    """Predicted Floer summand dimensions of the fiber-sum four-manifold
+    of the d-cycle braid whose lower bounds are ``dims``, at the flux
+    class a1, the one pairing with the surface-direction loop l1.
+
+    The summand at the torsion class [l2] of H_1 = Z<l1> + Z/d<l2>
+    carries the braid's bounds suspended by the two-torus, 4x the
+    Nielsen bound; every other nonzero torsion multiple k[l2],
+    k = 2..d-1, carries zero; and the total over the two flux generators
+    +-a1 doubles the summand, 8x the bound.  All are lower bounds.
+    """
+    summand = suspend_dims(dims)
     return {
-        "flux_class": p.flux_class,
-        "summand_class": p.summand_class,
-        "summand": _dims_section(p.summand),
-        "summand_total": p.summand_total,
-        "zero_torsion_multiples": list(p.zero_torsion_multiples),
-        "total": p.total,
+        "flux_class": "a1",
+        "summand_class": "l2",
+        "summand": _dims_section(summand),
+        "summand_total": summand.total(),
+        "zero_torsion_multiples": list(range(2, d)),
+        "total": 2 * summand.total(),
         "exact": False,
-        "notes": list(p.notes),
+        "notes": [RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE],
     }
 
 

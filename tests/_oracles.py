@@ -13,8 +13,7 @@ from typing import Iterable, Sequence
 
 from braidfloer import snf
 from braidfloer.braids import BraidWord, induced_permutation
-from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse,
-                                  _letter_texts)
+from braidfloer.freegroup import FreeGroupEndo, FreeWord, _inverse
 
 
 @dataclass(frozen=True)
@@ -211,9 +210,9 @@ class PresentedGroup:
                 raise ValueError("relators must be cyclically reduced and nonempty")
 
     def relator_texts(self) -> tuple[str, ...]:
-        n = len(self.generators)
-        table = _letter_texts((*range(-n, 0), *range(1, n + 1)),
-                              self.generators)
+        table = {}
+        for j, name in enumerate(self.generators, start=1):
+            table[j], table[-j] = name, name + "^-1"
         return tuple(" ".join(map(table.__getitem__, r.letters))
                      for r in self.relators)
 

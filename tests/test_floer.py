@@ -1,15 +1,15 @@
-"""Floer dimension bounds, the torus suspension, and fiber-sum
-dimension predictions."""
+"""Floer dimension bounds, the torus suspension, and the report's
+fiber-sum dimension predictions."""
 
 import random
 
 import pytest
 
 from braidfloer.braids import induced_permutation, parse_braid
-from braidfloer.floer import (FloerDims, dims_lower_bound, predict_fiber_sum,
-                              suspend_dims)
+from braidfloer.floer import FloerDims, dims_lower_bound, suspend_dims
 from braidfloer.freegroup import artin_endo
 from braidfloer.nielsen import nielsen_decomposition
+from braidfloer.report import build_report
 
 from _samplers import random_transitive_braid
 
@@ -64,26 +64,26 @@ class TestSuspension:
 
 class TestFiberSumPrediction:
     def test_two_strand_figures(self):
-        p = predict_fiber_sum(_nd(parse_braid("d=2; s1")))
-        assert p.summand == FloerDims(4, 4)
-        assert p.summand_total == 8
-        assert p.total == 16
-        assert p.zero_torsion_multiples == ()
-        assert (p.flux_class, p.summand_class) == ("a1", "l2")
+        p = build_report("d=2; s1")["fiber_sum"]
+        assert (p["summand"]["even"], p["summand"]["odd"]) == (4, 4)
+        assert p["summand_total"] == 8
+        assert p["total"] == 16
+        assert p["zero_torsion_multiples"] == []
+        assert (p["flux_class"], p["summand_class"]) == ("a1", "l2")
 
     def test_three_strand_figures(self):
-        p = predict_fiber_sum(_nd(parse_braid("d=3; s1 s2")))
-        assert p.summand_total == 8
-        assert p.total == 16
-        assert p.zero_torsion_multiples == (2,)
+        p = build_report("d=3; s1 s2")["fiber_sum"]
+        assert p["summand_total"] == 8
+        assert p["total"] == 16
+        assert p["zero_torsion_multiples"] == [2]
 
     def test_scaling_in_the_bound(self):
         rng = random.Random(139)
         for _ in range(60):
             d = rng.randint(2, 6)
-            nd = _nd(random_transitive_braid(rng, d))
-            p = predict_fiber_sum(nd)
-            assert p.summand_total == 4 * nd.bound()
-            assert p.total == 8 * nd.bound()
-            assert p.total == 2 * p.summand_total
-            assert p.zero_torsion_multiples == tuple(range(2, d))
+            report = build_report(random_transitive_braid(rng, d))
+            p, bound = report["fiber_sum"], report["nielsen"]["bound"]
+            assert p["summand_total"] == 4 * bound
+            assert p["total"] == 8 * bound
+            assert p["total"] == 2 * p["summand_total"]
+            assert p["zero_torsion_multiples"] == list(range(2, d))

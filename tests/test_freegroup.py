@@ -11,9 +11,9 @@ from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat,
                                   artin_endo)
 from braidfloer.nielsen import _identity_minus_action
 
-from _oracles import (IntMatrix, _cyclic_reduce, abelianization_matrix,
-                      compose, det, fox_derivative, ring_add, ring_mul,
-                      substitute)
+from _oracles import (IntMatrix, PresentedGroup, _cyclic_reduce,
+                      abelianization_matrix, compose, det, fox_derivative,
+                      ring_add, ring_mul, substitute)
 from _samplers import random_braid_word, random_free_word
 
 
@@ -92,7 +92,9 @@ class TestFreeWord:
     def test_to_text(self):
         assert FreeWord.identity(2).to_text() == "1"
         assert W(2, 1, -2).to_text() == "x1 x2^-1"
-        assert W(2, 1, -2).to_text(("a", "b")) == "a b^-1"
+        # named generators are the oracle's presentations' own table
+        assert (PresentedGroup(("a", "b"), (W(2, 1, -2),)).relator_texts()
+                == ("a b^-1",))
 
     def test_generator(self):
         assert FreeWord.generator(3, 2) == W(3, 2)

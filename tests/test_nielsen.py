@@ -547,6 +547,12 @@ class TestRefinement:
         assert all(len(rc.clusters) == 1 for rc in refined)
 
     def test_negative_depth_rejected(self):
+        # only a non-bool int >= 0 is a depth; True would print as a
+        # depth of true, which the report schema rejects
         b = parse_braid("d=3; s1 s2")
-        with pytest.raises(ValueError):
-            refine_decomposition(artin_endo(b), decompose(b), -1)
+        for depth in (-1, True, 2.0, "2", None):
+            with pytest.raises(ValueError, match="refine depth"):
+                refine_decomposition(artin_endo(b), decompose(b), depth)
+            for word in ("d=3; s1 s2", "d=3; s1"):
+                with pytest.raises(ValueError, match="refine depth"):
+                    build_report(word, refine_depth=depth)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from braidfloer import braids, fourmanifold, freegroup, nielsen, snf
+from braidfloer import braids, floer, fourmanifold, freegroup, nielsen, snf
 from braidfloer.braids import BraidLetter, BraidWord, _trusted, parse_braid
 from braidfloer.cli import main
 from braidfloer.fourmanifold import ConfigurationError
@@ -27,7 +27,8 @@ DATA = Path(__file__).parent / "data"
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
         (fourmanifold, "pi1_presentations"),
-        (nielsen, "reidemeister_trace_raw"))
+        (nielsen, "reidemeister_trace_raw"),
+        (floer, "dims_lower_bound"))
 
 
 def count_calls(monkeypatch, functions) -> Counter:
