@@ -13,11 +13,10 @@ from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, Permutation,
                      induced_permutation, is_transitive, parse_braid)
 from .floer import FloerDims, dims_lower_bound, suspend_dims
-from .fourmanifold import (AnticanonicalTori, CharacteristicNumbers,
-                           ConfigurationError, GluingPiece, SumConfiguration,
+from .fourmanifold import (DEFAULT_CONFIGURATION, AnticanonicalTori,
+                           CharacteristicNumbers, ConfigurationError,
                            anticanonical_tori, characteristic_numbers,
-                           configuration_from_dict, configuration_to_dict,
-                           default_configuration, pi1_presentations)
+                           configuration_from_dict, pi1_presentations)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
 from .nielsen import (NielsenDecomposition, RefinedClass,
                       RefinementLimitError, class_space, lefschetz_number,
@@ -38,9 +37,8 @@ __all__ = [
     "refine_decomposition", "RefinementLimitError",
     "FloerDims", "dims_lower_bound", "suspend_dims",
     "pi1_presentations",
-    "GluingPiece", "SumConfiguration", "ConfigurationError",
-    "CharacteristicNumbers", "characteristic_numbers",
-    "default_configuration", "configuration_from_dict",
-    "configuration_to_dict", "AnticanonicalTori", "anticanonical_tori",
+    "ConfigurationError", "CharacteristicNumbers", "characteristic_numbers",
+    "DEFAULT_CONFIGURATION", "configuration_from_dict",
+    "AnticanonicalTori", "anticanonical_tori",
     "build_report", "render_text",
 ]

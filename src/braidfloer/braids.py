@@ -45,6 +45,12 @@ TWIST = "t"
 MAX_STRANDS = 1000  # largest d parse_braid accepts: bounds every d-sized object
 
 
+def _shown(text: str) -> str:
+    """``text`` as an error message echoes it: as is up to 12 characters,
+    else its first 8 and '...', so that no input makes a long message."""
+    return text if len(text) <= 12 else text[:8] + "..."
+
+
 class BraidError(ValueError):
     """Base class for braid input problems."""
 
@@ -61,7 +67,8 @@ class BraidIndexError(BraidError):
     """A letter index outside the valid range for the given d."""
 
     def __init__(self, message: str, token: str, position: int):
-        super().__init__(f"{message}: token {token!r} (at position {position})")
+        super().__init__(
+            f"{message}: token {_shown(token)!r} (at position {position})")
         self.token = token
         self.position = position
 
@@ -187,15 +194,14 @@ def parse_braid(text: str) -> BraidWord:
     digits = m.group(1)
     d = _integer(digits, m.start(1))
     if not 2 <= d <= MAX_STRANDS:
-        shown = digits if len(digits) <= 12 else digits[:8] + "..."
-        raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + shown,
+        raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + digits,
                               m.start(1))
     letters = []
     for tok in _TOKENS.finditer(text, m.end()):
         pos = tok.start()
         t = _TOKEN.match(tok.group())
         if t is None:
-            raise BraidSyntaxError(f"bad token {tok.group()!r}", pos)
+            raise BraidSyntaxError(f"bad token {_shown(tok.group())!r}", pos)
         kind, index, inv = t.group(1), _integer(t.group(2), pos), t.group(3)
         limit = d - 1 if kind == ARTIN else d
         if not 1 <= index <= limit:

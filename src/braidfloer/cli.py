@@ -12,7 +12,9 @@ would exceed ``nielsen.ORBIT_BALL_CAP`` elements for one homological
 class.  The images of a pseudo-Anosov braid grow exponentially in its
 length and nothing caps them yet, so a short word can need more memory
 than the process may take (say under ``ulimit -v``); the resulting
-``MemoryError`` exits 3 with a one-line message instead of a traceback.
+``MemoryError`` exits 3 with a one-line message instead of a traceback,
+and so does a stdout that the reader closes before every report is
+written (``braidfloer --batch words.txt | head -n 1``).
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import string
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from .braids import BraidError
+from .braids import BraidError, _shown
 from .fourmanifold import ConfigurationError
 from .nielsen import RefinementLimitError
 from .report import build_report, render_text
@@ -49,9 +52,8 @@ def _depth(text: str) -> int:
     """ASCII digits 0-9 only: int() would also read '0_1', '+1', ' 2 '
     and other Unicode digits.  A long value is echoed shortened."""
     if not (text.isascii() and text.isdigit()):
-        shown = text if len(text) <= 12 else text[:8] + "..."
         raise argparse.ArgumentTypeError(
-            f"expected ASCII digits 0-9, got {shown!r}")
+            f"expected ASCII digits 0-9, got {_shown(text)!r}")
     try:
         return int(text)
     except ValueError:
@@ -126,6 +128,13 @@ def main(argv: list[str] | None = None) -> int:
             report = build_report(word, refine_depth=args.refine_depth,
                                   config_data=config_data)
             _emit(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # so that the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("braidfloer: stdout was closed before the reports were "
+              "written", file=sys.stderr)
+        return 3
     except BraidError as exc:
         print(f"braidfloer: {exc}", file=sys.stderr)
         return 2

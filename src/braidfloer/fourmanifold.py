@@ -32,14 +32,15 @@ from d and the image letters.
 
 Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
-invariants live in a configuration table, not in code.
+invariants live in a configuration table, not in code: a dict in the
+``--config`` format, ``DEFAULT_CONFIGURATION`` unless one is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from .braids import _shown
 from .freegroup import FreeGroupEndo, _inverse, _letter_texts
 
 
@@ -125,69 +126,103 @@ KNOWN_KINDS = {"mapping_torus": (0, 0), "four_torus": (0, 0), "k3": (24, -16)}
 # interpreter's limit on the digits of a printed integer
 CONFIG_INT_BOUND = 10 ** 18
 
+# the built-in configuration, in the --config format; the surgered torus
+# H1 covers the base circle d times, whence its volume "d"
+DEFAULT_CONFIGURATION = {
+    "pieces": [
+        {"name": "M1", "kind": "mapping_torus", "chi": 0, "sigma": 0,
+         "tori": {"H1": "d"}},
+        {"name": "M2", "kind": "four_torus", "chi": 0, "sigma": 0,
+         "tori": {"H1p": "d", "H3p": 1, "H4p": 1}},
+        {"name": "M3", "kind": "k3", "chi": 24, "sigma": -16, "tori": {"H3": 1}},
+        {"name": "M4", "kind": "k3", "chi": 24, "sigma": -16, "tori": {"H4": 1}},
+    ],
+    "pairings": [["H1", "H1p"], ["H3p", "H3"], ["H4p", "H4"]],
+}
+
 
 class ConfigurationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GluingPiece:
-    """A closed piece of the fiber sum with its named square-zero tori.
+def _echo(x) -> str:
+    """An input value as a message shows it: its repr, cut by ``_shown``."""
+    return repr(_shown(x)) if isinstance(x, str) else _shown(repr(x))
 
-    ``tori`` pairs a torus name with its volume (the pairing number used
-    to match the two sides of a gluing).  For the standard kinds the
-    (chi, sigma) values are checked against the table above.
-    """
 
-    name: str
-    kind: str
-    euler_char: int
-    signature: int
-    tori: tuple[tuple[str, int], ...]
+def configuration_from_dict(data: dict, d: int) -> dict:
+    """Check a configuration in the ``--config`` format in one pass and
+    return it as the report prints it, in new dicts and lists, with
+    ``kind`` filled in and the volume token "d" resolved to d.  Names are
+    strings, chi and sigma integers (not booleans, floats or strings),
+    volumes positive integers, all of absolute value at most
+    ``CONFIG_INT_BOUND``; ``tori`` is an object and each pairing lists
+    two torus names.  A known kind has its (chi, sigma), and each torus
+    lies on one piece and in one pairing of equal volumes; anything else
+    raises ConfigurationError."""
+    def integer(x, what: str, least: int = -CONFIG_INT_BOUND) -> int:
+        if (isinstance(x, int) and not isinstance(x, bool)
+                and least <= x <= CONFIG_INT_BOUND):
+            return x
+        raise ConfigurationError(
+            f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
+            f"got {_echo(x)}")
 
-    def __post_init__(self) -> None:
-        expected = KNOWN_KINDS.get(self.kind)
-        if expected is not None and (self.euler_char, self.signature) != expected:
+    def text(x, what: str) -> str:
+        if isinstance(x, str):
+            return x
+        raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
+
+    def piece(p) -> dict:
+        name = text(p["name"], "piece name")
+        kind = text(p.get("kind", "custom"), "piece kind")
+        chi, sigma = integer(p["chi"], "chi"), integer(p["sigma"], "sigma")
+        tori = p.get("tori", {})
+        if not isinstance(tori, dict):
+            raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
+        tori = {t: d if v == "d" else integer(v, f"volume of torus {_echo(t)}", 1)
+                for t, v in tori.items()}
+        expected = KNOWN_KINDS.get(kind)
+        if expected is not None and (chi, sigma) != expected:
             raise ConfigurationError(
-                f"piece {self.name!r} of kind {self.kind!r} must have "
-                f"(chi, sigma) = {expected}, got "
-                f"{(self.euler_char, self.signature)}")
-        names = [t for t, _ in self.tori]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"piece {self.name!r} repeats a torus name")
+                f"piece {_echo(name)} of kind {_echo(kind)} must have "
+                f"(chi, sigma) = {expected}, got ({_echo(chi)}, {_echo(sigma)})")
+        return dict(name=name, kind=kind, chi=chi, sigma=sigma, tori=tori)
 
+    def pairing(x) -> list[str]:
+        if (not isinstance(x, (list, tuple)) or len(x) != 2
+                or not all(isinstance(t, str) for t in x)):
+            raise ConfigurationError(
+                f"a pairing must list two torus names, got {_echo(x)}")
+        return list(x)
 
-@dataclass(frozen=True)
-class SumConfiguration:
-    pieces: tuple[GluingPiece, ...]
-    pairings: tuple[tuple[str, str], ...]
-
-    def torus_volumes(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for piece in self.pieces:
-            for torus, vol in piece.tori:
-                if torus in out:
-                    raise ConfigurationError(f"torus {torus!r} appears on two pieces")
-                out[torus] = vol
-        return out
-
-    def validate(self) -> None:
-        volumes = self.torus_volumes()
-        used: set[str] = set()
-        for a, b in self.pairings:
-            for t in (a, b):
-                if t not in volumes:
-                    raise ConfigurationError(f"pairing references unknown torus {t!r}")
-                if t in used:
-                    raise ConfigurationError(f"torus {t!r} used in two pairings")
-                used.add(t)
-            if volumes[a] != volumes[b]:
+    try:
+        pieces = [piece(p) for p in data["pieces"]]
+        pairings = [pairing(x) for x in data["pairings"]]
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(f"malformed configuration: {exc}") from exc
+    volumes: dict[str, int] = {}
+    for t, v in (item for p in pieces for item in p["tori"].items()):
+        if t in volumes:
+            raise ConfigurationError(f"torus {_echo(t)} appears on two pieces")
+        volumes[t] = v
+    unpaired = set(volumes)
+    for a, b in pairings:
+        for t in (a, b):
+            if t not in volumes:
                 raise ConfigurationError(
-                    f"volume mismatch in pairing ({a!r}, {b!r}): "
-                    f"{volumes[a]} != {volumes[b]}")
-        unpaired = sorted(set(volumes) - used)
-        if unpaired:
-            raise ConfigurationError(f"unpaired tori: {', '.join(unpaired)}")
+                    f"pairing references unknown torus {_echo(t)}")
+            if t not in unpaired:
+                raise ConfigurationError(f"torus {_echo(t)} used in two pairings")
+            unpaired.remove(t)
+        if volumes[a] != volumes[b]:
+            raise ConfigurationError(
+                f"volume mismatch in pairing ({_echo(a)}, {_echo(b)}): "
+                f"{_echo(volumes[a])} != {_echo(volumes[b])}")
+    if unpaired:
+        raise ConfigurationError(
+            f"unpaired tori: {_shown(', '.join(sorted(unpaired)))}")
+    return {"pieces": pieces, "pairings": pairings}
 
 
 class CharacteristicNumbers(NamedTuple):
@@ -197,94 +232,14 @@ class CharacteristicNumbers(NamedTuple):
     c1_squared: int
 
 
-def characteristic_numbers(cfg: SumConfiguration) -> CharacteristicNumbers:
+def characteristic_numbers(config: dict) -> CharacteristicNumbers:
     """chi and sigma add under fiber sum along tori (chi(T^2) = 0 and
-    Novikov additivity); then c2 = chi and c1^2 = 2 chi + 3 sigma."""
-    cfg.validate()
-    chi = sum(p.euler_char for p in cfg.pieces)
-    sigma = sum(p.signature for p in cfg.pieces)
+    Novikov additivity); then c2 = chi and c1^2 = 2 chi + 3 sigma.
+    ``config`` is a configuration ``configuration_from_dict`` returned."""
+    chi = sum(p["chi"] for p in config["pieces"])
+    sigma = sum(p["sigma"] for p in config["pieces"])
     return CharacteristicNumbers(chi=chi, sigma=sigma, c2=chi,
                                  c1_squared=2 * chi + 3 * sigma)
-
-
-def default_configuration(d: int) -> SumConfiguration:
-    """Mapping torus piece + four-torus + two K3 surfaces, glued along
-    H1/H1p, H3p/H3, H4p/H4.  The surgered torus H1 covers the base circle
-    d times, whence its volume d."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return SumConfiguration(
-        pieces=(
-            GluingPiece("M1", "mapping_torus", 0, 0, (("H1", d),)),
-            GluingPiece("M2", "four_torus", 0, 0,
-                        (("H1p", d), ("H3p", 1), ("H4p", 1))),
-            GluingPiece("M3", "k3", 24, -16, (("H3", 1),)),
-            GluingPiece("M4", "k3", 24, -16, (("H4", 1),)),
-        ),
-        pairings=(("H1", "H1p"), ("H3p", "H3"), ("H4p", "H4")),
-    )
-
-
-def configuration_from_dict(data: dict, d: int) -> SumConfiguration:
-    """Build a configuration from parsed JSON; the volume token "d"
-    resolves to the braid's strand count.  Values are taken only as the
-    report schema types them: names are strings, chi and sigma are
-    integers (not booleans, floats or strings), volumes are positive
-    integers, all of absolute value at most ``CONFIG_INT_BOUND``,
-    ``tori`` is an object and each pairing lists two torus names;
-    anything else raises ConfigurationError."""
-    def integer(x, what: str, least: int = -CONFIG_INT_BOUND) -> int:
-        if (isinstance(x, int) and not isinstance(x, bool)
-                and least <= x <= CONFIG_INT_BOUND):
-            return x
-        raise ConfigurationError(
-            f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
-            f"got {x!r}")
-
-    def text(x, what: str) -> str:
-        if isinstance(x, str):
-            return x
-        raise ConfigurationError(f"{what} must be a string, got {x!r}")
-
-    def tori(p) -> tuple[tuple[str, int], ...]:
-        given = p.get("tori", {})
-        if not isinstance(given, dict):
-            raise ConfigurationError(f"tori must be an object, got {given!r}")
-        return tuple(
-            (t, d if v == "d" else integer(v, f"volume of torus {t!r}", 1))
-            for t, v in given.items())
-
-    def pairing(x) -> tuple[str, str]:
-        if (not isinstance(x, (list, tuple)) or len(x) != 2
-                or not all(isinstance(t, str) for t in x)):
-            raise ConfigurationError(
-                f"a pairing must list two torus names, got {x!r}")
-        return (x[0], x[1])
-
-    try:
-        pieces = tuple(
-            GluingPiece(
-                name=text(p["name"], "piece name"),
-                kind=text(p.get("kind", "custom"), "piece kind"),
-                euler_char=integer(p["chi"], "chi"),
-                signature=integer(p["sigma"], "sigma"),
-                tori=tori(p),
-            )
-            for p in data["pieces"])
-        pairings = tuple(pairing(x) for x in data["pairings"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed configuration: {exc}") from exc
-    return SumConfiguration(pieces=pieces, pairings=pairings)
-
-
-def configuration_to_dict(cfg: SumConfiguration) -> dict:
-    return {
-        "pieces": [
-            {"name": p.name, "kind": p.kind, "chi": p.euler_char,
-             "sigma": p.signature, "tori": {t: v for t, v in p.tori}}
-            for p in cfg.pieces],
-        "pairings": [list(pair) for pair in cfg.pairings],
-    }
 
 
 class AnticanonicalTori(NamedTuple):

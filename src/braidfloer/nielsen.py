@@ -49,7 +49,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
-from .braids import Permutation, _trusted
+from .braids import Permutation, _shown, _trusted
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
@@ -273,7 +273,8 @@ class RefinedClass:
 def _check_depth(depth) -> None:
     """Raise ValueError unless depth is an int >= 0 (a bool is not)."""
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"refine depth must be an int >= 0, got {depth!r:.40}")
+        raise ValueError(
+            f"refine depth must be an int >= 0, got {_shown(repr(depth))}")
 
 
 def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,

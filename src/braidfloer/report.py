@@ -12,7 +12,8 @@ images the condition under which a Tietze pass would reach the
 simplified one; its standard form order and its abelianization
 Z x Z/d are read off d, so a report runs no Tietze pass and no Smith
 elimination.  The Floer bounds are computed once from the class
-indices, and the fiber-sum section suspends them.
+indices, and the fiber-sum section suspends them.  The gluing
+configuration is checked once per braid; the result is ``config``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .braids import BraidWord, induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, suspend_dims)
-from .fourmanifold import (anticanonical_tori, characteristic_numbers,
-                           configuration_from_dict, configuration_to_dict,
-                           default_configuration, pi1_presentations)
+from .fourmanifold import (DEFAULT_CONFIGURATION, anticanonical_tori,
+                           characteristic_numbers, configuration_from_dict,
+                           pi1_presentations)
 from .freegroup import artin_endo
 from .nielsen import (_check_depth, nielsen_decomposition,
                       refine_decomposition)
@@ -38,9 +39,9 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
                  config_data: dict | None = None) -> dict:
     """Compute every invariant for one braid.
 
-    ``config_data`` is a parsed gluing-configuration dict (see
-    ``configuration_from_dict``); volume tokens "d" resolve against this
-    braid.  It is validated for every braid, so a malformed one fails
+    ``config_data`` is a parsed gluing-configuration dict, by default
+    ``DEFAULT_CONFIGURATION``; volume tokens "d" resolve against this
+    braid.  It is checked for every braid, so a malformed one fails
     whatever the braid, but only the standard cycle's report shows it.
     ``refine_depth`` > 0 adds the bounded twisted-conjugacy refinement
     of the raw trace terms; it is not read for a braid that is not the
@@ -69,9 +70,8 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
         "statements": list(STATEMENTS),
         "refined": None,
     }
-    cfg = (configuration_from_dict(config_data, braid.d)
-           if config_data is not None else default_configuration(braid.d))
-    numbers = characteristic_numbers(cfg)  # validates cfg
+    config = configuration_from_dict(
+        DEFAULT_CONFIGURATION if config_data is None else config_data, braid.d)
     if not report["transitive"]:
         report["warning"] = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "
@@ -79,8 +79,8 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
             "are null")
         return report
 
-    report["config"] = configuration_to_dict(cfg)
-    report["characteristic_numbers"] = numbers._asdict()
+    report["config"] = config
+    report["characteristic_numbers"] = characteristic_numbers(config)._asdict()
     report["anticanonical_tori"] = anticanonical_tori(braid.d)._asdict()
     endo = artin_endo(braid)
     # pi1 before refinement's raw trace, so that the relators and the

@@ -12,9 +12,10 @@ import time
 
 from braidfloer.braids import induced_permutation, is_transitive, parse_braid
 from braidfloer.floer import FloerDims, suspend_dims
-from braidfloer.fourmanifold import (anticanonical_tori,
+from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
+                                     anticanonical_tori,
                                      characteristic_numbers,
-                                     default_configuration)
+                                     configuration_from_dict)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.nielsen import (class_space, lefschetz_number,
                                 nielsen_decomposition, reidemeister_trace_raw)
@@ -49,7 +50,8 @@ def test_criterion_1_characteristic_numbers():
         for b in braids:
             t0 = time.perf_counter()
             assert is_transitive(b)
-            cn = characteristic_numbers(default_configuration(b.d))
+            cn = characteristic_numbers(
+                configuration_from_dict(DEFAULT_CONFIGURATION, b.d))
             dt = time.perf_counter() - t0
             worst = max(worst, dt)
             assert dt < 0.1, f"took {dt:.3f}s for {b.to_text()!r}"

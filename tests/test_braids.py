@@ -105,6 +105,27 @@ class TestParsing:
         # twists run up to d, Artin letters up to d-1
         parse_braid("d=3; t3 s2")
 
+    def test_long_inputs_are_echoed_short(self):
+        # a message shows a long d or token as its first 8 characters
+        # and '...'; the error keeps the whole token
+        long_token = "s1" + "z" * 100_000
+        with pytest.raises(BraidSyntaxError) as exc:
+            parse_braid("d=3; s1 " + long_token)
+        assert str(exc.value) == "bad token 's1zzzzzz...' (at position 8)"
+        index = "s" + "1" * 4000
+        with pytest.raises(BraidIndexError) as exc:
+            parse_braid("d=3; " + index)
+        assert exc.value.token == index
+        assert str(exc.value) == ("Artin generator index must lie in 1..2 "
+                                  "for d=3: token 's1111111...' "
+                                  "(at position 5)")
+        with pytest.raises(BraidIndexError) as exc:
+            parse_braid("d=" + "9" * 4000 + "; s1")
+        assert exc.value.token == "d=" + "9" * 4000
+        assert len(str(exc.value)) < 100
+        with pytest.raises(BraidIndexError, match=r"token 'd=1001'"):
+            parse_braid("d=1001;")
+
 
 class TestAlgebra:
     def test_compose_concatenates_then_reduces(self):

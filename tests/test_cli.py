@@ -17,10 +17,9 @@ from braidfloer import __version__, cli
 from braidfloer.braids import MAX_STRANDS
 from braidfloer.cli import main
 from braidfloer.nielsen import ORBIT_BALL_CAP
-from braidfloer.fourmanifold import (ConfigurationError,
-                                     configuration_from_dict,
-                                     configuration_to_dict,
-                                     default_configuration)
+from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
+                                     ConfigurationError,
+                                     configuration_from_dict)
 from braidfloer.report import build_report, render_text
 
 CALIBRATION = "d=3; s1 s2"
@@ -293,6 +292,49 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.encode()) < 300
 
+    def test_long_inputs_are_echoed_short(self, tmp_path):
+        # each echoed input is cut to its first 8 characters and '...'
+        cfg = tmp_path / "cfg.json"
+        data = configuration_from_dict(DEFAULT_CONFIGURATION, 3)
+        data["pieces"][0]["kind"] = "custom"
+        data["pieces"][0]["chi"] = "1" * 100_000
+        cfg.write_text(json.dumps(data))
+        for argv, code, shown in (
+                (["--braid", "d=3; s1 " + "z" * 100_000], 2,
+                 "bad token 'zzzzzzzz...'"),
+                (["--braid", CALIBRATION, "--config", str(cfg)], 3,
+                 "got '11111111...'")):
+            proc = run_capped(argv)
+            assert proc.returncode == code and proc.stdout == ""
+            assert shown in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.encode()) < 1024
+
+    @pytest.mark.parametrize("fmt, reader", [
+        ("json", ["head", "-c", "100"]),
+        ("text", ["head", "-n", "1"]),
+    ])
+    def test_closed_stdout_is_3(self, fmt, reader):
+        # the reader exits after its first bytes, so writing the other
+        # reports fails with EPIPE; no traceback, and no "Exception
+        # ignored" from the interpreter's last flush
+        src = str(Path(braidfloer.__file__).resolve().parents[1])
+        batch = Path(__file__).parent / "data" / "golden_words.txt"
+        writer = subprocess.Popen(
+            [sys.executable, "-m", "braidfloer.cli", "--batch", str(batch),
+             "--format", fmt],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = subprocess.Popen(reader, stdin=writer.stdout,
+                                stdout=subprocess.PIPE)
+        writer.stdout.close()  # head holds the only read end
+        out, _ = head.communicate(timeout=120)
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 3
+        assert head.returncode == 0 and out
+        assert err.decode() == ("braidfloer: stdout was closed before the "
+                                "reports were written\n")
+
     def test_invalid_config_json_is_3(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
         for content in (b"{not json",
@@ -318,7 +360,7 @@ class TestExitCodes:
     ])
     def test_config_values_of_the_wrong_type_are_3(self, capsys, tmp_path,
                                                    key, value):
-        data = configuration_to_dict(default_configuration(3))
+        data = configuration_from_dict(DEFAULT_CONFIGURATION, 3)
         data["pieces"][0]["kind"] = "custom"  # no fixed (chi, sigma)
         if key == "pairings":
             data["pairings"][0] = value
@@ -365,7 +407,7 @@ class TestConfigOption:
                                                          tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            configuration_to_dict(default_configuration(4))))
+            configuration_from_dict(DEFAULT_CONFIGURATION, 4)))
         for fmt in ("json", "text"):
             plain = run(capsys, "--braid", "d=4; s1 s1", "--format", fmt)
             configured = run(capsys, "--braid", "d=4; s1 s1", "--format", fmt,

@@ -2,19 +2,17 @@
 against the checked presentations, rescan Tietze pass and
 abelianization of ``_oracles``, and fiber-sum characteristic numbers."""
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from braidfloer.braids import induced_permutation, parse_braid
-from braidfloer.fourmanifold import (AnticanonicalTori, ConfigurationError,
-                                     GluingPiece, SumConfiguration,
-                                     anticanonical_tori,
+from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, AnticanonicalTori,
+                                     ConfigurationError, anticanonical_tori,
                                      characteristic_numbers,
                                      configuration_from_dict,
-                                     configuration_to_dict,
-                                     default_configuration,
                                      pi1_presentations)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
 from braidfloer.report import build_report
@@ -357,81 +355,79 @@ class TestAbelianizationOfPresentations:
         assert abelianization(PresentedGroup((), ())) == AbelianGroup(0, ())
 
 
+def _piece(name, *tori, chi=24, sigma=-16, kind="k3"):
+    """A piece in the --config format, a K3 unless told otherwise, with
+    unit-volume ``tori``."""
+    return {"name": name, "kind": kind, "chi": chi, "sigma": sigma,
+            "tori": {t: 1 for t in tori}}
+
+
+def _config(pieces, pairings=(), d=3):
+    """The checked configuration of these pieces and pairings."""
+    return configuration_from_dict(
+        {"pieces": list(pieces), "pairings": [list(x) for x in pairings]}, d)
+
+
 class TestCharacteristicNumbers:
     def test_default_configuration_values(self):
         for d in range(2, 7):
-            cn = characteristic_numbers(default_configuration(d))
+            cn = characteristic_numbers(
+                configuration_from_dict(DEFAULT_CONFIGURATION, d))
             assert (cn.chi, cn.sigma) == (48, -32)
             assert cn.c2 == 48
             assert cn.c1_squared == 0
 
     def test_additivity_from_pieces(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("A", "k3", 24, -16, (("T", 1),)),
-                    GluingPiece("B", "k3", 24, -16, (("Tp", 1),))),
-            pairings=(("T", "Tp"),))
+        cfg = _config([_piece("A", "T"), _piece("B", "Tp")], [("T", "Tp")])
         cn = characteristic_numbers(cfg)
         assert (cn.chi, cn.sigma, cn.c2, cn.c1_squared) == (48, -32, 48, 0)
 
     def test_isolated_pieces(self):
-        empty = SumConfiguration(pieces=(), pairings=())
+        empty = _config([])
         assert characteristic_numbers(empty) == (0, 0, 0, 0)
-        lone_k3 = SumConfiguration(
-            pieces=(GluingPiece("M", "k3", 24, -16, ()),), pairings=())
+        lone_k3 = _config([_piece("M")])
         assert characteristic_numbers(lone_k3) == (24, -16, 24, 0)
 
     def test_known_kind_values_enforced(self):
         with pytest.raises(ConfigurationError):
-            GluingPiece("M", "k3", 20, -16, ())
+            _config([_piece("M", chi=20)])
         with pytest.raises(ConfigurationError):
-            GluingPiece("M", "four_torus", 1, 0, ())
-        GluingPiece("M", "custom", 7, 3, ())  # custom kinds are free
+            _config([_piece("M", kind="four_torus", chi=1, sigma=0)])
+        # custom kinds are free
+        _config([_piece("M", kind="custom", chi=7, sigma=3)])
 
     def test_unpaired_torus_rejected(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("M", "k3", 24, -16, (("T", 1),)),),
-            pairings=())
         with pytest.raises(ConfigurationError, match="unpaired"):
-            characteristic_numbers(cfg)
+            characteristic_numbers(_config([_piece("M", "T")]))
 
     def test_volume_mismatch_rejected(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("A", "k3", 24, -16, (("T", 1),)),
-                    GluingPiece("B", "k3", 24, -16, (("Tp", 2),))),
-            pairings=(("T", "Tp"),))
+        pieces = [_piece("A", "T"), _piece("B", "Tp")]
+        pieces[1]["tori"]["Tp"] = 2
         with pytest.raises(ConfigurationError, match="volume mismatch"):
-            characteristic_numbers(cfg)
+            characteristic_numbers(_config(pieces, [("T", "Tp")]))
 
     def test_torus_reuse_rejected(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("A", "k3", 24, -16, (("T", 1),)),
-                    GluingPiece("B", "four_torus", 0, 0,
-                                (("Tp", 1), ("Tq", 1)))),
-            pairings=(("T", "Tp"), ("T", "Tq")))
+        pieces = [_piece("A", "T"),
+                  _piece("B", "Tp", "Tq", kind="four_torus", chi=0, sigma=0)]
         with pytest.raises(ConfigurationError, match="two pairings"):
-            characteristic_numbers(cfg)
+            characteristic_numbers(
+                _config(pieces, [("T", "Tp"), ("T", "Tq")]))
 
     def test_duplicate_torus_name_rejected(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("A", "k3", 24, -16, (("T", 1),)),
-                    GluingPiece("B", "k3", 24, -16, (("T", 1),))),
-            pairings=(("T", "T"),))
         with pytest.raises(ConfigurationError, match="two pieces"):
-            characteristic_numbers(cfg)
+            characteristic_numbers(
+                _config([_piece("A", "T"), _piece("B", "T")], [("T", "T")]))
 
     def test_unknown_torus_in_pairing_rejected(self):
-        cfg = SumConfiguration(
-            pieces=(GluingPiece("A", "k3", 24, -16, (("T", 1),)),),
-            pairings=(("T", "missing"),))
         with pytest.raises(ConfigurationError, match="unknown torus"):
-            characteristic_numbers(cfg)
+            characteristic_numbers(
+                _config([_piece("A", "T")], [("T", "missing")]))
 
 
 class TestConfigurationSerialization:
     def test_round_trip(self):
-        cfg = default_configuration(5)
-        data = configuration_to_dict(cfg)
-        assert configuration_from_dict(data, 5) == cfg
+        cfg = configuration_from_dict(DEFAULT_CONFIGURATION, 5)
+        assert configuration_from_dict(cfg, 5) == cfg
 
     def test_volume_token_d(self):
         data = {
@@ -459,6 +455,44 @@ class TestConfigurationSerialization:
                       {"name": "A", "kind": None, "chi": 0, "sigma": 0}):
             with pytest.raises(ConfigurationError):
                 configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
+
+    def test_the_result_shares_nothing_with_its_input(self):
+        # the default is module data that every report reads: neither
+        # the dict a report prints nor any container inside it may be
+        # the default's, nor may the check change it
+        before = json.dumps(DEFAULT_CONFIGURATION)
+        first = build_report("d=3; s1 s2")
+        first["config"]["pieces"][0]["tori"]["H1"] = 99
+        first["config"]["pieces"].pop()
+        first["config"]["pairings"][0].append("H9")
+        cfg = configuration_from_dict(DEFAULT_CONFIGURATION, 3)
+        cfg["pieces"][1]["name"] = "X"
+        cfg["pieces"][1]["tori"].clear()
+        cfg["pairings"].clear()
+        assert json.dumps(DEFAULT_CONFIGURATION) == before
+        again = build_report("d=3; s1 s2")
+        assert again["config"] == configuration_from_dict(
+            json.loads(before), 3)
+        assert again["config"]["pieces"][0]["tori"] == {"H1": 3}
+
+    def test_long_values_are_echoed_short(self):
+        # a message shows each name and value cut by braids._shown
+        for piece in ({"name": "A", "chi": "x" * 100_000, "sigma": 0},
+                      {"name": "A", "chi": ["x" * 100_000], "sigma": 0},
+                      {"name": "A", "chi": 0, "sigma": 0,
+                       "tori": {"T" * 100_000: 0}},
+                      {"name": "N" * 100_000, "kind": "k3", "chi": 0,
+                       "sigma": 0},
+                      {"name": "A", "chi": 0, "sigma": 0,
+                       "tori": {"T" * 100_000: 1}}):
+            with pytest.raises(ConfigurationError) as exc:
+                configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
+            assert len(str(exc.value)) < 200, str(exc.value)[:200]
+        with pytest.raises(ConfigurationError,
+                           match=r"got 'xxxxxxxx\.\.\.'$"):
+            configuration_from_dict(
+                {"pieces": [{"name": "A", "chi": "x" * 13, "sigma": 0}],
+                 "pairings": []}, 3)
 
 
 class TestAnticanonicalTori:

@@ -1,7 +1,9 @@
 """Hostile input at the three entry points: only the package's own errors
 escape.  The examples are derandomized, so every run tries the same ones."""
 
+import copy
 import io
+import json
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from braidfloer.braids import MAX_STRANDS, BraidError, parse_braid
 from braidfloer.cli import main
-from braidfloer.fourmanifold import (ConfigurationError, characteristic_numbers,
+from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
+                                     characteristic_numbers,
                                      configuration_from_dict)
 
 from _samplers import random_transitive_braid
@@ -74,6 +77,28 @@ def test_configuration_raises_only_configuration_errors(data, d):
         characteristic_numbers(configuration_from_dict(data, d))
     except ConfigurationError:
         pass
+
+
+@FUZZ
+@given(st.integers(0, 3), st.sampled_from(["name", "kind", "chi", "sigma",
+                                           "tori"]),
+       json_values, st.integers(2, 9))
+def test_the_default_with_one_value_replaced(index, key, value, d):
+    # the check either rejects the value or returns a dict that shares
+    # no container with its input: changing it leaves the input as given
+    data = copy.deepcopy(DEFAULT_CONFIGURATION)
+    data["pieces"][index][key] = value
+    given_text = json.dumps(data)
+    try:
+        cfg = configuration_from_dict(data, d)
+    except ConfigurationError:
+        return
+    characteristic_numbers(cfg)
+    for piece in cfg["pieces"]:
+        piece["tori"]["X"] = 1
+    cfg["pairings"].append(["X", "X"])
+    assert json.dumps(data) == given_text
+    assert "X" not in json.dumps(DEFAULT_CONFIGURATION)
 
 
 def small_d(text: str) -> bool:

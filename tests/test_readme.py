@@ -1,8 +1,10 @@
 """The library example of README.md runs as written, and each value
-comment in it is the repr of the value its line computes."""
+comment in it is the repr of the value its line computes; the
+configuration format it shows is the built-in configuration."""
 
 import ast
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
@@ -38,3 +40,10 @@ def test_library_example_values():
     # nd.lefschetz, nd.bound(), nd.d, nd.indices() and two
     # report fields
     assert checked == 6
+
+
+def test_configuration_block_is_the_default():
+    section = README.read_text(encoding="utf-8").split(
+        "\n### Gluing configuration files\n", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == braidfloer.DEFAULT_CONFIGURATION
