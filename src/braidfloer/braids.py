@@ -16,15 +16,15 @@ No other braid relations are applied, so two BraidWord values compare
 equal exactly when their reduced words coincide, not when they present
 the same group element.
 
-``BraidLetter`` and ``BraidWord`` check their fields when a library
-caller builds them: kind, sign and index range, and free reduction.
-``parse_braid`` checks the text instead, where it enters the program:
-the header bounds d, and each token's kind, sign and index are read off
-the grammar and range-checked against d.  Its letters are therefore
-valid and its word is reduced once, so it builds both with ``_trusted``,
-which skips the checks.  ``freegroup`` and ``nielsen`` build the words
-of a report the same way, each site saying why its values are valid by
-construction.
+A ``BraidLetter`` is a plain record that equals its ``(kind, index,
+sign)`` tuple.  The ``BraidWord`` that holds it checks it, since the
+word sees all its validity depends on: kind, sign, index range against
+d, and free reduction.  ``parse_braid`` checks the text instead, where
+it enters the program: the header bounds d, and each token's kind, sign
+and index are read off the grammar and range-checked against d.  So it
+builds its reduced word with ``_trusted``, which skips the rescan;
+``freegroup`` and ``nielsen`` build the ``FreeWord``s of a report the
+same way, each site saying why its letters are valid by construction.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 ARTIN = "s"
 TWIST = "t"
@@ -75,27 +75,19 @@ class BraidIndexError(BraidError):
 
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with these fields,
-    made without running its ``__post_init__`` checks.  Only for values
-    the package built valid by construction; it equals, and hashes as,
-    the instance the checked constructor makes."""
+    made without running its ``__post_init__`` checks.  Only for words
+    (``BraidWord``, ``FreeWord``) the package built valid by
+    construction, whose check would rescan every letter; it equals, and
+    hashes as, the instance the checked constructor makes."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class BraidLetter:
+class BraidLetter(NamedTuple):
     kind: str   # ARTIN ("s") or TWIST ("t")
     index: int  # 1-based; Artin: 1..d-1, twist: 1..d
     sign: int   # +1 or -1
-
-    def __post_init__(self) -> None:
-        if self.kind not in (ARTIN, TWIST):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +-1, got {self.sign}")
-        if self.index < 1:
-            raise ValueError(f"letter index must be positive, got {self.index}")
 
     def inverse(self) -> "BraidLetter":
         return BraidLetter(self.kind, self.index, -self.sign)
@@ -107,8 +99,7 @@ class BraidLetter:
 def _free_reduce(letters: Iterable[BraidLetter]) -> tuple[BraidLetter, ...]:
     out: list[BraidLetter] = []
     for x in letters:
-        if out and out[-1].kind == x.kind and out[-1].index == x.index \
-                and out[-1].sign == -x.sign:
+        if out and out[-1] == (x.kind, x.index, -x.sign):
             out.pop()
         else:
             out.append(x)
@@ -126,6 +117,12 @@ class BraidWord:
         if self.d < 2:
             raise ValueError(f"need at least two marked points, got d={self.d}")
         for x in self.letters:
+            if x.kind not in (ARTIN, TWIST):
+                raise ValueError(f"unknown letter kind {x.kind!r}")
+            if x.sign not in (1, -1):
+                raise ValueError(f"letter sign must be +-1, got {x.sign}")
+            if x.index < 1:
+                raise ValueError(f"letter index must be positive, got {x.index}")
             limit = self.d - 1 if x.kind == ARTIN else self.d
             if x.index > limit:
                 raise ValueError(f"letter {x.token()} out of range for d={self.d}")
@@ -186,8 +183,8 @@ def _integer(digits: str, position: int) -> int:
 def parse_braid(text: str) -> BraidWord:
     """Parse the ``d=<INT>; token*`` grammar, with offsets in errors.
 
-    The text is checked here, so the letters and the reduced word are
-    built with ``_trusted``."""
+    The text is checked here, so the reduced word is built with
+    ``_trusted``."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -208,8 +205,7 @@ def parse_braid(text: str) -> BraidWord:
             what = "Artin generator" if kind == ARTIN else "framing twist"
             raise BraidIndexError(
                 f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
-        letters.append(_trusted(BraidLetter, kind=kind, index=index,
-                                sign=-1 if inv else 1))
+        letters.append(BraidLetter(kind, index, -1 if inv else 1))
     return _trusted(BraidWord, d=d, letters=_free_reduce(letters))
 
 

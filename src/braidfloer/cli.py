@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import string
 import sys
 from pathlib import Path
@@ -41,19 +42,35 @@ from .report import build_report, render_text
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this tool reserves 2 for
-    braid parse errors, so usage errors exit 3 instead."""
+    braid parse errors, so usage errors exit 3 instead.  A usage message
+    cuts each argument it echoes and each value it quotes, such as a
+    file path, by ``braids._shown``'s rule, and keeps flags and choices."""
+
+    # a value a usage message quotes: a repr, which escapes its own quotes
+    _QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+    def parse_args(self, args=None, namespace=None):
+        self._given = sys.argv[1:] if args is None else list(args)
+        return super().parse_args(args, namespace)
 
     def error(self, message: str):
+        # longest first, so that no shorter argument cuts a longer one;
+        # argparse echoes an unrecognized or ambiguous one unquoted
+        for arg in sorted(set(self._given) - set(self._option_string_actions),
+                          key=len, reverse=True):
+            message = message.replace(arg, _shown(arg))
+        message = self._QUOTED.sub(
+            lambda m: m[0][0] + _shown(m[0][1:-1]) + m[0][0], message)
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _depth(text: str) -> int:
     """ASCII digits 0-9 only: int() would also read '0_1', '+1', ' 2 '
-    and other Unicode digits.  A long value is echoed shortened."""
+    and other Unicode digits."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
-            f"expected ASCII digits 0-9, got {_shown(text)!r}")
+            f"expected ASCII digits 0-9, got {text!r}")
     try:
         return int(text)
     except ValueError:

@@ -27,12 +27,12 @@ test oracle.
 
 ``FreeWord`` checks, for library callers, that its letters lie in range
 and are freely reduced, and ``FreeGroupEndo`` that it has one image of
-its rank per generator.  ``artin_endo`` builds both with
-``braids._trusted``, which skips the checks: its starting images are
-reduced words in the letters +-1 .. +-(d-1), and its rules only invert
-reduced words and join them with ``_concat``, which keep both
-properties.  ``nielsen.reidemeister_trace_raw`` builds its terms the
-same way, since a prefix of a reduced word is reduced.
+its rank per generator.  ``artin_endo`` builds its images with
+``braids._trusted``, which skips the rescan of their letters: its
+starting images are reduced words in the letters +-1 .. +-(d-1), and
+its rules only invert reduced words and join them with ``_concat``,
+which keep both properties.  ``nielsen.reidemeister_trace_raw`` builds
+its terms the same way, since a prefix of a reduced word is reduced.
 """
 
 from __future__ import annotations
@@ -205,5 +205,5 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
             imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
         else:
             imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
-    return _trusted(FreeGroupEndo, rank=d - 1, images=tuple(
+    return FreeGroupEndo(d - 1, tuple(
         _trusted(FreeWord, rank=d - 1, letters=w) for w in imgs[:-1]))

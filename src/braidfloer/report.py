@@ -1,7 +1,8 @@
 """Assemble all invariants of one braid into a single report.
 
-The report is a plain dict with a fixed key order, so that JSON output
-is deterministic byte for byte.  The Lefschetz number is read off the
+A report is built from the braid's text, which ``parse_braid`` checks.
+It is a plain dict with a fixed key order, so that JSON output is
+deterministic byte for byte.  The Lefschetz number is read off the
 induced permutation, so every braid gets the braid data and it.  The
 other sections need the single closed orbit that gets surgered: a braid
 that is not the standard cycle stops at its permutation, with those
@@ -10,16 +11,16 @@ one that is, ``fourmanifold.pi1_presentations`` renders the three pi1
 presentations as text from d and the image letters, and checks on the
 images the condition under which a Tietze pass would reach the
 simplified one; its standard form order and its abelianization
-Z x Z/d are read off d, so a report runs no Tietze pass and no Smith
-elimination.  The Floer bounds are computed once from the class
-indices, and the fiber-sum section suspends them.  The gluing
+Z x Z/d are written from d, so a report runs no Tietze pass and
+uses nothing of ``snf``.  The Floer bounds are computed once from the
+class indices, and the fiber-sum section suspends them.  The gluing
 configuration is checked once per braid; the result is ``config``.
 """
 
 from __future__ import annotations
 
 from ._version import __version__
-from .braids import BraidWord, induced_permutation, parse_braid
+from .braids import induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, suspend_dims)
@@ -29,15 +30,15 @@ from .fourmanifold import (DEFAULT_CONFIGURATION, anticanonical_tori,
 from .freegroup import artin_endo
 from .nielsen import (_check_depth, nielsen_decomposition,
                       refine_decomposition)
-from .snf import AbelianGroup
 
 STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
               RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE)
 
 
-def build_report(braid: BraidWord | str, refine_depth: int = 0,
+def build_report(text: str, refine_depth: int = 0,
                  config_data: dict | None = None) -> dict:
-    """Compute every invariant for one braid.
+    """Compute every invariant for the braid word ``text``, which
+    ``braids.parse_braid`` reads and checks.
 
     ``config_data`` is a parsed gluing-configuration dict, by default
     ``DEFAULT_CONFIGURATION``; volume tokens "d" resolve against this
@@ -47,8 +48,7 @@ def build_report(braid: BraidWord | str, refine_depth: int = 0,
     of the raw trace terms; it is not read for a braid that is not the
     standard cycle, whose report stops at its permutation.
     """
-    if isinstance(braid, str):
-        braid = parse_braid(braid)
+    braid = parse_braid(text)
     _check_depth(refine_depth)
     sigma = induced_permutation(braid)
     report = {
@@ -150,13 +150,11 @@ def _fiber_sum_section(dims, d: int) -> dict:
 
 def _pi1_section(endo) -> dict:
     d = endo.rank + 1
-    ab = AbelianGroup(1, (d,))
     return {
         **pi1_presentations(endo),
         "standard_form_order": d,
-        "abelianization": {"free_rank": ab.free_rank,
-                           "torsion": list(ab.torsion),
-                           "pretty": ab.pretty()},
+        "abelianization": {"free_rank": 1, "torsion": [d],
+                           "pretty": f"Z x Z/{d}"},
     }
 
 

@@ -11,14 +11,14 @@ It carries U along and returns it; V is not kept.  Its pivot rule is
 the one ``tests/_oracles.smith_normal_form(stop_at_units=True)``
 certifies, so the factors and labels are that reference's.
 
-The report reaches no elimination and no ``ClassSpace``: it uses
-``AbelianGroup`` alone.  The Nielsen classes of a d-cycle braid have
-the space Z/d, labelled by the exponent sum (``nielsen``), and the pi1
-of its fiber sum abelianizes to Z x Z/d, read off d
-(``fourmanifold.pi1_presentations``).  ``nielsen.class_space`` keeps the
-general coker(I - A) as the reference the tests check the first reading
+The report uses nothing of this module.  The Nielsen classes of a
+d-cycle braid have the space Z/d, labelled by the exponent sum
+(``nielsen``), and the pi1 of its fiber sum abelianizes to Z x Z/d,
+written from d (``report``).  ``nielsen.class_space`` keeps the general
+coker(I - A) as the reference the tests check the first reading
 against; the second is checked against the abelianization of a
-presentation in ``tests/_oracles.py``, which builds its group here.
+presentation in ``tests/_oracles.py``, which builds its
+``AbelianGroup`` here.
 """
 
 from __future__ import annotations

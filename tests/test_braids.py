@@ -127,6 +127,22 @@ class TestParsing:
             parse_braid("d=1001;")
 
 
+class TestLetterChecks:
+    @pytest.mark.parametrize("letter, message", [
+        (BraidLetter("x", 1, 1), "unknown letter kind 'x'"),
+        (BraidLetter(ARTIN, 1, 2), "letter sign must be +-1, got 2"),
+        (BraidLetter(TWIST, 0, -1), "letter index must be positive, got 0"),
+    ], ids=["kind", "sign", "index"])
+    def test_the_word_checks_each_letter(self, letter, message):
+        # a letter is a plain record, equal to its tuple; the word that
+        # holds it checks it, with the message the letter once raised
+        assert letter == (letter.kind, letter.index, letter.sign)
+        for build in (BraidWord, BraidWord.from_letters):
+            with pytest.raises(ValueError) as exc:
+                build(3, (BraidLetter(ARTIN, 2, 1), letter))
+            assert str(exc.value) == message
+
+
 class TestAlgebra:
     def test_compose_concatenates_then_reduces(self):
         a = parse_braid("d=3; s1 s2")

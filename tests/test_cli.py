@@ -310,6 +310,28 @@ class TestExitCodes:
             assert "Traceback" not in proc.stderr
             assert len(proc.stderr.encode()) < 1024
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--braid", CALIBRATION, "--format", "x" * 20_000],
+         ("argument --format: invalid choice: 'xxxxxxxx...'", "json",
+          "text")),
+        (["--braid", CALIBRATION, "y" * 20_000],
+         ("unrecognized arguments: yyyyyyyy...",)),
+        (["--braid", CALIBRATION, "--config", "/nonexistent" + "/c" * 1500],
+         ("cannot read config file: ", "'/nonexis...'")),
+        (["--batch", "/nonexistent" + "/b" * 1500],
+         ("cannot read batch file: ", "'/nonexis...'")),
+    ], ids=["format-value", "unrecognized", "config-path", "batch-path"])
+    def test_long_arguments_are_echoed_short(self, capsys, argv, shown):
+        # argparse and the file errors quote or echo a whole argument;
+        # the usage message cuts each and keeps the flags and choices
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and all(part in err for part in shown)
+        assert "Traceback" not in err
+        assert len(err.encode()) < 1024
+
     @pytest.mark.parametrize("fmt, reader", [
         ("json", ["head", "-c", "100"]),
         ("text", ["head", "-n", "1"]),

@@ -81,7 +81,7 @@ class TestFiberSumPrediction:
         rng = random.Random(139)
         for _ in range(60):
             d = rng.randint(2, 6)
-            report = build_report(random_transitive_braid(rng, d))
+            report = build_report(random_transitive_braid(rng, d).to_text())
             p, bound = report["fiber_sum"], report["nielsen"]["bound"]
             assert p["summand_total"] == 4 * bound
             assert p["total"] == 8 * bound

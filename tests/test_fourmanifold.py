@@ -202,7 +202,7 @@ class TestTietze:
         simplified = tietze_simplify(assembled_pi1(b))
         assert standard_form_order(simplified) == d
         assert simplified.generators == ("l1", "l2")
-        pi1 = build_report(b)["pi1"]
+        pi1 = build_report(b.to_text())["pi1"]
         assert pi1["standard_form_order"] == d
         assert pi1["simplified"]["generators"] == ["l1", "l2"]
 
@@ -244,7 +244,7 @@ class TestSimplifiedPi1:
             assembled = assemble_pi1(torus)
             simplified = tietze_simplify(assembled)
             ab = abelianization(assembled)
-            pi1 = build_report(b)["pi1"]
+            pi1 = build_report(b.to_text())["pi1"]
             assert pi1["mapping_torus"] == torus.to_dict(), b.to_text()
             assert pi1["assembled"] == assembled.to_dict(), b.to_text()
             assert pi1["simplified"] == simplified.to_dict(), b.to_text()

@@ -8,6 +8,7 @@ import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -110,15 +111,83 @@ def small_d(text: str) -> bool:
     return m is None or not 200 < int(m.group(1)) <= MAX_STRANDS
 
 
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # usage errors, raised by argparse
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(FUZZ, max_examples=100)
 @given(braid_text | transitive_text)
 def test_cli_exits_with_a_documented_code(text):
     assume(small_d(text))
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["--braid", text])
-    except SystemExit as exc:  # usage errors, raised by argparse
-        code = exc.code
+    code, _, err = run_cli(["--braid", text])
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory) -> list[str]:
+    """Files for --batch and --config: readable, missing, a directory,
+    long, and not UTF-8."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "batch.txt": b"d=3; s1 s2\n# comment\nd=4; s1 s2^-1 s3\nd=4; s1 s1\n",
+        "config.json": json.dumps(DEFAULT_CONFIGURATION).encode(),
+        "bad.json": b'{"pieces": 5}',
+        "latin1.txt": b"d=3; s1 s2\n\xfe\xff\n",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return [str(root / name) for name in files] + [
+        str(root), str(root / "missing"), str(root) + "/m" * 1500,
+        str(root / ("n" * 300)), str(root / "\udcfe\udcff")]
+
+
+# values no flag accepts: long and repeated characters, Unicode digits
+# and spaces, quotes, surrogates from bytes that are not UTF-8
+hostile = st.one_of(
+    st.builds(str.__mul__,
+              st.sampled_from(["x", "9", "\u0663", "\u3000", " ", "'", '"',
+                               "\\", "s1 ", "--", "\udcff", "=x"]),
+              st.integers(0, 5000)),
+    st.sampled_from(["9" * 5000, "1" + "0" * 4999, "\uff12", " 2 ", "0_1",
+                     "+1", "-1", "1.0", ""]))
+flag_and_value = st.one_of(
+    st.tuples(st.just("--braid"),
+              braid_text.filter(small_d) | transitive_text | hostile),
+    st.tuples(st.just("--format"),
+              st.sampled_from(["json", "text"]) | hostile),
+    st.tuples(st.just("--refine-depth"), st.sampled_from("012") | hostile),
+    st.tuples(st.just("--version")),
+    # unknown, abbreviated and ambiguous flags, with values attached,
+    # and values on their own
+    st.tuples(st.builds(str.__add__,
+                        st.sampled_from(["", "--bogus", "--bogus=", "-x",
+                                         "-h", "--b", "--b=", "--=", "--",
+                                         "-", "--form", "--refine"]),
+                        st.just("") | hostile)),
+    st.tuples(st.sampled_from(["--braid", "--batch", "--format",
+                               "--refine-depth", "--config"])),
+)
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.lists(flag_and_value | st.tuples(st.sampled_from(["--batch",
+                                                             "--config"]),
+                                           st.integers(0, 9)),
+                max_size=5))
+def test_every_argv_exits_with_a_documented_code(paths, pieces):
+    # a path piece holds an index into the fixture's files
+    argv = [paths[x % len(paths)] if isinstance(x, int) else x
+            for piece in pieces for x in piece]
+    code, out, err = run_cli(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert len(err.encode("utf-8", "surrogateescape")) < 1024
+    assert run_cli(argv)[1] == out

@@ -242,7 +242,7 @@ class TestDecomposition:
             sigma = induced_permutation(b)
             lefschetz = lefschetz_number(artin_endo(b))
             assert lefschetz == 2 - sigma.fixed_point_count()
-            assert build_report(b)["lefschetz"] == lefschetz
+            assert build_report(b.to_text())["lefschetz"] == lefschetz
 
     def test_transitive_braids_have_cyclic_class_space(self):
         rng = random.Random(97)

