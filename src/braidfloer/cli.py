@@ -118,13 +118,18 @@ def main(argv: list[str] | None = None) -> int:
     config_data = None
     if args.config is not None:
         try:
-            config_data = json.loads(
-                Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            parser.error(f"config file is not valid UTF-8 JSON: {exc}")
+        except (OSError, ValueError) as exc:
+            # a ValueError here is a path no file can have: a NUL byte,
+            # or a surrogate the file system encoding cannot encode
             parser.error(f"cannot read config file: {exc}")
+        try:
+            config_data = json.loads(text)
         except (ValueError, RecursionError) as exc:
-            # bytes that are not UTF-8, text that is not JSON, nesting
-            # past the recursion limit or an integer past the digit limit
+            # text that is not JSON, nesting past the recursion limit or
+            # an integer past the digit limit
             parser.error(f"config file is not valid UTF-8 JSON: {exc}")
 
     if args.braid is not None:
@@ -132,10 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         try:
             text = Path(args.batch).read_text(encoding="utf-8")
-        except OSError as exc:
-            parser.error(f"cannot read batch file: {exc}")
         except UnicodeDecodeError as exc:
             parser.error(f"batch file is not UTF-8: {exc}")
+        except (OSError, ValueError) as exc:
+            # a NUL byte or an unencodable surrogate in the path
+            parser.error(f"cannot read batch file: {exc}")
         words = [w for w in (line.strip(string.whitespace)
                              for line in text.split("\n"))
                  if w and not w.startswith("#")]

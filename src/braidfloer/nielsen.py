@@ -216,16 +216,35 @@ def _twist_steps(e: FreeGroupEndo) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(steps)
 
 
+def _twists(t: tuple[int, ...], steps) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(s, s t e(s)^-1) for each step (s, e(s)^-1) of ``_twist_steps``:
+    the elements one twisted conjugation away from the reduced tuple t."""
+    for s, image_inv in steps:
+        # t and e(s)^-1 are reduced, so s t e(s)^-1 can only cancel at its
+        # two junctions: s against t[0], then the longest overlap at the
+        # right seam
+        yield s, _concat(t[1:] if t and t[0] == -s else (s,) + t, image_inv)
+
+
+def _limit_error(radius: int) -> RefinementLimitError:
+    return RefinementLimitError(
+        f"twisted-conjugacy refinement needs more than "
+        f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP} orbit-ball elements "
+        f"(ball radius {radius}); use a smaller refine depth")
+
+
 def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
                 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
     """The twisted-conjugation orbit of g out to conjugator length radius,
-    and its size as ORBIT_BALL_CAP counts it.
+    and its size as ORBIT_BALL_CAP counts it: one per element plus one
+    per BALL_LETTERS_PER_ELEMENT letters of all its elements.
 
     The ball maps each u g e(u)^-1 with |u| <= radius (reduced letter
-    tuples) to a conjugator u of least length, found breadth first, so
-    len(u) is the element's distance from g and the ball of any smaller
-    radius is the part with len(u) <= that radius.  Raises
-    RefinementLimitError once the size exceeds ``room``."""
+    tuples) to a conjugator u of least length, found breadth first
+    (``_twists``), so len(u) is the element's distance from g, and the
+    elements with len(u) == radius are the boundary that refinement
+    steps once more from at odd depths.  Raises RefinementLimitError
+    once the size exceeds ``room``."""
     ball = {g: ()}
     letters = len(g)
     size = 1 + letters // BALL_LETTERS_PER_ELEMENT
@@ -234,12 +253,7 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
         nxt = []
         for t in frontier:
             u = ball[t]
-            for s, image_inv in steps:
-                # t and e(s)^-1 are reduced, so s t e(s)^-1 can only
-                # cancel at its two junctions: s against t[0], then the
-                # longest overlap at the right seam
-                left = t[1:] if t and t[0] == -s else (s,) + t
-                t2 = _concat(left, image_inv)
+            for s, t2 in _twists(t, steps):
                 if t2 not in ball:
                     # s u is reduced: if u began with s^-1, t2 would lie
                     # one layer nearer g and be in the ball already
@@ -248,10 +262,7 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
                     letters += len(t2)
             size = len(ball) + letters // BALL_LETTERS_PER_ELEMENT
             if size > room:
-                raise RefinementLimitError(
-                    f"twisted-conjugacy refinement needs more than "
-                    f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP} orbit-ball elements "
-                    f"(ball radius {radius}); use a smaller refine depth")
+                raise _limit_error(radius)
         frontier = nxt
     return ball, size
 
@@ -284,20 +295,27 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
 
     ``nd`` is ``nielsen_decomposition(e, sigma)``; the terms of
     ``reidemeister_trace_raw(e)``, which only refinement builds, are
-    grouped by their exponent sum mod ``nd.d``, its class labels.  Each
-    term's orbit is built once and only to half the depth, meeting in
-    the middle: if u = a b with |a| <= depth // 2 and
+    grouped by their exponent sum mod ``nd.d``, its class labels.  The
+    search meets in the middle: if u = a b with |a| <= depth // 2 and
     |b| <= (depth + 1) // 2, then h = u g e(u)^-1 exactly when
     b g e(b)^-1 = a^-1 h e(a^-1)^-1, so two terms g and h are within
-    depth of each other exactly when the radius (depth + 1) // 2 ball of
-    one meets the radius depth // 2 ball of the other.  The balls of one class together may
-    hold at most ORBIT_BALL_CAP elements (as ``_orbit_ball`` counts
-    them); past that RefinementLimitError is raised.  Each class starts
-    the count afresh: the balls of a class are dropped before the next
-    class is searched.
+    depth of each other exactly when the radius (depth + 1) // 2 ball
+    of one meets the radius depth // 2 ball of the other.  A class of
+    one term builds no ball.  In a class of m >= 2 terms each term
+    builds its radius depth // 2 ball once, in members' order, and looks
+    it up in one map of the balls of the terms before it, into which
+    every term but the last then adds its own; at odd depth the one-step
+    shell around the ball's boundary, which makes it radius
+    (depth + 1) // 2, is looked up too but not stored.  The balls and
+    shell elements of one class together may count at most
+    ORBIT_BALL_CAP, each element as ``_orbit_ball`` counts it (one plus
+    its letters // BALL_LETTERS_PER_ELEMENT); past that
+    RefinementLimitError is raised.  Each class starts the count afresh:
+    the balls of a class are dropped before the next class is searched.
     """
     _check_depth(depth)
     steps = _twist_steps(e)
+    radius = depth // 2
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
     for term in reidemeister_trace_raw(e).items():
         label = (sum(1 if x > 0 else -1 for x in term[0].letters) % nd.d,)
@@ -313,21 +331,35 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
                 i = parent[i]
             return i
 
-        if depth > 0:
+        if depth > 0 and len(members) > 1:
             # element of a radius depth // 2 ball -> a member that holds
             # it; members sharing such an element are merged already
             near: dict[tuple[int, ...], int] = {}
             room = ORBIT_BALL_CAP
+            last = len(members) - 1
             for i, (word, _) in enumerate(members):
-                ball, size = _orbit_ball(word.letters, steps,
-                                         (depth + 1) // 2, room)
+                ball, size = _orbit_ball(word.letters, steps, radius, room)
                 room -= size
-                for t, u in ball.items():
+                for t in ball:
                     j = near.get(t)
                     if j is not None:
                         parent[find(j)] = find(i)
-                    elif len(u) <= depth // 2:
+                    elif i < last:
                         near[t] = i
+                if depth % 2 and i:
+                    # one step past the boundary makes the ball radius
+                    # (depth + 1) // 2; that shell is looked up and
+                    # counted, but not stored
+                    for t, u in ball.items():
+                        if len(u) < radius:
+                            continue
+                        for _, t2 in _twists(t, steps):
+                            room -= 1 + len(t2) // BALL_LETTERS_PER_ELEMENT
+                            j = near.get(t2)
+                            if j is not None:
+                                parent[find(j)] = find(i)
+                        if room < 0:
+                            raise _limit_error(radius + 1)
         # each cluster listed from its least member, in members' order
         by_root: dict[int, list[int]] = {}
         for i in range(len(members)):

@@ -233,12 +233,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_refinement_past_the_orbit_ball_cap_is_3(self):
-        # without the cap this ends in MemoryError
-        proc = run_capped(["--braid", "d=7; s1 s2 s3 s4 s5 s6",
+        # without the cap this ends in MemoryError; the classes of this
+        # braid hold three, two and one terms
+        proc = run_capped(["--braid", "d=5; s1 s2^-1 s3 s4",
                            "--refine-depth", "16"])
         assert proc.returncode == 3 and proc.stdout == ""
         assert f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_one_term_classes_refine_at_any_depth(self):
+        # each class of this braid holds one term, so no orbit ball is
+        # built and no depth reaches the cap
+        proc = run_capped(["--braid", "d=7; s1 s2 s3 s4 s5 s6",
+                           "--refine-depth", "16", "--format", "json"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        refined = json.loads(proc.stdout)["refined"]
+        assert refined["depth"] == 16
+        assert all(len(c["clusters"]) == 1 for c in refined["classes"])
 
     def test_out_of_memory_is_3(self, capsys, monkeypatch):
         # the images of a pseudo-Anosov word are not capped, so a short
@@ -331,6 +342,24 @@ class TestExitCodes:
         assert out == "" and all(part in err for part in shown)
         assert "Traceback" not in err
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--batch", "a\x00b"), ("--batch", "\ud800"),
+        ("--config", "a\x00b"), ("--config", "\ud800"),
+    ], ids=["batch-nul", "batch-surrogate", "config-nul",
+            "config-surrogate"])
+    def test_paths_no_file_can_have_are_unreadable(self, capsys, flag, path):
+        # open() raises ValueError for a NUL byte and UnicodeEncodeError
+        # for a surrogate that surrogateescape cannot encode; no command
+        # line carries either, but main(argv) takes any str
+        argv = [flag, path] + (["--braid", CALIBRATION]
+                               if flag == "--config" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"cannot read {flag[2:]} file: " in err
 
     @pytest.mark.parametrize("fmt, reader", [
         ("json", ["head", "-c", "100"]),

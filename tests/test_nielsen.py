@@ -7,6 +7,7 @@ distinct classes), the standard degree-3 monodromy is the one-third turn
 (two index +1 classes and one empty class)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -35,6 +36,12 @@ def W(rank, *letters):
 def decompose(b):
     """The decomposition of braid b, which must induce one d-cycle."""
     return nielsen_decomposition(artin_endo(b), induced_permutation(b))
+
+
+def exponent_class(letters, d):
+    """The homological class of a word, for the action of a braid whose
+    permutation is one d-cycle: its exponent sum mod d."""
+    return sum(1 if x > 0 else -1 for x in letters) % d
 
 
 def order_index_multiset(nd):
@@ -94,10 +101,10 @@ def twisted_conjugate(e, u, g):
     return u * g * _oracles.substitute(u, e.images).inverse()
 
 
-def pairwise_clusters(e, depth):
+def pairwise_clusters(e, depth, search=pairwise_search):
     """Reference refinement: project every term of the Fox-derivative
-    trace, then one full-depth search per pair of terms of a class;
-    (label, clusters) per class."""
+    trace, then one search per pair of terms of a class (by default one
+    full-depth search); (label, clusters) per class."""
     cs = class_space(e)
     by_label = {}
     for word, coeff in _oracles.reidemeister_trace_raw(e).items():
@@ -117,7 +124,7 @@ def pairwise_clusters(e, depth):
 
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if find(i) != find(j) and pairwise_search(
+                if find(i) != find(j) and search(
                         e, members[i][0], members[j][0], depth) is not None:
                     parent[find(j)] = find(i)
         groups = {}
@@ -485,9 +492,72 @@ class TestRefinement:
                           for rc in refined for words, _ in rc.clusters)
         assert merged >= 20  # the merges themselves are compared, too
 
+    def test_same_clusters_as_pairwise_meetings_at_odd_depths(self):
+        # only an odd depth looks past the stored balls, at the shell
+        # around their boundary; the reference meets each pair of terms
+        # in the middle, since one full-depth search per pair would take
+        # minutes at depth 7.  The two fixed words first merge terms at
+        # depth 5, so the shell finds those merges
+        rng = random.Random(137)
+        braids = [random_transitive_braid(rng, rng.randint(2, 4), max_len=14)
+                  for _ in range(38)]
+        fixed = [parse_braid("d=4; s2^-1 t3 s2^-1 s1^-1 s2^-1 s3^-1"),
+                 parse_braid("d=3; t3^-1 t1 s2 s1^-1 s2 s1^-1")]
+        for b in braids + fixed:
+            e = artin_endo(b)
+            nd = decompose(b)
+            for depth in (5, 7):
+                refined = refine_decomposition(e, nd, depth)
+                clusters = tuple((rc.label, rc.clusters) for rc in refined)
+                assert clusters == pairwise_clusters(e, depth,
+                                                     meet_in_the_middle)
+        for b in fixed:
+            e = artin_endo(b)
+            nd = decompose(b)
+            assert (refine_decomposition(e, nd, 5)
+                    != refine_decomposition(e, nd, 4))
+
+    def test_one_term_classes_build_no_ball(self, monkeypatch):
+        # each class of this braid holds one term, which has nothing to
+        # merge with, at any depth
+        b = parse_braid("d=7; s1 s2 s3 s4 s5 s6")
+        e = artin_endo(b)
+        labels = [exponent_class(w.letters, 7)
+                  for w in reidemeister_trace_raw(e)]
+        assert len(labels) == len(set(labels)) > 1
+        calls = []
+        monkeypatch.setattr(nielsen, "_orbit_ball",
+                            lambda *args: calls.append(args))
+        refined = refine_decomposition(e, decompose(b), 16)
+        assert calls == []
+        assert all(len(rc.clusters) == 1 for rc in refined)
+
+    def test_each_term_of_a_larger_class_builds_one_small_ball(
+            self, monkeypatch):
+        # classes of 4, 6, 5 and 3 terms: one ball of radius depth // 2
+        # per term, the last term's included, at even and odd depths
+        b = parse_braid("d=4; s2 s2 s1^-1 s2 s3")
+        e = artin_endo(b)
+        sizes = Counter(exponent_class(w.letters, 4)
+                        for w in reidemeister_trace_raw(e))
+        assert sorted(sizes.values()) == [3, 4, 5, 6]
+        orbit_ball = nielsen._orbit_ball
+        for depth in (1, 2, 3, 4):
+            calls = Counter()
+
+            def counted(g, steps, radius, room):
+                calls[exponent_class(g, 4), radius] += 1
+                return orbit_ball(g, steps, radius, room)
+
+            monkeypatch.setattr(nielsen, "_orbit_ball", counted)
+            refine_decomposition(e, decompose(b), depth)
+            assert calls == {(label, depth // 2): m
+                             for label, m in sizes.items()}
+
     def test_generator_images_are_read_once(self, monkeypatch):
-        # six raw terms, and one ball per term; the twisted-conjugation
-        # steps are read off the images once for all of them
+        # six raw terms in classes of one, three and two; the
+        # twisted-conjugation steps are read off the images once for
+        # all of them
         b = parse_braid("d=4; s1 s2^-1 s3 s1 s2")
         e = artin_endo(b)
         nd = decompose(b)
@@ -511,7 +581,8 @@ class TestRefinement:
             assert ball == reduce_ball(g, steps, radius)
 
     def test_orbit_ball_cap_raises(self, monkeypatch):
-        b = parse_braid("d=5; s1 s2 s3 s4")
+        # classes of three, two and one terms
+        b = parse_braid("d=5; s1 s2^-1 s3 s4")
         e = artin_endo(b)
         nd = decompose(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
@@ -520,25 +591,29 @@ class TestRefinement:
         refine_decomposition(e, nd, 2)  # far below the cap
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
-        # two classes of one term each: a cap that holds the larger of
-        # their balls holds each class, though not both together
-        b = parse_braid("d=4; s1 s2 s3")
+        # two classes of two and three terms: a cap that holds the
+        # larger class's balls holds each class, though not both together
+        b = parse_braid("d=3; s1 s1 s1 s2")
         e = artin_endo(b)
         nd = decompose(b)
-        sizes = []
+        sizes = Counter()
         orbit_ball = nielsen._orbit_ball
 
-        def counted(*args):
-            ball, size = orbit_ball(*args)
-            sizes.append(size)
+        def counted(g, *args):
+            ball, size = orbit_ball(g, *args)
+            sizes[exponent_class(g, 3)] += size
             return ball, size
 
         monkeypatch.setattr(nielsen, "_orbit_ball", counted)
         expected = refine_decomposition(e, nd, 2)
-        assert len(expected) == len(sizes) == 2
-        assert max(sizes) < sum(sizes)
-        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes))
+        assert len(expected) == 3 and len(sizes) == 2
+        assert max(sizes.values()) < sum(sizes.values())
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes.values()))
         assert refine_decomposition(e, nd, 2) == expected
+        # depth 3 builds the same radius 1 balls, and the shell one step
+        # past them counts too
+        with pytest.raises(RefinementLimitError, match="ball radius 2"):
+            refine_decomposition(e, nd, 3)
 
     def test_depth_zero_keeps_terms_separate(self):
         b = parse_braid("d=3; s1 s2")
