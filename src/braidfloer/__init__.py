@@ -12,16 +12,14 @@ from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, Permutation,
                      induced_permutation, is_transitive, parse_braid)
-from .floer import FloerDims, dims_lower_bound, suspend_dims
-from .fourmanifold import (DEFAULT_CONFIGURATION, AnticanonicalTori,
-                           CharacteristicNumbers, ConfigurationError,
+from .floer import dims_lower_bound, suspend_dims
+from .fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                            anticanonical_tori, characteristic_numbers,
                            configuration_from_dict, pi1_presentations)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
-from .nielsen import (NielsenDecomposition, RefinedClass,
-                      RefinementLimitError, class_space, lefschetz_number,
-                      nielsen_decomposition, refine_decomposition,
-                      reidemeister_trace_raw)
+from .nielsen import (RefinedClass, RefinementLimitError, class_space,
+                      lefschetz_number, nielsen_decomposition,
+                      refine_decomposition, reidemeister_trace_raw)
 from .report import build_report, render_text
 from .snf import AbelianGroup, ClassSpace
 
@@ -33,12 +31,12 @@ __all__ = [
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
     "AbelianGroup", "ClassSpace",
     "lefschetz_number", "class_space", "reidemeister_trace_raw",
-    "NielsenDecomposition", "nielsen_decomposition", "RefinedClass",
+    "nielsen_decomposition", "RefinedClass",
     "refine_decomposition", "RefinementLimitError",
-    "FloerDims", "dims_lower_bound", "suspend_dims",
+    "dims_lower_bound", "suspend_dims",
     "pi1_presentations",
-    "ConfigurationError", "CharacteristicNumbers", "characteristic_numbers",
+    "ConfigurationError", "characteristic_numbers",
     "DEFAULT_CONFIGURATION", "configuration_from_dict",
-    "AnticanonicalTori", "anticanonical_tori",
+    "anticanonical_tori",
     "build_report", "render_text",
 ]

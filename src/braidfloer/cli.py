@@ -35,7 +35,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .braids import BraidError, _shown
-from .fourmanifold import ConfigurationError
+from .fourmanifold import DEFAULT_CONFIGURATION, ConfigurationError
 from .nielsen import RefinementLimitError
 from .report import build_report, render_text
 
@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    config_data = None
+    config_data = DEFAULT_CONFIGURATION
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")

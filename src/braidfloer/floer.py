@@ -2,15 +2,16 @@
 
 Gradings are modeled by the Z/2 splitting only (a nondegenerate fixed
 point is even or odd according to the sign of det(1 - Dphi)).  The
-NielsenDecomposition of a d-cycle braid, over its classes in Z/d, gives
-the certified lower bounds
+class indices N_c of a d-cycle braid, over its classes in Z/d (the
+report's ``nielsen`` section), give the certified lower bounds
 
     dim_even >= sum_c max(N_c, 0),   dim_odd >= sum_c max(-N_c, 0),
 
 so the total is bounded below by sum_c |N_c| and the parity of the total
 is that of the Lefschetz number.  Suspending by a two-torus (the product
 with T^2 taken inside the fiber sum) tensors with H_*(T^2), doubling
-into both parities.
+into both parities.  Both bounds are dicts in the form the report
+prints, ``even``, ``odd``, ``total``, ``euler`` and ``exact`` (false).
 
 The statements about the glued four-manifold, at the flux class a1, are
 read off these figures by the report (``report._fiber_sum_section``):
@@ -21,10 +22,6 @@ lower bound, never an exact dimension.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .nielsen import NielsenDecomposition
 
 FRAMING_NOTE = (
     "framing twists act trivially on the fundamental group of the punctured "
@@ -47,36 +44,25 @@ SYMPLECTIC_CLASS_NOTE = (
     "same smooth manifold may give different groups")
 
 
-@dataclass(frozen=True)
-class FloerDims:
-    """Lower bounds on the even and odd dimensions."""
-
-    even: int
-    odd: int
-
-    def __post_init__(self) -> None:
-        if self.even < 0 or self.odd < 0:
-            raise ValueError("dimensions are nonnegative")
-
-    def total(self) -> int:
-        return self.even + self.odd
-
-    def euler(self) -> int:
-        return self.even - self.odd
+def _dims(even: int, odd: int) -> dict:
+    """The report's form of lower bounds on the even and odd dimensions."""
+    return {"even": even, "odd": odd, "total": even + odd,
+            "euler": even - odd, "exact": False}
 
 
-def dims_lower_bound(nd: NielsenDecomposition) -> FloerDims:
-    """Certified lower bounds from the class indices.
+def dims_lower_bound(nielsen: dict) -> dict:
+    """Certified lower bounds from the class indices of the report's
+    ``nielsen`` section, as its ``floer_bound`` section.
 
-    euler() of the result equals the Lefschetz number even though the
-    dimensions themselves are only bounds.
+    The ``euler`` of the result equals the Lefschetz number even though
+    the dimensions themselves are only bounds.
     """
-    even = sum(c for _, c in nd.entries if c > 0)
-    odd = sum(-c for _, c in nd.entries if c < 0)
-    return FloerDims(even=even, odd=odd)
+    indices = [c["index"] for c in nielsen["classes"]]
+    return _dims(sum(c for c in indices if c > 0),
+                 sum(-c for c in indices if c < 0))
 
 
-def suspend_dims(f: FloerDims) -> FloerDims:
+def suspend_dims(dims: dict) -> dict:
     """Tensor with H_*(T^2): both parities receive 2 * total."""
-    t = f.total()
-    return FloerDims(even=2 * t, odd=2 * t)
+    t = dims["total"]
+    return _dims(2 * t, 2 * t)

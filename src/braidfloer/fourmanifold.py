@@ -34,11 +34,11 @@ Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
 invariants live in a configuration table, not in code: a dict in the
 ``--config`` format, ``DEFAULT_CONFIGURATION`` unless one is given.
+``characteristic_numbers`` and ``anticanonical_tori`` return their
+report sections, as dicts in the order the report prints them.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .braids import _shown
 from .freegroup import FreeGroupEndo, _inverse, _letter_texts
@@ -120,6 +120,9 @@ def pi1_presentations(e: FreeGroupEndo) -> dict:
 # gluing configuration and characteristic numbers
 
 KNOWN_KINDS = {"mapping_torus": (0, 0), "four_torus": (0, 0), "k3": (24, -16)}
+# the keys a configuration and each of its pieces may have
+CONFIG_KEYS = ("pieces", "pairings")
+PIECE_KEYS = ("name", "kind", "chi", "sigma", "tori")
 
 # the largest |chi|, |sigma| and volume a configuration may give; the
 # report prints sums and multiples of them, which stay far from the
@@ -157,9 +160,11 @@ def configuration_from_dict(data: dict, d: int) -> dict:
     strings, chi and sigma integers (not booleans, floats or strings),
     volumes positive integers, all of absolute value at most
     ``CONFIG_INT_BOUND``; ``tori`` is an object and each pairing lists
-    two torus names.  A known kind has its (chi, sigma), and each torus
-    lies on one piece and in one pairing of equal volumes; anything else
-    raises ConfigurationError."""
+    two torus names.  The configuration has no key but those of
+    ``CONFIG_KEYS`` and a piece none but those of ``PIECE_KEYS``.  A
+    known kind has its (chi, sigma), and each torus lies on one piece
+    and in one pairing of equal volumes; anything else raises
+    ConfigurationError."""
     def integer(x, what: str, least: int = -CONFIG_INT_BOUND) -> int:
         if (isinstance(x, int) and not isinstance(x, bool)
                 and least <= x <= CONFIG_INT_BOUND):
@@ -173,7 +178,13 @@ def configuration_from_dict(data: dict, d: int) -> dict:
             return x
         raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
 
+    def known_keys(x, keys: tuple[str, ...], what: str) -> None:
+        for k in x if isinstance(x, dict) else ():
+            if k not in keys:
+                raise ConfigurationError(f"unknown {what} key {_echo(k)}")
+
     def piece(p) -> dict:
+        known_keys(p, PIECE_KEYS, "piece")
         name = text(p["name"], "piece name")
         kind = text(p.get("kind", "custom"), "piece kind")
         chi, sigma = integer(p["chi"], "chi"), integer(p["sigma"], "sigma")
@@ -196,6 +207,7 @@ def configuration_from_dict(data: dict, d: int) -> dict:
                 f"a pairing must list two torus names, got {_echo(x)}")
         return list(x)
 
+    known_keys(data, CONFIG_KEYS, "configuration")
     try:
         pieces = [piece(p) for p in data["pieces"]]
         pairings = [pairing(x) for x in data["pairings"]]
@@ -225,36 +237,22 @@ def configuration_from_dict(data: dict, d: int) -> dict:
     return {"pieces": pieces, "pairings": pairings}
 
 
-class CharacteristicNumbers(NamedTuple):
-    chi: int
-    sigma: int
-    c2: int
-    c1_squared: int
-
-
-def characteristic_numbers(config: dict) -> CharacteristicNumbers:
+def characteristic_numbers(config: dict) -> dict:
     """chi and sigma add under fiber sum along tori (chi(T^2) = 0 and
     Novikov additivity); then c2 = chi and c1^2 = 2 chi + 3 sigma.
-    ``config`` is a configuration ``configuration_from_dict`` returned."""
+    ``config`` is a configuration ``configuration_from_dict`` returned;
+    the result is the report's ``characteristic_numbers`` section."""
     chi = sum(p["chi"] for p in config["pieces"])
     sigma = sum(p["sigma"] for p in config["pieces"])
-    return CharacteristicNumbers(chi=chi, sigma=sigma, c2=chi,
-                                 c1_squared=2 * chi + 3 * sigma)
+    return {"chi": chi, "sigma": sigma, "c2": chi,
+            "c1_squared": 2 * chi + 3 * sigma}
 
 
-class AnticanonicalTori(NamedTuple):
-    total: int
-    h1_parallel: int
-    h3_copies: int
-    h4_copies: int
-
-
-def anticanonical_tori(d: int) -> AnticanonicalTori:
+def anticanonical_tori(d: int) -> dict:
     """-d times the canonical class is represented by 6d - 2 disjoint
-    tori: 2d - 2 parallel copies of H1 and 2d copies each of H3, H4."""
+    tori: 2d - 2 parallel copies of H1 and 2d copies each of H3, H4;
+    the result is the report's ``anticanonical_tori`` section."""
     if d < 2:
         raise ValueError("need d >= 2")
-    out = AnticanonicalTori(total=6 * d - 2, h1_parallel=2 * d - 2,
-                            h3_copies=2 * d, h4_copies=2 * d)
-    assert out.h1_parallel + out.h3_copies + out.h4_copies == out.total
-    return out
+    return {"total": 6 * d - 2, "h1_parallel": 2 * d - 2,
+            "h3_copies": 2 * d, "h4_copies": 2 * d}

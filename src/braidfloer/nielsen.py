@@ -24,8 +24,9 @@ exponent sum mod d; a d-cycle fixes no puncture, so L = 2.  The N_c are
 read off one prefix scan of each image phi(xj) (``_trace_terms``), in
 time linear in the image letters, and must sum to 2, which checks the
 images against sigma: every term of R is a prefix of an image, labelled
-by its exponent sum.  R itself, as words (``reidemeister_trace_raw``),
-is built only for the twisted-conjugacy refinement.
+by its exponent sum; ``nielsen_decomposition`` returns them as the
+report's ``nielsen`` section.  R itself, as words
+(``reidemeister_trace_raw``), is built only for the refinement.
 
 ``lefschetz_number`` and ``class_space`` read I - A off the images
 instead (``_identity_minus_action``), for any endomorphism; they are the
@@ -148,60 +149,40 @@ def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
     return totals
 
 
-@dataclass(frozen=True)
-class NielsenDecomposition:
-    """Class-level fixed point indices N_c over coker(I - A) = Z/d.
-
-    ``entries`` maps labels (k,), k the exponent sum mod d, to indices,
-    sorted by label.  When d <= ENUMERATION_CAP, classes of index 0 are
-    listed too and ``complete`` is True; otherwise only nonzero indices
+def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:
+    """The report's ``nielsen`` section for the action e of a braid
+    whose permutation sigma is one cycle of degree d = e.rank + 1: the
+    class space Z/d, and the raw trace's index N_c per class of Z/d, by
+    one prefix scan per image (``_class_indices``).  Each class lists
+    its label [k], k the exponent sum mod d, its order in Z/d and its
+    index, in label order; ``bound`` is sum_c |N_c|, the Nielsen-type
+    lower bound.  When d <= ENUMERATION_CAP, classes of index 0 are
+    listed too and ``complete`` is true; otherwise only nonzero indices
     appear.
-    """
-
-    d: int
-    entries: tuple[tuple[tuple[int], int], ...]
-    lefschetz: int
-    complete: bool
-
-    def __post_init__(self) -> None:
-        if sum(c for _, c in self.entries) != self.lefschetz:
-            raise ValueError("class indices do not sum to the Lefschetz number")
-
-    def indices(self) -> dict[tuple[int], int]:
-        return dict(self.entries)
-
-    def bound(self) -> int:
-        """sum_c |N_c|, the Nielsen-type lower bound."""
-        return sum(abs(c) for _, c in self.entries)
-
-    def element_order(self, label: tuple[int]) -> int:
-        """Order of the class in Z/d."""
-        return self.d // gcd(self.d, label[0])
-
-
-def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation
-                          ) -> NielsenDecomposition:
-    """The raw trace's index per class of Z/d, for the action e of a
-    braid whose permutation sigma is one cycle of degree d = e.rank + 1,
-    by one prefix scan per image (``_class_indices``).
 
     Raises ValueError for any other sigma: only a d-cycle makes
-    coker(I - A) the Z/d of exponent sums.
+    coker(I - A) the Z/d of exponent sums.  Raises ValueError too if the
+    indices do not sum to the Lefschetz number 1 - trace(A) = 2: A
+    permutes the puncture classes as sigma does, and a d-cycle fixes
+    none of them.
     """
     d = e.rank + 1
     if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
         raise ValueError(f"need one cycle of degree {d} >= 2, "
                          f"got permutation {sigma.images}")
+    indices = _class_indices(e, d)
+    if sum(indices) != 2:
+        raise ValueError("class indices do not sum to the Lefschetz number 2")
     complete = d <= ENUMERATION_CAP
-    return NielsenDecomposition(
-        d=d,
-        entries=tuple(((k,), c) for k, c in enumerate(_class_indices(e, d))
-                      if c or complete),
-        # 1 - trace(A): A permutes the puncture classes as sigma does,
-        # and a d-cycle fixes none of them
-        lefschetz=2,
-        complete=complete,
-    )
+    return {
+        "class_space": {"invariant_factors": [d], "group": f"Z/{d}",
+                        "order": d},
+        "complete": complete,
+        "classes": [{"label": [k], "element_order": d // gcd(d, k),
+                     "index": c}
+                    for k, c in enumerate(indices) if c or complete],
+        "bound": sum(map(abs, indices)),
+    }
 
 
 def _twist_steps(e: FreeGroupEndo) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -288,15 +269,16 @@ def _check_depth(depth) -> None:
             f"refine depth must be an int >= 0, got {_shown(repr(depth))}")
 
 
-def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
-                         depth: int) -> tuple[RefinedClass, ...]:
+def refine_decomposition(e: FreeGroupEndo, depth: int
+                         ) -> tuple[RefinedClass, ...]:
     """Merge raw trace terms of one homological class whose twisted
     conjugacy is witnessed by a conjugator of length <= depth.
 
-    ``nd`` is ``nielsen_decomposition(e, sigma)``; the terms of
-    ``reidemeister_trace_raw(e)``, which only refinement builds, are
-    grouped by their exponent sum mod ``nd.d``, its class labels.  The
-    search meets in the middle: if u = a b with |a| <= depth // 2 and
+    e is the action of a braid whose permutation is one cycle of degree
+    d = e.rank + 1; the terms of ``reidemeister_trace_raw(e)``, which
+    only refinement builds, are grouped by their exponent sum mod d, the
+    class labels of ``nielsen_decomposition``.  The search meets in the
+    middle: if u = a b with |a| <= depth // 2 and
     |b| <= (depth + 1) // 2, then h = u g e(u)^-1 exactly when
     b g e(b)^-1 = a^-1 h e(a^-1)^-1, so two terms g and h are within
     depth of each other exactly when the radius (depth + 1) // 2 ball
@@ -314,11 +296,12 @@ def refine_decomposition(e: FreeGroupEndo, nd: NielsenDecomposition,
     the balls of a class are dropped before the next class is searched.
     """
     _check_depth(depth)
+    d = e.rank + 1
     steps = _twist_steps(e)
     radius = depth // 2
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
     for term in reidemeister_trace_raw(e).items():
-        label = (sum(1 if x > 0 else -1 for x in term[0].letters) % nd.d,)
+        label = (sum(1 if x > 0 else -1 for x in term[0].letters) % d,)
         groups.setdefault(label, []).append(term)
     out = []
     for label in sorted(groups):

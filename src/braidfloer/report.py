@@ -15,6 +15,8 @@ Z x Z/d are written from d, so a report runs no Tietze pass and
 uses nothing of ``snf``.  The Floer bounds are computed once from the
 class indices, and the fiber-sum section suspends them.  The gluing
 configuration is checked once per braid; the result is ``config``.
+Every other invariant section, and the fiber sum's ``summand``, is
+stored as the public function that computes it returns it.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
 
 
 def build_report(text: str, refine_depth: int = 0,
-                 config_data: dict | None = None) -> dict:
+                 config_data: dict = DEFAULT_CONFIGURATION) -> dict:
     """Compute every invariant for the braid word ``text``, which
     ``braids.parse_braid`` reads and checks.
 
     ``config_data`` is a parsed gluing-configuration dict, by default
     ``DEFAULT_CONFIGURATION``; volume tokens "d" resolve against this
-    braid.  It is checked for every braid, so a malformed one fails
+    braid, and anything else, None included, raises ConfigurationError.
+    It is checked for every braid, so a malformed one fails
     whatever the braid, but only the standard cycle's report shows it.
     ``refine_depth`` > 0 adds the bounded twisted-conjugacy refinement
     of the raw trace terms; it is not read for a braid that is not the
@@ -70,8 +73,7 @@ def build_report(text: str, refine_depth: int = 0,
         "statements": list(STATEMENTS),
         "refined": None,
     }
-    config = configuration_from_dict(
-        DEFAULT_CONFIGURATION if config_data is None else config_data, braid.d)
+    config = configuration_from_dict(config_data, braid.d)
     if not report["transitive"]:
         report["warning"] = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "
@@ -80,20 +82,18 @@ def build_report(text: str, refine_depth: int = 0,
         return report
 
     report["config"] = config
-    report["characteristic_numbers"] = characteristic_numbers(config)._asdict()
-    report["anticanonical_tori"] = anticanonical_tori(braid.d)._asdict()
+    report["characteristic_numbers"] = characteristic_numbers(config)
+    report["anticanonical_tori"] = anticanonical_tori(braid.d)
     endo = artin_endo(braid)
     # pi1 before refinement's raw trace, so that the relators and the
     # raw trace, the two largest objects of a report, are never alive at
     # once
     report["pi1"] = _pi1_section(endo)
-    nd = nielsen_decomposition(endo, sigma)
-    report["nielsen"] = _nielsen_section(nd)
-    dims = dims_lower_bound(nd)
-    report["floer_bound"] = _dims_section(dims)
-    report["fiber_sum"] = _fiber_sum_section(dims, nd.d)
+    report["nielsen"] = nielsen_decomposition(endo, sigma)
+    report["floer_bound"] = dims_lower_bound(report["nielsen"])
+    report["fiber_sum"] = _fiber_sum_section(report["floer_bound"], braid.d)
     if refine_depth > 0:
-        report["refined"] = _refined_section(endo, nd, refine_depth)
+        report["refined"] = _refined_section(endo, refine_depth)
     return report
 
 
@@ -102,29 +102,7 @@ def _cycle_text(sigma) -> str:
         "(" + " ".join(map(str, c)) + ")" for c in sigma.cycles())
 
 
-def _nielsen_section(nd) -> dict:
-    return {
-        "class_space": {
-            "invariant_factors": [nd.d],
-            "group": f"Z/{nd.d}",
-            "order": nd.d,
-        },
-        "complete": nd.complete,
-        "classes": [
-            {"label": list(label),
-             "element_order": nd.element_order(label),
-             "index": index}
-            for label, index in nd.entries],
-        "bound": nd.bound(),
-    }
-
-
-def _dims_section(f) -> dict:
-    return {"even": f.even, "odd": f.odd, "total": f.total(),
-            "euler": f.euler(), "exact": False}
-
-
-def _fiber_sum_section(dims, d: int) -> dict:
+def _fiber_sum_section(dims: dict, d: int) -> dict:
     """Predicted Floer summand dimensions of the fiber-sum four-manifold
     of the d-cycle braid whose lower bounds are ``dims``, at the flux
     class a1, the one pairing with the surface-direction loop l1.
@@ -139,10 +117,10 @@ def _fiber_sum_section(dims, d: int) -> dict:
     return {
         "flux_class": "a1",
         "summand_class": "l2",
-        "summand": _dims_section(summand),
-        "summand_total": summand.total(),
+        "summand": summand,
+        "summand_total": summand["total"],
         "zero_torsion_multiples": list(range(2, d)),
-        "total": 2 * summand.total(),
+        "total": 2 * summand["total"],
         "exact": False,
         "notes": [RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE],
     }
@@ -158,9 +136,9 @@ def _pi1_section(endo) -> dict:
     }
 
 
-def _refined_section(endo, nd, depth: int) -> dict:
+def _refined_section(endo, depth: int) -> dict:
     classes = []
-    for rc in refine_decomposition(endo, nd, depth):
+    for rc in refine_decomposition(endo, depth):
         classes.append({
             "label": list(rc.label),
             "clusters": [

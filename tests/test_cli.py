@@ -445,7 +445,12 @@ class TestConfigOption:
         {"pieces": [{"name": "A", "kind": "k3", "chi": 24, "sigma": -16,
                      "tori": {"T": 1}}],
          "pairings": []},
-    ], ids=["malformed", "unpaired"])
+        # JSON null is no configuration, not the built-in one
+        None,
+        # a misspelt "kind" would leave chi and sigma unchecked
+        {"pieces": [{"name": "M2", "knd": "k3", "chi": 5, "sigma": 7}],
+         "pairings": []},
+    ], ids=["malformed", "unpaired", "null", "unknown-key"])
     def test_bad_config_is_3_whatever_the_braid(self, capsys, tmp_path, data):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
@@ -453,6 +458,7 @@ class TestConfigOption:
             code, out, err = run(capsys, "--braid", word, "--config", str(cfg))
             assert code == 3 and out == ""
             assert "Traceback" not in err
+            assert err.startswith("braidfloer: ") and err.count("\n") == 1
 
     def test_valid_config_leaves_a_non_transitive_report(self, capsys,
                                                          tmp_path):

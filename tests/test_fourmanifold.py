@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from braidfloer.braids import induced_permutation, parse_braid
-from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, AnticanonicalTori,
+from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
                                      ConfigurationError, anticanonical_tori,
                                      characteristic_numbers,
                                      configuration_from_dict,
@@ -373,20 +373,22 @@ class TestCharacteristicNumbers:
         for d in range(2, 7):
             cn = characteristic_numbers(
                 configuration_from_dict(DEFAULT_CONFIGURATION, d))
-            assert (cn.chi, cn.sigma) == (48, -32)
-            assert cn.c2 == 48
-            assert cn.c1_squared == 0
+            assert (cn["chi"], cn["sigma"]) == (48, -32)
+            assert cn["c2"] == 48
+            assert cn["c1_squared"] == 0
 
     def test_additivity_from_pieces(self):
         cfg = _config([_piece("A", "T"), _piece("B", "Tp")], [("T", "Tp")])
         cn = characteristic_numbers(cfg)
-        assert (cn.chi, cn.sigma, cn.c2, cn.c1_squared) == (48, -32, 48, 0)
+        assert cn == {"chi": 48, "sigma": -32, "c2": 48, "c1_squared": 0}
 
     def test_isolated_pieces(self):
         empty = _config([])
-        assert characteristic_numbers(empty) == (0, 0, 0, 0)
+        assert characteristic_numbers(empty) == {
+            "chi": 0, "sigma": 0, "c2": 0, "c1_squared": 0}
         lone_k3 = _config([_piece("M")])
-        assert characteristic_numbers(lone_k3) == (24, -16, 24, 0)
+        assert characteristic_numbers(lone_k3) == {
+            "chi": 24, "sigma": -16, "c2": 24, "c1_squared": 0}
 
     def test_known_kind_values_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -449,10 +451,16 @@ class TestConfigurationSerialization:
             configuration_from_dict({"pieces": [{}]}, 3)
         with pytest.raises(ConfigurationError):
             configuration_from_dict({"pieces": [], "pairings": None}, 3)
+        with pytest.raises(ConfigurationError,
+                           match="^unknown configuration key 'pairing'$"):
+            configuration_from_dict({"pieces": [], "pairing": []}, 3)
         for piece in ({"name": "A", "chi": 0, "sigma": 0, "tori": {"T": True}},
                       {"name": "A", "chi": 0, "sigma": 0, "tori": {"T": 0}},
                       {"name": 5, "chi": 0, "sigma": 0},
-                      {"name": "A", "kind": None, "chi": 0, "sigma": 0}):
+                      {"name": "A", "kind": None, "chi": 0, "sigma": 0},
+                      # a misspelt kind would make a K3 a custom piece,
+                      # whose chi and sigma go unchecked
+                      {"name": "M2", "knd": "k3", "chi": 5, "sigma": 7}):
             with pytest.raises(ConfigurationError):
                 configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
 
@@ -484,7 +492,8 @@ class TestConfigurationSerialization:
                       {"name": "N" * 100_000, "kind": "k3", "chi": 0,
                        "sigma": 0},
                       {"name": "A", "chi": 0, "sigma": 0,
-                       "tori": {"T" * 100_000: 1}}):
+                       "tori": {"T" * 100_000: 1}},
+                      {"K" * 100_000: 1}):
             with pytest.raises(ConfigurationError) as exc:
                 configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
             assert len(str(exc.value)) < 200, str(exc.value)[:200]
@@ -497,17 +506,19 @@ class TestConfigurationSerialization:
 
 class TestAnticanonicalTori:
     def test_counts(self):
-        assert anticanonical_tori(2) == AnticanonicalTori(10, 2, 4, 4)
-        assert anticanonical_tori(3) == AnticanonicalTori(16, 4, 6, 6)
-        assert anticanonical_tori(4) == AnticanonicalTori(22, 6, 8, 8)
+        for d, counts in ((2, (10, 2, 4, 4)), (3, (16, 4, 6, 6)),
+                          (4, (22, 6, 8, 8))):
+            assert anticanonical_tori(d) == dict(zip(
+                ("total", "h1_parallel", "h3_copies", "h4_copies"), counts))
 
     def test_breakdown_sums(self):
         for d in range(2, 12):
             t = anticanonical_tori(d)
-            assert t.total == 6 * d - 2
-            assert (t.h1_parallel, t.h3_copies, t.h4_copies) == (
+            assert t["total"] == 6 * d - 2
+            assert (t["h1_parallel"], t["h3_copies"], t["h4_copies"]) == (
                 2 * d - 2, 2 * d, 2 * d)
-            assert t.h1_parallel + t.h3_copies + t.h4_copies == t.total
+            assert (t["h1_parallel"] + t["h3_copies"] + t["h4_copies"]
+                    == t["total"])
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidfloer.braids import MAX_STRANDS, BraidError, parse_braid
@@ -131,24 +131,27 @@ def test_cli_exits_with_a_documented_code(text):
     assert "Traceback" not in err
 
 
+# files for --batch and --config, written by the ``paths`` fixture
+FILES = {
+    "batch.txt": b"d=3; s1 s2\n# comment\nd=4; s1 s2^-1 s3\nd=4; s1 s1\n",
+    "config.json": json.dumps(DEFAULT_CONFIGURATION).encode(),
+    "bad.json": b'{"pieces": 5}',
+    "latin1.txt": b"d=3; s1 s2\n\xfe\xff\n",
+}
+# the fixture's paths, relative to its directory: readable, missing, the
+# directory itself, long, and not UTF-8, and paths no file can have: one
+# with a NUL byte and one with a surrogate no file system encoding encodes
+PATHS = (*FILES, "", "missing", "/".join(["m"] * 1500), "n" * 300,
+         "\udcfe\udcff", "a\x00b", "\ud800")
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory) -> list[str]:
-    """Files for --batch and --config: readable, missing, a directory,
-    long, and not UTF-8, and paths no file can have: one with a NUL
-    byte and one with a surrogate no file system encoding encodes."""
+    """``PATHS`` in a new directory that holds ``FILES``."""
     root = tmp_path_factory.mktemp("argv")
-    files = {
-        "batch.txt": b"d=3; s1 s2\n# comment\nd=4; s1 s2^-1 s3\nd=4; s1 s1\n",
-        "config.json": json.dumps(DEFAULT_CONFIGURATION).encode(),
-        "bad.json": b'{"pieces": 5}',
-        "latin1.txt": b"d=3; s1 s2\n\xfe\xff\n",
-    }
-    for name, data in files.items():
+    for name, data in FILES.items():
         (root / name).write_bytes(data)
-    return [str(root / name) for name in files] + [
-        str(root), str(root / "missing"), str(root) + "/m" * 1500,
-        str(root / ("n" * 300)), str(root / "\udcfe\udcff"),
-        str(root / "a\x00b"), str(root / "\ud800")]
+    return [str(root / path) for path in PATHS]
 
 
 # values no flag accepts: long and repeated characters, Unicode digits
@@ -180,13 +183,15 @@ flag_and_value = st.one_of(
 
 
 @settings(FUZZ, max_examples=150)
-@given(st.lists(flag_and_value | st.tuples(st.sampled_from(["--batch",
-                                                             "--config"]),
-                                           st.integers(0, 10)),
-                max_size=5))
+@given(pieces=st.lists(
+    flag_and_value | st.tuples(st.sampled_from(["--batch", "--config"]),
+                               st.integers(0, len(PATHS) - 1)),
+    max_size=5))
+@example(pieces=[("--batch", PATHS.index("a\x00b"))])
+@example(pieces=[("--batch", PATHS.index("\ud800"))])
 def test_every_argv_exits_with_a_documented_code(paths, pieces):
-    # a path piece holds an index into the fixture's files
-    argv = [paths[x % len(paths)] if isinstance(x, int) else x
+    # a path piece holds an index into the fixture's paths
+    argv = [paths[x] if isinstance(x, int) else x
             for piece in pieces for x in piece]
     code, out, err = run_cli(argv)
     assert code in (0, 2, 3)

@@ -8,6 +8,7 @@ distinct classes), the standard degree-3 monodromy is the one-third turn
 
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,6 @@ from braidfloer.braids import (ARTIN, BraidLetter, BraidWord, Permutation,
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse, _reduce,
                                   artin_endo)
 from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
-                                NielsenDecomposition,
                                 RefinementLimitError, _orbit_ball,
                                 _twist_steps, class_space, lefschetz_number,
                                 nielsen_decomposition, refine_decomposition,
@@ -33,9 +33,23 @@ def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
 
 
+# the Lefschetz number of a braid whose permutation is one d-cycle
+LEFSCHETZ = 2
+
+
 def decompose(b):
     """The decomposition of braid b, which must induce one d-cycle."""
     return nielsen_decomposition(artin_endo(b), induced_permutation(b))
+
+
+def entries(nd):
+    """The (label, index) pairs of a decomposition, in its order, as
+    ``projected_entries`` lists them."""
+    return tuple((tuple(c["label"]), c["index"]) for c in nd["classes"])
+
+
+def indices(nd):
+    return [c["index"] for c in nd["classes"]]
 
 
 def exponent_class(letters, d):
@@ -50,8 +64,8 @@ def order_index_multiset(nd):
     Zero indices are dropped so the multiset does not depend on whether
     enumeration was possible.
     """
-    return tuple(sorted((nd.element_order(label), c)
-                        for label, c in nd.entries if c != 0))
+    return tuple(sorted((c["element_order"], c["index"])
+                        for c in nd["classes"] if c["index"] != 0))
 
 
 def pairwise_search(e, g, h, depth):
@@ -205,9 +219,9 @@ class TestCalibrations:
         cs = class_space(e)
         assert cs.group() == AbelianGroup(0, (2,))
         nd = nielsen_decomposition(e, induced_permutation(b))
-        assert nd.complete
-        assert nd.entries == (((0,), 1), ((1,), 1))
-        assert nd.bound() == 2
+        assert nd["complete"]
+        assert entries(nd) == (((0,), 1), ((1,), 1))
+        assert nd["bound"] == 2
         assert reidemeister_trace_raw(e) == {W(1): 1, W(1, -1): 1}
 
     def test_three_strand_third_turn(self):
@@ -217,9 +231,9 @@ class TestCalibrations:
         cs = class_space(e)
         assert cs.group() == AbelianGroup(0, (3,))
         nd = nielsen_decomposition(e, induced_permutation(b))
-        assert nd.complete
-        assert sorted(index for _, index in nd.entries) == [0, 1, 1]
-        assert nd.bound() == 2
+        assert nd["complete"]
+        assert sorted(indices(nd)) == [0, 1, 1]
+        assert nd["bound"] == 2
         assert reidemeister_trace_raw(e) == {W(2, 1, 2, -1): 1, W(2, 1, -2): 1}
 
     def test_identity_endomorphism_family(self):
@@ -238,8 +252,8 @@ class TestDecomposition:
             d = rng.randint(2, 6)
             b = random_transitive_braid(rng, d)
             nd = decompose(b)
-            assert (sum(nd.indices().values()) == nd.lefschetz
-                    == lefschetz_number(artin_endo(b)) == 2)
+            assert (sum(indices(nd)) == lefschetz_number(artin_endo(b))
+                    == LEFSCHETZ)
 
     def test_lefschetz_agrees_with_fixed_point_count(self):
         rng = random.Random(89)
@@ -263,8 +277,8 @@ class TestDecomposition:
         for _ in range(200):
             d = rng.randint(2, 6)
             nd = decompose(random_transitive_braid(rng, d))
-            assert nd.bound() >= abs(nd.lefschetz)
-            assert (nd.bound() - nd.lefschetz) % 2 == 0
+            assert nd["bound"] >= abs(LEFSCHETZ)
+            assert (nd["bound"] - LEFSCHETZ) % 2 == 0
 
     def test_conjugation_invariance(self):
         rng = random.Random(103)
@@ -274,8 +288,7 @@ class TestDecomposition:
             g = random_braid_word(rng, d, max_len=6)
             nd = decompose(b)
             nd_c = decompose(g.compose(b.compose(g.inverse())))
-            assert nd.lefschetz == nd_c.lefschetz
-            assert nd.bound() == nd_c.bound()
+            assert nd["bound"] == nd_c["bound"]
             assert order_index_multiset(nd) == order_index_multiset(nd_c)
 
     def test_inversion_symmetry(self):
@@ -285,15 +298,14 @@ class TestDecomposition:
             b = random_transitive_braid(rng, d)
             nd = decompose(b)
             nd_i = decompose(b.inverse())
-            assert nd.lefschetz == nd_i.lefschetz
-            assert nd.bound() == nd_i.bound()
+            assert nd["bound"] == nd_i["bound"]
 
     def test_entries_are_sorted_and_complete_when_small(self):
         nd = decompose(parse_braid("d=4; s1 s2 s3"))
-        labels = [label for label, _ in nd.entries]
+        labels = [c["label"] for c in nd["classes"]]
         assert labels == sorted(labels)
         assert len(labels) == 4
-        assert nd.complete
+        assert nd["complete"]
 
     def test_prefix_scan_matches_the_projected_raw_trace(self):
         # on the standard cycle the exponent sum is the label the Smith
@@ -307,19 +319,20 @@ class TestDecomposition:
                 continue
             e = artin_endo(b)
             nd = decompose(b)
-            assert nd.entries == projected_entries(e), b.to_text()
-            assert nd.lefschetz == lefschetz_number(e)
+            assert entries(nd) == projected_entries(e), b.to_text()
+            assert sum(indices(nd)) == lefschetz_number(e)
             standard += 1
             g = random_braid_word(rng, b.d, max_len=6)
             conj = g.compose(b.compose(g.inverse()))
             if induced_permutation(conj).is_standard_cycle():
                 continue
             e = artin_endo(conj)
-            reference = NielsenDecomposition(
-                d=b.d, entries=projected_entries(e),
-                lefschetz=lefschetz_number(e), complete=True)
+            projected = projected_entries(e)
+            assert sum(c for _, c in projected) == lefschetz_number(e)
+            reference = tuple(sorted((b.d // gcd(b.d, k), c)
+                                     for (k,), c in projected if c != 0))
             assert (order_index_multiset(decompose(conj))
-                    == order_index_multiset(reference)), conj.to_text()
+                    == reference), conj.to_text()
             conjugated += 1
         assert standard >= 180 and conjugated >= 100
 
@@ -332,7 +345,8 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             nielsen_decomposition(FreeGroupEndo.identity(0), Permutation((1,)))
         # any 4-cycle will do, not only the standard one
-        assert nielsen_decomposition(e, Permutation((3, 4, 2, 1))).d == 4
+        assert nielsen_decomposition(
+            e, Permutation((3, 4, 2, 1)))["class_space"]["order"] == 4
 
     def test_past_the_enumeration_cap_only_nonzero_classes(self):
         d = ENUMERATION_CAP + 1
@@ -342,10 +356,10 @@ class TestDecomposition:
                     for i, s in enumerate(signs, start=1)))
             e = artin_endo(b)
             nd = decompose(b)
-            assert not nd.complete
-            assert all(c != 0 for _, c in nd.entries)
-            assert nd.entries == projected_entries(e)
-            assert sum(nd.indices().values()) == nd.lefschetz == 2
+            assert not nd["complete"]
+            assert all(c != 0 for c in indices(nd))
+            assert entries(nd) == projected_entries(e)
+            assert sum(indices(nd)) == LEFSCHETZ == 2
 
     def test_raw_trace_matches_the_fox_derivatives(self):
         for b in mixed_words():
@@ -353,10 +367,12 @@ class TestDecomposition:
             assert (reidemeister_trace_raw(e)
                     == _oracles.reidemeister_trace_raw(e)), b.to_text()
 
-    def test_decomposition_validates_its_sum(self):
-        with pytest.raises(ValueError):
-            NielsenDecomposition(d=2, entries=(((0,), 1),),
-                                 lefschetz=2, complete=True)
+    def test_decomposition_validates_its_sum(self, monkeypatch):
+        # indices summing to 1 instead of the Lefschetz number 2
+        b = parse_braid("d=2; s1")
+        monkeypatch.setattr(nielsen, "_class_indices", lambda e, d: [1, 0])
+        with pytest.raises(ValueError, match="Lefschetz"):
+            decompose(b)
 
 
 class TestClassSpaceAgainstDense:
@@ -463,7 +479,7 @@ class TestRefinement:
             cs = class_space(e)
             raw = _oracles.reidemeister_trace_raw(e)
             for depth in (0, 2):
-                refined = refine_decomposition(e, decompose(b), depth)
+                refined = refine_decomposition(e, depth)
                 seen = {}
                 for rc in refined:
                     for words, coeff in rc.clusters:
@@ -485,7 +501,7 @@ class TestRefinement:
             b = random_transitive_braid(rng, d, max_len=14)
             e = artin_endo(b)
             depth = k % 5
-            refined = refine_decomposition(e, decompose(b), depth)
+            refined = refine_decomposition(e, depth)
             clusters = tuple((rc.label, rc.clusters) for rc in refined)
             assert clusters == pairwise_clusters(e, depth)
             merged += any(len(words) > 1
@@ -505,17 +521,15 @@ class TestRefinement:
                  parse_braid("d=3; t3^-1 t1 s2 s1^-1 s2 s1^-1")]
         for b in braids + fixed:
             e = artin_endo(b)
-            nd = decompose(b)
             for depth in (5, 7):
-                refined = refine_decomposition(e, nd, depth)
+                refined = refine_decomposition(e, depth)
                 clusters = tuple((rc.label, rc.clusters) for rc in refined)
                 assert clusters == pairwise_clusters(e, depth,
                                                      meet_in_the_middle)
         for b in fixed:
             e = artin_endo(b)
-            nd = decompose(b)
-            assert (refine_decomposition(e, nd, 5)
-                    != refine_decomposition(e, nd, 4))
+            assert (refine_decomposition(e, 5)
+                    != refine_decomposition(e, 4))
 
     def test_one_term_classes_build_no_ball(self, monkeypatch):
         # each class of this braid holds one term, which has nothing to
@@ -528,7 +542,7 @@ class TestRefinement:
         calls = []
         monkeypatch.setattr(nielsen, "_orbit_ball",
                             lambda *args: calls.append(args))
-        refined = refine_decomposition(e, decompose(b), 16)
+        refined = refine_decomposition(e, 16)
         assert calls == []
         assert all(len(rc.clusters) == 1 for rc in refined)
 
@@ -550,7 +564,7 @@ class TestRefinement:
                 return orbit_ball(g, steps, radius, room)
 
             monkeypatch.setattr(nielsen, "_orbit_ball", counted)
-            refine_decomposition(e, decompose(b), depth)
+            refine_decomposition(e, depth)
             assert calls == {(label, depth // 2): m
                              for label, m in sizes.items()}
 
@@ -560,12 +574,11 @@ class TestRefinement:
         # all of them
         b = parse_braid("d=4; s1 s2^-1 s3 s1 s2")
         e = artin_endo(b)
-        nd = decompose(b)
         calls = []
         twist_steps = nielsen._twist_steps
         monkeypatch.setattr(nielsen, "_twist_steps",
                             lambda e: calls.append(e) or twist_steps(e))
-        refine_decomposition(e, nd, 3)
+        refine_decomposition(e, 3)
         assert len(reidemeister_trace_raw(e)) == 6
         assert len(calls) == 1
 
@@ -584,18 +597,16 @@ class TestRefinement:
         # classes of three, two and one terms
         b = parse_braid("d=5; s1 s2^-1 s3 s4")
         e = artin_endo(b)
-        nd = decompose(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
         with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
-            refine_decomposition(e, nd, 8)
-        refine_decomposition(e, nd, 2)  # far below the cap
+            refine_decomposition(e, 8)
+        refine_decomposition(e, 2)  # far below the cap
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
         # two classes of two and three terms: a cap that holds the
         # larger class's balls holds each class, though not both together
         b = parse_braid("d=3; s1 s1 s1 s2")
         e = artin_endo(b)
-        nd = decompose(b)
         sizes = Counter()
         orbit_ball = nielsen._orbit_ball
 
@@ -605,19 +616,19 @@ class TestRefinement:
             return ball, size
 
         monkeypatch.setattr(nielsen, "_orbit_ball", counted)
-        expected = refine_decomposition(e, nd, 2)
+        expected = refine_decomposition(e, 2)
         assert len(expected) == 3 and len(sizes) == 2
         assert max(sizes.values()) < sum(sizes.values())
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes.values()))
-        assert refine_decomposition(e, nd, 2) == expected
+        assert refine_decomposition(e, 2) == expected
         # depth 3 builds the same radius 1 balls, and the shell one step
         # past them counts too
         with pytest.raises(RefinementLimitError, match="ball radius 2"):
-            refine_decomposition(e, nd, 3)
+            refine_decomposition(e, 3)
 
     def test_depth_zero_keeps_terms_separate(self):
         b = parse_braid("d=3; s1 s2")
-        refined = refine_decomposition(artin_endo(b), decompose(b), 0)
+        refined = refine_decomposition(artin_endo(b), 0)
         assert len(refined) == 2
         assert all(len(rc.clusters) == 1 for rc in refined)
 
@@ -627,7 +638,7 @@ class TestRefinement:
         b = parse_braid("d=3; s1 s2")
         for depth in (-1, True, 2.0, "2", None):
             with pytest.raises(ValueError, match="refine depth"):
-                refine_decomposition(artin_endo(b), decompose(b), depth)
+                refine_decomposition(artin_endo(b), depth)
             for word in ("d=3; s1 s2", "d=3; s1"):
                 with pytest.raises(ValueError, match="refine depth"):
                     build_report(word, refine_depth=depth)

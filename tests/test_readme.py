@@ -37,9 +37,9 @@ def test_library_example_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"),
                  namespace)
-    # nd.lefschetz, nd.bound(), nd.d, nd.indices() and two
-    # report fields
-    assert checked == 6
+    # the nielsen section's bound, group, one class and indices, the
+    # Floer bound, the report's nielsen section and two report fields
+    assert checked == 8
 
 
 def test_configuration_block_is_the_default():

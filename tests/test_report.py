@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from braidfloer import braids, floer, fourmanifold, freegroup, nielsen, snf
-from braidfloer.braids import BraidLetter, BraidWord, _trusted, parse_braid
+from braidfloer.braids import (BraidLetter, BraidWord, _trusted,
+                               induced_permutation, parse_braid)
 from braidfloer.cli import main
-from braidfloer.fourmanifold import ConfigurationError
+from braidfloer.fourmanifold import DEFAULT_CONFIGURATION, ConfigurationError
 from braidfloer.freegroup import FreeWord
 from braidfloer.report import build_report, render_text
 
@@ -75,6 +76,38 @@ def test_each_object_is_built_once(monkeypatch):
     # simplified or eliminated
     assert calls == Counter({name: 1 for _, name in ONCE})
     assert report["pi1"]["standard_form_order"] == 4
+
+
+def golden_words() -> list[str]:
+    """The words of both golden files, without comments."""
+    return [w for name in ("golden_words.txt", "golden_words_depth3.txt")
+            for w in (DATA / name).read_text().splitlines()
+            if w.strip() and not w.startswith("#")]
+
+
+def test_each_section_is_the_public_function_s_return_value():
+    # the report stores what these functions return and converts nothing
+    words = golden_words()
+    transitive = 0
+    for word in words:
+        report = build_report(word)
+        if not report["transitive"]:
+            continue
+        b = parse_braid(word)
+        nd = nielsen.nielsen_decomposition(freegroup.artin_endo(b),
+                                           induced_permutation(b))
+        assert report["nielsen"] == nd, word
+        assert report["floer_bound"] == floer.dims_lower_bound(nd)
+        assert report["fiber_sum"]["summand"] == floer.suspend_dims(
+            floer.dims_lower_bound(nd))
+        assert (report["characteristic_numbers"]
+                == fourmanifold.characteristic_numbers(
+                    fourmanifold.configuration_from_dict(
+                        DEFAULT_CONFIGURATION, b.d)))
+        assert report["anticanonical_tori"] == fourmanifold.anticanonical_tori(
+            b.d)
+        transitive += 1
+    assert len(words) == 160 and transitive >= 100
 
 
 def test_no_word_level_trace_without_refinement(monkeypatch):
