@@ -123,20 +123,34 @@ def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:
                 s -= 1
 
 
-def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
+def reidemeister_trace_raw(e: FreeGroupEndo,
+                           sums: dict[FreeWord, int] | None = None
+                           ) -> dict[FreeWord, int]:
     """[1] - sum_j d(e(xj))/dxj, before any class projection, as a map
-    from group element to nonzero coefficient (``_trace_terms``).
+    from group element to nonzero coefficient (``_trace_terms``).  A
+    dict passed as ``sums`` receives each returned term's exponent sum,
+    keyed by the term, as the scan carries it.
 
     Individual terms depend on basepoint conventions; only their images
     in the twisted-conjugacy quotient are invariant.
     """
-    terms: dict[tuple[int, ...], int] = {}
-    for w, t, coeff, _ in _trace_terms(e):
+    terms: dict[tuple[int, ...], list[int]] = {}
+    for w, t, coeff, s in _trace_terms(e):
         prefix = w[:t]
-        terms[prefix] = terms.get(prefix, 0) + coeff
-    # a prefix of a reduced image is reduced, with letters in range
-    return {_trusted(FreeWord, rank=e.rank, letters=p): c
-            for p, c in terms.items() if c}
+        term = terms.get(prefix)
+        if term is None:
+            terms[prefix] = [coeff, s]
+        else:
+            term[0] += coeff
+    out = {}
+    for p, (c, s) in terms.items():
+        if c:
+            # a prefix of a reduced image is reduced, with letters in range
+            word = _trusted(FreeWord, rank=e.rank, letters=p)
+            out[word] = c
+            if sums is not None:
+                sums[word] = s
+    return out
 
 
 def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
@@ -207,6 +221,39 @@ def _twists(t: tuple[int, ...], steps) -> Iterator[tuple[int, tuple[int, ...]]]:
         yield s, _concat(t[1:] if t and t[0] == -s else (s,) + t, image_inv)
 
 
+def _seam_index(steps) -> dict[int, list[tuple[int, ...]]]:
+    """m -> the images e(s), one entry for each letter s and position p
+    with e(s)[p] == s and m = |e(s)| - p - 1 letters after it.  The
+    entries are the step words of ``_twist_steps`` themselves, so the
+    index is linear in the image letters.
+
+    A twist t' = s t e(s)^-1 of a reduced t is one of three kinds:
+    (a) it cancels t's first letter, and t' = L(t), where L(x) is
+    x[1:] e(-x[0])^-1 reduced; (b) s t is reduced and the right seam
+    leaves some of it, so t' begins with s and t = L(t'); (c) the seam
+    cancels all of s t, so e(s) = t'^-1 s t reduced: t is the suffix of
+    e(s) of length m = |t| after a position p of s, and
+    t' = e(s)[:p]^-1.  Twists are invertible, t = s^-1 t' e(s^-1)^-1,
+    and the index lists e(s^-1) = e(s)^-1 too, so a (c) pair is found
+    from either of its elements."""
+    index: dict[int, list[tuple[int, ...]]] = {}
+    for s, image_inv in steps:
+        # e(s)^-1 is e(-s), the image of the letter -s
+        for p, x in enumerate(image_inv):
+            if x == -s:
+                index.setdefault(len(image_inv) - p - 1, []).append(image_inv)
+    return index
+
+
+def _seam_partners(t: tuple[int, ...], seams) -> Iterator[tuple[int, ...]]:
+    """The (c) neighbours t' of the reduced tuple t, from the index of
+    ``_seam_index``: e(s)[:p]^-1 for each e(s) whose suffix after p is t."""
+    m = len(t)
+    for image in seams.get(m, ()):
+        if image[len(image) - m:] == t:
+            yield _inverse(image[:len(image) - m - 1])
+
+
 def _limit_error(radius: int) -> RefinementLimitError:
     return RefinementLimitError(
         f"twisted-conjugacy refinement needs more than "
@@ -223,8 +270,8 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
     The ball maps each u g e(u)^-1 with |u| <= radius (reduced letter
     tuples) to a conjugator u of least length, found breadth first
     (``_twists``), so len(u) is the element's distance from g, and the
-    elements with len(u) == radius are the boundary that refinement
-    steps once more from at odd depths.  Raises RefinementLimitError
+    elements with len(u) == radius are the boundary whose neighbours
+    refinement looks up at odd depths.  Raises RefinementLimitError
     once the size exceeds ``room``."""
     ball = {g: ()}
     letters = len(g)
@@ -286,12 +333,17 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
     one term builds no ball.  In a class of m >= 2 terms each term
     builds its radius depth // 2 ball once, in members' order, and looks
     it up in one map of the balls of the terms before it, into which
-    every term but the last then adds its own; at odd depth the one-step
-    shell around the ball's boundary, which makes it radius
-    (depth + 1) // 2, is looked up too but not stored.  The balls and
-    shell elements of one class together may count at most
-    ORBIT_BALL_CAP, each element as ``_orbit_ball`` counts it (one plus
-    its letters // BALL_LETTERS_PER_ELEMENT); past that
+    every term but the last then adds its own.  At odd depth two terms
+    are also within depth when a boundary element t of one ball (at
+    distance depth // 2 from its term) is one twist from a boundary
+    element of an earlier ball; by the three kinds of twist of
+    ``_seam_index`` that neighbour is L(t), found in the map of balls,
+    or has t as its L, found in a second map of L(t) for the stored
+    boundary elements, or is a (c) partner the index yields.  So each
+    boundary element costs one twist and a few dict lookups instead of
+    2n twists.  The balls and the L(t) of one class together may count
+    at most ORBIT_BALL_CAP, each element as ``_orbit_ball`` counts it
+    (one plus its letters // BALL_LETTERS_PER_ELEMENT); past that
     RefinementLimitError is raised.  Each class starts the count afresh:
     the balls of a class are dropped before the next class is searched.
     """
@@ -299,10 +351,13 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
     d = e.rank + 1
     steps = _twist_steps(e)
     radius = depth // 2
+    if depth % 2:
+        step_inv = dict(steps)
+        seams = _seam_index(steps)
+    sums: dict[FreeWord, int] = {}
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for term in reidemeister_trace_raw(e).items():
-        label = (sum(1 if x > 0 else -1 for x in term[0].letters) % d,)
-        groups.setdefault(label, []).append(term)
+    for term in reidemeister_trace_raw(e, sums).items():
+        groups.setdefault((sums[term[0]] % d,), []).append(term)
     out = []
     for label in sorted(groups):
         members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))
@@ -318,6 +373,9 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
             # element of a radius depth // 2 ball -> a member that holds
             # it; members sharing such an element are merged already
             near: dict[tuple[int, ...], int] = {}
+            # L(t) of a stored boundary element t -> every member with
+            # such a t: members sharing an L(t) may lie depth + 1 apart
+            back: dict[tuple[int, ...], list[int]] = {}
             room = ORBIT_BALL_CAP
             last = len(members) - 1
             for i, (word, _) in enumerate(members):
@@ -329,20 +387,28 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
                         parent[find(j)] = find(i)
                     elif i < last:
                         near[t] = i
-                if depth % 2 and i:
-                    # one step past the boundary makes the ball radius
-                    # (depth + 1) // 2; that shell is looked up and
-                    # counted, but not stored
-                    for t, u in ball.items():
-                        if len(u) < radius:
-                            continue
-                        for _, t2 in _twists(t, steps):
-                            room -= 1 + len(t2) // BALL_LETTERS_PER_ELEMENT
-                            j = near.get(t2)
-                            if j is not None:
-                                parent[find(j)] = find(i)
-                        if room < 0:
-                            raise _limit_error(radius + 1)
+                if not depth % 2:
+                    continue
+                joined = []
+                for t, u in ball.items():
+                    if len(u) < radius:
+                        continue
+                    joined += back.get(t, ())
+                    if len(t) in seams:
+                        joined += map(near.get, _seam_partners(t, seams))
+                    if not t:
+                        continue
+                    lt = _concat(t[1:], step_inv[-t[0]])
+                    room -= 1 + len(lt) // BALL_LETTERS_PER_ELEMENT
+                    if room < 0:
+                        raise _limit_error(radius + 1)
+                    joined.append(near.get(lt))
+                    if i < last:
+                        back.setdefault(lt, []).append(i)
+                root = find(i)
+                for j in joined:
+                    if j is not None:
+                        parent[find(j)] = root
         # each cluster listed from its least member, in members' order
         by_root: dict[int, list[int]] = {}
         for i in range(len(members)):

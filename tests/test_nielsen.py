@@ -17,11 +17,12 @@ from braidfloer.braids import (ARTIN, BraidLetter, BraidWord, Permutation,
                                induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse, _reduce,
                                   artin_endo)
-from braidfloer.nielsen import (ENUMERATION_CAP, ORBIT_BALL_CAP,
-                                RefinementLimitError, _orbit_ball,
-                                _twist_steps, class_space, lefschetz_number,
-                                nielsen_decomposition, refine_decomposition,
-                                reidemeister_trace_raw)
+from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
+                                ORBIT_BALL_CAP, RefinementLimitError,
+                                _orbit_ball, _seam_index, _seam_partners,
+                                _twist_steps, _twists, class_space,
+                                lefschetz_number, nielsen_decomposition,
+                                refine_decomposition, reidemeister_trace_raw)
 from braidfloer.report import build_report
 from braidfloer.snf import AbelianGroup
 
@@ -195,6 +196,32 @@ def mixed_words():
             yield squares_braid(rng, d)
 
 
+def probed_shell_count(e, depth):
+    """What the largest class counted against ORBIT_BALL_CAP when an odd
+    depth probed every twist of each boundary element of every ball but
+    the first: its ball sizes plus 1 + letters // 32 per probe."""
+    steps = _twist_steps(e)
+    radius = depth // 2
+    classes = {}
+    for w in reidemeister_trace_raw(e):
+        classes.setdefault(exponent_class(w.letters, e.rank + 1), []).append(w)
+    counts = [0]
+    for words in classes.values():
+        if len(words) < 2:
+            continue
+        words.sort(key=lambda w: (len(w), w.letters))
+        count = 0
+        for i, w in enumerate(words):
+            ball, size = _orbit_ball(w.letters, steps, radius, ORBIT_BALL_CAP)
+            count += size
+            if i:
+                count += sum(1 + len(t2) // BALL_LETTERS_PER_ELEMENT
+                             for t, u in ball.items() if len(u) == radius
+                             for _, t2 in _twists(t, steps))
+        counts.append(count)
+    return max(counts)
+
+
 def reduce_ball(g, steps, radius):
     """Reference orbit ball: reduce the whole of s t e(s)^-1 per step."""
     ball = {g: ()}
@@ -364,8 +391,11 @@ class TestDecomposition:
     def test_raw_trace_matches_the_fox_derivatives(self):
         for b in mixed_words():
             e = artin_endo(b)
-            assert (reidemeister_trace_raw(e)
-                    == _oracles.reidemeister_trace_raw(e)), b.to_text()
+            sums = {}
+            raw = reidemeister_trace_raw(e, sums)
+            assert raw == _oracles.reidemeister_trace_raw(e), b.to_text()
+            # the scan's running sum is each term's exponent sum
+            assert sums == {w: sum(w.exponent_vector()) for w in raw}
 
     def test_decomposition_validates_its_sum(self, monkeypatch):
         # indices summing to 1 instead of the Lefschetz number 2
@@ -509,11 +539,11 @@ class TestRefinement:
         assert merged >= 20  # the merges themselves are compared, too
 
     def test_same_clusters_as_pairwise_meetings_at_odd_depths(self):
-        # only an odd depth looks past the stored balls, at the shell
-        # around their boundary; the reference meets each pair of terms
-        # in the middle, since one full-depth search per pair would take
-        # minutes at depth 7.  The two fixed words first merge terms at
-        # depth 5, so the shell finds those merges
+        # only an odd depth looks past the stored balls, at the
+        # neighbours of their boundary elements; the reference meets
+        # each pair of terms in the middle, since one full-depth search
+        # per pair would take minutes at depth 7.  The two fixed words
+        # first merge terms at depth 5, so those lookups find the merges
         rng = random.Random(137)
         braids = [random_transitive_braid(rng, rng.randint(2, 4), max_len=14)
                   for _ in range(38)]
@@ -593,6 +623,72 @@ class TestRefinement:
             ball, _ = _orbit_ball(g, steps, radius, ORBIT_BALL_CAP)
             assert ball == reduce_ball(g, steps, radius)
 
+    def test_each_twist_is_one_of_three_kinds(self):
+        # the lemma odd depths rest on: a neighbour t' = s t e(s)^-1 of a
+        # reduced t is (a) L(t), the twist that cancels t's first letter,
+        # (b) a t' whose L is t, or (c) a partner the seam index yields;
+        # and every partner is a neighbour.  The endos are random, and
+        # besides random t and t = () the suffixes after each letter s
+        # of e(s) are tried, where (c) partners live
+        rng = random.Random(157)
+        kinds = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            e = FreeGroupEndo(n, tuple(random_free_word(rng, n, 6)
+                                       for _ in range(n)))
+            steps = _twist_steps(e)
+            seams = _seam_index(steps)
+            image = {-s: image_inv for s, image_inv in steps}
+            ts = {(), random_free_word(rng, n, 6).letters}
+            ts.update(w[p + 1:] for s, w in image.items()
+                      for p, x in enumerate(w) if x == s)
+            for t in ts:
+                twists = dict(_twists(t, steps))
+                partners = set(_seam_partners(t, seams))
+                assert partners <= set(twists.values())
+                for t2 in twists.values():
+                    a = bool(t) and t2 == twists[-t[0]]
+                    b = bool(t2) and dict(_twists(t2, steps))[-t2[0]] == t
+                    c = t2 in partners
+                    assert a or b or c, (e.images, t, t2)
+                    kinds[a, b, c] += 1
+        assert kinds[False, False, True] > 100
+
+    def test_a_seam_only_neighbour(self):
+        # e(x1) = x2^-1 x1 x3: the twist by x1^-1 takes x2 to x3 by
+        # cancelling all of x1^-1 x2, and no other kind of twist joins
+        # them, so refinement merges the raw trace terms x2 and x3 at
+        # depth 1 through the seam index alone
+        e = FreeGroupEndo(3, (W(3, -2, 1, 3), W(3, 2, 2), W(3, 3, 3)))
+        steps = _twist_steps(e)
+        seams = _seam_index(steps)
+        g, h = W(3, 2), W(3, 3)
+        from_g = dict(_twists(g.letters, steps))
+        from_h = dict(_twists(h.letters, steps))
+        assert from_g[-1] == h.letters
+        assert from_g[-2] != h.letters and from_h[-3] != g.letters  # L
+        assert h.letters in _seam_partners(g.letters, seams)
+        assert g.letters in _seam_partners(h.letters, seams)
+        assert pairwise_search(e, g, h, 1) == (-1,)
+        merged = {rc.label: rc.clusters for rc in refine_decomposition(e, 1)}
+        assert merged[(1,)] == (((g, h), -2),)
+        apart = {rc.label: rc.clusters for rc in refine_decomposition(e, 0)}
+        assert apart[(1,)] == (((g,), -1), ((h,), -1))
+
+    def test_every_term_with_a_shared_l_is_kept(self):
+        # e(x1) = e(x2) = x2 x1 x2^-1, so L(x1) = L(x2) = that word, the
+        # third raw trace term of the class; x1 and x2 are two steps
+        # apart, and the third term joins both only through the map of
+        # L(t), which must keep both earlier terms under one key
+        e = FreeGroupEndo(3, (W(3, 2, 1, -2), W(3, 2, 1, -2), W(3, 1, 3, -1)))
+        a, b, c = W(3, 1), W(3, 2), W(3, 2, 1, -2)
+        assert reidemeister_trace_raw(e) == {a: -1, b: -1, c: 1}
+        assert pairwise_search(e, a, c, 1) == (-1,)
+        assert pairwise_search(e, b, c, 1) == (-2,)
+        assert pairwise_search(e, a, b, 1) is None
+        (rc,) = refine_decomposition(e, 1)
+        assert rc.clusters == (((a, b, c), -1),)
+
     def test_orbit_ball_cap_raises(self, monkeypatch):
         # classes of three, two and one terms
         b = parse_braid("d=5; s1 s2^-1 s3 s4")
@@ -601,6 +697,19 @@ class TestRefinement:
         with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
             refine_decomposition(e, 8)
         refine_decomposition(e, 2)  # far below the cap
+
+    def test_odd_depths_count_one_twist_per_boundary_element(
+            self, monkeypatch):
+        # at depth 5 probing the 2n twists of each boundary element would
+        # count past a cap of 1000; one L(t) per element stays below it,
+        # and the clusters are exact
+        b = parse_braid("d=5; s1 s2^-1 s3 s4")
+        e = artin_endo(b)
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
+        assert probed_shell_count(e, 5) > 1000
+        refined = refine_decomposition(e, 5)
+        assert (tuple((rc.label, rc.clusters) for rc in refined)
+                == pairwise_clusters(e, 5, meet_in_the_middle))
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
         # two classes of two and three terms: a cap that holds the
@@ -621,8 +730,8 @@ class TestRefinement:
         assert max(sizes.values()) < sum(sizes.values())
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes.values()))
         assert refine_decomposition(e, 2) == expected
-        # depth 3 builds the same radius 1 balls, and the shell one step
-        # past them counts too
+        # depth 3 builds the same radius 1 balls, and the L(t) of their
+        # boundary elements count too
         with pytest.raises(RefinementLimitError, match="ball radius 2"):
             refine_decomposition(e, 3)
 
