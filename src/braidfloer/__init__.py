@@ -11,15 +11,15 @@ braid labels by exponent sums mod d.
 from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, Permutation,
-                     induced_permutation, is_transitive, parse_braid)
+                     induced_permutation, parse_braid)
 from .floer import dims_lower_bound, suspend_dims
 from .fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                            anticanonical_tori, characteristic_numbers,
                            configuration_from_dict, pi1_presentations)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
-from .nielsen import (RefinedClass, RefinementLimitError, class_space,
-                      lefschetz_number, nielsen_decomposition,
-                      refine_decomposition, reidemeister_trace_raw)
+from .nielsen import (RefinementLimitError, class_space, lefschetz_number,
+                      nielsen_decomposition, refine_decomposition,
+                      reidemeister_trace_raw)
 from .report import build_report, render_text
 from .snf import AbelianGroup, ClassSpace
 
@@ -27,12 +27,12 @@ __all__ = [
     "__version__",
     "BraidError", "BraidIndexError", "BraidLetter", "BraidSyntaxError",
     "BraidWord", "Permutation",
-    "induced_permutation", "is_transitive", "parse_braid",
+    "induced_permutation", "parse_braid",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
     "AbelianGroup", "ClassSpace",
     "lefschetz_number", "class_space", "reidemeister_trace_raw",
-    "nielsen_decomposition", "RefinedClass",
-    "refine_decomposition", "RefinementLimitError",
+    "nielsen_decomposition", "refine_decomposition",
+    "RefinementLimitError",
     "dims_lower_bound", "suspend_dims",
     "pi1_presentations",
     "ConfigurationError", "characteristic_numbers",

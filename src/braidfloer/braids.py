@@ -282,8 +282,3 @@ def induced_permutation(b: BraidWord) -> Permutation:
             i = x.index - 1
             images[i], images[i + 1] = images[i + 1], images[i]
     return Permutation(tuple(images))
-
-
-def is_transitive(b: BraidWord) -> bool:
-    """True iff the induced permutation equals (1 2 ... d) exactly."""
-    return induced_permutation(b).is_standard_cycle()

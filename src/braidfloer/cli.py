@@ -18,9 +18,11 @@ written (``braidfloer --batch words.txt | head -n 1``).
 
 Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
-runs; the first parse error aborts the batch.  Lines end at ``\n`` and
-lose ASCII whitespace only, so a Unicode space or line break (U+3000,
-NEL) stays in its line and is a parse error (exit 2).
+runs; the first parse error aborts the batch and names its line of
+the file (``line N: ``, from 1, blank and comment lines counted), as
+does a refinement past ``ORBIT_BALL_CAP``.  Lines end at ``\n`` and lose ASCII
+whitespace only, so a Unicode space or line break (U+3000, NEL) stays
+in its line and is a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def main(argv: list[str] | None = None) -> int:
             # an integer past the digit limit
             parser.error(f"config file is not valid UTF-8 JSON: {exc}")
 
+    # (message prefix naming the braid's line, braid)
     if args.braid is not None:
-        words = [args.braid]
+        words = [("", args.braid)]
     else:
         try:
             text = Path(args.batch).read_text(encoding="utf-8")
@@ -142,12 +145,13 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             # a NUL byte or an unencodable surrogate in the path
             parser.error(f"cannot read batch file: {exc}")
-        words = [w for w in (line.strip(string.whitespace)
-                             for line in text.split("\n"))
+        words = [(f"line {n}: ", w) for n, w in enumerate(
+                     (line.strip(string.whitespace)
+                      for line in text.split("\n")), start=1)
                  if w and not w.startswith("#")]
 
     try:
-        for word in words:
+        for where, word in words:
             report = build_report(word, refine_depth=args.refine_depth,
                                   config_data=config_data)
             _emit(report, args.format, sys.stdout)
@@ -158,10 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         print("braidfloer: stdout was closed before the reports were "
               "written", file=sys.stderr)
         return 3
-    except BraidError as exc:
-        print(f"braidfloer: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, RefinementLimitError) as exc:
+    except (BraidError, RefinementLimitError) as exc:
+        print(f"braidfloer: {where}{exc}", file=sys.stderr)
+        return 2 if isinstance(exc, BraidError) else 3
+    except ConfigurationError as exc:
         print(f"braidfloer: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -25,10 +25,10 @@ The group is simplified by reading, not by a Tietze pass.  For a braid
 that induces the standard cycle, every move the pass makes on the
 assembled group deletes one x generator by a relator of length 1, and
 the result is < l1, l2 | [l1,l2], l2^d > (``pi1_presentations`` proves
-it and checks its one condition on the images), so the report reads
-that presentation, its standard form order d and its abelianization
-Z + Z/d off d, and renders all three presentations as text straight
-from d and the image letters.
+it and checks its one condition on the images), so it returns the
+report's ``pi1`` section: all three presentations as text straight from
+d and the image letters, and the standard form order d and the
+abelianization Z + Z/d written from d.
 
 Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
@@ -45,16 +45,17 @@ from .freegroup import FreeGroupEndo, _inverse, _letter_texts
 
 
 def pi1_presentations(e: FreeGroupEndo) -> dict:
-    """The report's three presentations of pi1 as generator names and
-    relator texts, for a braid that induces the standard cycle and whose
-    sphere action is ``e``; d = rank + 1.  ``mapping_torus`` is pi1 of
-    (circle) x (mapping torus of the braid action) minus the surgered
-    torus: [l1, l2], the [l1, xi] and l2 xi l2^-1 phi(xi)^-1.
-    ``assembled`` adds the meridian x1 and the second longitude l2^d,
-    which the gluing kills (the other side adds no generators: its group
-    is the Z already identified with l1).  ``simplified`` is the
-    Tietze-simplified assembled group, read off the images:
-    < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >.
+    """The report's ``pi1`` section, for a braid that induces the
+    standard cycle and whose sphere action is ``e``; d = rank + 1: three
+    presentations of pi1 as generator names and relator texts, and the
+    simplified one's standard form order d and abelianization Z x Z/d.
+    ``mapping_torus`` is pi1 of (circle) x (mapping torus of the braid
+    action) minus the surgered torus: [l1, l2], the [l1, xi] and
+    l2 xi l2^-1 phi(xi)^-1.  ``assembled`` adds the meridian x1 and the
+    second longitude l2^d, which the gluing kills (the other side adds
+    no generators: its group is the Z already identified with l1).
+    ``simplified`` is the Tietze-simplified assembled group, read off
+    the images: < l1, l2 | l1 l2 l1^-1 l2^-1, l2^d >.
 
     For a braid that induces the standard cycle, the Artin action sends
     xk to a conjugate of x(k+1), so each reduced image phi(xk) with
@@ -113,6 +114,9 @@ def pi1_presentations(e: FreeGroupEndo) -> dict:
                       "relators": relators + ["x1", longitude]},
         "simplified": {"generators": ["l1", "l2"],
                        "relators": ["l1 l2 l1^-1 l2^-1", longitude]},
+        "standard_form_order": d,
+        "abelianization": {"free_rank": 1, "torsion": [d],
+                           "pretty": f"Z x Z/{d}"},
     }
 
 

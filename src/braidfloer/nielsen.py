@@ -26,7 +26,8 @@ time linear in the image letters, and must sum to 2, which checks the
 images against sigma: every term of R is a prefix of an image, labelled
 by its exponent sum; ``nielsen_decomposition`` returns them as the
 report's ``nielsen`` section.  R itself, as words
-(``reidemeister_trace_raw``), is built only for the refinement.
+(``reidemeister_trace_raw``), is built only for the refinement, which
+returns one (label, clusters) pair per class.
 
 ``lefschetz_number`` and ``class_space`` read I - A off the images
 instead (``_identity_minus_action``), for any endomorphism; they are the
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
 
 from .braids import Permutation, _shown, _trusted
@@ -123,34 +123,20 @@ def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:
                 s -= 1
 
 
-def reidemeister_trace_raw(e: FreeGroupEndo,
-                           sums: dict[FreeWord, int] | None = None
-                           ) -> dict[FreeWord, int]:
+def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
     """[1] - sum_j d(e(xj))/dxj, before any class projection, as a map
-    from group element to nonzero coefficient (``_trace_terms``).  A
-    dict passed as ``sums`` receives each returned term's exponent sum,
-    keyed by the term, as the scan carries it.
+    from group element to nonzero coefficient (``_trace_terms``).
 
     Individual terms depend on basepoint conventions; only their images
     in the twisted-conjugacy quotient are invariant.
     """
-    terms: dict[tuple[int, ...], list[int]] = {}
-    for w, t, coeff, s in _trace_terms(e):
+    terms: dict[tuple[int, ...], int] = {}
+    for w, t, coeff, _ in _trace_terms(e):
         prefix = w[:t]
-        term = terms.get(prefix)
-        if term is None:
-            terms[prefix] = [coeff, s]
-        else:
-            term[0] += coeff
-    out = {}
-    for p, (c, s) in terms.items():
-        if c:
-            # a prefix of a reduced image is reduced, with letters in range
-            word = _trusted(FreeWord, rank=e.rank, letters=p)
-            out[word] = c
-            if sums is not None:
-                sums[word] = s
-    return out
+        terms[prefix] = terms.get(prefix, 0) + coeff
+    # a prefix of a reduced image is reduced, with letters in range
+    return {_trusted(FreeWord, rank=e.rank, letters=p): c
+            for p, c in terms.items() if c}
 
 
 def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
@@ -161,6 +147,16 @@ def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
     for _, _, coeff, s in _trace_terms(e):
         totals[s % d] += coeff
     return totals
+
+
+def _check_cycle(e: FreeGroupEndo, sigma: Permutation) -> int:
+    """d = e.rank + 1, once sigma is one cycle of degree d >= 2: only a
+    d-cycle makes coker(I - A) the Z/d of exponent sums."""
+    d = e.rank + 1
+    if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
+        raise ValueError(f"need one cycle of degree {d} >= 2, "
+                         f"got permutation {sigma.images}")
+    return d
 
 
 def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:
@@ -180,10 +176,7 @@ def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:
     permutes the puncture classes as sigma does, and a d-cycle fixes
     none of them.
     """
-    d = e.rank + 1
-    if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
-        raise ValueError(f"need one cycle of degree {d} >= 2, "
-                         f"got permutation {sigma.images}")
+    d = _check_cycle(e, sigma)
     indices = _class_indices(e, d)
     if sum(indices) != 2:
         raise ValueError("class indices do not sum to the Lefschetz number 2")
@@ -295,20 +288,6 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
     return ball, size
 
 
-@dataclass(frozen=True)
-class RefinedClass:
-    """Clusters of raw trace terms inside one homological class.
-
-    Each cluster is a set of group elements proven pairwise twisted
-    conjugate by an explicit conjugator, with the summed coefficient.
-    Distinct clusters are NOT claimed to be distinct fixed point classes;
-    the certified decomposition is the homological one.
-    """
-
-    label: tuple[int, ...]
-    clusters: tuple[tuple[tuple[FreeWord, ...], int], ...]
-
-
 def _check_depth(depth) -> None:
     """Raise ValueError unless depth is an int >= 0 (a bool is not)."""
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
@@ -316,20 +295,25 @@ def _check_depth(depth) -> None:
             f"refine depth must be an int >= 0, got {_shown(repr(depth))}")
 
 
-def refine_decomposition(e: FreeGroupEndo, depth: int
-                         ) -> tuple[RefinedClass, ...]:
+def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
+                         ) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """Merge raw trace terms of one homological class whose twisted
-    conjugacy is witnessed by a conjugator of length <= depth.
+    conjugacy is witnessed by a conjugator of length <= depth: one
+    (label, clusters) pair per class, in label order.  A cluster pairs
+    terms proven pairwise twisted conjugate, in members' order (by
+    length, then letters), with their summed coefficient.  Distinct
+    clusters are NOT claimed to be distinct fixed point classes.
 
-    e is the action of a braid whose permutation is one cycle of degree
-    d = e.rank + 1; the terms of ``reidemeister_trace_raw(e)``, which
-    only refinement builds, are grouped by their exponent sum mod d, the
-    class labels of ``nielsen_decomposition``.  The search meets in the
-    middle: if u = a b with |a| <= depth // 2 and
-    |b| <= (depth + 1) // 2, then h = u g e(u)^-1 exactly when
-    b g e(b)^-1 = a^-1 h e(a^-1)^-1, so two terms g and h are within
-    depth of each other exactly when the radius (depth + 1) // 2 ball
-    of one meets the radius depth // 2 ball of the other.  A class of
+    e is the action of a braid whose permutation sigma is one cycle of
+    degree d = e.rank + 1, else ValueError (``_check_cycle``); the terms
+    of ``reidemeister_trace_raw(e)``, which only refinement builds, are
+    labelled (k,), k their exponent sum mod d, as in
+    ``nielsen_decomposition``.  The search meets in the middle: if
+    u = a b with |a| <= depth // 2 and |b| <= (depth + 1) // 2, then
+    h = u g e(u)^-1 exactly when b g e(b)^-1 = a^-1 h e(a^-1)^-1, so
+    two terms g and h are within depth of each other exactly when the
+    radius (depth + 1) // 2 ball of one meets the radius depth // 2
+    ball of the other.  A class of
     one term builds no ball.  In a class of m >= 2 terms each term
     builds its radius depth // 2 ball once, in members' order, and looks
     it up in one map of the balls of the terms before it, into which
@@ -348,16 +332,18 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
     the balls of a class are dropped before the next class is searched.
     """
     _check_depth(depth)
-    d = e.rank + 1
+    d = _check_cycle(e, sigma)
     steps = _twist_steps(e)
     radius = depth // 2
     if depth % 2:
         step_inv = dict(steps)
         seams = _seam_index(steps)
-    sums: dict[FreeWord, int] = {}
     groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for term in reidemeister_trace_raw(e, sums).items():
-        groups.setdefault((sums[term[0]] % d,), []).append(term)
+    for term in reidemeister_trace_raw(e).items():
+        p = term[0].letters
+        # exponent sum: len(p) less twice the number of inverse letters
+        label = ((len(p) - 2 * sum(map((0).__gt__, p))) % d,)
+        groups.setdefault(label, []).append(term)
     out = []
     for label in sorted(groups):
         members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))
@@ -416,5 +402,5 @@ def refine_decomposition(e: FreeGroupEndo, depth: int
         clusters = tuple(
             (tuple(members[i][0] for i in idxs), sum(members[i][1] for i in idxs))
             for idxs in by_root.values())
-        out.append(RefinedClass(label=label, clusters=clusters))
+        out.append((label, clusters))
     return tuple(out)

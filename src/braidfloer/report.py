@@ -7,16 +7,19 @@ induced permutation, so every braid gets the braid data and it.  The
 other sections need the single closed orbit that gets surgered: a braid
 that is not the standard cycle stops at its permutation, with those
 sections null and ``warning`` saying why, and builds no images.  For
-one that is, ``fourmanifold.pi1_presentations`` renders the three pi1
-presentations as text from d and the image letters, and checks on the
-images the condition under which a Tietze pass would reach the
-simplified one; its standard form order and its abelianization
-Z x Z/d are written from d, so a report runs no Tietze pass and
-uses nothing of ``snf``.  The Floer bounds are computed once from the
-class indices, and the fiber-sum section suspends them.  The gluing
+one that is, ``fourmanifold.pi1_presentations`` returns the ``pi1``
+section: the three presentations rendered as text from d and the image
+letters, checked on the images for the condition under which a Tietze
+pass would reach the simplified one, and its standard form order and
+abelianization Z x Z/d written from d, so a report runs no Tietze pass
+and uses nothing of ``snf``.  The Floer bounds are computed once from
+the class indices, and the fiber-sum section suspends them.  The gluing
 configuration is checked once per braid; the result is ``config``.
-Every other invariant section, and the fiber sum's ``summand``, is
-stored as the public function that computes it returns it.
+The report builds the ``fiber_sum`` section around the fiber sum's
+``summand`` and the ``refined`` section from the (label, clusters)
+pairs of ``nielsen.refine_decomposition``; every other invariant
+section, and that ``summand``, is stored as the public function that
+computes it returns it.
 """
 
 from __future__ import annotations
@@ -88,12 +91,12 @@ def build_report(text: str, refine_depth: int = 0,
     # pi1 before refinement's raw trace, so that the relators and the
     # raw trace, the two largest objects of a report, are never alive at
     # once
-    report["pi1"] = _pi1_section(endo)
+    report["pi1"] = pi1_presentations(endo)
     report["nielsen"] = nielsen_decomposition(endo, sigma)
     report["floer_bound"] = dims_lower_bound(report["nielsen"])
     report["fiber_sum"] = _fiber_sum_section(report["floer_bound"], braid.d)
     if refine_depth > 0:
-        report["refined"] = _refined_section(endo, refine_depth)
+        report["refined"] = _refined_section(endo, sigma, refine_depth)
     return report
 
 
@@ -126,27 +129,13 @@ def _fiber_sum_section(dims: dict, d: int) -> dict:
     }
 
 
-def _pi1_section(endo) -> dict:
-    d = endo.rank + 1
-    return {
-        **pi1_presentations(endo),
-        "standard_form_order": d,
-        "abelianization": {"free_rank": 1, "torsion": [d],
-                           "pretty": f"Z x Z/{d}"},
-    }
-
-
-def _refined_section(endo, depth: int) -> dict:
-    classes = []
-    for rc in refine_decomposition(endo, depth):
-        classes.append({
-            "label": list(rc.label),
-            "clusters": [
-                {"size": len(words), "index": coeff,
-                 "representative": words[0].to_text()}
-                for words, coeff in rc.clusters],
-        })
-    return {"depth": depth, "classes": classes}
+def _refined_section(endo, sigma, depth: int) -> dict:
+    return {"depth": depth, "classes": [
+        {"label": list(label),
+         "clusters": [{"size": len(words), "index": coeff,
+                       "representative": words[0].to_text()}
+                      for words, coeff in clusters]}
+        for label, clusters in refine_decomposition(endo, sigma, depth)]}
 
 
 def _presentation_text(p: dict) -> str:

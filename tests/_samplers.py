@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from braidfloer.braids import (ARTIN, TWIST, BraidLetter, BraidWord,
-                               is_transitive)
+                               induced_permutation)
 from braidfloer.freegroup import FreeWord
 
 from _oracles import IntMatrix
@@ -62,7 +62,7 @@ def random_transitive_braid(rng: random.Random, d: int, max_len: int = 12,
             continue
         b = BraidWord.from_letters(d, letters)
         if b.letters and len(b) <= max_len:
-            assert is_transitive(b)
+            assert induced_permutation(b).is_standard_cycle()
             return b
     raise RuntimeError("failed to sample a transitive braid")
 

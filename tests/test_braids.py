@@ -8,7 +8,7 @@ import pytest
 from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
                                BraidSyntaxError, BraidWord, MAX_STRANDS,
                                Permutation, induced_permutation,
-                               is_transitive, parse_braid)
+                               parse_braid)
 
 from _samplers import random_braid_word, random_transitive_braid
 
@@ -218,7 +218,7 @@ class TestTransitivity:
         assert sigma.images == (3, 1, 2)
         # a single 3-cycle, but not (1 2 3) on the nose
         assert sigma.cycles() == ((1, 3, 2),)
-        assert not is_transitive(b)
+        assert not sigma.is_standard_cycle()
 
     def test_sampler_output_is_transitive(self):
         rng = random.Random(19)
@@ -226,8 +226,9 @@ class TestTransitivity:
             d = rng.randint(2, 6)
             b = random_transitive_braid(rng, d)
             assert 0 < len(b) <= 12
-            assert is_transitive(b)
+            assert induced_permutation(b).is_standard_cycle()
 
     def test_identity_is_never_transitive(self):
         for d in range(2, 6):
-            assert not is_transitive(BraidWord.identity(d))
+            sigma = induced_permutation(BraidWord.identity(d))
+            assert not sigma.is_standard_cycle()

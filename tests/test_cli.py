@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import braidfloer
-from braidfloer import __version__, cli
+from braidfloer import __version__, cli, nielsen
 from braidfloer.braids import MAX_STRANDS
 from braidfloer.cli import main
 from braidfloer.nielsen import ORBIT_BALL_CAP
@@ -179,6 +179,40 @@ class TestBatch:
         assert code == 2
         assert len(out.splitlines()) == 1  # only the line before the error
         assert "nope" in err
+
+    def test_errors_name_their_line(self, capsys, tmp_path, monkeypatch):
+        # N in "line N: " is the 1-based line of the file, blank and
+        # comment lines counted; a byte order mark is no whitespace, so it
+        # makes its line a parse error
+        f = tmp_path / "batch.txt"
+        f.write_text("d=2; s1\n\ufeffd=3; s1 s2\n", encoding="utf-8")
+        code, out, err = run(capsys, "--batch", str(f), "--format", "json")
+        assert code == 2 and len(out.splitlines()) == 1
+        assert err == ("braidfloer: line 2: expected header of the form "
+                       "'d=<int>;' (at position 0)\n")
+        f.write_text("# words\n\nd=2; s1\n  \nd=3; nope\n")
+        code, _, err = run(capsys, "--batch", str(f))
+        assert code == 2
+        assert err == "braidfloer: line 5: bad token 'nope' (at position 5)\n"
+        # so does a refinement past the orbit-ball cap
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
+        f.write_text("d=3; s1 s2\n# classes of three, two and one terms\n"
+                     "d=5; s1 s2^-1 s3 s4\n")
+        code, out, err = run(capsys, "--batch", str(f), "--format", "json",
+                             "--refine-depth", "8")
+        assert code == 3 and len(out.splitlines()) == 1
+        assert err.startswith("braidfloer: line 3: twisted-conjugacy "
+                              "refinement needs more than ORBIT_BALL_CAP")
+        # a single braid has no line, and a configuration error fails
+        # whatever the braid, so neither names one
+        code, _, err = run(capsys, "--braid", "d=3; nope")
+        assert code == 2
+        assert err == "braidfloer: bad token 'nope' (at position 5)\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pieces": 5}')
+        code, out, err = run(capsys, "--batch", str(f), "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert err.startswith("braidfloer: malformed configuration: ")
 
     @pytest.mark.parametrize("text, bad", [
         ("d=2; s1\nd=3; s1 s2\x85d=3; s1\n", "'s2\\x85d=3;'"),

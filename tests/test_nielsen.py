@@ -53,6 +53,12 @@ def indices(nd):
     return [c["index"] for c in nd["classes"]]
 
 
+def standard_cycle(d):
+    """The permutation (1 2 ... d), for refining an endomorphism that
+    no braid word was given for."""
+    return Permutation((*range(2, d + 1), 1))
+
+
 def exponent_class(letters, d):
     """The homological class of a word, for the action of a braid whose
     permutation is one d-cycle: its exponent sum mod d."""
@@ -391,11 +397,8 @@ class TestDecomposition:
     def test_raw_trace_matches_the_fox_derivatives(self):
         for b in mixed_words():
             e = artin_endo(b)
-            sums = {}
-            raw = reidemeister_trace_raw(e, sums)
+            raw = reidemeister_trace_raw(e)
             assert raw == _oracles.reidemeister_trace_raw(e), b.to_text()
-            # the scan's running sum is each term's exponent sum
-            assert sums == {w: sum(w.exponent_vector()) for w in raw}
 
     def test_decomposition_validates_its_sum(self, monkeypatch):
         # indices summing to 1 instead of the Lefschetz number 2
@@ -509,19 +512,43 @@ class TestRefinement:
             cs = class_space(e)
             raw = _oracles.reidemeister_trace_raw(e)
             for depth in (0, 2):
-                refined = refine_decomposition(e, depth)
+                refined = refine_decomposition(e, induced_permutation(b), depth)
                 seen = {}
-                for rc in refined:
-                    for words, coeff in rc.clusters:
+                for label, clusters in refined:
+                    for words, coeff in clusters:
                         assert words
                         for w in words:
-                            assert cs.project(w.exponent_vector()) == rc.label
-                        seen[rc.label] = seen.get(rc.label, 0) + coeff
+                            assert cs.project(w.exponent_vector()) == label
+                        seen[label] = seen.get(label, 0) + coeff
                 totals = {}
                 for w, c in raw.items():
                     label = cs.project(w.exponent_vector())
                     totals[label] = totals.get(label, 0) + c
                 assert seen == totals
+
+    def test_refinement_needs_one_cycle_of_degree_rank_plus_one(self):
+        # off a d-cycle the exponent sum mod d is not the homological
+        # class: without the check, the first word's depth 1 refinement
+        # labelled (2,) a cluster of class (2,) and one of class (-2,) in
+        # coker(I - A) = Z, and the second word put terms of the classes
+        # (1,) and (-2,) of Z under one label (1,)
+        for word in ("d=4; s2^-1 s1 s2^-1 s1", "d=3; t2^-1 s1 s2^-1 s1 t3",
+                     "d=4; s1^-1 s3^-1 s2 t2 s2^-1"):
+            b = parse_braid(word)
+            e, sigma = artin_endo(b), induced_permutation(b)
+            assert len(sigma.cycles()) == 2
+            for depth in (0, 1):
+                with pytest.raises(ValueError, match="one cycle of degree"):
+                    refine_decomposition(e, sigma, depth)
+        # the same rule as the decomposition's: any d-cycle of degree
+        # rank + 1 will do, and nothing else
+        b = parse_braid("d=4; s1 s2 s3")
+        e = artin_endo(b)
+        assert (refine_decomposition(e, Permutation((3, 4, 2, 1)), 1)
+                == refine_decomposition(e, induced_permutation(b), 1))
+        for sigma in (Permutation((2, 3, 1)), Permutation((2, 3, 4, 5, 1))):
+            with pytest.raises(ValueError, match="one cycle of degree"):
+                refine_decomposition(e, sigma, 1)
 
     def test_same_clusters_as_the_pairwise_search(self):
         rng = random.Random(131)
@@ -531,11 +558,10 @@ class TestRefinement:
             b = random_transitive_braid(rng, d, max_len=14)
             e = artin_endo(b)
             depth = k % 5
-            refined = refine_decomposition(e, depth)
-            clusters = tuple((rc.label, rc.clusters) for rc in refined)
-            assert clusters == pairwise_clusters(e, depth)
+            refined = refine_decomposition(e, induced_permutation(b), depth)
+            assert refined == pairwise_clusters(e, depth)
             merged += any(len(words) > 1
-                          for rc in refined for words, _ in rc.clusters)
+                          for _, clusters in refined for words, _ in clusters)
         assert merged >= 20  # the merges themselves are compared, too
 
     def test_same_clusters_as_pairwise_meetings_at_odd_depths(self):
@@ -550,16 +576,14 @@ class TestRefinement:
         fixed = [parse_braid("d=4; s2^-1 t3 s2^-1 s1^-1 s2^-1 s3^-1"),
                  parse_braid("d=3; t3^-1 t1 s2 s1^-1 s2 s1^-1")]
         for b in braids + fixed:
-            e = artin_endo(b)
+            e, sigma = artin_endo(b), induced_permutation(b)
             for depth in (5, 7):
-                refined = refine_decomposition(e, depth)
-                clusters = tuple((rc.label, rc.clusters) for rc in refined)
-                assert clusters == pairwise_clusters(e, depth,
-                                                     meet_in_the_middle)
+                assert (refine_decomposition(e, sigma, depth)
+                        == pairwise_clusters(e, depth, meet_in_the_middle))
         for b in fixed:
-            e = artin_endo(b)
-            assert (refine_decomposition(e, 5)
-                    != refine_decomposition(e, 4))
+            e, sigma = artin_endo(b), induced_permutation(b)
+            assert (refine_decomposition(e, sigma, 5)
+                    != refine_decomposition(e, sigma, 4))
 
     def test_one_term_classes_build_no_ball(self, monkeypatch):
         # each class of this braid holds one term, which has nothing to
@@ -572,9 +596,9 @@ class TestRefinement:
         calls = []
         monkeypatch.setattr(nielsen, "_orbit_ball",
                             lambda *args: calls.append(args))
-        refined = refine_decomposition(e, 16)
+        refined = refine_decomposition(e, induced_permutation(b), 16)
         assert calls == []
-        assert all(len(rc.clusters) == 1 for rc in refined)
+        assert all(len(clusters) == 1 for _, clusters in refined)
 
     def test_each_term_of_a_larger_class_builds_one_small_ball(
             self, monkeypatch):
@@ -594,7 +618,7 @@ class TestRefinement:
                 return orbit_ball(g, steps, radius, room)
 
             monkeypatch.setattr(nielsen, "_orbit_ball", counted)
-            refine_decomposition(e, depth)
+            refine_decomposition(e, induced_permutation(b), depth)
             assert calls == {(label, depth // 2): m
                              for label, m in sizes.items()}
 
@@ -608,7 +632,7 @@ class TestRefinement:
         twist_steps = nielsen._twist_steps
         monkeypatch.setattr(nielsen, "_twist_steps",
                             lambda e: calls.append(e) or twist_steps(e))
-        refine_decomposition(e, 3)
+        refine_decomposition(e, induced_permutation(b), 3)
         assert len(reidemeister_trace_raw(e)) == 6
         assert len(calls) == 1
 
@@ -670,9 +694,9 @@ class TestRefinement:
         assert h.letters in _seam_partners(g.letters, seams)
         assert g.letters in _seam_partners(h.letters, seams)
         assert pairwise_search(e, g, h, 1) == (-1,)
-        merged = {rc.label: rc.clusters for rc in refine_decomposition(e, 1)}
+        merged = dict(refine_decomposition(e, standard_cycle(4), 1))
         assert merged[(1,)] == (((g, h), -2),)
-        apart = {rc.label: rc.clusters for rc in refine_decomposition(e, 0)}
+        apart = dict(refine_decomposition(e, standard_cycle(4), 0))
         assert apart[(1,)] == (((g,), -1), ((h,), -1))
 
     def test_every_term_with_a_shared_l_is_kept(self):
@@ -686,17 +710,18 @@ class TestRefinement:
         assert pairwise_search(e, a, c, 1) == (-1,)
         assert pairwise_search(e, b, c, 1) == (-2,)
         assert pairwise_search(e, a, b, 1) is None
-        (rc,) = refine_decomposition(e, 1)
-        assert rc.clusters == (((a, b, c), -1),)
+        assert (refine_decomposition(e, standard_cycle(4), 1)
+                == (((1,), (((a, b, c), -1),)),))
 
     def test_orbit_ball_cap_raises(self, monkeypatch):
         # classes of three, two and one terms
         b = parse_braid("d=5; s1 s2^-1 s3 s4")
         e = artin_endo(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
+        sigma = induced_permutation(b)
         with pytest.raises(RefinementLimitError, match="ORBIT_BALL_CAP = 1000"):
-            refine_decomposition(e, 8)
-        refine_decomposition(e, 2)  # far below the cap
+            refine_decomposition(e, sigma, 8)
+        refine_decomposition(e, sigma, 2)  # far below the cap
 
     def test_odd_depths_count_one_twist_per_boundary_element(
             self, monkeypatch):
@@ -707,8 +732,7 @@ class TestRefinement:
         e = artin_endo(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
         assert probed_shell_count(e, 5) > 1000
-        refined = refine_decomposition(e, 5)
-        assert (tuple((rc.label, rc.clusters) for rc in refined)
+        assert (refine_decomposition(e, induced_permutation(b), 5)
                 == pairwise_clusters(e, 5, meet_in_the_middle))
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
@@ -725,21 +749,22 @@ class TestRefinement:
             return ball, size
 
         monkeypatch.setattr(nielsen, "_orbit_ball", counted)
-        expected = refine_decomposition(e, 2)
+        sigma = induced_permutation(b)
+        expected = refine_decomposition(e, sigma, 2)
         assert len(expected) == 3 and len(sizes) == 2
         assert max(sizes.values()) < sum(sizes.values())
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes.values()))
-        assert refine_decomposition(e, 2) == expected
+        assert refine_decomposition(e, sigma, 2) == expected
         # depth 3 builds the same radius 1 balls, and the L(t) of their
         # boundary elements count too
         with pytest.raises(RefinementLimitError, match="ball radius 2"):
-            refine_decomposition(e, 3)
+            refine_decomposition(e, sigma, 3)
 
     def test_depth_zero_keeps_terms_separate(self):
         b = parse_braid("d=3; s1 s2")
-        refined = refine_decomposition(artin_endo(b), 0)
+        refined = refine_decomposition(artin_endo(b), induced_permutation(b), 0)
         assert len(refined) == 2
-        assert all(len(rc.clusters) == 1 for rc in refined)
+        assert all(len(clusters) == 1 for _, clusters in refined)
 
     def test_negative_depth_rejected(self):
         # only a non-bool int >= 0 is a depth; True would print as a
@@ -747,7 +772,8 @@ class TestRefinement:
         b = parse_braid("d=3; s1 s2")
         for depth in (-1, True, 2.0, "2", None):
             with pytest.raises(ValueError, match="refine depth"):
-                refine_decomposition(artin_endo(b), depth)
+                refine_decomposition(artin_endo(b), induced_permutation(b),
+                                     depth)
             for word in ("d=3; s1 s2", "d=3; s1"):
                 with pytest.raises(ValueError, match="refine depth"):
                     build_report(word, refine_depth=depth)

@@ -78,36 +78,57 @@ def test_each_object_is_built_once(monkeypatch):
     assert report["pi1"]["standard_form_order"] == 4
 
 
-def golden_words() -> list[str]:
-    """The words of both golden files, without comments."""
-    return [w for name in ("golden_words.txt", "golden_words_depth3.txt")
-            for w in (DATA / name).read_text().splitlines()
+# the golden word files and the refine depth golden.jsonl reports them at
+GOLDEN = (("golden_words.txt", 0), ("golden_words_depth3.txt", 3))
+
+
+def golden_words(name: str) -> list[str]:
+    """The words of a golden file, without comments."""
+    return [w for w in (DATA / name).read_text().splitlines()
             if w.strip() and not w.startswith("#")]
 
 
 def test_each_section_is_the_public_function_s_return_value():
-    # the report stores what these functions return and converts nothing
-    words = golden_words()
+    # the report stores what these functions return and converts
+    # nothing; the refined section lists the refinement's pairs
+    words = 0
     transitive = 0
-    for word in words:
-        report = build_report(word)
-        if not report["transitive"]:
-            continue
-        b = parse_braid(word)
-        nd = nielsen.nielsen_decomposition(freegroup.artin_endo(b),
-                                           induced_permutation(b))
-        assert report["nielsen"] == nd, word
-        assert report["floer_bound"] == floer.dims_lower_bound(nd)
-        assert report["fiber_sum"]["summand"] == floer.suspend_dims(
-            floer.dims_lower_bound(nd))
-        assert (report["characteristic_numbers"]
-                == fourmanifold.characteristic_numbers(
-                    fourmanifold.configuration_from_dict(
-                        DEFAULT_CONFIGURATION, b.d)))
-        assert report["anticanonical_tori"] == fourmanifold.anticanonical_tori(
-            b.d)
-        transitive += 1
-    assert len(words) == 160 and transitive >= 100
+    for name, depth in GOLDEN:
+        for word in golden_words(name):
+            words += 1
+            transitive += sections_are_return_values(word, depth)
+    assert words == 160 and transitive >= 100
+
+
+def sections_are_return_values(word: str, depth: int) -> bool:
+    """Check the sections of word's report at refine depth ``depth``;
+    whether the braid is the standard cycle."""
+    report = build_report(word, refine_depth=depth)
+    if not report["transitive"]:
+        return False
+    b = parse_braid(word)
+    e, sigma = freegroup.artin_endo(b), induced_permutation(b)
+    nd = nielsen.nielsen_decomposition(e, sigma)
+    assert report["nielsen"] == nd, word
+    assert report["floer_bound"] == floer.dims_lower_bound(nd)
+    assert report["fiber_sum"]["summand"] == floer.suspend_dims(
+        floer.dims_lower_bound(nd))
+    assert report["pi1"] == fourmanifold.pi1_presentations(e)
+    assert (report["characteristic_numbers"]
+            == fourmanifold.characteristic_numbers(
+                fourmanifold.configuration_from_dict(
+                    DEFAULT_CONFIGURATION, b.d)))
+    assert report["anticanonical_tori"] == fourmanifold.anticanonical_tori(
+        b.d)
+    if depth:
+        assert report["refined"] == {"depth": depth, "classes": [
+            {"label": list(label),
+             "clusters": [{"size": len(words), "index": coeff,
+                           "representative": words[0].to_text()}
+                          for words, coeff in clusters]}
+            for label, clusters in nielsen.refine_decomposition(
+                e, sigma, depth)]}, word
+    return True
 
 
 def test_no_word_level_trace_without_refinement(monkeypatch):
