@@ -12,16 +12,16 @@ from ._version import __version__
 from .braids import (BraidError, BraidIndexError, BraidLetter,
                      BraidSyntaxError, BraidWord, Permutation,
                      induced_permutation, parse_braid)
-from .floer import dims_lower_bound, suspend_dims
+from .floer import dims_lower_bound, fiber_sum_dims, suspend_dims
 from .fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                            anticanonical_tori, characteristic_numbers,
                            configuration_from_dict, pi1_presentations)
 from .freegroup import FreeGroupEndo, FreeWord, artin_disc_endo, artin_endo
-from .nielsen import (RefinementLimitError, class_space, lefschetz_number,
+from .nielsen import (RefinementLimitError, class_space,
                       nielsen_decomposition, refine_decomposition,
                       reidemeister_trace_raw)
 from .report import build_report, render_text
-from .snf import AbelianGroup, ClassSpace
+from .snf import ClassSpace
 
 __all__ = [
     "__version__",
@@ -29,11 +29,11 @@ __all__ = [
     "BraidWord", "Permutation",
     "induced_permutation", "parse_braid",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
-    "AbelianGroup", "ClassSpace",
-    "lefschetz_number", "class_space", "reidemeister_trace_raw",
+    "ClassSpace",
+    "class_space", "reidemeister_trace_raw",
     "nielsen_decomposition", "refine_decomposition",
     "RefinementLimitError",
-    "dims_lower_bound", "suspend_dims",
+    "dims_lower_bound", "suspend_dims", "fiber_sum_dims",
     "pi1_presentations",
     "ConfigurationError", "characteristic_numbers",
     "DEFAULT_CONFIGURATION", "configuration_from_dict",

@@ -14,11 +14,11 @@ into both parities.  Both bounds are dicts in the form the report
 prints, ``even``, ``odd``, ``total``, ``euler`` and ``exact`` (false).
 
 The statements about the glued four-manifold, at the flux class a1, are
-read off these figures by the report (``report._fiber_sum_section``):
-the suspended bounds of the braid, 4x its Nielsen bound, at the torsion
-class [l2], zero at every other nonzero torsion multiple, and twice the
-summand over the two flux generators.  Every figure computed here is a
-lower bound, never an exact dimension.
+read off these figures by ``fiber_sum_dims``, the report's ``fiber_sum``
+section: the suspended bounds of the braid, 4x its Nielsen bound, at the
+torsion class [l2], zero at every other nonzero torsion multiple, and
+twice the summand over the two flux generators.  Every figure computed
+here is a lower bound, never an exact dimension.
 """
 
 from __future__ import annotations
@@ -66,3 +66,27 @@ def suspend_dims(dims: dict) -> dict:
     """Tensor with H_*(T^2): both parities receive 2 * total."""
     t = dims["total"]
     return _dims(2 * t, 2 * t)
+
+
+def fiber_sum_dims(dims: dict, d: int) -> dict:
+    """Predicted Floer summand dimensions of the fiber-sum four-manifold
+    of the d-cycle braid whose lower bounds are ``dims``, at the flux
+    class a1, the one pairing with the surface-direction loop l1.
+
+    The summand at the torsion class [l2] of H_1 = Z<l1> + Z/d<l2>
+    carries the braid's bounds suspended by the two-torus, 4x the
+    Nielsen bound; every other nonzero torsion multiple k[l2],
+    k = 2..d-1, carries zero; and the total over the two flux generators
+    +-a1 doubles the summand, 8x the bound.  All are lower bounds.
+    """
+    summand = suspend_dims(dims)
+    return {
+        "flux_class": "a1",
+        "summand_class": "l2",
+        "summand": summand,
+        "summand_total": summand["total"],
+        "zero_torsion_multiples": list(range(2, d)),
+        "total": 2 * summand["total"],
+        "exact": False,
+        "notes": [RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE],
+    }

@@ -182,16 +182,32 @@ def configuration_from_dict(data: dict, d: int) -> dict:
             return x
         raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
 
-    def known_keys(x, keys: tuple[str, ...], what: str) -> None:
-        for k in x if isinstance(x, dict) else ():
+    def shaped(x, types, what: str):
+        if isinstance(x, types):
+            return x
+        raise ConfigurationError(
+            f"malformed configuration: {what} must be "
+            f"{'an object' if types is dict else 'a list'}, got {_echo(x)}")
+
+    def no_key(what: str, exc: KeyError) -> ConfigurationError:
+        return ConfigurationError(f"malformed configuration: {what} has "
+                                  f"no key {_echo(exc.args[0])}")
+
+    def known_keys(x: dict, keys: tuple[str, ...], what: str) -> None:
+        for k in x:
             if k not in keys:
                 raise ConfigurationError(f"unknown {what} key {_echo(k)}")
 
-    def piece(p) -> dict:
-        known_keys(p, PIECE_KEYS, "piece")
-        name = text(p["name"], "piece name")
+    def piece(n: int, p) -> dict:
+        what = f"piece {n}"
+        known_keys(shaped(p, dict, what), PIECE_KEYS, "piece")
+        try:
+            name, chi, sigma = p["name"], p["chi"], p["sigma"]
+        except KeyError as exc:
+            raise no_key(what, exc) from None
+        name = text(name, "piece name")
         kind = text(p.get("kind", "custom"), "piece kind")
-        chi, sigma = integer(p["chi"], "chi"), integer(p["sigma"], "sigma")
+        chi, sigma = integer(chi, "chi"), integer(sigma, "sigma")
         tori = p.get("tori", {})
         if not isinstance(tori, dict):
             raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
@@ -211,12 +227,15 @@ def configuration_from_dict(data: dict, d: int) -> dict:
                 f"a pairing must list two torus names, got {_echo(x)}")
         return list(x)
 
-    known_keys(data, CONFIG_KEYS, "configuration")
+    known_keys(shaped(data, dict, "configuration"), CONFIG_KEYS,
+               "configuration")
     try:
-        pieces = [piece(p) for p in data["pieces"]]
-        pairings = [pairing(x) for x in data["pairings"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed configuration: {exc}") from exc
+        pieces, pairings = data["pieces"], data["pairings"]
+    except KeyError as exc:
+        raise no_key("configuration", exc) from None
+    pieces = [piece(n, p) for n, p in enumerate(
+        shaped(pieces, (list, tuple), "pieces"), start=1)]
+    pairings = [pairing(x) for x in shaped(pairings, (list, tuple), "pairings")]
     volumes: dict[str, int] = {}
     for t, v in (item for p in pieces for item in p["tori"].items()):
         if t in volumes:

@@ -1,4 +1,4 @@
-"""Lefschetz numbers and homological Nielsen class data for free group endos.
+"""Homological Nielsen class data for free group endomorphisms.
 
 For an endomorphism phi of a free group (here: the braid action on the
 punctured-sphere group), the generalized Lefschetz number is computed by
@@ -29,9 +29,9 @@ report's ``nielsen`` section.  R itself, as words
 (``reidemeister_trace_raw``), is built only for the refinement, which
 returns one (label, clusters) pair per class.
 
-``lefschetz_number`` and ``class_space`` read I - A off the images
-instead (``_identity_minus_action``), for any endomorphism; they are the
-image-based references the permutation is checked against.
+``class_space`` reads coker(I - A) off the images instead
+(``_identity_minus_action``), for any endomorphism: it is the
+image-based reference the Z/d of exponent sums is checked against.
 
 The sign and projection conventions above are pinned by geometry:
  * identity endo of rank n: the raw trace is 1 - n times the trivial
@@ -67,37 +67,20 @@ class RefinementLimitError(ValueError):
     """Twisted-conjugacy refinement would exceed ORBIT_BALL_CAP."""
 
 
-def _identity_minus_action(e: FreeGroupEndo
-                           ) -> tuple[list[dict[int, int]], int]:
-    """I - A as sparse rows, each mapping column to nonzero entry, and
-    trace(A), for A the abelianized action: column j of A is the
-    exponent vector of e(xj).  Read straight off the letter counts of
-    the images; ``class_space`` makes the rows dense for its Smith
-    elimination."""
-    rows = [{i: 1} for i in range(e.rank)]
-    trace = 0
+def _identity_minus_action(e: FreeGroupEndo) -> list[list[int]]:
+    """I - A as dense rows, for A the abelianized action: column j of A
+    is the exponent vector of e(xj), read straight off the letter counts
+    of the images."""
+    rows = [[int(i == j) for j in range(e.rank)] for i in range(e.rank)]
     for j, image in enumerate(e.images):
         for x, count in Counter(image.letters).items():
-            i = abs(x) - 1
-            exponent = count if x > 0 else -count
-            if i == j:
-                trace += exponent
-            value = rows[i].get(j, 0) - exponent
-            if value:
-                rows[i][j] = value
-            else:
-                del rows[i][j]
-    return rows, trace
-
-
-def lefschetz_number(e: FreeGroupEndo) -> int:
-    """1 - trace of the abelianized action."""
-    return 1 - _identity_minus_action(e)[1]
+            rows[abs(x) - 1][j] -= count if x > 0 else -count
+    return rows
 
 
 def class_space(e: FreeGroupEndo) -> ClassSpace:
     """coker(I - A): the homological twisted-conjugacy classes."""
-    return ClassSpace.from_rows(_identity_minus_action(e)[0], e.rank)
+    return ClassSpace.from_rows(_identity_minus_action(e))
 
 
 def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:

@@ -15,11 +15,9 @@ abelianization Z x Z/d written from d, so a report runs no Tietze pass
 and uses nothing of ``snf``.  The Floer bounds are computed once from
 the class indices, and the fiber-sum section suspends them.  The gluing
 configuration is checked once per braid; the result is ``config``.
-The report builds the ``fiber_sum`` section around the fiber sum's
-``summand`` and the ``refined`` section from the (label, clusters)
+The report builds the ``refined`` section from the (label, clusters)
 pairs of ``nielsen.refine_decomposition``; every other invariant
-section, and that ``summand``, is stored as the public function that
-computes it returns it.
+section is stored as the public function that computes it returns it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from ._version import __version__
 from .braids import induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
-                    dims_lower_bound, suspend_dims)
+                    dims_lower_bound, fiber_sum_dims)
 from .fourmanifold import (DEFAULT_CONFIGURATION, anticanonical_tori,
                            characteristic_numbers, configuration_from_dict,
                            pi1_presentations)
@@ -94,7 +92,7 @@ def build_report(text: str, refine_depth: int = 0,
     report["pi1"] = pi1_presentations(endo)
     report["nielsen"] = nielsen_decomposition(endo, sigma)
     report["floer_bound"] = dims_lower_bound(report["nielsen"])
-    report["fiber_sum"] = _fiber_sum_section(report["floer_bound"], braid.d)
+    report["fiber_sum"] = fiber_sum_dims(report["floer_bound"], braid.d)
     if refine_depth > 0:
         report["refined"] = _refined_section(endo, sigma, refine_depth)
     return report
@@ -103,30 +101,6 @@ def build_report(text: str, refine_depth: int = 0,
 def _cycle_text(sigma) -> str:
     return "permutation " + " ".join(
         "(" + " ".join(map(str, c)) + ")" for c in sigma.cycles())
-
-
-def _fiber_sum_section(dims: dict, d: int) -> dict:
-    """Predicted Floer summand dimensions of the fiber-sum four-manifold
-    of the d-cycle braid whose lower bounds are ``dims``, at the flux
-    class a1, the one pairing with the surface-direction loop l1.
-
-    The summand at the torsion class [l2] of H_1 = Z<l1> + Z/d<l2>
-    carries the braid's bounds suspended by the two-torus, 4x the
-    Nielsen bound; every other nonzero torsion multiple k[l2],
-    k = 2..d-1, carries zero; and the total over the two flux generators
-    +-a1 doubles the summand, 8x the bound.  All are lower bounds.
-    """
-    summand = suspend_dims(dims)
-    return {
-        "flux_class": "a1",
-        "summand_class": "l2",
-        "summand": summand,
-        "summand_total": summand["total"],
-        "zero_torsion_multiples": list(range(2, d)),
-        "total": 2 * summand["total"],
-        "exact": False,
-        "notes": [RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE],
-    }
 
 
 def _refined_section(endo, sigma, depth: int) -> dict:

@@ -1,10 +1,10 @@
-"""Class spaces of integer matrices and finitely generated abelian groups.
+"""Class spaces of integer matrices.
 
 All arithmetic is arbitrary-precision (plain Python int); nothing here
 may silently overflow or round.  A ``ClassSpace`` is the quotient
 Z^rows / (column span of M) with canonical coordinates: a vector is
 labelled by U*v reduced modulo the invariant factors, where U*M*V is
-the Smith normal form, and ``group()`` is its ``AbelianGroup``.
+the Smith normal form.
 
 There is one Smith elimination, ``_smith_eliminate``, on dense rows.
 It carries U along and returns it; V is not kept.  Its pivot rule is
@@ -14,11 +14,10 @@ certifies, so the factors and labels are that reference's.
 The report uses nothing of this module.  The Nielsen classes of a
 d-cycle braid have the space Z/d, labelled by the exponent sum
 (``nielsen``), and the pi1 of its fiber sum abelianizes to Z x Z/d,
-written from d (``report``).  ``nielsen.class_space`` keeps the general
-coker(I - A) as the reference the tests check the first reading
-against; the second is checked against the abelianization of a
-presentation in ``tests/_oracles.py``, which builds its
-``AbelianGroup`` here.
+written from d (``fourmanifold``).  ``nielsen.class_space`` keeps the
+general coker(I - A) as the reference the tests check the first reading
+against; the second is checked against the invariant factors of a
+presentation's class space in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -102,40 +101,6 @@ def _smith_eliminate(a: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class AbelianGroup:
-    """A finitely generated abelian group: Z^free_rank + sum Z/torsion_i.
-
-    Torsion factors are >= 2 and ascend along divisibility, as produced
-    by Smith normal form.
-    """
-
-    free_rank: int
-    torsion: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
-        for prev, cur in zip((None,) + self.torsion, self.torsion):
-            if cur < 2:
-                raise ValueError(f"torsion factor {cur} < 2")
-            if prev is not None and cur % prev != 0:
-                raise ValueError("torsion factors must ascend along divisibility")
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for f in self.torsion:
-            out *= f
-        return out
-
-    def pretty(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{f}" for f in self.torsion]
-        return " x ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
 class ClassSpace:
     """Z^n / (column span of a matrix), with canonical coordinates.
 
@@ -154,11 +119,11 @@ class ClassSpace:
     u: tuple[tuple[int, ...], ...]  # the rows of U
 
     @classmethod
-    def from_rows(cls, rows: Sequence[dict[int, int]],
-                  ncols: int) -> "ClassSpace":
-        """The class space of the matrix whose rows map column to
-        nonzero entry; the rows are not changed."""
-        a = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ClassSpace":
+        """The class space of the matrix with the dense ``rows``, all of
+        one length; the rows are not changed."""
+        a = [list(row) for row in rows]
+        ncols = len(a[0]) if a else 0
         u = _smith_eliminate(a, ncols)
         return cls(factors=tuple(row[i] if i < ncols else 0
                                  for i, row in enumerate(a)),
@@ -167,11 +132,6 @@ class ClassSpace:
     def invariant_factors(self) -> tuple[int, ...]:
         """The non-unit diagonal factors, in SNF order (0 = a Z summand)."""
         return tuple(f for f in self.factors if f != 1)
-
-    def group(self) -> AbelianGroup:
-        facs = self.invariant_factors()
-        return AbelianGroup(free_rank=sum(1 for f in facs if f == 0),
-                            torsion=tuple(f for f in facs if f))
 
     @property
     def _label_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -67,11 +67,6 @@ class IntMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
 
-    def sparse_rows(self) -> list[dict[int, int]]:
-        """The nonzeros of each row, keyed by column: the input of
-        ``braidfloer.snf.ClassSpace.from_rows``."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.entries]
-
 
 @dataclass(frozen=True)
 class SnfResult:
@@ -146,6 +141,11 @@ def abelianization_matrix(e: FreeGroupEndo) -> IntMatrix:
     """A dense A: column j is the exponent vector of the image of xj."""
     return IntMatrix.from_rows(zip(*(w.exponent_vector()
                                      for w in e.images)))
+
+
+def lefschetz_number(e: FreeGroupEndo) -> int:
+    """1 - trace(A), for A the dense abelianized action."""
+    return 1 - abelianization_matrix(e).trace()
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -409,19 +409,20 @@ def standard_form_order(g: PresentedGroup) -> int | None:
     return None
 
 
-def abelianization(g: PresentedGroup) -> snf.AbelianGroup:
-    """Z^generators modulo the relator exponent vectors, the group of
-    the package's class space of their sparse counts: row i holds, per
-    relator, the exponent sum of generator i in it, where that is not
-    zero."""
-    rows: list[dict[int, int]] = [{} for _ in g.generators]
+def abelianization(g: PresentedGroup) -> dict:
+    """Z^generators modulo the relator exponent vectors, in the form of
+    the report's ``pi1.abelianization``, read off the invariant factors
+    of the package's class space: row i holds, per relator, the
+    exponent sum of generator i in it."""
+    rows = [[0] * len(g.relators) for _ in g.generators]
     for c, r in enumerate(g.relators):
         for x, count in Counter(r.letters).items():
-            row = rows[abs(x) - 1]
-            row[c] = row.get(c, 0) + (count if x > 0 else -count)
-    return snf.ClassSpace.from_rows(
-        [{c: x for c, x in row.items() if x} for row in rows],
-        len(g.relators)).group()
+            rows[abs(x) - 1][c] += count if x > 0 else -count
+    factors = snf.ClassSpace.from_rows(rows).invariant_factors()
+    free_rank, torsion = factors.count(0), [f for f in factors if f]
+    parts = ["Z"] * free_rank + [f"Z/{f}" for f in torsion]
+    return {"free_rank": free_rank, "torsion": torsion,
+            "pretty": " x ".join(parts) or "0"}
 
 
 def smith_normal_form(m: IntMatrix, stop_at_units: bool = False

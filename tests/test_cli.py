@@ -494,6 +494,29 @@ class TestConfigOption:
             assert "Traceback" not in err
             assert err.startswith("braidfloer: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "configuration must be an object, got []"),
+        ("x", "configuration must be an object, got 'x'"),
+        ({"pairings": []}, "configuration has no key 'pieces'"),
+        ({"pieces": 5, "pairings": []}, "pieces must be a list, got 5"),
+        ({"pieces": [], "pairings": 7}, "pairings must be a list, got 7"),
+        ({"pieces": [5], "pairings": []}, "piece 1 must be an object, got 5"),
+        ({"pieces": [{"chi": 0, "sigma": 0}], "pairings": []},
+         "piece 1 has no key 'name'"),
+        ({"pieces": [{"name": "A", "chi": 0, "sigma": 0},
+                     {"name": "B", "chi": 0}], "pairings": []},
+         "piece 2 has no key 'sigma'"),
+    ], ids=["list", "string", "no-pieces", "int-pieces", "int-pairings",
+            "int-piece", "no-name", "no-sigma"])
+    def test_a_misshapen_config_names_its_key_or_type(self, capsys, tmp_path,
+                                                      data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, "--braid", "d=3; s1 s2",
+                             "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert err == f"braidfloer: malformed configuration: {message}\n"
+
     def test_valid_config_leaves_a_non_transitive_report(self, capsys,
                                                          tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -21,12 +21,12 @@ from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
                                 ORBIT_BALL_CAP, RefinementLimitError,
                                 _orbit_ball, _seam_index, _seam_partners,
                                 _twist_steps, _twists, class_space,
-                                lefschetz_number, nielsen_decomposition,
-                                refine_decomposition, reidemeister_trace_raw)
+                                nielsen_decomposition, refine_decomposition,
+                                reidemeister_trace_raw)
 from braidfloer.report import build_report
-from braidfloer.snf import AbelianGroup
 
 import _oracles
+from _oracles import lefschetz_number
 from _samplers import random_braid_word, random_free_word, random_transitive_braid
 
 
@@ -169,7 +169,7 @@ def projected_entries(e):
     for word, coeff in _oracles.reidemeister_trace_raw(e).items():
         label = cs.project(word.exponent_vector())
         totals[label] = totals.get(label, 0) + coeff
-    order = cs.group().order()
+    order, = cs.invariant_factors()
     if order <= ENUMERATION_CAP:
         for k in range(order):
             totals.setdefault((k,), 0)
@@ -250,7 +250,7 @@ class TestCalibrations:
         e = artin_endo(b)
         assert lefschetz_number(e) == 2
         cs = class_space(e)
-        assert cs.group() == AbelianGroup(0, (2,))
+        assert cs.invariant_factors() == (2,)
         nd = nielsen_decomposition(e, induced_permutation(b))
         assert nd["complete"]
         assert entries(nd) == (((0,), 1), ((1,), 1))
@@ -262,7 +262,7 @@ class TestCalibrations:
         e = artin_endo(b)
         assert lefschetz_number(e) == 2
         cs = class_space(e)
-        assert cs.group() == AbelianGroup(0, (3,))
+        assert cs.invariant_factors() == (3,)
         nd = nielsen_decomposition(e, induced_permutation(b))
         assert nd["complete"]
         assert sorted(indices(nd)) == [0, 1, 1]
@@ -303,7 +303,7 @@ class TestDecomposition:
         for _ in range(100):
             d = rng.randint(2, 6)
             b = random_transitive_braid(rng, d)
-            assert class_space(artin_endo(b)).group() == AbelianGroup(0, (d,))
+            assert class_space(artin_endo(b)).invariant_factors() == (d,)
 
     def test_bound_dominates_lefschetz_with_matching_parity(self):
         rng = random.Random(101)

@@ -111,8 +111,8 @@ def sections_are_return_values(word: str, depth: int) -> bool:
     nd = nielsen.nielsen_decomposition(e, sigma)
     assert report["nielsen"] == nd, word
     assert report["floer_bound"] == floer.dims_lower_bound(nd)
-    assert report["fiber_sum"]["summand"] == floer.suspend_dims(
-        floer.dims_lower_bound(nd))
+    assert report["fiber_sum"] == floer.fiber_sum_dims(
+        floer.dims_lower_bound(nd), b.d)
     assert report["pi1"] == fourmanifold.pi1_presentations(e)
     assert (report["characteristic_numbers"]
             == fourmanifold.characteristic_numbers(
@@ -173,7 +173,7 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     assert ab == {"free_rank": 1, "torsion": [d], "pretty": f"Z x Z/{d}"}
     simplified = _oracles.tietze_simplify(_oracles.assemble_pi1(
         _oracles.mapping_torus_presentation(b, freegroup.artin_endo(b))))
-    assert _oracles.abelianization(simplified) == snf.AbelianGroup(1, (d,))
+    assert _oracles.abelianization(simplified) == ab
 
 
 CHECKED = (FreeWord, BraidWord)
