@@ -16,15 +16,12 @@ No other braid relations are applied, so two BraidWord values compare
 equal exactly when their reduced words coincide, not when they present
 the same group element.
 
-A ``BraidLetter`` is a plain record that equals its ``(kind, index,
-sign)`` tuple.  The ``BraidWord`` that holds it checks it, since the
-word sees all its validity depends on: kind, sign, index range against
-d, and free reduction.  ``parse_braid`` checks the text instead, where
-it enters the program: the header bounds d, and each token's kind, sign
-and index are read off the grammar and range-checked against d.  So it
-builds its reduced word with ``_trusted``, which skips the rescan;
-``freegroup`` and ``nielsen`` build the ``FreeWord``s of a report the
-same way, each site saying why its letters are valid by construction.
+``BraidLetter`` and ``BraidWord`` are plain records that check
+nothing.  Letters enter the package checked in one of two places:
+``parse_braid`` reads the text off the grammar and range-checks d and
+each index, and ``BraidWord.from_letters`` checks d and the kind, sign
+and index of each letter after free reduction.  Every other word is
+built from valid words with the record constructor.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
@@ -73,17 +70,6 @@ class BraidIndexError(BraidError):
         self.position = position
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with these fields,
-    made without running its ``__post_init__`` checks.  Only for words
-    (``BraidWord``, ``FreeWord``) the package built valid by
-    construction, whose check would rescan every letter; it equals, and
-    hashes as, the instance the checked constructor makes."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 class BraidLetter(NamedTuple):
     kind: str   # ARTIN ("s") or TWIST ("t")
     index: int  # 1-based; Artin: 1..d-1, twist: 1..d
@@ -113,29 +99,26 @@ class BraidWord:
     d: int
     letters: tuple[BraidLetter, ...]
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need at least two marked points, got d={self.d}")
-        for x in self.letters:
+    @classmethod
+    def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
+        """The reduced word; ValueError for d < 2 or a bad letter."""
+        reduced = _free_reduce(letters)
+        if d < 2:
+            raise ValueError(f"need at least two marked points, got d={d}")
+        for x in reduced:
             if x.kind not in (ARTIN, TWIST):
                 raise ValueError(f"unknown letter kind {x.kind!r}")
             if x.sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {x.sign}")
             if x.index < 1:
                 raise ValueError(f"letter index must be positive, got {x.index}")
-            limit = self.d - 1 if x.kind == ARTIN else self.d
-            if x.index > limit:
-                raise ValueError(f"letter {x.token()} out of range for d={self.d}")
-        if self.letters != _free_reduce(self.letters):
-            raise ValueError("letters are not freely reduced; use from_letters")
-
-    @classmethod
-    def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
-        return cls(d, _free_reduce(letters))
+            if x.index > (d - 1 if x.kind == ARTIN else d):
+                raise ValueError(f"letter {x.token()} out of range for d={d}")
+        return cls(d, reduced)
 
     @classmethod
     def identity(cls, d: int) -> "BraidWord":
-        return cls(d, ())
+        return cls.from_letters(d, ())
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -181,10 +164,7 @@ def _integer(digits: str, position: int) -> int:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors.
-
-    The text is checked here, so the reduced word is built with
-    ``_trusted``."""
+    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -206,7 +186,7 @@ def parse_braid(text: str) -> BraidWord:
             raise BraidIndexError(
                 f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
         letters.append(BraidLetter(kind, index, -1 if inv else 1))
-    return _trusted(BraidWord, d=d, letters=_free_reduce(letters))
+    return BraidWord(d, _free_reduce(letters))
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def configuration_from_dict(data: dict, d: int) -> dict:
         tori = p.get("tori", {})
         if not isinstance(tori, dict):
             raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
-        tori = {t: d if v == "d" else integer(v, f"volume of torus {_echo(t)}", 1)
+        tori = {text(t, "torus name"):
+                d if v == "d" else integer(v, f"volume of torus {_echo(t)}", 1)
                 for t, v in tori.items()}
         expected = KNOWN_KINDS.get(kind)
         if expected is not None and (chi, sigma) != expected:

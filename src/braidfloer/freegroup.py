@@ -25,11 +25,10 @@ length even where the sphere images stay short, so the rank d disc
 action (``artin_disc_endo``) is kept only as a library function and a
 test oracle.
 
-``FreeWord`` checks, for library callers, that its letters lie in range
-and are freely reduced, and ``FreeGroupEndo`` that it has one image of
-its rank per generator.  ``artin_endo`` builds its images with
-``braids._trusted``, which skips the rescan of their letters: its
-starting images are reduced words in the letters +-1 .. +-(d-1), and
+``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
+checks letters, and ``FreeGroupEndo`` checks that it has one image of
+its rank per generator.  ``artin_endo`` builds its images as records:
+its starting images are reduced words in the letters +-1 .. +-(d-1), and
 its rules only invert reduced words and join them with ``_concat``,
 which keep both properties.  ``nielsen.reidemeister_trace_raw`` builds
 its terms the same way, since a prefix of a reduced word is reduced.
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Iterable, Iterator
 
-from .braids import ARTIN, BraidWord, _trusted
+from .braids import ARTIN, BraidWord
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -83,25 +82,20 @@ class FreeWord:
     rank: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("negative rank")
-        for x in self.letters:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        prev = 0  # one scan of adjacent pairs: no x followed by x^-1
-        for x in self.letters:
-            if x == -prev:
-                raise ValueError("letters are not freely reduced; use from_letters")
-            prev = x
-
     @classmethod
     def from_letters(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
-        return cls(rank, _reduce(letters))
+        """The reduced word; ValueError for a letter 0 or out of range."""
+        reduced = _reduce(letters)
+        if rank < 0:
+            raise ValueError("negative rank")
+        for x in reduced:
+            if abs(x) > rank:
+                raise ValueError(f"letter {x} out of range for rank {rank}")
+        return cls(rank, reduced)
 
     @classmethod
     def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
+        return cls.from_letters(rank, ())
 
     @classmethod
     def generator(cls, rank: int, j: int, power: int = 1) -> "FreeWord":
@@ -205,5 +199,4 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
             imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
         else:
             imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
-    return FreeGroupEndo(d - 1, tuple(
-        _trusted(FreeWord, rank=d - 1, letters=w) for w in imgs[:-1]))
+    return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))

@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterator
 from math import gcd
 
-from .braids import Permutation, _shown, _trusted
+from .braids import Permutation, _shown
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
@@ -118,8 +118,7 @@ def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
         prefix = w[:t]
         terms[prefix] = terms.get(prefix, 0) + coeff
     # a prefix of a reduced image is reduced, with letters in range
-    return {_trusted(FreeWord, rank=e.rank, letters=p): c
-            for p, c in terms.items() if c}
+    return {FreeWord(e.rank, p): c for p, c in terms.items() if c}
 
 
 def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:

@@ -134,13 +134,37 @@ class TestLetterChecks:
         (BraidLetter(TWIST, 0, -1), "letter index must be positive, got 0"),
     ], ids=["kind", "sign", "index"])
     def test_the_word_checks_each_letter(self, letter, message):
-        # a letter is a plain record, equal to its tuple; the word that
-        # holds it checks it, with the message the letter once raised
+        # a letter is a plain record, equal to its tuple; from_letters
+        # checks it, with the message the letter once raised
         assert letter == (letter.kind, letter.index, letter.sign)
-        for build in (BraidWord, BraidWord.from_letters):
+        with pytest.raises(ValueError) as exc:
+            BraidWord.from_letters(3, (BraidLetter(ARTIN, 2, 1), letter))
+        assert str(exc.value) == message
+
+    def test_each_check_raises_its_message(self):
+        s3 = BraidLetter(ARTIN, 3, 1)
+        cases = (
+            (lambda: BraidWord.from_letters(1, ()),
+             "need at least two marked points, got d=1"),
+            (lambda: BraidWord.identity(1),
+             "need at least two marked points, got d=1"),
+            (lambda: BraidWord.from_letters(3, (s3,)),
+             "letter s3 out of range for d=3"),
+            (lambda: BraidWord.from_letters(3, (BraidLetter(TWIST, 4, -1),)),
+             "letter t4^-1 out of range for d=3"),
+            (lambda: Permutation((1, 1, 3)),
+             "not a permutation of 1..3: (1, 1, 3)"),
+            (lambda: Permutation((2, 1)).compose(Permutation((1, 2, 3))),
+             "degree mismatch"),
+        )
+        for build, message in cases:
             with pytest.raises(ValueError) as exc:
-                build(3, (BraidLetter(ARTIN, 2, 1), letter))
+                build()
             assert str(exc.value) == message
+        # the checks look at the reduced word: s3 s3^-1 cancels, and
+        # the twist t3 is in range where the generator s3 is not
+        assert BraidWord.from_letters(3, (s3, s3.inverse())).letters == ()
+        assert BraidWord.from_letters(3, (BraidLetter(TWIST, 3, 1),))
 
 
 class TestAlgebra:

@@ -36,18 +36,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_capped(argv, env=None):
+def run_capped(argv, env=None, address_space=1 << 30, timeout=120):
     """The CLI in a fresh interpreter whose address space is capped at
-    1 GiB (the cap is set in the child only)."""
+    ``address_space`` bytes (the cap is set in the child only), given
+    ``timeout`` seconds."""
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     src = str(Path(braidfloer.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "braidfloer.cli", *argv],
         env={**os.environ, "PYTHONPATH": src, **(env or {})},
         preexec_fn=cap_address_space, capture_output=True, text=True,
-        timeout=120)
+        timeout=timeout)
 
 
 class TestSingleRun:
@@ -268,18 +269,23 @@ class TestExitCodes:
 
     def test_refinement_past_the_orbit_ball_cap_is_3(self):
         # without the cap this ends in MemoryError; the classes of this
-        # braid hold three, two and one terms
+        # braid hold three, two and one terms, whose balls pass the cap
+        # at depth 16 within 256 MiB, and the error is one line
         proc = run_capped(["--braid", "d=5; s1 s2^-1 s3 s4",
-                           "--refine-depth", "16"])
+                           "--refine-depth", "16"],
+                          address_space=256 << 20, timeout=60)
         assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert f"ORBIT_BALL_CAP = {ORBIT_BALL_CAP}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_one_term_classes_refine_at_any_depth(self):
         # each class of this braid holds one term, so no orbit ball is
-        # built and no depth reaches the cap
+        # built and no depth reaches the cap: depth 16 fits in 256 MiB
+        # and takes well under the 10 s allowed
         proc = run_capped(["--braid", "d=7; s1 s2 s3 s4 s5 s6",
-                           "--refine-depth", "16", "--format", "json"])
+                           "--refine-depth", "16", "--format", "json"],
+                          address_space=256 << 20, timeout=10)
         assert proc.returncode == 0 and proc.stderr == ""
         refined = json.loads(proc.stdout)["refined"]
         assert refined["depth"] == 16

@@ -464,6 +464,16 @@ class TestConfigurationSerialization:
             with pytest.raises(ConfigurationError):
                 configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
 
+    def test_a_torus_name_must_be_a_string(self):
+        # a Python caller can pass a key no JSON file can carry; it is
+        # rejected where tori is read, before pairing or sorting
+        for tori, shown in (({1: 1}, "1"), ({1: 1, "a": 1}, "1"),
+                            ({"a": 1, 2: 1}, "2"), ({("x",): 1}, "('x',)")):
+            piece = {"name": "A", "chi": 0, "sigma": 0, "tori": tori}
+            with pytest.raises(ConfigurationError) as exc:
+                configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
+            assert str(exc.value) == f"torus name must be a string, got {shown}"
+
     def test_the_result_shares_nothing_with_its_input(self):
         # the default is module data that every report reads: neither
         # the dict a report prints nor any container inside it may be

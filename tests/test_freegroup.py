@@ -28,23 +28,39 @@ class TestFreeWord:
         assert FreeWord.identity(3) == W(3)
 
     def test_validation(self):
-        unreduced = "^letters are not freely reduced; use from_letters$"
-        with pytest.raises(ValueError, match=unreduced):
-            FreeWord(2, (1, -1))
-        with pytest.raises(ValueError, match=unreduced):
-            FreeWord(2, (1, 2, 1, 2, -2))  # the pair at the end
-        with pytest.raises(ValueError, match="^letter 3 out of range for rank 2$"):
-            FreeWord(2, (3,))
-        with pytest.raises(ValueError, match="^letter -3 out of range for rank 2$"):
-            FreeWord(2, (1, -3))  # below -rank
-        with pytest.raises(ValueError, match="^letter 0 out of range for rank 2$"):
-            FreeWord(2, (0,))
-        # both faults: the range check comes first and names the first
-        # bad letter
-        with pytest.raises(ValueError, match="^letter -4 out of range for rank 2$"):
-            FreeWord(2, (1, -1, 2, -4, 3))
-        with pytest.raises(ValueError, match="^negative rank$"):
-            FreeWord(-1, ())
+        def rejects(rank, letters, message):
+            with pytest.raises(ValueError) as exc:
+                FreeWord.from_letters(rank, letters)
+            assert str(exc.value) == message
+
+        rejects(2, (3,), "letter 3 out of range for rank 2")
+        rejects(2, (1, -3), "letter -3 out of range for rank 2")  # below -rank
+        rejects(2, (1, 0, 2), "0 is not a letter")
+        # reduction comes first, then the rank, then the first letter
+        # out of range in the reduced word
+        rejects(-1, (0,), "0 is not a letter")
+        rejects(-1, (), "negative rank")
+        rejects(2, (1, -1, 2, -4, 3, 5), "letter -4 out of range for rank 2")
+        assert FreeWord.from_letters(2, (3, 1, -1, -3)).letters == ()
+        # the record constructor checks nothing: it is for words the
+        # package built reduced and in range
+        assert FreeWord(2, (1, -1)).letters == (1, -1)
+
+    def test_each_check_raises_its_message(self):
+        cases = (
+            (lambda: _reduce((1, 0)), "0 is not a letter"),
+            (lambda: FreeWord.identity(-1), "negative rank"),
+            (lambda: FreeWord.generator(2, 3), "generator index 3 out of range"),
+            (lambda: FreeWord.generator(2, 0), "generator index 0 out of range"),
+            (lambda: FreeGroupEndo(2, (W(2, 1),)),
+             "need one image per generator"),
+            (lambda: FreeGroupEndo(2, (W(2, 1), W(3, 2))),
+             "image rank mismatch"),
+        )
+        for build, message in cases:
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
     def test_concat_cancels_only_at_the_junction(self):
         assert _concat((), ()) == ()

@@ -52,7 +52,8 @@ piece_like = st.fixed_dictionaries(
      "sigma": st.integers(-20, 20) | json_values},
     optional={"kind": (st.sampled_from(["mapping_torus", "four_torus", "k3"])
                        | json_values),
-              "tori": (st.dictionaries(torus, st.integers(0, 3) | json_values,
+              "tori": (st.dictionaries(torus | st.integers(-2, 2),
+                                       st.integers(0, 3) | json_values,
                                        max_size=3)
                        | json_values)})
 pairing_like = st.lists(torus, min_size=2, max_size=2) | json_values

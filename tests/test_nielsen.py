@@ -75,14 +75,20 @@ def order_index_multiset(nd):
                         for c in nd["classes"] if c["index"] != 0))
 
 
+def search_steps(e):
+    """(s, e(s)^-1) for each letter s, built from the images here rather
+    than by ``_twist_steps``, which the references check."""
+    return [(s, _inverse(image.letters) if s > 0 else image.letters)
+            for j, image in enumerate(e.images, start=1) for s in (j, -j)]
+
+
 def pairwise_search(e, g, h, depth):
     """Reference: breadth first from g alone, out to the full depth, until
     h turns up; the letter tuple of a conjugator, or None."""
     g, h = g.letters, h.letters
     if g == h:
         return ()
-    steps = [(s, _inverse(image.letters) if s > 0 else image.letters)
-             for j, image in enumerate(e.images, start=1) for s in (j, -j)]
+    steps = search_steps(e)
     seen = {g: ()}
     frontier = [g]
     for _ in range(depth):
@@ -122,11 +128,15 @@ def twisted_conjugate(e, u, g):
     return u * g * _oracles.substitute(u, e.images).inverse()
 
 
-def pairwise_clusters(e, depth, search=pairwise_search):
+def pairwise_clusters(e, depth, search=None):
     """Reference refinement: project every term of the Fox-derivative
-    trace, then one search per pair of terms of a class (by default one
-    full-depth search); (label, clusters) per class."""
+    trace, then test each pair of terms of a class not yet joined, with
+    one ``search`` per pair, or by default by looking the later term up
+    in the earlier one's full-depth ball (``reduce_ball``, breadth first
+    and with whole-word reduction, as ``pairwise_search`` finds it);
+    (label, clusters) per class."""
     cs = class_space(e)
+    steps = search_steps(e)
     by_label = {}
     for word, coeff in _oracles.reidemeister_trace_raw(e).items():
         label = cs.project(word.exponent_vector())
@@ -143,10 +153,19 @@ def pairwise_clusters(e, depth, search=pairwise_search):
                 i = parent[i]
             return i
 
-        for i in range(len(members)):
+        for i, (g, _) in enumerate(members):
+            ball = None
             for j in range(i + 1, len(members)):
-                if find(i) != find(j) and search(
-                        e, members[i][0], members[j][0], depth) is not None:
+                if find(i) == find(j):
+                    continue
+                h = members[j][0]
+                if search is not None:
+                    joined = search(e, g, h, depth) is not None
+                else:
+                    if ball is None:
+                        ball = reduce_ball(g.letters, steps, depth)
+                    joined = h.letters in ball
+                if joined:
                     parent[find(j)] = find(i)
         groups = {}
         for i in range(len(members)):

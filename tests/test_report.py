@@ -2,10 +2,10 @@
 trace only when refinement needs it, the class space from the
 permutation, the simplified pi1 from d without a Tietze pass or a Smith
 elimination, and nothing past the permutation for a braid that is not
-the standard cycle.  It checks no word it built itself, and
-each of them passes the checked constructor."""
+the standard cycle.  It calls ``from_letters`` on no word it built
+itself, and each of those words equals ``from_letters`` of its own
+letters."""
 
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from braidfloer import braids, floer, fourmanifold, freegroup, nielsen, snf
-from braidfloer.braids import (BraidLetter, BraidWord, _trusted,
-                               induced_permutation, parse_braid)
+from braidfloer.braids import (BraidLetter, BraidWord, induced_permutation,
+                               parse_braid)
 from braidfloer.cli import main
 from braidfloer.fourmanifold import DEFAULT_CONFIGURATION, ConfigurationError
 from braidfloer.freegroup import FreeWord
@@ -176,19 +176,16 @@ def test_abelianization_reads_the_simplified_group(monkeypatch):
     assert _oracles.abelianization(simplified) == ab
 
 
-CHECKED = (FreeWord, BraidWord)
-
-
 @pytest.mark.parametrize("depth", [0, 3])
 def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
-    # the text is checked by the parser; every word after it
-    # is built valid by construction, and pi1 is rendered as text
+    # the text is checked by the parser; every word after it is built
+    # valid by construction, as a record, and pi1 is rendered as text
     calls = Counter()
-    for cls in CHECKED:
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            calls[name] += 1
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    for cls in (FreeWord, BraidWord):
+        def counted(c, *args, check=cls.__dict__["from_letters"].__func__):
+            calls[c.__name__] += 1
+            return check(c, *args)
+        monkeypatch.setattr(cls, "from_letters", classmethod(counted))
     word = "d=4; t2^-1 s1 s1 s1 s2^-1 s3 s2 s2"
     report = build_report(word, refine_depth=depth)
     render_text(report)
@@ -200,40 +197,43 @@ def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
     assert calls == Counter({"BraidWord": 1})
 
 
-def test_trusted_objects_equal_the_checked_ones():
-    letter = ("s", 2, -1)
-    word = (BraidLetter("t", 3, 1), BraidLetter(*letter))
-    for cls, fields in (
-            (BraidWord, dict(d=3, letters=word)),
-            (FreeWord, dict(rank=3, letters=(1, -2, 3)))):
-        trusted, checked = _trusted(cls, **fields), cls(**fields)
-        assert type(trusted) is cls
-        assert trusted == checked and hash(trusted) == hash(checked)
-        assert repr(trusted) == repr(checked)
-
-
-def test_checked_construction_gives_the_same_reports(monkeypatch, capsys):
-    # every object the package builds trusted must pass the checks of
-    # its constructor: route the builds through them and rerun the
+def test_every_word_a_report_builds_is_its_checked_word(monkeypatch, capsys):
+    # the record constructors check nothing, so each word a report
+    # builds (the parsed braid, the images, the raw trace terms and the
+    # refinement's cluster members) must equal from_letters of its own
+    # letters: freely reduced, with every letter in range; run over the
     # golden words and 600 sampled transitive words
-    sampled = [(b, 3 if k % 4 == 0 else 0)
-               for k, b in enumerate(sampled_transitive_braids())]
-    trusted = [json.dumps(build_report(b.to_text(), refine_depth=depth))
-               for b, depth in sampled]
     built = Counter()
 
-    def checked(cls, **fields):
-        built[cls.__name__] += 1
-        return cls(**fields)
+    def check(kind, word):
+        built[kind] += 1
+        size = word.d if isinstance(word, BraidWord) else word.rank
+        assert word == type(word).from_letters(size, word.letters), word
 
-    replace(monkeypatch, braids, "_trusted", checked)
+    def checking(name, fn, words):
+        def wrapper(*args):
+            out = fn(*args)
+            for word in words(out):
+                check(name, word)
+            return out
+        return wrapper
+
+    for home, name, words in (
+            (braids, "parse_braid", lambda b: (b,)),
+            (freegroup, "artin_endo", lambda e: e.images),
+            (nielsen, "reidemeister_trace_raw", lambda terms: terms),
+            (nielsen, "refine_decomposition", lambda pairs: (
+                w for _, clusters in pairs for ws, _ in clusters for w in ws))):
+        replace(monkeypatch, home, name,
+                checking(name, getattr(home, name), words))
     out = []
-    for words, depth in (("golden_words.txt", 0),
-                         ("golden_words_depth3.txt", 3)):
+    for words, depth in GOLDEN:
         assert main(["--batch", str(DATA / words), "--format", "json",
                      "--refine-depth", str(depth)]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == (DATA / "golden.jsonl").read_text()
-    assert [json.dumps(build_report(b.to_text(), refine_depth=depth))
-            for b, depth in sampled] == trusted
-    assert set(built) == {"FreeWord", "BraidWord"}
+    for k, b in enumerate(sampled_transitive_braids()):
+        build_report(b.to_text(), refine_depth=3 if k % 4 == 0 else 0)
+    assert built["parse_braid"] == 160 + 600
+    assert set(built) == {"parse_braid", "artin_endo",
+                          "reidemeister_trace_raw", "refine_decomposition"}

@@ -230,6 +230,13 @@ class TestClassSpace:
                   for a in range(4) for b in range(6)}
         assert orders == {1, 2, 3, 4, 6, 12}
 
+    def test_projection_checks_the_shape(self):
+        cs = space(M((1, 1), (-1, 2)))
+        for vec in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError) as exc:
+                cs.project(vec)
+            assert str(exc.value) == "shape mismatch"
+
     def test_infinite_space(self):
         cs = space(IntMatrix.zero(2, 2))
         assert cs.invariant_factors() == (0, 0)
