@@ -19,8 +19,9 @@ the same group element.
 ``BraidLetter`` and ``BraidWord`` are plain records that check
 nothing.  Letters enter the package checked in one of two places:
 ``parse_braid`` reads the text off the grammar and range-checks d and
-each index, and ``BraidWord.from_letters`` checks d and the kind, sign
-and index of each letter after free reduction.  Every other word is
+each index, and ``BraidWord.from_letters`` checks that each letter is a
+``BraidLetter`` with int index and sign, then d and the kind, sign and
+index of each letter after free reduction.  Every other word is
 built from valid words with the record constructor.
 
 Composition convention, used consistently by everything this word
@@ -101,7 +102,18 @@ class BraidWord:
 
     @classmethod
     def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
-        """The reduced word; ValueError for d < 2 or a bad letter."""
+        """The reduced word; ValueError for d < 2 or a bad letter.  Each
+        letter must be a BraidLetter with int index and sign (a bool is
+        not), checked first, in the letters' order; d and the kind, sign
+        and index of each letter are checked after free reduction."""
+        letters = tuple(letters)
+        for x in letters:
+            if not isinstance(x, BraidLetter):
+                raise ValueError(f"not a braid letter: {_shown(repr(x))}")
+            for what, v in (("index", x.index), ("sign", x.sign)):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(
+                        f"letter {what} must be an int, got {_shown(repr(v))}")
         reduced = _free_reduce(letters)
         if d < 2:
             raise ValueError(f"need at least two marked points, got d={d}")

@@ -7,10 +7,12 @@ problems and for a report that runs out of memory.  Usage problems are
 bad flags (``--refine-depth`` too takes ASCII digits 0-9 only, and one
 with more digits than the interpreter converts gets a one-line message
 naming the limit), an unreadable or inconsistent configuration, which
-fails whatever the braid, and a ``--refine-depth`` whose orbit balls
-would exceed ``nielsen.ORBIT_BALL_CAP`` elements for one homological
-class.  The images of a pseudo-Anosov braid grow exponentially in its
-length and nothing caps them yet, so a short word can need more memory
+fails whatever the braid, and a ``--refine-depth`` whose orbit balls,
+with the L(t) an odd depth computes for the boundary elements whose
+first letter is not their conjugator's, would count more than
+``nielsen.ORBIT_BALL_CAP`` elements for one homological class.  The
+images of a pseudo-Anosov braid grow exponentially in its length and
+nothing caps them yet, so a short word can need more memory
 than the process may take (say under ``ulimit -v``); the resulting
 ``MemoryError`` exits 3 with a one-line message instead of a traceback,
 and so does a stdout that the reader closes before every report is

@@ -157,6 +157,88 @@ def _echo(x) -> str:
     return repr(_shown(x)) if isinstance(x, str) else _shown(repr(x))
 
 
+def _is_integer(x, least: int = -CONFIG_INT_BOUND) -> bool:
+    """x is an int, not a bool, in [least, CONFIG_INT_BOUND]."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and least <= x <= CONFIG_INT_BOUND)
+
+
+def _integer(x, what: str) -> int:
+    if _is_integer(x):
+        return x
+    raise _not_integer(x, what)
+
+
+def _not_integer(x, what: str, least: int = -CONFIG_INT_BOUND
+                 ) -> ConfigurationError:
+    return ConfigurationError(
+        f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
+        f"got {_echo(x)}")
+
+
+def _text(x, what: str) -> str:
+    if isinstance(x, str):
+        return x
+    raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
+
+
+def _misshapen(x, what: str, types) -> ConfigurationError:
+    return ConfigurationError(
+        f"malformed configuration: {what} must be "
+        f"{'an object' if types is dict else 'a list'}, got {_echo(x)}")
+
+
+def _no_key(what: str, exc: KeyError) -> ConfigurationError:
+    return ConfigurationError(f"malformed configuration: {what} has "
+                              f"no key {_echo(exc.args[0])}")
+
+
+def _known_keys(x: dict, keys: tuple[str, ...], what: str) -> None:
+    for k in x:
+        if k not in keys:
+            raise ConfigurationError(f"unknown {what} key {_echo(k)}")
+
+
+def _piece(n: int, p, d: int) -> dict:
+    """Piece n (from 1) of a configuration, checked and copied, with the
+    volume token "d" resolved to d."""
+    if not isinstance(p, dict):
+        raise _misshapen(p, f"piece {n}", dict)
+    _known_keys(p, PIECE_KEYS, "piece")
+    try:
+        name, chi, sigma = p["name"], p["chi"], p["sigma"]
+    except KeyError as exc:
+        raise _no_key(f"piece {n}", exc) from None
+    name = _text(name, "piece name")
+    kind = _text(p.get("kind", "custom"), "piece kind")
+    chi, sigma = _integer(chi, "chi"), _integer(sigma, "sigma")
+    tori = p.get("tori", {})
+    if not isinstance(tori, dict):
+        raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
+    volumes = {}
+    for t, v in tori.items():
+        _text(t, "torus name")
+        if v == "d":
+            v = d
+        elif not _is_integer(v, 1):
+            raise _not_integer(v, f"volume of torus {_echo(t)}", 1)
+        volumes[t] = v
+    expected = KNOWN_KINDS.get(kind)
+    if expected is not None and (chi, sigma) != expected:
+        raise ConfigurationError(
+            f"piece {_echo(name)} of kind {_echo(kind)} must have "
+            f"(chi, sigma) = {expected}, got ({_echo(chi)}, {_echo(sigma)})")
+    return dict(name=name, kind=kind, chi=chi, sigma=sigma, tori=volumes)
+
+
+def _pairing(x) -> list[str]:
+    if (not isinstance(x, (list, tuple)) or len(x) != 2
+            or not all(isinstance(t, str) for t in x)):
+        raise ConfigurationError(
+            f"a pairing must list two torus names, got {_echo(x)}")
+    return list(x)
+
+
 def configuration_from_dict(data: dict, d: int) -> dict:
     """Check a configuration in the ``--config`` format in one pass and
     return it as the report prints it, in new dicts and lists, with
@@ -168,75 +250,20 @@ def configuration_from_dict(data: dict, d: int) -> dict:
     ``CONFIG_KEYS`` and a piece none but those of ``PIECE_KEYS``.  A
     known kind has its (chi, sigma), and each torus lies on one piece
     and in one pairing of equal volumes; anything else raises
-    ConfigurationError."""
-    def integer(x, what: str, least: int = -CONFIG_INT_BOUND) -> int:
-        if (isinstance(x, int) and not isinstance(x, bool)
-                and least <= x <= CONFIG_INT_BOUND):
-            return x
-        raise ConfigurationError(
-            f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
-            f"got {_echo(x)}")
-
-    def text(x, what: str) -> str:
-        if isinstance(x, str):
-            return x
-        raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
-
-    def shaped(x, types, what: str):
-        if isinstance(x, types):
-            return x
-        raise ConfigurationError(
-            f"malformed configuration: {what} must be "
-            f"{'an object' if types is dict else 'a list'}, got {_echo(x)}")
-
-    def no_key(what: str, exc: KeyError) -> ConfigurationError:
-        return ConfigurationError(f"malformed configuration: {what} has "
-                                  f"no key {_echo(exc.args[0])}")
-
-    def known_keys(x: dict, keys: tuple[str, ...], what: str) -> None:
-        for k in x:
-            if k not in keys:
-                raise ConfigurationError(f"unknown {what} key {_echo(k)}")
-
-    def piece(n: int, p) -> dict:
-        what = f"piece {n}"
-        known_keys(shaped(p, dict, what), PIECE_KEYS, "piece")
-        try:
-            name, chi, sigma = p["name"], p["chi"], p["sigma"]
-        except KeyError as exc:
-            raise no_key(what, exc) from None
-        name = text(name, "piece name")
-        kind = text(p.get("kind", "custom"), "piece kind")
-        chi, sigma = integer(chi, "chi"), integer(sigma, "sigma")
-        tori = p.get("tori", {})
-        if not isinstance(tori, dict):
-            raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
-        tori = {text(t, "torus name"):
-                d if v == "d" else integer(v, f"volume of torus {_echo(t)}", 1)
-                for t, v in tori.items()}
-        expected = KNOWN_KINDS.get(kind)
-        if expected is not None and (chi, sigma) != expected:
-            raise ConfigurationError(
-                f"piece {_echo(name)} of kind {_echo(kind)} must have "
-                f"(chi, sigma) = {expected}, got ({_echo(chi)}, {_echo(sigma)})")
-        return dict(name=name, kind=kind, chi=chi, sigma=sigma, tori=tori)
-
-    def pairing(x) -> list[str]:
-        if (not isinstance(x, (list, tuple)) or len(x) != 2
-                or not all(isinstance(t, str) for t in x)):
-            raise ConfigurationError(
-                f"a pairing must list two torus names, got {_echo(x)}")
-        return list(x)
-
-    known_keys(shaped(data, dict, "configuration"), CONFIG_KEYS,
-               "configuration")
+    ConfigurationError.  Messages are built only when raised."""
+    if not isinstance(data, dict):
+        raise _misshapen(data, "configuration", dict)
+    _known_keys(data, CONFIG_KEYS, "configuration")
     try:
         pieces, pairings = data["pieces"], data["pairings"]
     except KeyError as exc:
-        raise no_key("configuration", exc) from None
-    pieces = [piece(n, p) for n, p in enumerate(
-        shaped(pieces, (list, tuple), "pieces"), start=1)]
-    pairings = [pairing(x) for x in shaped(pairings, (list, tuple), "pairings")]
+        raise _no_key("configuration", exc) from None
+    if not isinstance(pieces, (list, tuple)):
+        raise _misshapen(pieces, "pieces", list)
+    pieces = [_piece(n, p, d) for n, p in enumerate(pieces, start=1)]
+    if not isinstance(pairings, (list, tuple)):
+        raise _misshapen(pairings, "pairings", list)
+    pairings = [_pairing(x) for x in pairings]
     volumes: dict[str, int] = {}
     for t, v in (item for p in pieces for item in p["tori"].items()):
         if t in volumes:

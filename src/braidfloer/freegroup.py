@@ -40,14 +40,14 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Iterable, Iterator
 
-from .braids import ARTIN, BraidWord
+from .braids import ARTIN, BraidWord, _shown
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a letter")
+        if isinstance(x, bool) or not isinstance(x, int) or x == 0:
+            raise ValueError(f"{_shown(repr(x))} is not a letter")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -84,7 +84,8 @@ class FreeWord:
 
     @classmethod
     def from_letters(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
-        """The reduced word; ValueError for a letter 0 or out of range."""
+        """The reduced word; ValueError for a letter that is not a nonzero
+        int (a bool is not) or is out of range."""
         reduced = _reduce(letters)
         if rank < 0:
             raise ValueError("negative rank")

@@ -56,9 +56,10 @@ from .snf import ClassSpace
 
 ENUMERATION_CAP = 512  # list every class of Z/d up to this d
 # Orbit-ball elements one refinement may build for one class, over the
-# balls of its terms (only one class's balls are alive at once); an
-# element also counts once per BALL_LETTERS_PER_ELEMENT of its letters,
-# so that the cap bounds memory when long images make long elements.
+# balls of its terms and the L(t) an odd depth computes (only one
+# class's balls are alive at once); an element also counts once per
+# BALL_LETTERS_PER_ELEMENT of its letters, so that the cap bounds memory
+# when long images make long elements.
 ORBIT_BALL_CAP = 1_000_000
 BALL_LETTERS_PER_ELEMENT = 32
 
@@ -210,7 +211,13 @@ def _seam_index(steps) -> dict[int, list[tuple[int, ...]]]:
     e(s) of length m = |t| after a position p of s, and
     t' = e(s)[:p]^-1.  Twists are invertible, t = s^-1 t' e(s^-1)^-1,
     and the index lists e(s^-1) = e(s)^-1 too, so a (c) pair is found
-    from either of its elements."""
+    from either of its elements.
+
+    A twist undone by (a): if t = s t' e(s)^-1 and t begins with s, then
+    L(t) = s^-1 t e(s^-1)^-1 = s^-1 (s t' e(s)^-1) e(s) = t', whatever
+    cancelled.  In an orbit ball, t = u g e(u)^-1 with u = s u', so when
+    t[0] == u[0] its L(t) is t' = u' g e(u')^-1, the element before t
+    on its breadth-first path."""
     index: dict[int, list[tuple[int, ...]]] = {}
     for s, image_inv in steps:
         # e(s)^-1 is e(-s), the image of the letter -s
@@ -306,12 +313,17 @@ def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
     ``_seam_index`` that neighbour is L(t), found in the map of balls,
     or has t as its L, found in a second map of L(t) for the stored
     boundary elements, or is a (c) partner the index yields.  So each
-    boundary element costs one twist and a few dict lookups instead of
-    2n twists.  The balls and the L(t) of one class together may count
-    at most ORBIT_BALL_CAP, each element as ``_orbit_ball`` counts it
-    (one plus its letters // BALL_LETTERS_PER_ELEMENT); past that
-    RefinementLimitError is raised.  Each class starts the count afresh:
-    the balls of a class are dropped before the next class is searched.
+    boundary element costs at most one twist and a few dict lookups
+    instead of 2n twists.  A boundary element t whose first letter is
+    its conjugator's computes no L(t): by the lemma of ``_seam_index``
+    L(t) is the element before t in the same ball, which the ball's own
+    lookups have merged already, and a later term whose boundary holds
+    it finds it in the map of balls.  The balls and the L(t) computed
+    for one class together may count at most ORBIT_BALL_CAP, each
+    element as ``_orbit_ball`` counts it (one plus its letters //
+    BALL_LETTERS_PER_ELEMENT); past that RefinementLimitError is
+    raised.  Each class starts the count afresh: the balls of a class
+    are dropped before the next class is searched.
     """
     _check_depth(depth)
     d = _check_cycle(e, sigma)
@@ -364,7 +376,8 @@ def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
                     joined += back.get(t, ())
                     if len(t) in seams:
                         joined += map(near.get, _seam_partners(t, seams))
-                    if not t:
+                    # L(t) is t's predecessor in this ball when t[0] == u[0]
+                    if not t or (u and t[0] == u[0]):
                         continue
                     lt = _concat(t[1:], step_inv[-t[0]])
                     room -= 1 + len(lt) // BALL_LETTERS_PER_ELEMENT

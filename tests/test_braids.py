@@ -141,6 +141,23 @@ class TestLetterChecks:
             BraidWord.from_letters(3, (BraidLetter(ARTIN, 2, 1), letter))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("letter, message", [
+        (("s", 1, 1), "not a braid letter: ('s', 1, 1)"),
+        ("s1", "not a braid letter: 's1'"),
+        (BraidLetter(ARTIN, 1.5, 1), "letter index must be an int, got 1.5"),
+        (BraidLetter(ARTIN, True, 1), "letter index must be an int, got True"),
+        (BraidLetter(ARTIN, 1, True), "letter sign must be an int, got True"),
+        (BraidLetter(ARTIN, 1, -1.0), "letter sign must be an int, got -1.0"),
+    ], ids=["tuple", "string", "float-index", "bool-index", "bool-sign",
+            "float-sign"])
+    def test_a_letter_of_another_type_is_a_value_error(self, letter, message):
+        # checked before free reduction, which reads the fields, and
+        # before d; a plain tuple equals its BraidLetter but is not one
+        for d in (3, 1):
+            with pytest.raises(ValueError) as exc:
+                BraidWord.from_letters(d, (BraidLetter(ARTIN, 2, 1), letter))
+            assert str(exc.value) == message
+
     def test_each_check_raises_its_message(self):
         s3 = BraidLetter(ARTIN, 3, 1)
         cases = (

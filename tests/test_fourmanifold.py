@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from braidfloer import fourmanifold
 from braidfloer.braids import induced_permutation, parse_braid
 from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
                                      ConfigurationError, anticanonical_tori,
@@ -492,6 +493,17 @@ class TestConfigurationSerialization:
         assert again["config"] == configuration_from_dict(
             json.loads(before), 3)
         assert again["config"]["pieces"][0]["tori"] == {"H1": 3}
+
+    def test_a_valid_configuration_echoes_nothing(self, monkeypatch):
+        # a message is built only when a check fails, so checking the
+        # default, with its four integer volumes, echoes no value
+        expected = configuration_from_dict(DEFAULT_CONFIGURATION, 5)
+
+        def echo(x):
+            raise AssertionError(f"echoed {x!r}")
+
+        monkeypatch.setattr(fourmanifold, "_echo", echo)
+        assert configuration_from_dict(DEFAULT_CONFIGURATION, 5) == expected
 
     def test_long_values_are_echoed_short(self):
         # a message shows each name and value cut by braids._shown

@@ -41,6 +41,12 @@ class TestFreeWord:
         rejects(-1, (0,), "0 is not a letter")
         rejects(-1, (), "negative rank")
         rejects(2, (1, -1, 2, -4, 3, 5), "letter -4 out of range for rank 2")
+        # a letter is a nonzero int, not a bool, a float or a string,
+        # checked in the letters' order with the reduction
+        rejects(2, (1.5,), "1.5 is not a letter")
+        rejects(2, (True,), "True is not a letter")
+        rejects(2, ("a",), "'a' is not a letter")
+        rejects(-1, (1, -1, 2.0, 0), "2.0 is not a letter")
         assert FreeWord.from_letters(2, (3, 1, -1, -3)).letters == ()
         # the record constructor checks nothing: it is for words the
         # package built reduced and in range

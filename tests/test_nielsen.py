@@ -15,8 +15,8 @@ import pytest
 from braidfloer import nielsen
 from braidfloer.braids import (ARTIN, BraidLetter, BraidWord, Permutation,
                                induced_permutation, parse_braid)
-from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _inverse, _reduce,
-                                  artin_endo)
+from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat, _inverse,
+                                  _reduce, artin_endo)
 from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
                                 ORBIT_BALL_CAP, RefinementLimitError,
                                 _orbit_ball, _seam_index, _seam_partners,
@@ -697,6 +697,26 @@ class TestRefinement:
                     kinds[a, b, c] += 1
         assert kinds[False, False, True] > 100
 
+    def test_l_of_a_twist_by_the_conjugators_first_letter(self):
+        # the lemma that lets odd depths skip L(t): in an orbit ball, an
+        # element t whose conjugator u begins with t's first letter has
+        # as its L(t) the element whose conjugator is u[1:]
+        rng = random.Random(163)
+        skipped = 0
+        for k in range(60):
+            d = rng.randint(3, 6)
+            e = artin_endo(random_transitive_braid(rng, d, max_len=10))
+            steps = _twist_steps(e)
+            step_inv = dict(steps)
+            g = rng.choice(sorted(reidemeister_trace_raw(e),
+                                  key=lambda w: w.letters)).letters
+            ball, _ = _orbit_ball(g, steps, 2 + k % 2, ORBIT_BALL_CAP)
+            for t, u in ball.items():
+                if u and t and t[0] == u[0]:
+                    assert ball[_concat(t[1:], step_inv[-t[0]])] == u[1:]
+                    skipped += 1
+        assert skipped > 1000
+
     def test_a_seam_only_neighbour(self):
         # e(x1) = x2^-1 x1 x3: the twist by x1^-1 takes x2 to x3 by
         # cancelling all of x1^-1 x2, and no other kind of twist joins
@@ -745,8 +765,8 @@ class TestRefinement:
     def test_odd_depths_count_one_twist_per_boundary_element(
             self, monkeypatch):
         # at depth 5 probing the 2n twists of each boundary element would
-        # count past a cap of 1000; one L(t) per element stays below it,
-        # and the clusters are exact
+        # count past a cap of 1000; at most one L(t) per element stays
+        # below it, and the clusters are exact
         b = parse_braid("d=5; s1 s2^-1 s3 s4")
         e = artin_endo(b)
         monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 1000)
@@ -755,27 +775,47 @@ class TestRefinement:
                 == pairwise_clusters(e, 5, meet_in_the_middle))
 
     def test_orbit_ball_cap_counts_each_class_apart(self, monkeypatch):
-        # two classes of two and three terms: a cap that holds the
-        # larger class's balls holds each class, though not both together
-        b = parse_braid("d=3; s1 s1 s1 s2")
-        e = artin_endo(b)
-        sizes = Counter()
+        # each word has two classes of two or more terms (two and three
+        # terms, then two and two): a cap that holds the larger class's
+        # balls holds each class, though not both together
         orbit_ball = nielsen._orbit_ball
+        for word, classes in (("d=3; s1 s1 s1 s2", 3),
+                              ("d=4; s1 s2^-1 s3 s3 s3", 4)):
+            b = parse_braid(word)
+            e, sigma = artin_endo(b), induced_permutation(b)
+            sizes = Counter()
 
-        def counted(g, *args):
-            ball, size = orbit_ball(g, *args)
-            sizes[exponent_class(g, 3)] += size
-            return ball, size
+            def counted(g, *args):
+                ball, size = orbit_ball(g, *args)
+                sizes[exponent_class(g, b.d)] += size
+                return ball, size
 
-        monkeypatch.setattr(nielsen, "_orbit_ball", counted)
-        sigma = induced_permutation(b)
-        expected = refine_decomposition(e, sigma, 2)
-        assert len(expected) == 3 and len(sizes) == 2
-        assert max(sizes.values()) < sum(sizes.values())
-        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", max(sizes.values()))
-        assert refine_decomposition(e, sigma, 2) == expected
-        # depth 3 builds the same radius 1 balls, and the L(t) of their
-        # boundary elements count too
+            monkeypatch.setattr(nielsen, "_orbit_ball", counted)
+            monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", ORBIT_BALL_CAP)
+            expected = refine_decomposition(e, sigma, 2)
+            cap = max(sizes.values())
+            assert len(expected) == classes and len(sizes) == 2
+            assert cap < sum(sizes.values())
+            monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", cap)
+            assert refine_decomposition(e, sigma, 2) == expected
+        assert cap == 18
+        # depth 3 builds the same radius 1 balls, and the L(t) computed
+        # for their boundary elements count too
+        with pytest.raises(RefinementLimitError, match="ball radius 2"):
+            refine_decomposition(e, sigma, 3)
+
+    def test_the_cap_counts_no_l_a_ball_holds(self, monkeypatch):
+        # a boundary element whose first letter is its conjugator's has
+        # the element before it as its L(t) and counts nothing more: at
+        # depth 3 this word needs a cap of 22, not the 31 that counting
+        # every boundary element's L(t) would take, and the capped
+        # clusters are the uncapped ones
+        b = parse_braid("d=3; s1 s1 s1 s2")
+        e, sigma = artin_endo(b), induced_permutation(b)
+        expected = refine_decomposition(e, sigma, 3)
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 22)
+        assert refine_decomposition(e, sigma, 3) == expected
+        monkeypatch.setattr(nielsen, "ORBIT_BALL_CAP", 21)
         with pytest.raises(RefinementLimitError, match="ball radius 2"):
             refine_decomposition(e, sigma, 3)
 
