@@ -49,6 +49,11 @@ def _shown(text: str) -> str:
     return text if len(text) <= 12 else text[:8] + "..."
 
 
+def _is_int(x) -> bool:
+    """x is an int and not a bool, which isinstance counts as an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class BraidError(ValueError):
     """Base class for braid input problems."""
 
@@ -102,19 +107,22 @@ class BraidWord:
 
     @classmethod
     def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
-        """The reduced word; ValueError for d < 2 or a bad letter.  Each
-        letter must be a BraidLetter with int index and sign (a bool is
-        not), checked first, in the letters' order; d and the kind, sign
-        and index of each letter are checked after free reduction."""
+        """The reduced word; ValueError for a d that is not an int >= 2
+        or a bad letter.  Each letter must be a BraidLetter with int
+        index and sign (a bool is not), checked first, in the letters'
+        order; d and the kind, sign and index of each letter are checked
+        after free reduction."""
         letters = tuple(letters)
         for x in letters:
             if not isinstance(x, BraidLetter):
                 raise ValueError(f"not a braid letter: {_shown(repr(x))}")
             for what, v in (("index", x.index), ("sign", x.sign)):
-                if isinstance(v, bool) or not isinstance(v, int):
+                if not _is_int(v):
                     raise ValueError(
                         f"letter {what} must be an int, got {_shown(repr(v))}")
         reduced = _free_reduce(letters)
+        if not _is_int(d):
+            raise ValueError(f"d must be an int, got {_shown(repr(d))}")
         if d < 2:
             raise ValueError(f"need at least two marked points, got d={d}")
         for x in reduced:
@@ -152,9 +160,6 @@ class BraidWord:
         if not self.letters:
             return head
         return head + " " + " ".join(x.token() for x in self.letters)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 # [0-9], not \d, which would also match (and int() read) any Unicode
@@ -209,7 +214,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         d = len(self.images)
-        if sorted(self.images) != list(range(1, d + 1)):
+        if (not all(map(_is_int, self.images))
+                or sorted(self.images) != list(range(1, d + 1))):
             raise ValueError(f"not a permutation of 1..{d}: {self.images}")
 
     @property

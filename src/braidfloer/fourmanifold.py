@@ -40,7 +40,7 @@ report sections, as dicts in the order the report prints them.
 
 from __future__ import annotations
 
-from .braids import _shown
+from .braids import _is_int, _shown
 from .freegroup import FreeGroupEndo, _inverse, _letter_texts
 
 
@@ -159,8 +159,7 @@ def _echo(x) -> str:
 
 def _is_integer(x, least: int = -CONFIG_INT_BOUND) -> bool:
     """x is an int, not a bool, in [least, CONFIG_INT_BOUND]."""
-    return (isinstance(x, int) and not isinstance(x, bool)
-            and least <= x <= CONFIG_INT_BOUND)
+    return _is_int(x) and least <= x <= CONFIG_INT_BOUND
 
 
 def _integer(x, what: str) -> int:
@@ -303,6 +302,8 @@ def anticanonical_tori(d: int) -> dict:
     """-d times the canonical class is represented by 6d - 2 disjoint
     tori: 2d - 2 parallel copies of H1 and 2d copies each of H3, H4;
     the result is the report's ``anticanonical_tori`` section."""
+    if not _is_int(d):
+        raise ValueError(f"d must be an int, got {_shown(repr(d))}")
     if d < 2:
         raise ValueError("need d >= 2")
     return {"total": 6 * d - 2, "h1_parallel": 2 * d - 2,

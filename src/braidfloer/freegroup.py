@@ -26,33 +26,40 @@ action (``artin_disc_endo``) is kept only as a library function and a
 test oracle.
 
 ``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
-checks letters, and ``FreeGroupEndo`` checks that it has one image of
-its rank per generator.  ``artin_endo`` builds its images as records:
-its starting images are reduced words in the letters +-1 .. +-(d-1), and
-its rules only invert reduced words and join them with ``_concat``,
-which keep both properties.  ``nielsen.reidemeister_trace_raw`` builds
-its terms the same way, since a prefix of a reduced word is reduced.
+checks letters and an int rank, and ``FreeGroupEndo`` checks that its
+rank is an int and that it has one image of that rank per generator.
+``artin_endo`` builds its images as records: its starting images are
+reduced words in the letters +-1 .. +-(d-1), and its rules only invert
+reduced words and join them with ``_concat``, which keep both
+properties.  ``nielsen.reidemeister_trace_raw`` builds its terms the
+same way, since a prefix of a reduced word is reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .braids import ARTIN, BraidWord, _shown
+from .braids import ARTIN, BraidWord, _is_int, _shown
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
-        if isinstance(x, bool) or not isinstance(x, int) or x == 0:
+        if not _is_int(x) or x == 0:
             raise ValueError(f"{_shown(repr(x))} is not a letter")
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
     return tuple(out)
+
+
+def _check_rank(rank) -> None:
+    """ValueError unless rank is an int (a bool is not)."""
+    if not _is_int(rank):
+        raise ValueError(f"rank must be an int, got {_shown(repr(rank))}")
 
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,9 +91,11 @@ class FreeWord:
 
     @classmethod
     def from_letters(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
-        """The reduced word; ValueError for a letter that is not a nonzero
-        int (a bool is not) or is out of range."""
+        """The reduced word; ValueError for a rank that is not an int >= 0,
+        or a letter that is not a nonzero int (a bool is not) or is out
+        of range."""
         reduced = _reduce(letters)
+        _check_rank(rank)
         if rank < 0:
             raise ValueError("negative rank")
         for x in reduced:
@@ -100,16 +109,16 @@ class FreeWord:
 
     @classmethod
     def generator(cls, rank: int, j: int, power: int = 1) -> "FreeWord":
-        if not 1 <= j <= rank:
+        _check_rank(rank)
+        if not _is_int(j) or not 1 <= j <= rank:
             raise ValueError(f"generator index {j} out of range")
+        if not _is_int(power):
+            raise ValueError(f"power must be an int, got {_shown(repr(power))}")
         sign = 1 if power >= 0 else -1
         return cls(rank, (sign * j,) * abs(power))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
@@ -134,9 +143,6 @@ class FreeWord:
         table = _letter_texts(set(self.letters))
         return " ".join(map(table.__getitem__, self.letters))
 
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 @dataclass(frozen=True)
 class FreeGroupEndo:
@@ -146,6 +152,7 @@ class FreeGroupEndo:
     images: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
+        _check_rank(self.rank)
         if len(self.images) != self.rank:
             raise ValueError("need one image per generator")
         for w in self.images:
@@ -154,6 +161,7 @@ class FreeGroupEndo:
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupEndo":
+        _check_rank(rank)
         return cls(rank, tuple(FreeWord.generator(rank, j) for j in range(1, rank + 1)))
 
 

@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterator
 from math import gcd
 
-from .braids import Permutation, _shown
+from .braids import Permutation, _is_int, _shown
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
@@ -279,7 +279,7 @@ def _orbit_ball(g: tuple[int, ...], steps, radius: int, room: int
 
 def _check_depth(depth) -> None:
     """Raise ValueError unless depth is an int >= 0 (a bool is not)."""
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+    if not _is_int(depth) or depth < 0:
         raise ValueError(
             f"refine depth must be an int >= 0, got {_shown(repr(depth))}")
 

@@ -173,6 +173,14 @@ class TestLetterChecks:
              "not a permutation of 1..3: (1, 1, 3)"),
             (lambda: Permutation((2, 1)).compose(Permutation((1, 2, 3))),
              "degree mismatch"),
+            # d and the images are ints, not bools, floats or strings
+            (lambda: BraidWord.from_letters("3", ()), "d must be an int, got '3'"),
+            (lambda: BraidWord.from_letters(3.0, ()), "d must be an int, got 3.0"),
+            (lambda: BraidWord.from_letters(True, ()), "d must be an int, got True"),
+            (lambda: BraidWord.identity(2.0), "d must be an int, got 2.0"),
+            (lambda: Permutation((2, True)),
+             "not a permutation of 1..2: (2, True)"),
+            (lambda: Permutation((1.0, 2)), "not a permutation of 1..2: (1.0, 2)"),
         )
         for build, message in cases:
             with pytest.raises(ValueError) as exc:

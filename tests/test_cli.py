@@ -23,6 +23,7 @@ from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
 from braidfloer.report import build_report, render_text
 
 CALIBRATION = "d=3; s1 s2"
+DATA = Path(__file__).parent / "data"
 
 
 def schema():
@@ -49,6 +50,28 @@ def run_capped(argv, env=None, address_space=1 << 30, timeout=120):
         env={**os.environ, "PYTHONPATH": src, **(env or {})},
         preexec_fn=cap_address_space, capture_output=True, text=True,
         timeout=timeout)
+
+
+def pa_word(k: int) -> str:
+    """d=5; (s1 s2^-1 s3 s4^-1)^k s1 s2 s3 s4, whose images grow
+    exponentially in k."""
+    return "d=5; " + "s1 s2^-1 s3 s4^-1 " * k + "s1 s2 s3 s4"
+
+
+def max_strands_report(r) -> bool:
+    # past ENUMERATION_CAP = 512 the class space Z/1000 lists only its
+    # nonzero classes, whose indices sum to the Lefschetz number 2; the
+    # Floer bound is the Nielsen bound, and the fiber sum 8x it, with
+    # zero summands at every torsion multiple 2..999
+    n = r["nielsen"]
+    return (r["pi1"]["standard_form_order"] == 1000
+            and n["class_space"]["invariant_factors"] == [1000]
+            and n["complete"] is False
+            and sum(c["index"] for c in n["classes"]) == r["lefschetz"] == 2
+            and r["floer_bound"]["total"] == n["bound"]
+            and r["fiber_sum"]["total"] == 8 * n["bound"]
+            and r["fiber_sum"]["zero_torsion_multiples"]
+            == list(range(2, 1000)))
 
 
 class TestSingleRun:
@@ -164,6 +187,22 @@ class TestBatch:
         _, second, _ = run(capsys, "--batch", str(f), "--format", "json")
         assert first.encode() == second.encode()
 
+    def test_bytes_do_not_depend_on_the_hash_seed(self):
+        # a set or dict iterated in hash order would reach the bytes
+        golden = (DATA / "golden.jsonl").read_text().splitlines(keepends=True)
+        for words, depth, expected in (
+                ("golden_words.txt", "0", golden[:120]),
+                ("golden_words_depth3.txt", "3", golden[-40:])):
+            for fmt in ("json", "text"):
+                argv = ["--batch", str(DATA / words), "--format", fmt,
+                        "--refine-depth", depth]
+                procs = [run_capped(argv, {"PYTHONHASHSEED": seed})
+                         for seed in ("0", "1")]
+                assert [proc.returncode for proc in procs] == [0, 0]
+                assert procs[0].stdout == procs[1].stdout
+                if fmt == "json":
+                    assert procs[0].stdout == "".join(expected)
+
     def test_non_utf8_batch_is_3(self, capsys, tmp_path):
         f = tmp_path / "batch.txt"
         f.write_bytes(b"d=3; s1 s2\n\xfe\n")
@@ -179,7 +218,8 @@ class TestBatch:
         code, out, err = run(capsys, "--batch", str(f), "--format", "json")
         assert code == 2
         assert len(out.splitlines()) == 1  # only the line before the error
-        assert "nope" in err
+        assert "line 2: bad token 'nope'" in err
+        assert len(err.encode()) < 1024
 
     def test_errors_name_their_line(self, capsys, tmp_path, monkeypatch):
         # N in "line N: " is the 1-based line of the file, blank and
@@ -230,6 +270,7 @@ class TestBatch:
         assert code == 2
         assert len(out.splitlines()) == 1  # only the line before the error
         assert bad in err and "Traceback" not in err
+        assert len(err.encode()) < 1024
 
     def test_crlf_line_endings_are_read(self, capsys, tmp_path):
         f = tmp_path / "batch.txt"
@@ -291,6 +332,49 @@ class TestExitCodes:
         assert refined["depth"] == 16
         assert all(len(c["clusters"]) == 1 for c in refined["classes"])
 
+    @pytest.mark.parametrize("argv, code, holds", [
+        # the d=1000 reports, of the standard word and of the word with
+        # alternating signs, take seconds, not minutes
+        pytest.param(["--braid", "d=1000; " + " ".join(
+            f"s{i}" for i in range(1, 1000))], 0, max_strands_report,
+            id="standard-at-max-strands"),
+        pytest.param(["--braid", "d=1000; " + " ".join(
+            f"s{i}" + ("^-1" if i % 2 == 0 else "") for i in range(1, 1000))],
+            0, max_strands_report, id="alternating-at-max-strands"),
+        # this 60-letter word induces the identity, so its report is the
+        # Lefschetz number 2 - 5 = -3 alone; its images, which it never
+        # builds, would not fit
+        pytest.param(["--braid", pa_word(14)], 0,
+                     lambda r: r["transitive"] is False and r["lefschetz"] == -3,
+                     id="identity-permutation"),
+        # this 44-letter word induces the standard cycle and its images,
+        # about 17M letters, do not fit; until the images are capped, the
+        # CLI says so in one line and exits 3
+        pytest.param(["--braid", pa_word(10)], 3, None,
+                     id="images-past-the-memory-limit"),
+        # at depth 5 this word of golden_words.txt builds radius 2 balls;
+        # probing all 2n twists of each boundary element would count
+        # past ORBIT_BALL_CAP, while at most one L(t) per element stays
+        # below it
+        pytest.param(["--braid", "d=5; s3 s3 s1 s2^-1 s2^-1 s3 s2^-1 s3 "
+                      "s4^-1 s2^-1 s3 s4^-1 s4^-1 s3", "--refine-depth", "5"],
+                     0, lambda r: r["refined"]["depth"] == 5, id="depth-5"),
+        # at depth 13 this word builds radius 6 balls; one L(t) per
+        # boundary element would pass ORBIT_BALL_CAP, but an element
+        # whose first letter is its conjugator's has the element before
+        # it as its L(t) and computes none (depth 16 exits 3, above)
+        pytest.param(["--braid", "d=5; s1 s2^-1 s3 s4", "--refine-depth", "13"],
+                     0, lambda r: r["refined"]["depth"] == 13, id="depth-13"),
+    ])
+    def test_runs_within_256_mib(self, argv, code, holds):
+        proc = run_capped(argv + ["--format", "json"],
+                          address_space=256 << 20, timeout=60)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert holds(json.loads(proc.stdout))
+        else:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1
+
     def test_out_of_memory_is_3(self, capsys, monkeypatch):
         # the images of a pseudo-Anosov word are not capped, so a short
         # word can exhaust memory; that exits 3 without a traceback
@@ -320,6 +404,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "--braid", word, "--format", "json")
         assert code == 2 and out == ""
         assert "Traceback" not in err
+        assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("depth", ["0_1", "+1", " \u0662 ", "\uff12", "1.0"])
     def test_refine_depth_takes_ascii_digits_only(self, capsys, depth):
@@ -329,6 +414,7 @@ class TestExitCodes:
         assert exc.value.code == 3
         _, err = capsys.readouterr()
         assert "expected ASCII digits 0-9" in err
+        assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("depth, shown", [
         ("9" * 5000, "integer of 5000 digits is too long (the limit is "),
@@ -410,7 +496,7 @@ class TestExitCodes:
         # reports fails with EPIPE; no traceback, and no "Exception
         # ignored" from the interpreter's last flush
         src = str(Path(braidfloer.__file__).resolve().parents[1])
-        batch = Path(__file__).parent / "data" / "golden_words.txt"
+        batch = DATA / "golden_words.txt"
         writer = subprocess.Popen(
             [sys.executable, "-m", "braidfloer.cli", "--batch", str(batch),
              "--format", fmt],
@@ -499,6 +585,7 @@ class TestConfigOption:
             assert code == 3 and out == ""
             assert "Traceback" not in err
             assert err.startswith("braidfloer: ") and err.count("\n") == 1
+            assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("data, message", [
         ([], "configuration must be an object, got []"),

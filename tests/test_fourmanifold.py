@@ -545,3 +545,6 @@ class TestAnticanonicalTori:
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
             anticanonical_tori(1)
+        for d in (2.5, "3", True):
+            with pytest.raises(ValueError, match="d must be an int, got "):
+                anticanonical_tori(d)

@@ -40,6 +40,7 @@ class TestFreeWord:
         # out of range in the reduced word
         rejects(-1, (0,), "0 is not a letter")
         rejects(-1, (), "negative rank")
+        rejects(2.5, (0,), "0 is not a letter")
         rejects(2, (1, -1, 2, -4, 3, 5), "letter -4 out of range for rank 2")
         # a letter is a nonzero int, not a bool, a float or a string,
         # checked in the letters' order with the reduction
@@ -62,6 +63,17 @@ class TestFreeWord:
              "need one image per generator"),
             (lambda: FreeGroupEndo(2, (W(2, 1), W(3, 2))),
              "image rank mismatch"),
+            # a rank is an int, not a bool, a float or a string
+            (lambda: FreeWord.from_letters("2", ()), "rank must be an int, got '2'"),
+            (lambda: FreeWord.from_letters(2.5, [1]), "rank must be an int, got 2.5"),
+            (lambda: FreeWord.from_letters(True, [1]), "rank must be an int, got True"),
+            (lambda: FreeWord.identity(1.5), "rank must be an int, got 1.5"),
+            (lambda: FreeWord.generator(2.0, 1), "rank must be an int, got 2.0"),
+            (lambda: FreeWord.generator(2, 1.0), "generator index 1.0 out of range"),
+            (lambda: FreeWord.generator(2, 1, 1.5), "power must be an int, got 1.5"),
+            (lambda: FreeGroupEndo.identity(True), "rank must be an int, got True"),
+            (lambda: FreeGroupEndo.identity(2.0), "rank must be an int, got 2.0"),
+            (lambda: FreeGroupEndo(1.0, (W(1, 1),)), "rank must be an int, got 1.0"),
         )
         for build, message in cases:
             with pytest.raises(ValueError) as exc:
