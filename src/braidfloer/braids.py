@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 ARTIN = "s"
 TWIST = "t"
-MAX_STRANDS = 1000  # largest d parse_braid accepts: bounds every d-sized object
+MAX_STRANDS = 1000  # largest d of a checked word: bounds every d-sized object
 
 
 def _shown(text: str) -> str:
@@ -52,6 +52,12 @@ def _shown(text: str) -> str:
 def _is_int(x) -> bool:
     """x is an int and not a bool, which isinstance counts as an int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(x, what: str) -> None:
+    """ValueError unless x is an int (a bool is not)."""
+    if not _is_int(x):
+        raise ValueError(f"{what} must be an int, got {_shown(repr(x))}")
 
 
 class BraidError(ValueError):
@@ -107,24 +113,24 @@ class BraidWord:
 
     @classmethod
     def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
-        """The reduced word; ValueError for a d that is not an int >= 2
-        or a bad letter.  Each letter must be a BraidLetter with int
-        index and sign (a bool is not), checked first, in the letters'
-        order; d and the kind, sign and index of each letter are checked
-        after free reduction."""
+        """The reduced word; ValueError for a d that is not an int in
+        2..MAX_STRANDS or a bad letter.  Each letter must be a
+        BraidLetter with int index and sign (a bool is not), checked
+        first, in the letters' order; d and the kind, sign and index of
+        each letter are checked after free reduction."""
         letters = tuple(letters)
         for x in letters:
             if not isinstance(x, BraidLetter):
                 raise ValueError(f"not a braid letter: {_shown(repr(x))}")
-            for what, v in (("index", x.index), ("sign", x.sign)):
-                if not _is_int(v):
-                    raise ValueError(
-                        f"letter {what} must be an int, got {_shown(repr(v))}")
+            _check_int(x.index, "letter index")
+            _check_int(x.sign, "letter sign")
         reduced = _free_reduce(letters)
-        if not _is_int(d):
-            raise ValueError(f"d must be an int, got {_shown(repr(d))}")
+        _check_int(d, "d")
         if d < 2:
             raise ValueError(f"need at least two marked points, got d={d}")
+        if d > MAX_STRANDS:
+            raise ValueError(f"need at most {MAX_STRANDS} marked points, "
+                             f"got d={_shown(str(d))}")
         for x in reduced:
             if x.kind not in (ARTIN, TWIST):
                 raise ValueError(f"unknown letter kind {x.kind!r}")
@@ -150,7 +156,7 @@ class BraidWord:
         """Concatenate; in the result the right factor acts first."""
         if self.d != other.d:
             raise ValueError(f"strand count mismatch: d={self.d} vs d={other.d}")
-        return BraidWord.from_letters(self.d, self.letters + other.letters)
+        return BraidWord(self.d, _free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.d, tuple(x.inverse() for x in reversed(self.letters)))

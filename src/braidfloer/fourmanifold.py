@@ -40,7 +40,7 @@ report sections, as dicts in the order the report prints them.
 
 from __future__ import annotations
 
-from .braids import _is_int, _shown
+from .braids import _check_int, _is_int, _shown
 from .freegroup import FreeGroupEndo, _inverse, _letter_texts
 
 
@@ -302,8 +302,7 @@ def anticanonical_tori(d: int) -> dict:
     """-d times the canonical class is represented by 6d - 2 disjoint
     tori: 2d - 2 parallel copies of H1 and 2d copies each of H3, H4;
     the result is the report's ``anticanonical_tori`` section."""
-    if not _is_int(d):
-        raise ValueError(f"d must be an int, got {_shown(repr(d))}")
+    _check_int(d, "d")
     if d < 2:
         raise ValueError("need d >= 2")
     return {"total": 6 * d - 2, "h1_parallel": 2 * d - 2,

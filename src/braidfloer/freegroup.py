@@ -22,17 +22,18 @@ rules act on the images of x1 .. xd, which start as x1 .. x<d-1> and
 only at the junctions of the reduced words it joins (``_concat``).  The
 disc images of pseudo-Anosov braids grow exponentially in the braid
 length even where the sphere images stay short, so the rank d disc
-action (``artin_disc_endo``) is kept only as a library function and a
-test oracle.
+action (``artin_disc_endo``) is a library function and a test oracle.
+Both actions run the rules in one loop, ``_act``, from their own
+starting images.
 
 ``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
 checks letters and an int rank, and ``FreeGroupEndo`` checks that its
-rank is an int and that it has one image of that rank per generator.
-``artin_endo`` builds its images as records: its starting images are
-reduced words in the letters +-1 .. +-(d-1), and its rules only invert
-reduced words and join them with ``_concat``, which keep both
-properties.  ``nielsen.reidemeister_trace_raw`` builds its terms the
-same way, since a prefix of a reduced word is reduced.
+rank is an int and that its images are a tuple of one ``FreeWord`` of
+that rank per generator.  The Artin actions build their images as
+records: their starting images are reduced words in range, and ``_act``
+only inverts reduced words and joins them with ``_concat``, which keep
+both properties.  ``nielsen.reidemeister_trace_raw`` builds its terms
+the same way, since a prefix of a reduced word is reduced.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Iterable
 
-from .braids import ARTIN, BraidWord, _is_int, _shown
+from .braids import ARTIN, BraidWord, _check_int, _is_int, _shown
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -54,12 +55,6 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
-
-
-def _check_rank(rank) -> None:
-    """ValueError unless rank is an int (a bool is not)."""
-    if not _is_int(rank):
-        raise ValueError(f"rank must be an int, got {_shown(repr(rank))}")
 
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -95,7 +90,7 @@ class FreeWord:
         or a letter that is not a nonzero int (a bool is not) or is out
         of range."""
         reduced = _reduce(letters)
-        _check_rank(rank)
+        _check_int(rank, "rank")
         if rank < 0:
             raise ValueError("negative rank")
         for x in reduced:
@@ -109,11 +104,10 @@ class FreeWord:
 
     @classmethod
     def generator(cls, rank: int, j: int, power: int = 1) -> "FreeWord":
-        _check_rank(rank)
+        _check_int(rank, "rank")
         if not _is_int(j) or not 1 <= j <= rank:
             raise ValueError(f"generator index {j} out of range")
-        if not _is_int(power):
-            raise ValueError(f"power must be an int, got {_shown(repr(power))}")
+        _check_int(power, "power")
         sign = 1 if power >= 0 else -1
         return cls(rank, (sign * j,) * abs(power))
 
@@ -152,7 +146,10 @@ class FreeGroupEndo:
     images: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
-        _check_rank(self.rank)
+        _check_int(self.rank, "rank")
+        if (not isinstance(self.images, tuple)
+                or not all(isinstance(w, FreeWord) for w in self.images)):
+            raise ValueError("images must be a tuple of FreeWord records")
         if len(self.images) != self.rank:
             raise ValueError("need one image per generator")
         for w in self.images:
@@ -161,44 +158,15 @@ class FreeGroupEndo:
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupEndo":
-        _check_rank(rank)
-        return cls(rank, tuple(FreeWord.generator(rank, j) for j in range(1, rank + 1)))
+        _check_int(rank, "rank")
+        return cls(rank, tuple(FreeWord(rank, (j,)) for j in range(1, rank + 1)))
 
 
-def artin_disc_endo(b: BraidWord) -> FreeGroupEndo:
-    """Action on the rank d punctured-disc group, before the sphere relation.
-
-    Scanning the word left to right and precomposing keeps the package
-    convention (rightmost letter acts first): after processing g1 .. gk
-    the images describe phi_g1 o ... o phi_gk.
-    """
-    d = b.d
-    imgs = [FreeWord.generator(d, j) for j in range(1, d + 1)]
-    for x in b.letters:
-        if x.kind != ARTIN:
-            continue
-        i = x.index - 1
-        if x.sign > 0:
-            new_i = imgs[i] * imgs[i + 1] * imgs[i].inverse()
-            imgs[i], imgs[i + 1] = new_i, imgs[i]
-        else:
-            new_next = imgs[i + 1].inverse() * imgs[i] * imgs[i + 1]
-            imgs[i], imgs[i + 1] = imgs[i + 1], new_next
-    return FreeGroupEndo(d, tuple(imgs))
-
-
-def artin_endo(b: BraidWord) -> FreeGroupEndo:
-    """Braid action on the punctured-sphere group, rank d-1.
-
-    Applies the Artin rules letter by letter, in the order of
-    ``artin_disc_endo``, to the images of x1 .. xd written in the rank
-    d-1 group, where xd = (x1 ... x<d-1>)^-1 (the Artin action fixes the
-    product x1 ... xd, so the relation is preserved exactly).  Reduced
-    words are unique, so the result equals the disc action followed by
-    that substitution, without ever building the disc images.
-    """
-    d = b.d
-    imgs = [(j,) for j in range(1, d)] + [tuple(range(1 - d, 0))]
+def _act(imgs: list[tuple[int, ...]], b: BraidWord) -> list[tuple[int, ...]]:
+    """imgs, reduced, after the Artin rules of b's letters, in place.
+    Scanning left to right and precomposing keeps the package convention
+    (rightmost letter acts first): after g1 .. gk the images describe
+    phi_g1 o ... o phi_gk."""
     for x in b.letters:
         if x.kind != ARTIN:
             continue
@@ -208,4 +176,23 @@ def artin_endo(b: BraidWord) -> FreeGroupEndo:
             imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
         else:
             imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
+    return imgs
+
+
+def artin_disc_endo(b: BraidWord) -> FreeGroupEndo:
+    """Action on the rank d punctured-disc group, before the sphere
+    relation: ``_act`` on the images x1 .. xd."""
+    imgs = _act([(j,) for j in range(1, b.d + 1)], b)
+    return FreeGroupEndo(b.d, tuple(FreeWord(b.d, w) for w in imgs))
+
+
+def artin_endo(b: BraidWord) -> FreeGroupEndo:
+    """Braid action on the punctured-sphere group, rank d-1: ``_act`` on
+    the images of x1 .. xd written in that group, where
+    xd = (x1 ... x<d-1>)^-1 (the Artin action fixes the product
+    x1 ... xd, so the relation is preserved exactly).  Reduced words are
+    unique, so the result equals the disc action followed by that
+    substitution, without ever building the disc images."""
+    d = b.d
+    imgs = _act([(j,) for j in range(1, d)] + [tuple(range(1 - d, 0))], b)
     return FreeGroupEndo(d - 1, tuple(FreeWord(d - 1, w) for w in imgs[:-1]))

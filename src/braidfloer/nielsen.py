@@ -46,7 +46,6 @@ The sign and projection conventions above are pinned by geometry:
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from math import gcd
 
@@ -70,13 +69,10 @@ class RefinementLimitError(ValueError):
 
 def _identity_minus_action(e: FreeGroupEndo) -> list[list[int]]:
     """I - A as dense rows, for A the abelianized action: column j of A
-    is the exponent vector of e(xj), read straight off the letter counts
-    of the images."""
-    rows = [[int(i == j) for j in range(e.rank)] for i in range(e.rank)]
-    for j, image in enumerate(e.images):
-        for x, count in Counter(image.letters).items():
-            rows[abs(x) - 1][j] -= count if x > 0 else -count
-    return rows
+    is the exponent vector of e(xj)."""
+    cols = [w.exponent_vector() for w in e.images]
+    return [[int(i == j) - col[i] for j, col in enumerate(cols)]
+            for i in range(e.rank)]
 
 
 def class_space(e: FreeGroupEndo) -> ClassSpace:

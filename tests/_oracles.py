@@ -96,6 +96,29 @@ def compose(f: FreeGroupEndo, g: FreeGroupEndo) -> FreeGroupEndo:
                                        for w in g.images))
 
 
+def artin_by_substitution(b: BraidWord) -> FreeGroupEndo:
+    """The action of b on the rank d punctured-disc group, as each Artin
+    letter's automorphism composed by substitution, the rightmost letter
+    acting first: s_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to
+    x_i, and s_i^-1 sends x_i to x_{i+1} and x_{i+1} to
+    x_{i+1}^-1 x_i x_{i+1}; twists act trivially."""
+    d = b.d
+    identity = [(j,) for j in range(1, d + 1)]
+    e = FreeGroupEndo(d, tuple(FreeWord.from_letters(d, w) for w in identity))
+    for x in b.letters:
+        if x.kind == "t":
+            continue
+        i, images = x.index, list(identity)
+        if x.sign > 0:
+            images[i - 1:i + 1] = (i, i + 1, -i), (i,)
+        else:
+            images[i - 1:i + 1] = (i + 1,), (-i - 1, i, i + 1)
+        letter = FreeGroupEndo(
+            d, tuple(FreeWord.from_letters(d, w) for w in images))
+        e = compose(e, letter)
+    return e
+
+
 # Elements of the group ring Z[F] are dicts from FreeWord to nonzero
 # coefficient.
 

@@ -178,6 +178,12 @@ class TestLetterChecks:
             (lambda: BraidWord.from_letters(3.0, ()), "d must be an int, got 3.0"),
             (lambda: BraidWord.from_letters(True, ()), "d must be an int, got True"),
             (lambda: BraidWord.identity(2.0), "d must be an int, got 2.0"),
+            # d is at most MAX_STRANDS, as parse_braid reads it, and a
+            # long d is echoed short
+            (lambda: BraidWord.identity(MAX_STRANDS + 1),
+             f"need at most {MAX_STRANDS} marked points, got d={MAX_STRANDS + 1}"),
+            (lambda: BraidWord.from_letters(10**40, ()),
+             f"need at most {MAX_STRANDS} marked points, got d=10000000..."),
             (lambda: Permutation((2, True)),
              "not a permutation of 1..2: (2, True)"),
             (lambda: Permutation((1.0, 2)), "not a permutation of 1..2: (1.0, 2)"),
@@ -190,6 +196,7 @@ class TestLetterChecks:
         # the twist t3 is in range where the generator s3 is not
         assert BraidWord.from_letters(3, (s3, s3.inverse())).letters == ()
         assert BraidWord.from_letters(3, (BraidLetter(TWIST, 3, 1),))
+        assert BraidWord.identity(MAX_STRANDS).d == MAX_STRANDS
 
 
 class TestAlgebra:

@@ -12,8 +12,8 @@ from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat,
 from braidfloer.nielsen import _identity_minus_action
 
 from _oracles import (IntMatrix, PresentedGroup, _cyclic_reduce,
-                      abelianization_matrix, compose, det, fox_derivative,
-                      ring_add, ring_mul, substitute)
+                      abelianization_matrix, artin_by_substitution, compose,
+                      det, fox_derivative, ring_add, ring_mul, substitute)
 from _samplers import random_braid_word, random_free_word
 
 
@@ -74,6 +74,14 @@ class TestFreeWord:
             (lambda: FreeGroupEndo.identity(True), "rank must be an int, got True"),
             (lambda: FreeGroupEndo.identity(2.0), "rank must be an int, got 2.0"),
             (lambda: FreeGroupEndo(1.0, (W(1, 1),)), "rank must be an int, got 1.0"),
+            # the images are a tuple of FreeWord records, so that the
+            # endomorphism hashes and equals the same images as a tuple
+            (lambda: FreeGroupEndo(2, (W(2, 1), "x")),
+             "images must be a tuple of FreeWord records"),
+            (lambda: FreeGroupEndo(1, [W(1, 1)]),
+             "images must be a tuple of FreeWord records"),
+            (lambda: FreeGroupEndo(1, ((1,),)),
+             "images must be a tuple of FreeWord records"),
         )
         for build, message in cases:
             with pytest.raises(ValueError) as exc:
@@ -256,6 +264,19 @@ class TestArtinAction:
         b = parse_braid("d=3; s1 s2")
         assert artin_disc_endo(a) == artin_disc_endo(b)
         assert artin_endo(a) == artin_endo(b)
+
+    def test_disc_action_equals_the_letters_automorphisms_composed(self):
+        # the disc and sphere actions share one loop of Artin rules;
+        # this reference builds each letter's automorphism on its own
+        rng = random.Random(67)
+        seen = set()
+        for _ in range(300):
+            d = rng.randint(2, 8)
+            b = random_braid_word(rng, d, max_len=12)
+            seen.update((x.kind, x.index, x.sign) for x in b)
+            assert artin_disc_endo(b) == artin_by_substitution(b), b.to_text()
+        assert {("s", i, s) for i in range(1, 8) for s in (1, -1)} <= seen
+        assert any(kind == "t" for kind, _, _ in seen)
 
     def test_disc_action_is_invertible(self):
         rng = random.Random(37)
