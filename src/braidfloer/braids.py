@@ -49,6 +49,17 @@ def _shown(text: str) -> str:
     return text if len(text) <= 12 else text[:8] + "..."
 
 
+def _shown_int(n: int) -> str:
+    """``_shown(str(n))`` for an int n, converting only its leading
+    digits to text: the interpreter converts no int of more than 4300
+    digits, and a message shows no more than the first 8 characters."""
+    m = abs(n)
+    # m has more than L = (bit length - 1) * 0.301029 digits, so for
+    # k = L - 12 > 0 the quotient keeps 13 or more and _shown cuts it
+    k = max(0, (m.bit_length() - 1) * 301029 // 10**6 - 12)
+    return _shown(("-" if n < 0 else "") + str(m // 10**k))
+
+
 def _is_int(x) -> bool:
     """x is an int and not a bool, which isinstance counts as an int."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -127,10 +138,11 @@ class BraidWord:
         reduced = _free_reduce(letters)
         _check_int(d, "d")
         if d < 2:
-            raise ValueError(f"need at least two marked points, got d={d}")
+            raise ValueError(
+                f"need at least two marked points, got d={_shown_int(d)}")
         if d > MAX_STRANDS:
             raise ValueError(f"need at most {MAX_STRANDS} marked points, "
-                             f"got d={_shown(str(d))}")
+                             f"got d={_shown_int(d)}")
         for x in reduced:
             if x.kind not in (ARTIN, TWIST):
                 raise ValueError(f"unknown letter kind {x.kind!r}")
@@ -170,10 +182,11 @@ class BraidWord:
 
 # [0-9], not \d, which would also match (and int() read) any Unicode
 # digit; re.ASCII keeps \s and \S to ASCII whitespace, so that a Unicode
-# space (U+3000, U+00A0, NEL) is a syntax error, not a separator
+# space (U+3000, U+00A0, NEL) is a syntax error, not a separator.  One
+# scan finds each run of non-space characters: a token when the run is
+# all of one, else a run with no groups, which is a bad token
 _HEADER = re.compile(r"\s*d=([0-9]+);", re.ASCII)
-_TOKENS = re.compile(r"\S+", re.ASCII)
-_TOKEN = re.compile(r"([st])([0-9]+)(\^-1)?\Z")
+_TOKENS = re.compile(r"([st])([0-9]+)(\^-1)?(?!\S)|\S+", re.ASCII)
 
 
 def _integer(digits: str, position: int) -> int:
@@ -199,10 +212,10 @@ def parse_braid(text: str) -> BraidWord:
     letters = []
     for tok in _TOKENS.finditer(text, m.end()):
         pos = tok.start()
-        t = _TOKEN.match(tok.group())
-        if t is None:
+        kind, digits, inv = tok.groups()
+        if kind is None:
             raise BraidSyntaxError(f"bad token {_shown(tok.group())!r}", pos)
-        kind, index, inv = t.group(1), _integer(t.group(2), pos), t.group(3)
+        index = _integer(digits, pos)
         limit = d - 1 if kind == ARTIN else d
         if not 1 <= index <= limit:
             what = "Artin generator" if kind == ARTIN else "framing twist"

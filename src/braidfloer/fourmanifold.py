@@ -40,8 +40,10 @@ report sections, as dicts in the order the report prints them.
 
 from __future__ import annotations
 
+from operator import add
+
 from .braids import _check_int, _is_int, _shown
-from .freegroup import FreeGroupEndo, _inverse, _letter_texts
+from .freegroup import FreeGroupEndo
 
 
 def pi1_presentations(e: FreeGroupEndo) -> dict:
@@ -84,29 +86,34 @@ def pi1_presentations(e: FreeGroupEndo) -> dict:
     result has the standard form of order d, and the group abelianizes
     to Z x Z/d.
 
-    The condition is checked with one comparison of tuple slices per
-    image, and the last image must be nonempty, so that no monodromy
-    relator cancels at its l2^-1 seam or cyclically; an image that
-    fails either check raises ValueError.
+    The condition is checked on the mirrored pairs of each image: the
+    middle letter is x(k+1) and each letter before it is the inverse
+    of its mirror after it, so their signed indices add to 0.  The last
+    image must be nonempty, so that no monodromy relator cancels at its
+    l2^-1 seam or cyclically; an image that fails either check raises
+    ValueError.
     """
     if e.rank < 1:
         raise ValueError("need an endomorphism of rank >= 1 (d >= 2)")
     for k, image in enumerate(e.images[:-1], start=1):
         w = image.letters
         m = len(w) // 2
-        if len(w) % 2 == 0 or w[m] != k + 1 or w[:m] != _inverse(w[m + 1:]):
+        if len(w) % 2 == 0 or w[m] != k + 1 or any(map(add, w[:m], w[:m:-1])):
             raise ValueError(
                 f"the image of x{k} is not a conjugate of x{k + 1}")
     d = e.rank + 1
     if not e.images[-1].letters:
         raise ValueError(f"the image of x{d - 1} is trivial")
-    generators = ["l1", "l2", *(f"x{i}" for i in range(1, d))]
-    table = _letter_texts((*range(1 - d, 0), *range(1, d)))
+    names = [f"x{i}" for i in range(1, d)]
+    # inverse[x] prints the inverse of the letter x: "xj^-1" for x = j,
+    # and "xj" for x = -j, which indexes from the end of the list
+    inverse = ["", *(f"{x}^-1" for x in names), *reversed(names)]
     relators = ["l1 l2 l1^-1 l2^-1"]
-    relators += [f"l1 x{i} l1^-1 x{i}^-1" for i in range(1, d)]
-    relators += [f"l2 x{i} l2^-1 "
-                 + " ".join(map(table.__getitem__, _inverse(image.letters)))
-                 for i, image in enumerate(e.images, start=1)]
+    relators += [f"l1 {x} l1^-1 {x}^-1" for x in names]
+    relators += [f"l2 {x} l2^-1 "
+                 + " ".join(map(inverse.__getitem__, reversed(image.letters)))
+                 for x, image in zip(names, e.images)]
+    generators = ["l1", "l2", *names]
     longitude = " ".join(["l2"] * d)
     return {
         "mapping_torus": {"generators": generators, "relators": relators},

@@ -28,11 +28,11 @@ starting images.
 
 ``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
 checks letters and an int rank, and ``FreeGroupEndo`` checks that its
-rank is an int and that its images are a tuple of one ``FreeWord`` of
-that rank per generator.  The Artin actions build their images as
-records: their starting images are reduced words in range, and ``_act``
-only inverts reduced words and joins them with ``_concat``, which keep
-both properties.  ``nielsen.reidemeister_trace_raw`` builds its terms
+rank is an int >= 0 and that its images are a tuple of one
+``FreeWord`` of that rank per generator.  The Artin actions build
+their images as records: their starting images are reduced words in
+range, and ``_act`` only inverts reduced words and joins them with
+``_concat``, which keep both properties.  ``nielsen.reidemeister_trace_raw`` builds its terms
 the same way, since a prefix of a reduced word is reduced.
 """
 
@@ -69,12 +69,6 @@ def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     while k < m and u[-1 - k] == -v[k]:
         k += 1
     return u[:len(u) - k] + v[k:]
-
-
-def _letter_texts(letters: Iterable[int]) -> dict[int, str]:
-    """The text of each signed letter given: +j prints as ``xj``, -j as
-    ``xj^-1``."""
-    return {x: f"x{abs(x)}" + ("^-1" if x < 0 else "") for x in letters}
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,8 @@ class FreeWord:
         """Print like ``x1 x2^-1``; the identity prints as ``1``."""
         if not self.letters:
             return "1"
-        table = _letter_texts(set(self.letters))
+        table = {x: f"x{abs(x)}" + ("^-1" if x < 0 else "")
+                 for x in set(self.letters)}
         return " ".join(map(table.__getitem__, self.letters))
 
 
@@ -147,6 +142,8 @@ class FreeGroupEndo:
 
     def __post_init__(self) -> None:
         _check_int(self.rank, "rank")
+        if self.rank < 0:
+            raise ValueError("negative rank")
         if (not isinstance(self.images, tuple)
                 or not all(isinstance(w, FreeWord) for w in self.images)):
             raise ValueError("images must be a tuple of FreeWord records")

@@ -85,22 +85,23 @@ def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:
     letters w, prefix length t, coefficient, exponent sum of w[:t]): the
     term is the reduced prefix w[:t].  -d(w)/dxj is -[p] for each letter
     xj and +[p xj^-1] for each xj^-1, p the prefix before the letter, so
-    the term of an xj^-1 is the prefix after it."""
+    the term of an xj^-1 is the prefix after it.  The scan reads each
+    image in place and tests a letter's sign first, so most letters,
+    which give no term, cost one comparison and the running sum."""
     yield (), 0, 1, 0
     for j, image in enumerate(e.images, start=1):
         w = image.letters
+        inv = -j
         s = 0
         for t, x in enumerate(w):
-            if x == j:
-                yield w, t, -1, s
-                s += 1
-            elif x == -j:
-                s -= 1
-                yield w, t + 1, 1, s
-            elif x > 0:
+            if x > 0:
+                if x == j:
+                    yield w, t, -1, s
                 s += 1
             else:
                 s -= 1
+                if x == inv:
+                    yield w, t + 1, 1, s
 
 
 def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
@@ -130,12 +131,19 @@ def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
 
 def _check_cycle(e: FreeGroupEndo, sigma: Permutation) -> int:
     """d = e.rank + 1, once sigma is one cycle of degree d >= 2: only a
-    d-cycle makes coker(I - A) the Z/d of exponent sums."""
+    d-cycle makes coker(I - A) the Z/d of exponent sums.  It walks the
+    orbit of 1 along ``sigma.images``, which is one cycle exactly when
+    it has d points; no cycle decomposition is built."""
     d = e.rank + 1
-    if d < 2 or sigma.degree != d or len(sigma.cycles()) != 1:
-        raise ValueError(f"need one cycle of degree {d} >= 2, "
-                         f"got permutation {sigma.images}")
-    return d
+    images = sigma.images
+    if d >= 2 and len(images) == d:
+        k, n = images[0], 1
+        while k != 1:
+            k, n = images[k - 1], n + 1
+        if n == d:
+            return d
+    raise ValueError(f"need one cycle of degree {d} >= 2, "
+                     f"got permutation {images}")
 
 
 def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:

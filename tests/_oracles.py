@@ -7,12 +7,16 @@ which the report renders as text straight from d and the images."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from braidfloer import snf
-from braidfloer.braids import BraidWord, induced_permutation
+from braidfloer.braids import (_HEADER, ARTIN, MAX_STRANDS, BraidIndexError,
+                               BraidLetter, BraidSyntaxError, BraidWord,
+                               _free_reduce, _integer, _shown,
+                               induced_permutation)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, _inverse
 
 
@@ -78,6 +82,38 @@ class SnfResult:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
+
+
+# each run of non-space characters, then the whole run as one token
+_RUNS = re.compile(r"\S+", re.ASCII)
+_TOKEN = re.compile(r"([st])([0-9]+)(\^-1)?\Z")
+
+
+def parse_braid_by_runs(text: str) -> BraidWord:
+    """``parse_braid`` as two scans: find each run of non-space
+    characters, then match the run against the token pattern."""
+    m = _HEADER.match(text)
+    if m is None:
+        raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
+    digits = m.group(1)
+    d = _integer(digits, m.start(1))
+    if not 2 <= d <= MAX_STRANDS:
+        raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + digits,
+                              m.start(1))
+    letters = []
+    for tok in _RUNS.finditer(text, m.end()):
+        pos = tok.start()
+        t = _TOKEN.match(tok.group())
+        if t is None:
+            raise BraidSyntaxError(f"bad token {_shown(tok.group())!r}", pos)
+        kind, index, inv = t.group(1), _integer(t.group(2), pos), t.group(3)
+        limit = d - 1 if kind == ARTIN else d
+        if not 1 <= index <= limit:
+            what = "Artin generator" if kind == ARTIN else "framing twist"
+            raise BraidIndexError(
+                f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
+        letters.append(BraidLetter(kind, index, -1 if inv else 1))
+    return BraidWord(d, _free_reduce(letters))
 
 
 def substitute(word: FreeWord, images) -> FreeWord:

@@ -7,8 +7,8 @@ import pytest
 
 from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
                                BraidSyntaxError, BraidWord, MAX_STRANDS,
-                               Permutation, induced_permutation,
-                               parse_braid)
+                               Permutation, _shown, _shown_int,
+                               induced_permutation, parse_braid)
 
 from _samplers import random_braid_word, random_transitive_braid
 
@@ -184,6 +184,16 @@ class TestLetterChecks:
              f"need at most {MAX_STRANDS} marked points, got d={MAX_STRANDS + 1}"),
             (lambda: BraidWord.from_letters(10**40, ()),
              f"need at most {MAX_STRANDS} marked points, got d=10000000..."),
+            # so is a d below 2, and a d past the interpreter's limit on
+            # the digits it converts to text
+            (lambda: BraidWord.identity(-10**40),
+             "need at least two marked points, got d=-1000000..."),
+            (lambda: BraidWord.identity(-10**5000),
+             "need at least two marked points, got d=-1000000..."),
+            (lambda: BraidWord.identity(10**5000),
+             f"need at most {MAX_STRANDS} marked points, got d=10000000..."),
+            (lambda: BraidWord.from_letters(-(2**20000), ()),
+             "need at least two marked points, got d=-3980276..."),
             (lambda: Permutation((2, True)),
              "not a permutation of 1..2: (2, True)"),
             (lambda: Permutation((1.0, 2)), "not a permutation of 1..2: (1.0, 2)"),
@@ -197,6 +207,16 @@ class TestLetterChecks:
         assert BraidWord.from_letters(3, (s3, s3.inverse())).letters == ()
         assert BraidWord.from_letters(3, (BraidLetter(TWIST, 3, 1),))
         assert BraidWord.identity(MAX_STRANDS).d == MAX_STRANDS
+
+    def test_a_long_int_is_shown_by_its_leading_digits(self):
+        # _shown_int(n) is _shown(str(n)), read off the leading digits
+        # only, for every length and sign near where the cut starts
+        for digits in (*range(1, 40), 299, 300, 301, 1000, 4299, 4300):
+            for n in (10 ** (digits - 1), 10 ** digits - 1,
+                      int("9" + "8" * (digits - 1)), 2 ** (digits * 3)):
+                for m in (n, -n):
+                    assert _shown_int(m) == _shown(str(m))
+        assert _shown_int(0) == "0"
 
 
 class TestAlgebra:

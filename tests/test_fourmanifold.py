@@ -54,6 +54,11 @@ def W(rank, *letters):
     return FreeWord.from_letters(rank, letters)
 
 
+# u x2 u^-1 for u = x1 x2 x3^-1 x1 x2^-1 x3, reduced: a conjugate of x2
+U = (1, 2, -3, 1, -2, 3)
+CONJUGATE = U + (2,) + tuple(-x for x in reversed(U))
+
+
 def P(gens, *relator_letter_tuples):
     rank = len(gens)
     return presented_group(
@@ -272,11 +277,23 @@ class TestSimplifiedPi1:
         (((2, 1), (1,), (3,)), 1),           # even length
         (((1, 2, 1), (1,), (3,)), 1),        # x1 x2 x1: not a conjugate
         (((-1, 2, 1), (2, 3, 2), (1,)), 2),  # x1 is fine, x2 is not
+        # u x2 u^-1 with |u| = 6 (CONJUGATE), one mirrored pair broken:
+        # the outermost, the one next to the middle, one in between
+        ((CONJUGATE[:-1] + (-3,), (3,), (1,)), 1),
+        ((CONJUGATE[:7] + (1,) + CONJUGATE[8:], (3,), (1,)), 1),
+        ((CONJUGATE[:9] + (2,) + CONJUGATE[10:], (3,), (1,)), 1),
+        # and a wrong middle letter, the inverse of x2
+        ((CONJUGATE[:6] + (-2,) + CONJUGATE[7:], (3,), (1,)), 1),
     ])
     def test_image_that_is_not_a_conjugate_is_rejected(self, images, k):
         e = FreeGroupEndo(3, tuple(W(3, *w) for w in images))
+        assert all(W(3, *w).letters == w for w in images)  # each reduced
         with pytest.raises(ValueError, match=f"image of x{k} is not"):
             pi1_presentations(e)
+
+    def test_a_long_conjugate_is_accepted(self):
+        e = FreeGroupEndo(3, (W(3, *CONJUGATE), W(3, 3), W(3, 1)))
+        assert pi1_presentations(e)["standard_form_order"] == 4
 
     def test_rank_zero_is_rejected(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,10 @@ class TestFreeWord:
              "images must be a tuple of FreeWord records"),
             (lambda: FreeGroupEndo(1, ((1,),)),
              "images must be a tuple of FreeWord records"),
+            # a negative rank is rejected as such, before the images
+            (lambda: FreeGroupEndo(-1, ()), "negative rank"),
+            (lambda: FreeGroupEndo.identity(-1), "negative rank"),
+            (lambda: FreeGroupEndo(-2, [W(1, 1)]), "negative rank"),
         )
         for build, message in cases:
             with pytest.raises(ValueError) as exc:

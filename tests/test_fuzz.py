@@ -18,6 +18,7 @@ from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                                      characteristic_numbers,
                                      configuration_from_dict)
 
+from _oracles import parse_braid_by_runs
 from _samplers import random_transitive_braid
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -70,6 +71,64 @@ def test_parse_braid_raises_only_braid_errors(text):
     except BraidError:
         return
     assert 2 <= b.d <= MAX_STRANDS
+
+
+# words of the grammar on d = 5 with any ASCII whitespace between
+# tokens; then the same with hostile pieces: separators str.split would
+# take for one (the ASCII separators \x1c-\x1f, NEL, U+00A0, U+3000),
+# which do not part tokens, glued tokens, a glued header, stray pieces
+# and digit runs past the interpreter's 4300-digit limit on converting
+# text to an int; and any text over an alphabet of those characters
+def spaced(head, separator, token, max_size):
+    """A head, then up to max_size tokens, each after a separator."""
+    return st.builds(str.__add__, head, st.lists(
+        st.builds(str.__add__, separator, token), max_size=max_size
+    ).map("".join))
+
+
+space = st.sampled_from([" ", "\t", "\n", "\r\n", "\x0b", "\x0c", "  "])
+letter = st.sampled_from(["s1", "s2", "s3", "s4", "s1^-1", "s3^-1", "s4^-1",
+                          "t1", "t5", "t2^-1"])
+word_text = spaced(st.sampled_from(["d=5;", " d=5;", "\nd=05;"]), space,
+                   letter, 12)
+separator = space | st.sampled_from(
+    ["", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u00a0", "\u3000"])
+long_digits = st.integers(4290, 4400).map("7".__mul__)
+hostile_token = st.one_of(
+    letter, token,
+    st.sampled_from(["t6", "s5", "s1s2", "s1^-1x", "s1^-1s2", "s2^-", "s^-1",
+                     "^", "-", ";", "d=3;s1", "s01", "t0"]),
+    st.builds("{}{}{}".format, st.sampled_from(["s", "t", "x", ""]),
+              long_digits, st.sampled_from(["", "^-1", "x"])))
+header = st.one_of(
+    st.just("d=5;"),
+    st.builds("d={};".format, st.integers(0, 6) | st.integers(999, 1002)),
+    long_digits.map("d={};".format),
+    st.sampled_from(["", "d=3", "d=;", " d=4;", "\x1cd=3;", "d=3;s1"]))
+grammar_text = spaced(header, separator, hostile_token, 8)
+hostile_text = st.text(
+    alphabet="st0123456789^-1;d= \t\n\x1c\x1d\x1e\x1f\x85\u00a0\u3000x",
+    max_size=30).map("d=5; ".__add__)
+
+
+def parse_outcome(parse, text):
+    """The word parse returns, or its error's class, message and
+    position."""
+    try:
+        return parse(text)
+    except BraidError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@FUZZ
+@given(word_text | grammar_text | hostile_text)
+@example("d=3; s1s2")
+@example("d=3; s1^-1x s2")
+@example("d=3;s1\x1cs2")
+@example("d=5; s1 s5^-1")
+def test_parse_braid_agrees_with_the_scan_of_runs(text):
+    assert (parse_outcome(parse_braid, text)
+            == parse_outcome(parse_braid_by_runs, text))
 
 
 @FUZZ

@@ -78,6 +78,19 @@ def test_each_object_is_built_once(monkeypatch):
     assert report["pi1"]["standard_form_order"] == 4
 
 
+def test_the_report_reads_each_image_in_place(monkeypatch):
+    # the sphere action inverts one word per Artin letter; the pi1 check
+    # and text and the Nielsen scan read the images without inverting
+    # them, and the one-cycle check walks the permutation's images
+    # without building its cycles
+    word = "d=5; " + " ".join(["s1 s2^-1 s3 s4^-1"] * 5 + ["s1 s2 s3 s4"])
+    calls = count_calls(monkeypatch, ((freegroup, "_inverse"),
+                                      (braids.Permutation, "cycles")))
+    report = build_report(word)
+    assert report["transitive"]
+    assert calls == Counter({"_inverse": 24})
+
+
 # the golden word files and the refine depth golden.jsonl reports them at
 GOLDEN = (("golden_words.txt", 0), ("golden_words_depth3.txt", 3))
 
