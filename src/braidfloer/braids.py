@@ -26,8 +26,8 @@ built from valid words with the record constructor.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
-functions written left to right, so in ``a.compose(b)`` (the word "a b")
-the right factor b acts first and a acts on its output.  Under this
+functions written left to right, so in the word "a b" the right factor
+b acts first and a acts on its output.  Under this
 convention the word ``s1 s2 ... s<d-1>`` induces the standard cycle
 (1 2 ... d), which is what the strict transitivity test checks for.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 ARTIN = "s"
 TWIST = "t"
@@ -49,26 +49,31 @@ def _shown(text: str) -> str:
     return text if len(text) <= 12 else text[:8] + "..."
 
 
-def _shown_int(n: int) -> str:
-    """``_shown(str(n))`` for an int n, converting only its leading
-    digits to text: the interpreter converts no int of more than 4300
-    digits, and a message shows no more than the first 8 characters."""
-    m = abs(n)
-    # m has more than L = (bit length - 1) * 0.301029 digits, so for
-    # k = L - 12 > 0 the quotient keeps 13 or more and _shown cuts it
-    k = max(0, (m.bit_length() - 1) * 301029 // 10**6 - 12)
-    return _shown(("-" if n < 0 else "") + str(m // 10**k))
-
-
 def _is_int(x) -> bool:
     """x is an int and not a bool, which isinstance counts as an int."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _shown_repr(x) -> str:
+    """``_shown(repr(x))``, converting only what that shows: the leading
+    digits of an int (the interpreter converts at most 4300 digits) and
+    the first five items of a plain tuple (more than 12 characters)."""
+    if type(x) is tuple:
+        items = ", ".join(map(_shown_repr, x[:5]))
+        return _shown(f"({items},)" if len(x) == 1 else f"({items})")
+    if not _is_int(x):
+        return _shown(repr(x))
+    m = abs(x)
+    # m has more than L = (bit length - 1) * 0.301029 digits, so for
+    # k = L - 12 > 0 the quotient keeps 13 or more and _shown cuts it
+    k = max(0, (m.bit_length() - 1) * 301029 // 10**6 - 12)
+    return _shown(("-" if x < 0 else "") + str(m // 10**k))
+
+
 def _check_int(x, what: str) -> None:
     """ValueError unless x is an int (a bool is not)."""
     if not _is_int(x):
-        raise ValueError(f"{what} must be an int, got {_shown(repr(x))}")
+        raise ValueError(f"{what} must be an int, got {_shown_repr(x)}")
 
 
 class BraidError(ValueError):
@@ -97,9 +102,6 @@ class BraidLetter(NamedTuple):
     kind: str   # ARTIN ("s") or TWIST ("t")
     index: int  # 1-based; Artin: 1..d-1, twist: 1..d
     sign: int   # +1 or -1
-
-    def inverse(self) -> "BraidLetter":
-        return BraidLetter(self.kind, self.index, -self.sign)
 
     def token(self) -> str:
         return f"{self.kind}{self.index}" + ("^-1" if self.sign < 0 else "")
@@ -132,26 +134,30 @@ class BraidWord:
         letters = tuple(letters)
         for x in letters:
             if not isinstance(x, BraidLetter):
-                raise ValueError(f"not a braid letter: {_shown(repr(x))}")
+                raise ValueError(f"not a braid letter: {_shown_repr(x)}")
             _check_int(x.index, "letter index")
             _check_int(x.sign, "letter sign")
         reduced = _free_reduce(letters)
         _check_int(d, "d")
         if d < 2:
             raise ValueError(
-                f"need at least two marked points, got d={_shown_int(d)}")
+                f"need at least two marked points, got d={_shown_repr(d)}")
         if d > MAX_STRANDS:
             raise ValueError(f"need at most {MAX_STRANDS} marked points, "
-                             f"got d={_shown_int(d)}")
+                             f"got d={_shown_repr(d)}")
         for x in reduced:
             if x.kind not in (ARTIN, TWIST):
-                raise ValueError(f"unknown letter kind {x.kind!r}")
+                raise ValueError(f"unknown letter kind {_shown_repr(x.kind)}")
             if x.sign not in (1, -1):
-                raise ValueError(f"letter sign must be +-1, got {x.sign}")
+                raise ValueError(
+                    f"letter sign must be +-1, got {_shown_repr(x.sign)}")
             if x.index < 1:
-                raise ValueError(f"letter index must be positive, got {x.index}")
+                raise ValueError(
+                    f"letter index must be positive, got {_shown_repr(x.index)}")
             if x.index > (d - 1 if x.kind == ARTIN else d):
-                raise ValueError(f"letter {x.token()} out of range for d={d}")
+                inv = "^-1" if x.sign < 0 else ""
+                raise ValueError(f"letter {x.kind}{_shown_repr(x.index)}{inv} "
+                                 f"out of range for d={d}")
         return cls(d, reduced)
 
     @classmethod
@@ -160,18 +166,6 @@ class BraidWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[BraidLetter]:
-        return iter(self.letters)
-
-    def compose(self, other: "BraidWord") -> "BraidWord":
-        """Concatenate; in the result the right factor acts first."""
-        if self.d != other.d:
-            raise ValueError(f"strand count mismatch: d={self.d} vs d={other.d}")
-        return BraidWord(self.d, _free_reduce(self.letters + other.letters))
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.d, tuple(x.inverse() for x in reversed(self.letters)))
 
     def to_text(self) -> str:
         head = f"d={self.d};"
@@ -235,7 +229,8 @@ class Permutation:
         d = len(self.images)
         if (not all(map(_is_int, self.images))
                 or sorted(self.images) != list(range(1, d + 1))):
-            raise ValueError(f"not a permutation of 1..{d}: {self.images}")
+            raise ValueError(f"not a permutation of 1..{d}: "
+                             f"{_shown_repr(self.images)}")
 
     @property
     def degree(self) -> int:
@@ -243,21 +238,6 @@ class Permutation:
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other (other acts first)."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self(other(k)) for k in range(1, self.degree + 1)))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for k, v in enumerate(self.images, start=1):
-            images[v - 1] = k
-        return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, start=1))
 
     def fixed_point_count(self) -> int:
         return sum(1 for k, v in enumerate(self.images, start=1) if v == k)

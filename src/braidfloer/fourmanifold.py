@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .braids import _check_int, _is_int, _shown
+from .braids import _check_int, _is_int, _shown, _shown_repr
 from .freegroup import FreeGroupEndo
 
 
@@ -161,7 +161,7 @@ class ConfigurationError(ValueError):
 
 def _echo(x) -> str:
     """An input value as a message shows it: its repr, cut by ``_shown``."""
-    return repr(_shown(x)) if isinstance(x, str) else _shown(repr(x))
+    return repr(_shown(x)) if isinstance(x, str) else _shown_repr(x)
 
 
 def _is_integer(x, least: int = -CONFIG_INT_BOUND) -> bool:

@@ -29,11 +29,13 @@ starting images.
 ``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
 checks letters and an int rank, and ``FreeGroupEndo`` checks that its
 rank is an int >= 0 and that its images are a tuple of one
-``FreeWord`` of that rank per generator.  The Artin actions build
-their images as records: their starting images are reduced words in
-range, and ``_act`` only inverts reduced words and joins them with
-``_concat``, which keep both properties.  ``nielsen.reidemeister_trace_raw`` builds its terms
-the same way, since a prefix of a reduced word is reduced.
+``FreeWord`` of that rank per generator.  Products and inverses are
+``_concat`` and ``_inverse`` on letter tuples.  The Artin actions
+build their images as records: their starting images are reduced words
+in range, and ``_act`` only inverts reduced words and joins them with
+``_concat``, which keep both properties.
+``nielsen.reidemeister_trace_raw`` builds its terms the same way, since
+a prefix of a reduced word is reduced.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Iterable
 
-from .braids import ARTIN, BraidWord, _check_int, _is_int, _shown
+from .braids import ARTIN, BraidWord, _check_int, _is_int, _shown_repr
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
         if not _is_int(x) or x == 0:
-            raise ValueError(f"{_shown(repr(x))} is not a letter")
+            raise ValueError(f"{_shown_repr(x)} is not a letter")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -89,34 +91,16 @@ class FreeWord:
             raise ValueError("negative rank")
         for x in reduced:
             if abs(x) > rank:
-                raise ValueError(f"letter {x} out of range for rank {rank}")
+                raise ValueError(
+                    f"letter {_shown_repr(x)} out of range for rank {rank}")
         return cls(rank, reduced)
 
     @classmethod
     def identity(cls, rank: int) -> "FreeWord":
         return cls.from_letters(rank, ())
 
-    @classmethod
-    def generator(cls, rank: int, j: int, power: int = 1) -> "FreeWord":
-        _check_int(rank, "rank")
-        if not _is_int(j) or not 1 <= j <= rank:
-            raise ValueError(f"generator index {j} out of range")
-        _check_int(power, "power")
-        sign = 1 if power >= 0 else -1
-        return cls(rank, (sign * j,) * abs(power))
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, _concat(self.letters, other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, _inverse(self.letters))
 
     def exponent_vector(self) -> tuple[int, ...]:
         out = [0] * self.rank
@@ -152,11 +136,6 @@ class FreeGroupEndo:
         for w in self.images:
             if w.rank != self.rank:
                 raise ValueError("image rank mismatch")
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeGroupEndo":
-        _check_int(rank, "rank")
-        return cls(rank, tuple(FreeWord(rank, (j,)) for j in range(1, rank + 1)))
 
 
 def _act(imgs: list[tuple[int, ...]], b: BraidWord) -> list[tuple[int, ...]]:

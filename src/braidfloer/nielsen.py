@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .braids import Permutation, _is_int, _shown
+from .braids import Permutation, _is_int, _shown_repr
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 from .snf import ClassSpace
 
@@ -143,7 +143,7 @@ def _check_cycle(e: FreeGroupEndo, sigma: Permutation) -> int:
         if n == d:
             return d
     raise ValueError(f"need one cycle of degree {d} >= 2, "
-                     f"got permutation {images}")
+                     f"got permutation {_shown_repr(images)}")
 
 
 def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:
@@ -285,7 +285,7 @@ def _check_depth(depth) -> None:
     """Raise ValueError unless depth is an int >= 0 (a bool is not)."""
     if not _is_int(depth) or depth < 0:
         raise ValueError(
-            f"refine depth must be an int >= 0, got {_shown(repr(depth))}")
+            f"refine depth must be an int >= 0, got {_shown_repr(depth)}")
 
 
 def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int

@@ -17,7 +17,7 @@ from braidfloer.braids import (_HEADER, ARTIN, MAX_STRANDS, BraidIndexError,
                                BraidLetter, BraidSyntaxError, BraidWord,
                                _free_reduce, _integer, _shown,
                                induced_permutation)
-from braidfloer.freegroup import FreeGroupEndo, FreeWord, _inverse
+from braidfloer.freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,27 @@ def substitute(word: FreeWord, images) -> FreeWord:
     return FreeWord.from_letters(images[0].rank if images else 0, letters)
 
 
+def W(rank: int, *letters: int) -> FreeWord:
+    """The checked, reduced word of these letters."""
+    return FreeWord.from_letters(rank, letters)
+
+
+def braid_inverse(b: BraidWord) -> BraidWord:
+    """The inverse word: the letters reversed, each sign flipped."""
+    return BraidWord(b.d, tuple(BraidLetter(x.kind, x.index, -x.sign)
+                                for x in reversed(b.letters)))
+
+
+def braid_product(*words: BraidWord) -> BraidWord:
+    """The words in turn, reduced: the last acts first."""
+    return BraidWord.from_letters(words[0].d, sum((w.letters for w in words), ()))
+
+
+def identity_endo(rank: int) -> FreeGroupEndo:
+    return FreeGroupEndo(rank, tuple(FreeWord(rank, (j,))
+                                     for j in range(1, rank + 1)))
+
+
 def compose(f: FreeGroupEndo, g: FreeGroupEndo) -> FreeGroupEndo:
     """f after g: compose(f, g)(w) = f(g(w))."""
     return FreeGroupEndo(f.rank, tuple(substitute(w, f.images)
@@ -140,7 +161,7 @@ def artin_by_substitution(b: BraidWord) -> FreeGroupEndo:
     x_{i+1}^-1 x_i x_{i+1}; twists act trivially."""
     d = b.d
     identity = [(j,) for j in range(1, d + 1)]
-    e = FreeGroupEndo(d, tuple(FreeWord.from_letters(d, w) for w in identity))
+    e = identity_endo(d)
     for x in b.letters:
         if x.kind == "t":
             continue
@@ -167,8 +188,8 @@ def ring_add(*elements: dict) -> dict:
 
 
 def ring_mul(a: dict, b: dict) -> dict:
-    return ring_add(*({w1 * w2: c1 * c2} for w1, c1 in a.items()
-                      for w2, c2 in b.items()))
+    return ring_add(*({FreeWord(u.rank, _concat(u.letters, v.letters)): c * e}
+                      for u, c in a.items() for v, e in b.items()))
 
 
 def fox_derivative(word: FreeWord, j: int) -> dict:
@@ -185,7 +206,7 @@ def fox_derivative(word: FreeWord, j: int) -> dict:
             out = ring_add(out, {prefix: 1})
         elif x == -j:
             out = ring_add(out, ring_mul({prefix: 1}, {letter: -1}))
-        prefix = prefix * letter
+        prefix = FreeWord(word.rank, _concat(prefix.letters, (x,)))
     return out
 
 

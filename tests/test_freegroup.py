@@ -11,14 +11,12 @@ from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat,
                                   artin_endo)
 from braidfloer.nielsen import _identity_minus_action
 
-from _oracles import (IntMatrix, PresentedGroup, _cyclic_reduce,
-                      abelianization_matrix, artin_by_substitution, compose,
-                      det, fox_derivative, ring_add, ring_mul, substitute)
+from _oracles import (W, IntMatrix, PresentedGroup, _cyclic_reduce,
+                      abelianization_matrix, artin_by_substitution,
+                      braid_inverse, braid_product, compose, det,
+                      fox_derivative, identity_endo, ring_add, ring_mul,
+                      substitute)
 from _samplers import random_braid_word, random_free_word
-
-
-def W(rank, *letters):
-    return FreeWord.from_letters(rank, letters)
 
 
 class TestFreeWord:
@@ -57,8 +55,6 @@ class TestFreeWord:
         cases = (
             (lambda: _reduce((1, 0)), "0 is not a letter"),
             (lambda: FreeWord.identity(-1), "negative rank"),
-            (lambda: FreeWord.generator(2, 3), "generator index 3 out of range"),
-            (lambda: FreeWord.generator(2, 0), "generator index 0 out of range"),
             (lambda: FreeGroupEndo(2, (W(2, 1),)),
              "need one image per generator"),
             (lambda: FreeGroupEndo(2, (W(2, 1), W(3, 2))),
@@ -68,12 +64,10 @@ class TestFreeWord:
             (lambda: FreeWord.from_letters(2.5, [1]), "rank must be an int, got 2.5"),
             (lambda: FreeWord.from_letters(True, [1]), "rank must be an int, got True"),
             (lambda: FreeWord.identity(1.5), "rank must be an int, got 1.5"),
-            (lambda: FreeWord.generator(2.0, 1), "rank must be an int, got 2.0"),
-            (lambda: FreeWord.generator(2, 1.0), "generator index 1.0 out of range"),
-            (lambda: FreeWord.generator(2, 1, 1.5), "power must be an int, got 1.5"),
-            (lambda: FreeGroupEndo.identity(True), "rank must be an int, got True"),
-            (lambda: FreeGroupEndo.identity(2.0), "rank must be an int, got 2.0"),
+            (lambda: FreeGroupEndo(True, ()), "rank must be an int, got True"),
             (lambda: FreeGroupEndo(1.0, (W(1, 1),)), "rank must be an int, got 1.0"),
+            (lambda: FreeWord.from_letters(2, (10**5000,)),
+             "letter 10000000... out of range for rank 2"),
             # the images are a tuple of FreeWord records, so that the
             # endomorphism hashes and equals the same images as a tuple
             (lambda: FreeGroupEndo(2, (W(2, 1), "x")),
@@ -84,7 +78,6 @@ class TestFreeWord:
              "images must be a tuple of FreeWord records"),
             # a negative rank is rejected as such, before the images
             (lambda: FreeGroupEndo(-1, ()), "negative rank"),
-            (lambda: FreeGroupEndo.identity(-1), "negative rank"),
             (lambda: FreeGroupEndo(-2, [W(1, 1)]), "negative rank"),
         )
         for build, message in cases:
@@ -109,22 +102,20 @@ class TestFreeWord:
             assert _concat(u, v) == _reduce(u + v)
 
     def test_group_laws(self):
+        # the product and inverse the Artin loop and refinement run
         rng = random.Random(3)
         for k in range(300):
             rank = rng.randint(1, 4)
-            u = random_free_word(rng, rank)
-            v = random_free_word(rng, rank)
-            w = random_free_word(rng, rank)
+            u, v, w = (random_free_word(rng, rank).letters for _ in range(3))
             if k % 3 == 1:  # v starts by undoing the end of u
-                v = W(rank, *_inverse(u.letters[rng.randint(0, len(u)):]),
-                      *v.letters)
+                v = W(rank, *_inverse(u[rng.randint(0, len(u)):]), *v).letters
             elif k % 3 == 2:
-                v = u.inverse()
-            assert u * v == W(rank, *u.letters, *v.letters)
-            assert (u * v) * w == u * (v * w)
-            assert (u * v) * v.inverse() == u
-            assert (u * u.inverse()).letters == ()
-            assert (u * v).inverse() == v.inverse() * u.inverse()
+                v = _inverse(u)
+            assert _concat(u, v) == W(rank, *u, *v).letters
+            assert _concat(_concat(u, v), w) == _concat(u, _concat(v, w))
+            assert _concat(_concat(u, v), _inverse(v)) == u
+            assert _concat(u, _inverse(u)) == ()
+            assert _inverse(_concat(u, v)) == _concat(_inverse(v), _inverse(u))
 
     def test_exponent_vector(self):
         assert W(3, 1, 2, 1, -3, -2, 1).exponent_vector() == (3, 0, -1)
@@ -141,14 +132,6 @@ class TestFreeWord:
         # named generators are the oracle's presentations' own table
         assert (PresentedGroup(("a", "b"), (W(2, 1, -2),)).relator_texts()
                 == ("a b^-1",))
-
-    def test_generator(self):
-        assert FreeWord.generator(3, 2) == W(3, 2)
-        assert FreeWord.generator(3, 2, -1) == W(3, -2)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            W(2, 1) * W(3, 1)
 
     def test_substitute(self):
         # the oracle; x1 -> a b, x2 -> b^-1 in rank 2
@@ -224,7 +207,7 @@ class TestFoxCalculus:
             u = random_free_word(rng, rank)
             v = random_free_word(rng, rank)
             j = rng.randint(1, rank)
-            assert fox_derivative(u * v, j) == ring_add(
+            assert fox_derivative(W(rank, *u.letters, *v.letters), j) == ring_add(
                 fox_derivative(u, j), ring_mul({u: 1}, fox_derivative(v, j)))
 
     def test_fundamental_identity(self):
@@ -236,7 +219,7 @@ class TestFoxCalculus:
             one = FreeWord.identity(rank)
             acc = ring_add(*(
                 ring_mul(fox_derivative(w, j),
-                         ring_add({FreeWord.generator(rank, j): 1}, {one: -1}))
+                         ring_add({W(rank, j): 1}, {one: -1}))
                 for j in range(1, rank + 1)))
             assert acc == ring_add({w: 1}, {one: -1})
 
@@ -263,7 +246,7 @@ class TestArtinAction:
 
     def test_twists_act_trivially(self):
         e = artin_disc_endo(parse_braid("d=3; t1 t2^-1 t3"))
-        assert e == FreeGroupEndo.identity(3)
+        assert e == identity_endo(3)
         a = parse_braid("d=3; s1 t2 s2")
         b = parse_braid("d=3; s1 s2")
         assert artin_disc_endo(a) == artin_disc_endo(b)
@@ -277,7 +260,7 @@ class TestArtinAction:
         for _ in range(300):
             d = rng.randint(2, 8)
             b = random_braid_word(rng, d, max_len=12)
-            seen.update((x.kind, x.index, x.sign) for x in b)
+            seen.update((x.kind, x.index, x.sign) for x in b.letters)
             assert artin_disc_endo(b) == artin_by_substitution(b), b.to_text()
         assert {("s", i, s) for i in range(1, 8) for s in (1, -1)} <= seen
         assert any(kind == "t" for kind, _, _ in seen)
@@ -287,8 +270,8 @@ class TestArtinAction:
         for _ in range(100):
             d = rng.randint(2, 5)
             b = random_braid_word(rng, d)
-            e = compose(artin_disc_endo(b), artin_disc_endo(b.inverse()))
-            assert e == FreeGroupEndo.identity(d)
+            e = compose(artin_disc_endo(b), artin_disc_endo(braid_inverse(b)))
+            assert e == identity_endo(d)
 
     def test_disc_action_functorial(self):
         rng = random.Random(41)
@@ -296,7 +279,7 @@ class TestArtinAction:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert (artin_disc_endo(a.compose(b))
+            assert (artin_disc_endo(braid_product(a, b))
                     == compose(artin_disc_endo(a), artin_disc_endo(b)))
 
     def test_disc_action_preserves_the_boundary_word(self):
@@ -304,11 +287,8 @@ class TestArtinAction:
         for _ in range(150):
             d = rng.randint(2, 5)
             e = artin_disc_endo(random_braid_word(rng, d))
-            boundary = FreeWord.from_letters(d, range(1, d + 1))
-            image = FreeWord.identity(d)
-            for img in e.images:
-                image = image * img
-            assert image == boundary
+            image = W(d, *(x for img in e.images for x in img.letters))
+            assert image.letters == tuple(range(1, d + 1))
 
     def test_disc_action_tracks_the_permutation(self):
         rng = random.Random(47)
@@ -334,7 +314,7 @@ class TestArtinAction:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert (artin_endo(a.compose(b))
+            assert (artin_endo(braid_product(a, b))
                     == compose(artin_endo(a), artin_endo(b)))
 
     def test_sphere_action_is_an_automorphism(self):
@@ -342,14 +322,14 @@ class TestArtinAction:
         for _ in range(100):
             d = rng.randint(2, 5)
             b = random_braid_word(rng, d)
-            e = compose(artin_endo(b), artin_endo(b.inverse()))
-            assert e == FreeGroupEndo.identity(d - 1)
+            e = compose(artin_endo(b), artin_endo(braid_inverse(b)))
+            assert e == identity_endo(d - 1)
 
     def test_sphere_action_equals_disc_action_then_substitution(self):
         def oracle(b):
             d = b.d
-            last = FreeWord(d, tuple(range(1, d))).inverse()
-            images = tuple(FreeWord.generator(d, j) for j in range(1, d))
+            last = FreeWord(d, _inverse(tuple(range(1, d))))
+            images = tuple(FreeWord(d, (j,)) for j in range(1, d))
             images += (last,)
             return tuple(
                 FreeWord(d - 1, substitute(w, images).letters)
@@ -360,7 +340,7 @@ class TestArtinAction:
         for _ in range(400):
             d = rng.randint(2, 8)
             b = random_braid_word(rng, d, max_len=20)
-            seen.update((x.kind, x.index == d - 1, x.sign) for x in b)
+            seen.update((x.kind, x.index == d - 1, x.sign) for x in b.letters)
             e = artin_endo(b)
             assert e.rank == d - 1
             assert e.images == oracle(b), b.to_text()
@@ -400,4 +380,4 @@ class TestAbelianization:
                     == IntMatrix.identity(A.rows).sub(A))
 
     def test_identity_endo_matrix(self):
-        assert abelianization_matrix(FreeGroupEndo.identity(3)) == IntMatrix.identity(3)
+        assert abelianization_matrix(identity_endo(3)) == IntMatrix.identity(3)

@@ -47,3 +47,27 @@ def test_the_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the records are data and one checked entry: what tests alone use
+# belongs in tests/_oracles.py
+RECORDS = {
+    "BraidLetter": "index kind sign token",
+    "BraidWord": "__len__ d from_letters identity letters to_text",
+    "Permutation": "__call__ __post_init__ cycles degree fixed_point_count "
+                   "images is_standard_cycle",
+    "FreeWord": "__len__ exponent_vector from_letters identity letters rank "
+                "to_text",
+    "FreeGroupEndo": "__post_init__ images rank",
+}
+
+
+def test_the_records_define_only_their_kept_surface():
+    defined = {}
+    for module in ("braids.py", "freegroup.py"):
+        for c in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body:
+            if isinstance(c, ast.ClassDef) and c.name in RECORDS:
+                defined[c.name] = " ".join(sorted(
+                    getattr(x, "name", None) or x.target.id for x in c.body
+                    if isinstance(x, (ast.FunctionDef, ast.AnnAssign))))
+    assert defined == RECORDS

@@ -7,6 +7,7 @@ distinct classes), the standard degree-3 monodromy is the one-third turn
 (two index +1 classes and one empty class)."""
 
 import random
+import re
 from collections import Counter
 from math import gcd
 
@@ -26,12 +27,8 @@ from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
 from braidfloer.report import build_report
 
 import _oracles
-from _oracles import lefschetz_number
+from _oracles import W, braid_inverse, braid_product, lefschetz_number
 from _samplers import random_braid_word, random_free_word, random_transitive_braid
-
-
-def W(rank, *letters):
-    return FreeWord.from_letters(rank, letters)
 
 
 # the Lefschetz number of a braid whose permutation is one d-cycle
@@ -125,7 +122,8 @@ def meet_in_the_middle(e, g, h, depth):
 
 def twisted_conjugate(e, u, g):
     """u g e(u)^-1."""
-    return u * g * _oracles.substitute(u, e.images).inverse()
+    image = _oracles.substitute(u, e.images).letters
+    return FreeWord.from_letters(e.rank, u.letters + g.letters + _inverse(image))
 
 
 def pairwise_clusters(e, depth, search=None):
@@ -290,7 +288,7 @@ class TestCalibrations:
 
     def test_identity_endomorphism_family(self):
         for n in range(1, 8):
-            e = FreeGroupEndo.identity(n)
+            e = _oracles.identity_endo(n)
             assert lefschetz_number(e) == 1 - n
             # zero coefficients are dropped: at n = 1 the trace is 0
             assert reidemeister_trace_raw(e) == ({W(n): 1 - n} if n > 1
@@ -339,7 +337,7 @@ class TestDecomposition:
             b = random_transitive_braid(rng, d)
             g = random_braid_word(rng, d, max_len=6)
             nd = decompose(b)
-            nd_c = decompose(g.compose(b.compose(g.inverse())))
+            nd_c = decompose(braid_product(g, b, braid_inverse(g)))
             assert nd["bound"] == nd_c["bound"]
             assert order_index_multiset(nd) == order_index_multiset(nd_c)
 
@@ -349,7 +347,7 @@ class TestDecomposition:
             d = rng.randint(2, 5)
             b = random_transitive_braid(rng, d)
             nd = decompose(b)
-            nd_i = decompose(b.inverse())
+            nd_i = decompose(braid_inverse(b))
             assert nd["bound"] == nd_i["bound"]
 
     def test_entries_are_sorted_and_complete_when_small(self):
@@ -375,7 +373,7 @@ class TestDecomposition:
             assert sum(indices(nd)) == lefschetz_number(e)
             standard += 1
             g = random_braid_word(rng, b.d, max_len=6)
-            conj = g.compose(b.compose(g.inverse()))
+            conj = braid_product(g, b, braid_inverse(g))
             if induced_permutation(conj).is_standard_cycle():
                 continue
             e = artin_endo(conj)
@@ -395,7 +393,10 @@ class TestDecomposition:
             with pytest.raises(ValueError):
                 nielsen_decomposition(e, sigma)
         with pytest.raises(ValueError):
-            nielsen_decomposition(FreeGroupEndo.identity(0), Permutation((1,)))
+            nielsen_decomposition(FreeGroupEndo(0, ()), Permutation((1,)))
+        # the message shows the images by their first characters
+        with pytest.raises(ValueError, match=r"permutation \(2, 3, 4\.\.\.$"):
+            nielsen_decomposition(e, Permutation(tuple(range(2, 20002)) + (1,)))
         # any 4-cycle will do, not only the standard one
         assert nielsen_decomposition(
             e, Permutation((3, 4, 2, 1)))["class_space"]["order"] == 4
@@ -829,10 +830,15 @@ class TestRefinement:
         # only a non-bool int >= 0 is a depth; True would print as a
         # depth of true, which the report schema rejects
         b = parse_braid("d=3; s1 s2")
-        for depth in (-1, True, 2.0, "2", None):
-            with pytest.raises(ValueError, match="refine depth"):
+        # a depth past the interpreter's limit on the digits it converts
+        # to text is shown by its leading digits
+        for depth, shown in ((-1, "-1"), (True, "True"), (2.0, "2.0"),
+                             ("2", "'2'"), (None, "None"),
+                             (-10**5000, "-1000000...")):
+            match = re.escape(f"refine depth must be an int >= 0, got {shown}")
+            with pytest.raises(ValueError, match=match + "$"):
                 refine_decomposition(artin_endo(b), induced_permutation(b),
                                      depth)
             for word in ("d=3; s1 s2", "d=3; s1"):
-                with pytest.raises(ValueError, match="refine depth"):
+                with pytest.raises(ValueError, match=match + "$"):
                     build_report(word, refine_depth=depth)
