@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 ARTIN = "s"
@@ -54,13 +55,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _shown_repr(x) -> str:
-    """``_shown(repr(x))``, converting only what that shows: the leading
-    digits of an int (the interpreter converts at most 4300 digits) and
-    the first five items of a plain tuple (more than 12 characters)."""
-    if type(x) is tuple:
-        items = ", ".join(map(_shown_repr, x[:5]))
-        return _shown(f"({items},)" if len(x) == 1 else f"({items})")
+def _shown_repr(x, depth: int = 0) -> str:
+    """``x`` as a message echoes it: a string cut by ``_shown``, then
+    quoted; any other value ``_shown(repr(x))``, reading only what that
+    shows: an int's leading digits (the interpreter converts at most
+    4300) and the first five items of a tuple, list or dict, each echoed
+    by this rule; none at ``depth`` 8, whose 8 brackets fill the cut."""
+    if isinstance(x, str):
+        return repr(_shown(x))
+    if type(x) in (tuple, list, dict):
+        items = islice(x.items() if type(x) is dict else zip(x),
+                       5 if depth < 8 else 0)
+        text = ", ".join(": ".join(_shown_repr(y, depth + 1) for y in item)
+                         for item in items)
+        if type(x) is tuple and len(x) == 1:
+            text += ","
+        left, right = repr(type(x)())
+        return _shown(left + text + right)
     if not _is_int(x):
         return _shown(repr(x))
     m = abs(x)
@@ -93,7 +104,7 @@ class BraidIndexError(BraidError):
 
     def __init__(self, message: str, token: str, position: int):
         super().__init__(
-            f"{message}: token {_shown(token)!r} (at position {position})")
+            f"{message}: token {_shown_repr(token)} (at position {position})")
         self.token = token
         self.position = position
 
@@ -160,10 +171,6 @@ class BraidWord:
                                  f"out of range for d={d}")
         return cls(d, reduced)
 
-    @classmethod
-    def identity(cls, d: int) -> "BraidWord":
-        return cls.from_letters(d, ())
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -208,7 +215,7 @@ def parse_braid(text: str) -> BraidWord:
         pos = tok.start()
         kind, digits, inv = tok.groups()
         if kind is None:
-            raise BraidSyntaxError(f"bad token {_shown(tok.group())!r}", pos)
+            raise BraidSyntaxError(f"bad token {_shown_repr(tok.group())}", pos)
         index = _integer(digits, pos)
         limit = d - 1 if kind == ARTIN else d
         if not 1 <= index <= limit:
@@ -232,13 +239,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{d}: "
                              f"{_shown_repr(self.images)}")
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
     def fixed_point_count(self) -> int:
         return sum(1 for k, v in enumerate(self.images, start=1) if v == k)
 
@@ -246,23 +246,20 @@ class Permutation:
         """Disjoint cycles, each rotated to start at its minimum, sorted."""
         seen: set[int] = set()
         out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = self(start)
-            while k != start:
+        for start in range(1, len(self.images) + 1):
+            cyc = []
+            k = start
+            while k not in seen:
                 cyc.append(k)
                 seen.add(k)
-                k = self(k)
-            out.append(tuple(cyc))
+                k = self.images[k - 1]
+            if cyc:
+                out.append(tuple(cyc))
         return tuple(sorted(out))
 
     def is_standard_cycle(self) -> bool:
         """True iff this is the cycle (1 2 ... d) on the nose."""
-        d = self.degree
-        return self.images == tuple(range(2, d + 1)) + (1,)
+        return self.images == (*range(2, len(self.images) + 1), 1)
 
 
 def induced_permutation(b: BraidWord) -> Permutation:

@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .braids import BraidError, _shown
+from .braids import BraidError, _shown, _shown_repr
 from .fourmanifold import DEFAULT_CONFIGURATION, ConfigurationError
 from .nielsen import RefinementLimitError
 from .report import build_report, render_text
@@ -74,7 +74,7 @@ def _depth(text: str) -> int:
     and other Unicode digits."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
-            f"expected ASCII digits 0-9, got {text!r}")
+            f"expected ASCII digits 0-9, got {_shown_repr(text)}")
     try:
         return int(text)
     except ValueError:

@@ -159,11 +159,6 @@ class ConfigurationError(ValueError):
     pass
 
 
-def _echo(x) -> str:
-    """An input value as a message shows it: its repr, cut by ``_shown``."""
-    return repr(_shown(x)) if isinstance(x, str) else _shown_repr(x)
-
-
 def _is_integer(x, least: int = -CONFIG_INT_BOUND) -> bool:
     """x is an int, not a bool, in [least, CONFIG_INT_BOUND]."""
     return _is_int(x) and least <= x <= CONFIG_INT_BOUND
@@ -179,30 +174,30 @@ def _not_integer(x, what: str, least: int = -CONFIG_INT_BOUND
                  ) -> ConfigurationError:
     return ConfigurationError(
         f"{what} must be an integer in [{least}, {CONFIG_INT_BOUND}], "
-        f"got {_echo(x)}")
+        f"got {_shown_repr(x)}")
 
 
 def _text(x, what: str) -> str:
     if isinstance(x, str):
         return x
-    raise ConfigurationError(f"{what} must be a string, got {_echo(x)}")
+    raise ConfigurationError(f"{what} must be a string, got {_shown_repr(x)}")
 
 
 def _misshapen(x, what: str, types) -> ConfigurationError:
     return ConfigurationError(
         f"malformed configuration: {what} must be "
-        f"{'an object' if types is dict else 'a list'}, got {_echo(x)}")
+        f"{'an object' if types is dict else 'a list'}, got {_shown_repr(x)}")
 
 
 def _no_key(what: str, exc: KeyError) -> ConfigurationError:
     return ConfigurationError(f"malformed configuration: {what} has "
-                              f"no key {_echo(exc.args[0])}")
+                              f"no key {_shown_repr(exc.args[0])}")
 
 
 def _known_keys(x: dict, keys: tuple[str, ...], what: str) -> None:
     for k in x:
         if k not in keys:
-            raise ConfigurationError(f"unknown {what} key {_echo(k)}")
+            raise ConfigurationError(f"unknown {what} key {_shown_repr(k)}")
 
 
 def _piece(n: int, p, d: int) -> dict:
@@ -220,20 +215,21 @@ def _piece(n: int, p, d: int) -> dict:
     chi, sigma = _integer(chi, "chi"), _integer(sigma, "sigma")
     tori = p.get("tori", {})
     if not isinstance(tori, dict):
-        raise ConfigurationError(f"tori must be an object, got {_echo(tori)}")
+        raise ConfigurationError(f"tori must be an object, got {_shown_repr(tori)}")
     volumes = {}
     for t, v in tori.items():
         _text(t, "torus name")
         if v == "d":
             v = d
         elif not _is_integer(v, 1):
-            raise _not_integer(v, f"volume of torus {_echo(t)}", 1)
+            raise _not_integer(v, f"volume of torus {_shown_repr(t)}", 1)
         volumes[t] = v
     expected = KNOWN_KINDS.get(kind)
     if expected is not None and (chi, sigma) != expected:
         raise ConfigurationError(
-            f"piece {_echo(name)} of kind {_echo(kind)} must have "
-            f"(chi, sigma) = {expected}, got ({_echo(chi)}, {_echo(sigma)})")
+            f"piece {_shown_repr(name)} of kind {_shown_repr(kind)} must have "
+            f"(chi, sigma) = {expected}, "
+            f"got ({_shown_repr(chi)}, {_shown_repr(sigma)})")
     return dict(name=name, kind=kind, chi=chi, sigma=sigma, tori=volumes)
 
 
@@ -241,7 +237,7 @@ def _pairing(x) -> list[str]:
     if (not isinstance(x, (list, tuple)) or len(x) != 2
             or not all(isinstance(t, str) for t in x)):
         raise ConfigurationError(
-            f"a pairing must list two torus names, got {_echo(x)}")
+            f"a pairing must list two torus names, got {_shown_repr(x)}")
     return list(x)
 
 
@@ -273,21 +269,24 @@ def configuration_from_dict(data: dict, d: int) -> dict:
     volumes: dict[str, int] = {}
     for t, v in (item for p in pieces for item in p["tori"].items()):
         if t in volumes:
-            raise ConfigurationError(f"torus {_echo(t)} appears on two pieces")
+            raise ConfigurationError(
+                f"torus {_shown_repr(t)} appears on two pieces")
         volumes[t] = v
     unpaired = set(volumes)
     for a, b in pairings:
         for t in (a, b):
             if t not in volumes:
                 raise ConfigurationError(
-                    f"pairing references unknown torus {_echo(t)}")
+                    f"pairing references unknown torus {_shown_repr(t)}")
             if t not in unpaired:
-                raise ConfigurationError(f"torus {_echo(t)} used in two pairings")
+                raise ConfigurationError(
+                    f"torus {_shown_repr(t)} used in two pairings")
             unpaired.remove(t)
         if volumes[a] != volumes[b]:
             raise ConfigurationError(
-                f"volume mismatch in pairing ({_echo(a)}, {_echo(b)}): "
-                f"{_echo(volumes[a])} != {_echo(volumes[b])}")
+                f"volume mismatch in pairing "
+                f"({_shown_repr(a)}, {_shown_repr(b)}): "
+                f"{_shown_repr(volumes[a])} != {_shown_repr(volumes[b])}")
     if unpaired:
         raise ConfigurationError(
             f"unpaired tori: {_shown(', '.join(sorted(unpaired)))}")

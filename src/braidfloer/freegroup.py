@@ -95,10 +95,6 @@ class FreeWord:
                     f"letter {_shown_repr(x)} out of range for rank {rank}")
         return cls(rank, reduced)
 
-    @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls.from_letters(rank, ())
-
     def __len__(self) -> int:
         return len(self.letters)
 

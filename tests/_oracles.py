@@ -199,7 +199,7 @@ def fox_derivative(word: FreeWord, j: int) -> dict:
     if not 1 <= j <= word.rank:
         raise IndexError(f"generator index {j} out of range for rank {word.rank}")
     out: dict[FreeWord, int] = {}
-    prefix = FreeWord.identity(word.rank)
+    prefix = W(word.rank)
     for x in word.letters:
         letter = FreeWord(word.rank, (x,))
         if x == j:
@@ -212,7 +212,7 @@ def fox_derivative(word: FreeWord, j: int) -> dict:
 
 def reidemeister_trace_raw(e: FreeGroupEndo) -> dict:
     """[1] - sum_j d(e(xj))/dxj, by Fox derivatives."""
-    return ring_add({FreeWord.identity(e.rank): 1},
+    return ring_add({W(e.rank): 1},
                     *({w: -c for w, c in fox_derivative(image, j).items()}
                       for j, image in enumerate(e.images, start=1)))
 

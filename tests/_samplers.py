@@ -8,7 +8,7 @@ from braidfloer.braids import (ARTIN, TWIST, BraidLetter, BraidWord,
                                induced_permutation)
 from braidfloer.freegroup import FreeWord
 
-from _oracles import IntMatrix
+from _oracles import W, IntMatrix
 
 
 def random_letter(rng: random.Random, d: int,
@@ -79,7 +79,7 @@ def sampled_transitive_braids():
 def random_free_word(rng: random.Random, rank: int,
                      max_len: int = 8) -> FreeWord:
     if rank == 0:
-        return FreeWord.identity(0)
+        return W(0)
     letters = [rng.choice((1, -1)) * rng.randint(1, rank)
                for _ in range(rng.randint(0, max_len))]
     return FreeWord.from_letters(rank, letters)

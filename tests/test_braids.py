@@ -1,9 +1,12 @@
 """Braid word parsing, the free-reduction normal form, and the induced
 permutation of the marked points."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
                                BraidSyntaxError, BraidWord, MAX_STRANDS,
@@ -12,6 +15,22 @@ from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
 
 from _oracles import braid_inverse, braid_product
 from _samplers import random_braid_word, random_transitive_braid
+
+# values a message may echo, nested up to three levels: strings without
+# a ', whose quotes the cut could switch inside a container
+leaves = (st.text(st.characters(blacklist_characters="'"), max_size=20)
+          | st.booleans() | st.none() | st.integers()
+          | st.integers(-10**40, 10**40))
+
+
+def containers(inner):
+    return (st.lists(inner, max_size=7) | st.tuples(inner)
+            | st.lists(inner, max_size=7).map(tuple)
+            | st.dictionaries(leaves, inner, max_size=7))
+
+
+echoed_values = leaves | containers(
+    leaves | containers(leaves | containers(leaves)))
 
 
 class TestParsing:
@@ -23,9 +42,9 @@ class TestParsing:
                              BraidLetter(TWIST, 3, 1))
 
     def test_empty_word(self):
-        assert parse_braid("d=4;") == BraidWord.identity(4)
-        assert parse_braid("  d=4;  ") == BraidWord.identity(4)
-        assert BraidWord.identity(4).to_text() == "d=4;"
+        assert parse_braid("d=4;") == BraidWord.from_letters(4, ())
+        assert parse_braid("  d=4;  ") == BraidWord.from_letters(4, ())
+        assert BraidWord.from_letters(4, ()).to_text() == "d=4;"
 
     def test_round_trip(self):
         rng = random.Random(101)
@@ -34,9 +53,9 @@ class TestParsing:
             assert parse_braid(b.to_text()) == b
 
     def test_free_reduction(self):
-        assert parse_braid("d=3; s1 s1^-1") == BraidWord.identity(3)
+        assert parse_braid("d=3; s1 s1^-1") == BraidWord.from_letters(3, ())
         b = parse_braid("d=3; s2 s1 s1^-1 t1 t1^-1 s2^-1")
-        assert b == BraidWord.identity(3)
+        assert b == BraidWord.from_letters(3, ())
         # same-sign pairs must not cancel
         assert len(parse_braid("d=3; s1 s1")) == 2
         assert parse_braid("d=3; t2 s1 s1^-1 t2").to_text() == "d=3; t2 t2"
@@ -134,7 +153,7 @@ class TestLetterChecks:
         (BraidLetter(ARTIN, 1, 2), "letter sign must be +-1, got 2"),
         (BraidLetter(TWIST, 0, -1), "letter index must be positive, got 0"),
         # a long value is shown by its leading characters
-        (BraidLetter("x" * 9999, 1, 1), "unknown letter kind 'xxxxxxx..."),
+        (BraidLetter("x" * 9999, 1, 1), "unknown letter kind 'xxxxxxxx...'"),
         (BraidLetter(ARTIN, 1, 10**5000), "letter sign must be +-1, got 10000000..."),
         (BraidLetter(ARTIN, -10**5000, 1),
          "letter index must be positive, got -1000000..."),
@@ -171,8 +190,6 @@ class TestLetterChecks:
         cases = (
             (lambda: BraidWord.from_letters(1, ()),
              "need at least two marked points, got d=1"),
-            (lambda: BraidWord.identity(1),
-             "need at least two marked points, got d=1"),
             (lambda: BraidWord.from_letters(3, (s3,)),
              "letter s3 out of range for d=3"),
             (lambda: BraidWord.from_letters(3, (BraidLetter(TWIST, 4, -1),)),
@@ -187,20 +204,21 @@ class TestLetterChecks:
             (lambda: BraidWord.from_letters("3", ()), "d must be an int, got '3'"),
             (lambda: BraidWord.from_letters(3.0, ()), "d must be an int, got 3.0"),
             (lambda: BraidWord.from_letters(True, ()), "d must be an int, got True"),
-            (lambda: BraidWord.identity(2.0), "d must be an int, got 2.0"),
+            (lambda: BraidWord.from_letters(2.0, ()),
+             "d must be an int, got 2.0"),
             # d is at most MAX_STRANDS, as parse_braid reads it, and a
             # long d is echoed short
-            (lambda: BraidWord.identity(MAX_STRANDS + 1),
+            (lambda: BraidWord.from_letters(MAX_STRANDS + 1, ()),
              f"need at most {MAX_STRANDS} marked points, got d={MAX_STRANDS + 1}"),
             (lambda: BraidWord.from_letters(10**40, ()),
              f"need at most {MAX_STRANDS} marked points, got d=10000000..."),
             # so is a d below 2, and a d past the interpreter's limit on
             # the digits it converts to text
-            (lambda: BraidWord.identity(-10**40),
+            (lambda: BraidWord.from_letters(-10**40, ()),
              "need at least two marked points, got d=-1000000..."),
-            (lambda: BraidWord.identity(-10**5000),
+            (lambda: BraidWord.from_letters(-10**5000, ()),
              "need at least two marked points, got d=-1000000..."),
-            (lambda: BraidWord.identity(10**5000),
+            (lambda: BraidWord.from_letters(10**5000, ()),
              f"need at most {MAX_STRANDS} marked points, got d=10000000..."),
             (lambda: BraidWord.from_letters(-(2**20000), ()),
              "need at least two marked points, got d=-3980276..."),
@@ -216,7 +234,7 @@ class TestLetterChecks:
         # the twist t3 is in range where the generator s3 is not
         assert BraidWord.from_letters(3, (s3, s3._replace(sign=-1))).letters == ()
         assert BraidWord.from_letters(3, (BraidLetter(TWIST, 3, 1),))
-        assert BraidWord.identity(MAX_STRANDS).d == MAX_STRANDS
+        assert BraidWord.from_letters(MAX_STRANDS, ()).d == MAX_STRANDS
 
     def test_a_long_int_is_shown_by_its_leading_digits(self):
         # _shown_repr(n) is _shown(repr(n)), read off the leading digits
@@ -229,6 +247,61 @@ class TestLetterChecks:
         assert _shown_repr(0) == "0"
         for t in ((), (7,), (1, "a", None), tuple(range(9)), ((1,), (2, 3))):
             assert _shown_repr(t) == _shown(repr(t))
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(echoed_values)
+    @example([1, "it's", 2])
+    @example({"k" * 20: (None, True, -10**30, "")})
+    def test_each_value_is_echoed_by_one_rule(self, x):
+        # a string is cut and then quoted; a value of any other type is
+        # _shown(repr(x)), with the strings nested in it, which hold no '
+        # that could switch their quotes past the cut
+        if isinstance(x, str):
+            assert _shown_repr(x) == repr(_shown(x))
+        else:
+            assert _shown_repr(x) == _shown(repr(x))
+
+    @pytest.mark.parametrize("text", [
+        "", "'", '"', "a'b\"c", "\n" * 20, "\\" * 7, "x" * 12, "x" * 13,
+        "\x00\u3000\ud800" * 5, "abcdefghij'k", "abcdefghijklm'n"],
+        ids=["empty", "quote", "double-quote", "both-quotes", "newlines",
+             "backslashes", "12-chars", "13-chars", "escapes", "late-quote",
+             "late-quote-cut"])
+    def test_a_string_is_cut_then_quoted(self, text):
+        assert _shown_repr(text) == repr(_shown(text))
+
+    def test_a_container_is_read_to_its_first_items(self):
+        # 10**5000 is past the interpreter's limit on the digits it
+        # converts, and 10**4000 shows the same leading digits
+        wraps = (lambda x: [x], lambda x: (0, x), lambda x: {"a": x},
+                 lambda x: ["x" * 20, x])
+        # an int can be a dict key, a list or a dict cannot
+        firsts = (*wraps, lambda x: {x: 0})
+        for u, v, w in itertools.product(wraps, wraps, firsts):
+            for nest in (w, lambda x: v(w(x)), lambda x: u(v(w(x)))):
+                assert (_shown_repr(nest(10**5000))
+                        == _shown(repr(nest(10**4000))))
+
+        class Unprintable:
+            def __repr__(self):
+                raise AssertionError("a sixth item was read")
+
+        bomb = Unprintable()
+        assert _shown_repr([0] * 5 + [bomb]) == "[0, 0, 0..."
+        assert _shown_repr((0,) * 5 + (bomb,)) == "(0, 0, 0..."
+        assert (_shown_repr({**dict.fromkeys(range(5), 0), 5: bomb})
+                == "{0: 0, 1...")
+        # no nesting the interpreter prints runs past the recursion limit
+        for depth in (7, 8, 9, 10, 50, 500):
+            nested = 0
+            for _ in range(depth):
+                nested = [nested]
+            assert _shown_repr(nested) == _shown(repr(nested))
+        nested = []
+        for _ in range(5000):
+            nested = [nested]
+        assert _shown_repr(nested) == "[[[[[[[[..."
 
 
 class TestAlgebra:
@@ -243,7 +316,8 @@ class TestAlgebra:
             d = rng.randint(2, 5)
             a = random_braid_word(rng, d)
             b = random_braid_word(rng, d)
-            assert braid_product(a, braid_inverse(a)) == BraidWord.identity(d)
+            assert (braid_product(a, braid_inverse(a))
+                    == BraidWord.from_letters(d, ()))
             assert (braid_inverse(braid_product(a, b))
                     == braid_product(braid_inverse(b), braid_inverse(a)))
             assert braid_inverse(braid_inverse(a)) == a
@@ -272,7 +346,8 @@ class TestInducedPermutation:
             sab = induced_permutation(braid_product(a, b))
             inverse = induced_permutation(braid_inverse(a))
             for k in range(1, d + 1):  # b acts first
-                assert sab(k) == sa(sb(k)) and inverse(sa(k)) == k
+                assert sab.images[k - 1] == sa.images[sb.images[k - 1] - 1]
+                assert inverse.images[sa.images[k - 1] - 1] == k
 
     def test_twists_and_signs_are_inert(self):
         rng = random.Random(13)
@@ -316,5 +391,5 @@ class TestTransitivity:
 
     def test_identity_is_never_transitive(self):
         for d in range(2, 6):
-            sigma = induced_permutation(BraidWord.identity(d))
+            sigma = induced_permutation(BraidWord.from_letters(d, ()))
             assert not sigma.is_standard_cycle()

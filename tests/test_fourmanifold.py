@@ -513,7 +513,7 @@ class TestConfigurationSerialization:
         def echo(x):
             raise AssertionError(f"echoed {x!r}")
 
-        monkeypatch.setattr(fourmanifold, "_echo", echo)
+        monkeypatch.setattr(fourmanifold, "_shown_repr", echo)
         assert configuration_from_dict(DEFAULT_CONFIGURATION, 5) == expected
 
     def test_long_values_are_echoed_short(self):
@@ -531,11 +531,17 @@ class TestConfigurationSerialization:
             with pytest.raises(ConfigurationError) as exc:
                 configuration_from_dict({"pieces": [piece], "pairings": []}, 3)
             assert len(str(exc.value)) < 200, str(exc.value)[:200]
-        with pytest.raises(ConfigurationError,
-                           match=r"got 'xxxxxxxx\.\.\.'$"):
-            configuration_from_dict(
-                {"pieces": [{"name": "A", "chi": "x" * 13, "sigma": 0}],
-                 "pairings": []}, 3)
+        # a container is read to its first items, which are echoed by
+        # the same rule: an int past the interpreter's digit limit too
+        for chi, shown in (("x" * 13, "'xxxxxxxx...'"),
+                           ([10**5000], "[1000000..."),
+                           ({"a": 10**5000}, "{'a': 10..."),
+                           ([0] * 10**6, "[0, 0, 0...")):
+            with pytest.raises(ConfigurationError) as exc:
+                configuration_from_dict(
+                    {"pieces": [{"name": "A", "chi": chi, "sigma": 0}],
+                     "pairings": []}, 3)
+            assert str(exc.value).endswith(f"got {shown}")
 
 
 class TestAnticanonicalTori:

@@ -1,12 +1,14 @@
-"""Every name a package module imports is read in that module or
-exported by its ``__all__``."""
+"""Every name a package or test module imports is read in that module
+or exported by its ``__all__``; the records keep their pinned surface,
+and a package message echoes a value only through ``braids._shown_repr``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "braidfloer"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "braidfloer"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,8 +45,9 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 2)", "parse (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -53,11 +56,10 @@ def test_no_unused_imports(path):
 # belongs in tests/_oracles.py
 RECORDS = {
     "BraidLetter": "index kind sign token",
-    "BraidWord": "__len__ d from_letters identity letters to_text",
-    "Permutation": "__call__ __post_init__ cycles degree fixed_point_count "
-                   "images is_standard_cycle",
-    "FreeWord": "__len__ exponent_vector from_letters identity letters rank "
-                "to_text",
+    "BraidWord": "__len__ d from_letters letters to_text",
+    "Permutation": "__post_init__ cycles fixed_point_count images "
+                   "is_standard_cycle",
+    "FreeWord": "__len__ exponent_vector from_letters letters rank to_text",
     "FreeGroupEndo": "__post_init__ images rank",
 }
 
@@ -71,3 +73,36 @@ def test_the_records_define_only_their_kept_surface():
                     getattr(x, "name", None) or x.target.id for x in c.body
                     if isinstance(x, (ast.FunctionDef, ast.AnnAssign))))
     assert defined == RECORDS
+
+
+def echoes(source: str, kept: str | None = None) -> list[str]:
+    """The lines where the source echoes a value by a ``!r`` conversion
+    or a ``repr(`` call, outside the function named ``kept``."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == kept
+              for node in ast.walk(f)}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if id(node) not in inside
+            and (isinstance(node, ast.FormattedValue)
+                 and node.conversion == ord("r")
+                 or isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "repr")]
+
+
+def test_the_scan_finds_each_echo():
+    source = ("def _shown_repr(x):\n"
+              "    return repr(x) + f'{x!r}'\n"
+              "print(f'{1!r} {2!s}', repr(3))\n")
+    assert echoes(source, "_shown_repr") == ["line 3", "line 3"]
+    assert len(echoes(source)) == 4
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_messages_echo_values_by_one_rule(path):
+    # braids._shown_repr is the one echo of a value: a message that
+    # quoted one itself could show it by another cut, or in full
+    kept = "_shown_repr" if path.name == "braids.py" else None
+    assert echoes(path.read_text(encoding="utf-8"), kept) == []
