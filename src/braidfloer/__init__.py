@@ -21,7 +21,6 @@ from .nielsen import (RefinementLimitError, class_space,
                       nielsen_decomposition, refine_decomposition,
                       reidemeister_trace_raw)
 from .report import build_report, render_text
-from .snf import ClassSpace
 
 __all__ = [
     "__version__",
@@ -29,7 +28,6 @@ __all__ = [
     "BraidWord", "Permutation",
     "induced_permutation", "parse_braid",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",
-    "ClassSpace",
     "class_space", "reidemeister_trace_raw",
     "nielsen_decomposition", "refine_decomposition",
     "RefinementLimitError",

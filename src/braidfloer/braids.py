@@ -17,7 +17,11 @@ equal exactly when their reduced words coincide, not when they present
 the same group element.
 
 ``BraidLetter`` and ``BraidWord`` are plain records that check
-nothing.  Letters enter the package checked in one of two places:
+nothing.  ``BraidWord`` and ``Permutation``, like the records of
+``freegroup``, are frozen classes on ``_Record``, each with its own
+``__init__``, and not dataclasses: ``dataclasses`` imports ``inspect``,
+which would cost every CLI process more at startup than it spends on
+one report.  Letters enter the package checked in one of two places:
 ``parse_braid`` reads the text off the grammar and range-checks d and
 each index, and ``BraidWord.from_letters`` checks that each letter is a
 ``BraidLetter`` with int index and sign, then d and the kind, sign and
@@ -35,8 +39,8 @@ convention the word ``s1 s2 ... s<d-1>`` induces the standard cycle
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 ARTIN = "s"
@@ -57,10 +61,13 @@ def _is_int(x) -> bool:
 
 def _shown_repr(x, depth: int = 0) -> str:
     """``x`` as a message echoes it: a string cut by ``_shown``, then
-    quoted; any other value ``_shown(repr(x))``, reading only what that
-    shows: an int's leading digits (the interpreter converts at most
-    4300) and the first five items of a tuple, list or dict, each echoed
-    by this rule; none at ``depth`` 8, whose 8 brackets fill the cut."""
+    quoted; None, a bool, an int, a float, a tuple, a list or a dict
+    ``_shown(repr(x))``, reading only what that shows: an int's leading
+    digits (the interpreter converts at most 4300) and the first five
+    items of a tuple, list or dict, each echoed by this rule; none at
+    ``depth`` 8, whose 8 brackets fill the cut.  A value of any other
+    type (a set, a range, a record) is shown by its type's name, as
+    ``<set>``: its repr could be long, fail, or follow the hash seed."""
     if isinstance(x, str):
         return repr(_shown(x))
     if type(x) in (tuple, list, dict):
@@ -72,8 +79,10 @@ def _shown_repr(x, depth: int = 0) -> str:
             text += ","
         left, right = repr(type(x)())
         return _shown(left + text + right)
-    if not _is_int(x):
+    if x is None or type(x) in (bool, float):
         return _shown(repr(x))
+    if not _is_int(x):
+        return _shown(f"<{type(x).__name__}>")
     m = abs(x)
     # m has more than L = (bit length - 1) * 0.301029 digits, so for
     # k = L - 12 > 0 the quotient keeps 13 or more and _shown cuts it
@@ -85,6 +94,48 @@ def _check_int(x, what: str) -> None:
     """ValueError unless x is an int (a bool is not)."""
     if not _is_int(x):
         raise ValueError(f"{what} must be an int, got {_shown_repr(x)}")
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class _Record:
+    """A frozen record of the fields its class lists in ``__slots__``,
+    which its ``__init__`` sets with ``_set``.  Records are equal, and
+    hash alike, when they are of one class and their fields are equal;
+    a record equals no tuple.  Assigning or deleting an attribute raises
+    AttributeError; copy and pickle rebuild a record through its
+    constructor, so a checked record is checked again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign {_shown_repr(name)} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete {_shown_repr(name)} of a frozen record")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        # the constructor form; the fields of the package's records are
+        # ints and tuples, whose str is their repr
+        return (f"{type(self).__name__}"
+                f"({', '.join(map(str, self.__reduce__()[1]))})")
 
 
 class BraidError(ValueError):
@@ -128,12 +179,16 @@ def _free_reduce(letters: Iterable[BraidLetter]) -> tuple[BraidLetter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A freely reduced word in Artin generators and framing twists."""
 
+    __slots__ = ("d", "letters")
     d: int
     letters: tuple[BraidLetter, ...]
+
+    def __init__(self, d: int, letters: tuple[BraidLetter, ...]) -> None:
+        _set(self, "d", d)
+        _set(self, "letters", letters)
 
     @classmethod
     def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
@@ -226,18 +281,19 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(d, _free_reduce(letters))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection of {1, ..., d} stored as its tuple of images."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        d = len(self.images)
-        if (not all(map(_is_int, self.images))
-                or sorted(self.images) != list(range(1, d + 1))):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        d = len(images)
+        if (not all(map(_is_int, images))
+                or sorted(images) != list(range(1, d + 1))):
             raise ValueError(f"not a permutation of 1..{d}: "
-                             f"{_shown_repr(self.images)}")
+                             f"{_shown_repr(images)}")
+        _set(self, "images", images)
 
     def fixed_point_count(self) -> int:
         return sum(1 for k, v in enumerate(self.images, start=1) if v == k)

@@ -35,7 +35,6 @@ import os
 import re
 import string
 import sys
-from pathlib import Path
 
 from ._version import __version__
 from .braids import BraidError, _shown, _shown_repr
@@ -122,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     config_data = DEFAULT_CONFIGURATION
     if args.config is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
         except UnicodeDecodeError as exc:
             parser.error(f"config file is not valid UTF-8 JSON: {exc}")
         except (OSError, ValueError) as exc:
@@ -141,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         words = [("", args.braid)]
     else:
         try:
-            text = Path(args.batch).read_text(encoding="utf-8")
+            with open(args.batch, encoding="utf-8") as f:
+                text = f.read()
         except UnicodeDecodeError as exc:
             parser.error(f"batch file is not UTF-8: {exc}")
         except (OSError, ValueError) as exc:

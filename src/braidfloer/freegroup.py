@@ -26,7 +26,8 @@ action (``artin_disc_endo``) is a library function and a test oracle.
 Both actions run the rules in one loop, ``_act``, from their own
 starting images.
 
-``FreeWord`` is a plain record; ``FreeWord.from_letters`` reduces and
+``FreeWord`` is a plain record (a ``braids._Record``, as is
+``FreeGroupEndo``); ``FreeWord.from_letters`` reduces and
 checks letters and an int rank, and ``FreeGroupEndo`` checks that its
 rank is an int >= 0 and that its images are a tuple of one
 ``FreeWord`` of that rank per generator.  Products and inverses are
@@ -40,11 +41,11 @@ a prefix of a reduced word is reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 from typing import Iterable
 
-from .braids import ARTIN, BraidWord, _check_int, _is_int, _shown_repr
+from .braids import (ARTIN, BraidWord, _check_int, _is_int, _Record, _set,
+                     _shown_repr)
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -73,12 +74,16 @@ def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u[:len(u) - k] + v[k:]
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(_Record):
     """A freely reduced word; letters are signed 1-based generator indices."""
 
+    __slots__ = ("rank", "letters")
     rank: int
     letters: tuple[int, ...]
+
+    def __init__(self, rank: int, letters: tuple[int, ...]) -> None:
+        _set(self, "rank", rank)
+        _set(self, "letters", letters)
 
     @classmethod
     def from_letters(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
@@ -113,25 +118,27 @@ class FreeWord:
         return " ".join(map(table.__getitem__, self.letters))
 
 
-@dataclass(frozen=True)
-class FreeGroupEndo:
+class FreeGroupEndo(_Record):
     """An endomorphism of a free group, given by generator images."""
 
+    __slots__ = ("rank", "images")
     rank: int
     images: tuple[FreeWord, ...]
 
-    def __post_init__(self) -> None:
-        _check_int(self.rank, "rank")
-        if self.rank < 0:
+    def __init__(self, rank: int, images: tuple[FreeWord, ...]) -> None:
+        _check_int(rank, "rank")
+        if rank < 0:
             raise ValueError("negative rank")
-        if (not isinstance(self.images, tuple)
-                or not all(isinstance(w, FreeWord) for w in self.images)):
+        if (not isinstance(images, tuple)
+                or not all(isinstance(w, FreeWord) for w in images)):
             raise ValueError("images must be a tuple of FreeWord records")
-        if len(self.images) != self.rank:
+        if len(images) != rank:
             raise ValueError("need one image per generator")
-        for w in self.images:
-            if w.rank != self.rank:
+        for w in images:
+            if w.rank != rank:
                 raise ValueError("image rank mismatch")
+        _set(self, "rank", rank)
+        _set(self, "images", images)
 
 
 def _act(imgs: list[tuple[int, ...]], b: BraidWord) -> list[tuple[int, ...]]:

@@ -11,7 +11,9 @@ It carries U along and returns it; V is not kept.  Its pivot rule is
 the one ``tests/_oracles.smith_normal_form(stop_at_units=True)``
 certifies, so the factors and labels are that reference's.
 
-The report uses nothing of this module.  The Nielsen classes of a
+The report uses nothing of this module, so the package does not import
+it: ``nielsen.class_space`` does when it runs, and the CLI loads
+neither this module nor its ``dataclasses``.  The Nielsen classes of a
 d-cycle braid have the space Z/d, labelled by the exponent sum
 (``nielsen``), and the pi1 of its fiber sum abelianizes to Z x Z/d,
 written from d (``fourmanifold``).  ``nielsen.class_space`` keeps the

@@ -7,6 +7,8 @@ which the report renders as text straight from d and the images."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -632,3 +634,27 @@ def assert_same_class_space(cs, oracle: ClassSpace, vectors) -> None:
     assert cs._label_rows == oracle.label_rows()
     for v in vectors:
         assert cs.project(v) == oracle.project(v)
+
+
+def assert_value_record(x, twin, fields: tuple[str, ...], others) -> None:
+    """``x`` is a frozen value record: equal to, and hashed like, its
+    ``twin`` built apart from the same values; unequal to the tuple of
+    its ``fields`` and to each of ``others``; no field or other attribute
+    can be assigned or deleted; copy, deepcopy and pickle give an equal
+    record of its class."""
+    assert x is not twin and x == twin and not x != twin
+    assert hash(x) == hash(twin)
+    values = tuple(getattr(x, f) for f in fields)
+    for other in (values, *others):
+        assert x != other and not x == other, other
+    for name in (*fields, "extra"):
+        for change in (lambda: setattr(x, name, None),
+                       lambda: delattr(x, name)):
+            try:
+                change()
+            except AttributeError:
+                continue
+            raise AssertionError(f"{name} of {type(x).__name__} changed")
+    assert tuple(getattr(x, f) for f in fields) == values
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)

@@ -12,8 +12,9 @@ from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
                                BraidSyntaxError, BraidWord, MAX_STRANDS,
                                Permutation, _shown, _shown_repr,
                                induced_permutation, parse_braid)
+from braidfloer.freegroup import FreeWord
 
-from _oracles import braid_inverse, braid_product
+from _oracles import assert_value_record, braid_inverse, braid_product
 from _samplers import random_braid_word, random_transitive_braid
 
 # values a message may echo, nested up to three levels: strings without
@@ -254,9 +255,10 @@ class TestLetterChecks:
     @example([1, "it's", 2])
     @example({"k" * 20: (None, True, -10**30, "")})
     def test_each_value_is_echoed_by_one_rule(self, x):
-        # a string is cut and then quoted; a value of any other type is
-        # _shown(repr(x)), with the strings nested in it, which hold no '
-        # that could switch their quotes past the cut
+        # a string is cut and then quoted; None, a bool, an int or a
+        # container drawn here is _shown(repr(x)), with the strings
+        # nested in it, which hold no ' that could switch their quotes
+        # past the cut
         if isinstance(x, str):
             assert _shown_repr(x) == repr(_shown(x))
         else:
@@ -302,6 +304,50 @@ class TestLetterChecks:
         for _ in range(5000):
             nested = [nested]
         assert _shown_repr(nested) == "[[[[[[[[..."
+
+    def test_a_value_of_another_type_is_shown_by_its_type_name(self):
+        # without reading it: its repr could be long, fail past the
+        # digit limit, or follow the hash seed
+        class Unprintable:
+            def __repr__(self):
+                raise AssertionError("the value was read")
+
+        bomb = Unprintable()
+        for x, shown in (({bomb}, "<set>"), (frozenset({bomb}), "<frozenset>"),
+                         (range(10**5000), "<range>"), (bomb, "<Unprint..."),
+                         (b"x" * 10**6, "<bytes>"), ((1, {bomb}), "(1, <set>)"),
+                         (parse_braid("d=2; s1"), "<BraidWord>"),
+                         (1.5, "1.5"), (None, "None"), (False, "False")):
+            assert _shown_repr(x) == shown
+
+
+class TestRecords:
+    def test_a_word_and_a_permutation_are_values(self):
+        # equal by class and values: a FreeWord of the same values is
+        # another value
+        b = parse_braid("d=3; s1 s2^-1 t3")
+        assert_value_record(b, BraidWord(3, b.letters), ("d", "letters"),
+                            (BraidWord(4, b.letters), BraidWord(3, ()),
+                             FreeWord(3, b.letters)))
+        p = Permutation((2, 3, 1))
+        assert_value_record(p, induced_permutation(parse_braid("d=3; s1 s2")),
+                            ("images",), (Permutation((3, 1, 2)), b))
+
+    def test_only_the_permutation_checks_its_values(self):
+        # the word constructor checks nothing, by position or keyword;
+        # the permutation checks its images either way
+        assert BraidWord(d="x", letters=None).letters is None
+        assert Permutation(images=(2, 1)) == Permutation((2, 1))
+        for build in (lambda: Permutation((1, 1)),
+                      lambda: Permutation(images=(1, 1))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == "not a permutation of 1..2: (1, 1)"
+
+    def test_a_record_shows_its_constructor(self):
+        assert (repr(parse_braid("d=2; s1^-1"))
+                == "BraidWord(2, (BraidLetter(kind='s', index=1, sign=-1),))")
+        assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
 
 
 class TestAlgebra:

@@ -3,7 +3,10 @@ against the checked presentations, rescan Tietze pass and
 abelianization of ``_oracles``, and fiber-sum characteristic numbers."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -536,12 +539,33 @@ class TestConfigurationSerialization:
         for chi, shown in (("x" * 13, "'xxxxxxxx...'"),
                            ([10**5000], "[1000000..."),
                            ({"a": 10**5000}, "{'a': 10..."),
-                           ([0] * 10**6, "[0, 0, 0...")):
+                           ([0] * 10**6, "[0, 0, 0..."),
+                           # a value of another type by its type's name
+                           ({10**5000}, "<set>"),
+                           (frozenset({10**5000}), "<frozenset>"),
+                           (range(10**5000), "<range>"),
+                           (set(range(10**6)), "<set>"),
+                           ([{10**5000}], "[<set>]")):
             with pytest.raises(ConfigurationError) as exc:
                 configuration_from_dict(
                     {"pieces": [{"name": "A", "chi": chi, "sigma": 0}],
                      "pairings": []}, 3)
             assert str(exc.value).endswith(f"got {shown}")
+
+    def test_a_set_is_echoed_alike_under_every_hash_seed(self):
+        # a set of strings iterates in hash order, which its repr would show
+        code = ("from braidfloer.fourmanifold import configuration_from_dict\n"
+                "try:\n"
+                "    configuration_from_dict({'pieces': [{'name': 'A', 'chi': "
+                "set('abcdefgh'), 'sigma': 0}], 'pairings': []}, 3)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        shown = [subprocess.run([sys.executable, "-c", code], text=True,
+                                capture_output=True, timeout=60,
+                                env={**os.environ, "PYTHONHASHSEED": seed}
+                                ).stdout for seed in ("0", "1")]
+        assert shown[0] == shown[1]
+        assert shown[0].endswith("got <set>\n")
 
 
 class TestAnticanonicalTori:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidfloer.braids import induced_permutation, parse_braid
+from braidfloer.braids import BraidWord, induced_permutation, parse_braid
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat,
                                   _inverse, _reduce, artin_disc_endo,
                                   artin_endo)
@@ -13,9 +13,9 @@ from braidfloer.nielsen import _identity_minus_action
 
 from _oracles import (W, IntMatrix, PresentedGroup, _cyclic_reduce,
                       abelianization_matrix, artin_by_substitution,
-                      braid_inverse, braid_product, compose, det,
-                      fox_derivative, identity_endo, ring_add, ring_mul,
-                      substitute)
+                      assert_value_record, braid_inverse, braid_product,
+                      compose, det, fox_derivative, identity_endo, ring_add,
+                      ring_mul, substitute)
 from _samplers import random_braid_word, random_free_word
 
 
@@ -84,6 +84,35 @@ class TestFreeWord:
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
+
+    def test_words_and_endomorphisms_are_values(self):
+        # equal by class and values: a BraidWord of the same values is
+        # another value
+        w = W(2, 1, -2)
+        assert_value_record(w, FreeWord(2, (1, -2)), ("rank", "letters"),
+                            (W(3, 1, -2), W(2, -2, 1), BraidWord(2, (1, -2))))
+        e = artin_endo(parse_braid("d=3; s1 s2"))
+        assert_value_record(e, FreeGroupEndo(2, e.images),
+                            ("rank", "images"),
+                            (identity_endo(2), FreeGroupEndo(2, e.images[::-1]),
+                             w))
+
+    def test_only_the_endomorphism_checks_its_values(self):
+        # the word constructor checks nothing, by position or keyword;
+        # the endomorphism checks its rank and images either way
+        assert FreeWord(rank=2, letters=(1, -1)).letters == (1, -1)
+        assert FreeGroupEndo(rank=1, images=(W(1, 1),)) == FreeGroupEndo(
+            1, (W(1, 1),))
+        for build in (lambda: FreeGroupEndo(1, ()),
+                      lambda: FreeGroupEndo(rank=1, images=())):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == "need one image per generator"
+
+    def test_a_record_shows_its_constructor(self):
+        assert repr(W(2, 1)) == "FreeWord(2, (1,))"
+        assert (repr(FreeGroupEndo(1, (W(1, -1),)))
+                == "FreeGroupEndo(1, (FreeWord(1, (-1,)),))")
 
     def test_concat_cancels_only_at_the_junction(self):
         assert _concat((), ()) == ()

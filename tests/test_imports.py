@@ -1,8 +1,11 @@
 """Every name a package or test module imports is read in that module
 or exported by its ``__all__``; the records keep their pinned surface,
-and a package message echoes a value only through ``braids._shown_repr``."""
+a package message echoes a value only through ``braids._shown_repr``,
+and the CLI imports no module that a report does not run."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,11 +59,12 @@ def test_no_unused_imports(path):
 # belongs in tests/_oracles.py
 RECORDS = {
     "BraidLetter": "index kind sign token",
-    "BraidWord": "__len__ d from_letters letters to_text",
-    "Permutation": "__post_init__ cycles fixed_point_count images "
+    "BraidWord": "__init__ __len__ d from_letters letters to_text",
+    "Permutation": "__init__ cycles fixed_point_count images "
                    "is_standard_cycle",
-    "FreeWord": "__len__ exponent_vector from_letters letters rank to_text",
-    "FreeGroupEndo": "__post_init__ images rank",
+    "FreeWord": "__init__ __len__ exponent_vector from_letters letters rank "
+                "to_text",
+    "FreeGroupEndo": "__init__ images rank",
 }
 
 
@@ -106,3 +110,21 @@ def test_messages_echo_values_by_one_rule(path):
     # quoted one itself could show it by another cut, or in full
     kept = "_shown_repr" if path.name == "braids.py" else None
     assert echoes(path.read_text(encoding="utf-8"), kept) == []
+
+
+# modules a one-braid CLI run does not need: dataclasses brings inspect
+# (and ast, dis, tokenize), no report reaches snf, and the CLI reads its
+# files with open()
+NOT_ON_THE_CLI_PATH = ("dataclasses", "inspect", "braidfloer.snf", "pathlib")
+
+
+def test_the_cli_imports_only_what_a_report_runs():
+    # -S: no site module, so no .pth hook of the interpreter's
+    # site-packages imports a module before the CLI does
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import braidfloer.cli; "
+            f"print(sorted(set(sys.modules) & set({NOT_ON_THE_CLI_PATH!r})))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
