@@ -9,9 +9,8 @@ braid labels by exponent sums mod d.
 """
 
 from ._version import __version__
-from .braids import (BraidError, BraidIndexError, BraidLetter,
-                     BraidSyntaxError, BraidWord, Permutation,
-                     induced_permutation, parse_braid)
+from .braids import (BraidError, BraidIndexError, BraidSyntaxError,
+                     BraidWord, Permutation, induced_permutation, parse_braid)
 from .floer import dims_lower_bound, fiber_sum_dims, suspend_dims
 from .fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                            anticanonical_tori, characteristic_numbers,
@@ -24,7 +23,7 @@ from .report import build_report, render_text
 
 __all__ = [
     "__version__",
-    "BraidError", "BraidIndexError", "BraidLetter", "BraidSyntaxError",
+    "BraidError", "BraidIndexError", "BraidSyntaxError",
     "BraidWord", "Permutation",
     "induced_permutation", "parse_braid",
     "FreeWord", "FreeGroupEndo", "artin_disc_endo", "artin_endo",

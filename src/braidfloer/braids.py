@@ -16,17 +16,19 @@ No other braid relations are applied, so two BraidWord values compare
 equal exactly when their reduced words coincide, not when they present
 the same group element.
 
-``BraidLetter`` and ``BraidWord`` are plain records that check
-nothing.  ``BraidWord`` and ``Permutation``, like the records of
-``freegroup``, are frozen classes on ``_Record``, each with its own
-``__init__``, and not dataclasses: ``dataclasses`` imports ``inspect``,
-which would cost every CLI process more at startup than it spends on
-one report.  Letters enter the package checked in one of two places:
+A letter is a nonzero int, as in a free-group word: ``s<i>^+-1`` is
+``+-i`` and ``t<k>^+-1`` is ``+-(TWIST + k)``, the same for every d;
+``_reduce`` reduces words of both kinds.  ``BraidWord`` and
+``Permutation``, like the records of ``freegroup``, are frozen classes
+on ``_Record``, each with its own ``__init__``, and not dataclasses:
+``dataclasses`` imports ``inspect``, which would cost every CLI process
+more at startup than it spends on one report.  ``BraidWord`` checks
+nothing.  Letters enter the package checked in one of two places:
 ``parse_braid`` reads the text off the grammar and range-checks d and
 each index, and ``BraidWord.from_letters`` checks that each letter is a
-``BraidLetter`` with int index and sign, then d and the kind, sign and
-index of each letter after free reduction.  Every other word is
-built from valid words with the record constructor.
+nonzero int, then d, then that each letter of the reduced word names a
+generator for d strands.  Every other word is built from valid words
+with the record constructor.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
@@ -39,13 +41,12 @@ convention the word ``s1 s2 ... s<d-1>`` induces the standard cycle
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, NamedTuple
 
-ARTIN = "s"
-TWIST = "t"
 MAX_STRANDS = 1000  # largest d of a checked word: bounds every d-sized object
+TWIST = MAX_STRANDS  # t<k> is the letter TWIST + k, past every s<i>
 
 
 def _shown(text: str) -> str:
@@ -160,23 +161,25 @@ class BraidIndexError(BraidError):
         self.position = position
 
 
-class BraidLetter(NamedTuple):
-    kind: str   # ARTIN ("s") or TWIST ("t")
-    index: int  # 1-based; Artin: 1..d-1, twist: 1..d
-    sign: int   # +1 or -1
-
-    def token(self) -> str:
-        return f"{self.kind}{self.index}" + ("^-1" if self.sign < 0 else "")
-
-
-def _free_reduce(letters: Iterable[BraidLetter]) -> tuple[BraidLetter, ...]:
-    out: list[BraidLetter] = []
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """The freely reduced tuple of the letters; ValueError for a letter
+    that is not a nonzero int (a bool is not), checked in order."""
+    out: list[int] = []
     for x in letters:
-        if out and out[-1] == (x.kind, x.index, -x.sign):
+        if not _is_int(x) or x == 0:
+            raise ValueError(f"{_shown_repr(x)} is not a letter")
+        if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
     return tuple(out)
+
+
+def _token(x: int) -> str:
+    """The text of letter x: ``s<i>`` or ``t<k>``, then ``^-1`` if x < 0."""
+    m = abs(x)
+    text = f"s{m}" if m < TWIST else f"t{m - TWIST}"
+    return text + "^-1" if x < 0 else text
 
 
 class BraidWord(_Record):
@@ -184,26 +187,20 @@ class BraidWord(_Record):
 
     __slots__ = ("d", "letters")
     d: int
-    letters: tuple[BraidLetter, ...]
+    letters: tuple[int, ...]
 
-    def __init__(self, d: int, letters: tuple[BraidLetter, ...]) -> None:
+    def __init__(self, d: int, letters: tuple[int, ...]) -> None:
         _set(self, "d", d)
         _set(self, "letters", letters)
 
     @classmethod
-    def from_letters(cls, d: int, letters: Iterable[BraidLetter]) -> "BraidWord":
-        """The reduced word; ValueError for a d that is not an int in
-        2..MAX_STRANDS or a bad letter.  Each letter must be a
-        BraidLetter with int index and sign (a bool is not), checked
-        first, in the letters' order; d and the kind, sign and index of
-        each letter are checked after free reduction."""
-        letters = tuple(letters)
-        for x in letters:
-            if not isinstance(x, BraidLetter):
-                raise ValueError(f"not a braid letter: {_shown_repr(x)}")
-            _check_int(x.index, "letter index")
-            _check_int(x.sign, "letter sign")
-        reduced = _free_reduce(letters)
+    def from_letters(cls, d: int, letters: Iterable[int]) -> "BraidWord":
+        """The reduced word; ValueError for a letter that is not a
+        nonzero int (a bool is not), checked first, in the letters'
+        order, then for a d that is not an int in 2..MAX_STRANDS, then
+        for a letter of the reduced word that names no generator for d
+        strands: neither 0 < |x| < d nor TWIST < |x| <= TWIST + d."""
+        reduced = _reduce(letters)
         _check_int(d, "d")
         if d < 2:
             raise ValueError(
@@ -212,18 +209,9 @@ class BraidWord(_Record):
             raise ValueError(f"need at most {MAX_STRANDS} marked points, "
                              f"got d={_shown_repr(d)}")
         for x in reduced:
-            if x.kind not in (ARTIN, TWIST):
-                raise ValueError(f"unknown letter kind {_shown_repr(x.kind)}")
-            if x.sign not in (1, -1):
+            if not (0 < abs(x) < d or TWIST < abs(x) <= TWIST + d):
                 raise ValueError(
-                    f"letter sign must be +-1, got {_shown_repr(x.sign)}")
-            if x.index < 1:
-                raise ValueError(
-                    f"letter index must be positive, got {_shown_repr(x.index)}")
-            if x.index > (d - 1 if x.kind == ARTIN else d):
-                inv = "^-1" if x.sign < 0 else ""
-                raise ValueError(f"letter {x.kind}{_shown_repr(x.index)}{inv} "
-                                 f"out of range for d={d}")
+                    f"letter {_shown_repr(x)} out of range for d={d}")
         return cls(d, reduced)
 
     def __len__(self) -> int:
@@ -233,7 +221,7 @@ class BraidWord(_Record):
         head = f"d={self.d};"
         if not self.letters:
             return head
-        return head + " " + " ".join(x.token() for x in self.letters)
+        return head + " " + " ".join(map(_token, self.letters))
 
 
 # [0-9], not \d, which would also match (and int() read) any Unicode
@@ -272,13 +260,15 @@ def parse_braid(text: str) -> BraidWord:
         if kind is None:
             raise BraidSyntaxError(f"bad token {_shown_repr(tok.group())}", pos)
         index = _integer(digits, pos)
-        limit = d - 1 if kind == ARTIN else d
+        if kind == "s":
+            what, limit, x = "Artin generator", d - 1, index
+        else:
+            what, limit, x = "framing twist", d, TWIST + index
         if not 1 <= index <= limit:
-            what = "Artin generator" if kind == ARTIN else "framing twist"
             raise BraidIndexError(
                 f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
-        letters.append(BraidLetter(kind, index, -1 if inv else 1))
-    return BraidWord(d, _free_reduce(letters))
+        letters.append(-x if inv else x)
+    return BraidWord(d, _reduce(letters))
 
 
 class Permutation(_Record):
@@ -288,6 +278,9 @@ class Permutation(_Record):
     images: tuple[int, ...]
 
     def __init__(self, images: tuple[int, ...]) -> None:
+        if not isinstance(images, tuple):
+            raise ValueError(
+                f"images must be a tuple, got {_shown_repr(images)}")
         d = len(images)
         if (not all(map(_is_int, images))
                 or sorted(images) != list(range(1, d + 1))):
@@ -328,7 +321,7 @@ def induced_permutation(b: BraidWord) -> Permutation:
     """
     images = list(range(1, b.d + 1))
     for x in b.letters:
-        if x.kind == ARTIN:
-            i = x.index - 1
-            images[i], images[i + 1] = images[i + 1], images[i]
+        i = abs(x)
+        if i < TWIST:
+            images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))

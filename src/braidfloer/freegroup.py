@@ -2,7 +2,8 @@
 
 Words in the free group of rank n on x1..xn are stored as tuples of
 nonzero signed indices (+j for xj, -j for xj^-1) in free reduction
-normal form.  The fundamental group of the d-punctured sphere is the
+normal form, which the one reducer, ``braids._reduce``, also makes for
+braid words.  The fundamental group of the d-punctured sphere is the
 quotient of the rank d free group by x1 x2 ... xd = 1; eliminating xd
 via xd = (x1 ... x<d-1>)^-1 identifies it with the free group of rank
 d-1, and that is where braid-induced endomorphisms live.
@@ -13,8 +14,9 @@ The Artin half-twist s_i acts on the punctured-disc group by
 
 framing twists act trivially (they are invisible to the fundamental
 group; every invariant computed downstream is framing-blind, and reports
-say so).  Words of letters act under the package-wide composition
-convention: the rightmost letter is applied first.
+say so), so ``_act`` skips the letters past ``braids.TWIST``.  Words of
+letters act under the package-wide composition convention: the
+rightmost letter is applied first.
 
 The sphere action is computed directly in the rank d-1 group: the same
 rules act on the images of x1 .. xd, which start as x1 .. x<d-1> and
@@ -41,23 +43,11 @@ a prefix of a reduced word is reduced.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import neg
-from typing import Iterable
 
-from .braids import (ARTIN, BraidWord, _check_int, _is_int, _Record, _set,
+from .braids import (TWIST, BraidWord, _check_int, _Record, _reduce, _set,
                      _shown_repr)
-
-
-def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in letters:
-        if not _is_int(x) or x == 0:
-            raise ValueError(f"{_shown_repr(x)} is not a letter")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,14 +137,14 @@ def _act(imgs: list[tuple[int, ...]], b: BraidWord) -> list[tuple[int, ...]]:
     (rightmost letter acts first): after g1 .. gk the images describe
     phi_g1 o ... o phi_gk."""
     for x in b.letters:
-        if x.kind != ARTIN:
+        i = abs(x)
+        if i >= TWIST:
             continue
-        i = x.index - 1
-        u, v = imgs[i], imgs[i + 1]
-        if x.sign > 0:
-            imgs[i], imgs[i + 1] = _concat(_concat(u, v), _inverse(u)), u
+        u, v = imgs[i - 1], imgs[i]
+        if x > 0:
+            imgs[i - 1], imgs[i] = _concat(_concat(u, v), _inverse(u)), u
         else:
-            imgs[i], imgs[i + 1] = v, _concat(_concat(_inverse(v), u), v)
+            imgs[i - 1], imgs[i] = v, _concat(_concat(_inverse(v), u), v)
     return imgs
 
 

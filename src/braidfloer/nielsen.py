@@ -48,13 +48,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .braids import Permutation, _is_int, _shown_repr
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
-
-if TYPE_CHECKING:
-    from .snf import ClassSpace
 
 ENUMERATION_CAP = 512  # list every class of Z/d up to this d
 # Orbit-ball elements one refinement may build for one class, over the
@@ -78,7 +74,7 @@ def _identity_minus_action(e: FreeGroupEndo) -> list[list[int]]:
             for i in range(e.rank)]
 
 
-def class_space(e: FreeGroupEndo) -> ClassSpace:
+def class_space(e: FreeGroupEndo) -> "ClassSpace":
     """coker(I - A): the homological twisted-conjugacy classes.  It
     imports ``snf``, which no report uses, only when it runs."""
     from .snf import ClassSpace

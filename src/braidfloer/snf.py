@@ -24,9 +24,9 @@ presentation's class space in ``tests/_oracles.py``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
 
 
 def _smith_eliminate(a: list[list[int]], ncols: int) -> list[list[int]]:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from braidfloer import snf
-from braidfloer.braids import (_HEADER, ARTIN, MAX_STRANDS, BraidIndexError,
-                               BraidLetter, BraidSyntaxError, BraidWord,
-                               _free_reduce, _integer, _shown,
-                               induced_permutation)
+from braidfloer.braids import (_HEADER, MAX_STRANDS, BraidIndexError,
+                               BraidSyntaxError, BraidWord, _integer, _reduce,
+                               _shown, induced_permutation)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 
 
@@ -93,7 +92,8 @@ _TOKEN = re.compile(r"([st])([0-9]+)(\^-1)?\Z")
 
 def parse_braid_by_runs(text: str) -> BraidWord:
     """``parse_braid`` as two scans: find each run of non-space
-    characters, then match the run against the token pattern."""
+    characters, then match the run against the token pattern.  A token
+    s<i> or t<k> is the letter i or MAX_STRANDS + k, negated by ^-1."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -109,13 +109,14 @@ def parse_braid_by_runs(text: str) -> BraidWord:
         if t is None:
             raise BraidSyntaxError(f"bad token {_shown(tok.group())!r}", pos)
         kind, index, inv = t.group(1), _integer(t.group(2), pos), t.group(3)
-        limit = d - 1 if kind == ARTIN else d
+        limit = d - 1 if kind == "s" else d
         if not 1 <= index <= limit:
-            what = "Artin generator" if kind == ARTIN else "framing twist"
+            what = "Artin generator" if kind == "s" else "framing twist"
             raise BraidIndexError(
                 f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
-        letters.append(BraidLetter(kind, index, -1 if inv else 1))
-    return BraidWord(d, _free_reduce(letters))
+        offset = {"s": 0, "t": MAX_STRANDS}[kind]
+        letters.append((-1 if inv else 1) * (offset + index))
+    return BraidWord(d, _reduce(letters))
 
 
 def substitute(word: FreeWord, images) -> FreeWord:
@@ -135,8 +136,7 @@ def W(rank: int, *letters: int) -> FreeWord:
 
 def braid_inverse(b: BraidWord) -> BraidWord:
     """The inverse word: the letters reversed, each sign flipped."""
-    return BraidWord(b.d, tuple(BraidLetter(x.kind, x.index, -x.sign)
-                                for x in reversed(b.letters)))
+    return BraidWord(b.d, _inverse(b.letters))
 
 
 def braid_product(*words: BraidWord) -> BraidWord:
@@ -160,15 +160,16 @@ def artin_by_substitution(b: BraidWord) -> FreeGroupEndo:
     letter's automorphism composed by substitution, the rightmost letter
     acting first: s_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to
     x_i, and s_i^-1 sends x_i to x_{i+1} and x_{i+1} to
-    x_{i+1}^-1 x_i x_{i+1}; twists act trivially."""
+    x_{i+1}^-1 x_i x_{i+1}; twists, the letters past MAX_STRANDS, act
+    trivially."""
     d = b.d
     identity = [(j,) for j in range(1, d + 1)]
     e = identity_endo(d)
     for x in b.letters:
-        if x.kind == "t":
+        if abs(x) > MAX_STRANDS:
             continue
-        i, images = x.index, list(identity)
-        if x.sign > 0:
+        i, images = abs(x), list(identity)
+        if x > 0:
             images[i - 1:i + 1] = (i, i + 1, -i), (i,)
         else:
             images[i - 1:i + 1] = (i + 1,), (-i - 1, i, i + 1)

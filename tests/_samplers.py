@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import random
 
-from braidfloer.braids import (ARTIN, TWIST, BraidLetter, BraidWord,
-                               induced_permutation)
+from braidfloer.braids import TWIST, BraidWord, induced_permutation
 from braidfloer.freegroup import FreeWord
 
 from _oracles import W, IntMatrix
 
 
 def random_letter(rng: random.Random, d: int,
-                  allow_twists: bool = True) -> BraidLetter:
+                  allow_twists: bool = True) -> int:
     if allow_twists and rng.random() < 0.25:
-        return BraidLetter(TWIST, rng.randint(1, d), rng.choice((1, -1)))
-    return BraidLetter(ARTIN, rng.randint(1, d - 1), rng.choice((1, -1)))
+        return (TWIST + rng.randint(1, d)) * rng.choice((1, -1))
+    return rng.randint(1, d - 1) * rng.choice((1, -1))
 
 
 def random_braid_word(rng: random.Random, d: int | None = None,
@@ -28,7 +27,7 @@ def random_braid_word(rng: random.Random, d: int | None = None,
         d, (random_letter(rng, d, allow_twists) for _ in range(n)))
 
 
-def _corrector(images: list[int], rng: random.Random) -> list[BraidLetter]:
+def _corrector(images: list[int], rng: random.Random) -> list[int]:
     """Artin letters whose appended swaps turn ``images`` into the
     standard cycle image tuple (2, 3, ..., d, 1)."""
     d = len(images)
@@ -39,7 +38,7 @@ def _corrector(images: list[int], rng: random.Random) -> list[BraidLetter]:
         j = images.index(target[pos], pos)
         while j > pos:
             images[j - 1], images[j] = images[j], images[j - 1]
-            out.append(BraidLetter(ARTIN, j, rng.choice((1, -1))))
+            out.append(j * rng.choice((1, -1)))
             j -= 1
     return out
 
@@ -54,9 +53,9 @@ def random_transitive_braid(rng: random.Random, d: int, max_len: int = 12,
                   for _ in range(rng.randint(0, 4))]
         images = list(range(1, d + 1))
         for x in prefix:
-            if x.kind == ARTIN:
-                i = x.index - 1
-                images[i], images[i + 1] = images[i + 1], images[i]
+            i = abs(x)
+            if i < TWIST:
+                images[i - 1], images[i] = images[i], images[i - 1]
         letters = prefix + _corrector(images, rng)
         if len(letters) > max_len:
             continue
@@ -74,6 +73,32 @@ def sampled_transitive_braids():
         d = rng.randint(2, 8)
         yield random_transitive_braid(rng, d,
                                       max_len=rng.choice((2 * d, 3 * d)))
+
+
+def twisted_words(n: int = 200):
+    """``n`` pairs (text with framing twists, the same text without
+    them), d = 2..8, twist-free words first drawn as transitive or
+    random in turn.  The twists go in as a twist beside its inverse, a
+    twist beside an Artin letter, or one between an Artin letter and its
+    inverse, which then cancel once the twists are deleted."""
+    rng = random.Random(353)
+    for k in range(n):
+        d = rng.randint(2, 8)
+        if k % 2:
+            b = random_braid_word(rng, d, allow_twists=False)
+        else:
+            b = random_transitive_braid(rng, d, allow_twists=False)
+        tokens = b.to_text().split()[1:]
+        for _ in range(rng.randint(1, 4)):
+            twist = [f"t{rng.randint(1, d)}"]
+            twist.append(twist[0] + "^-1")
+            rng.shuffle(twist)
+            i = rng.randint(1, d - 1)
+            pos = rng.randint(0, len(tokens))
+            tokens[pos:pos] = rng.choice(
+                (twist, twist[:1], [f"s{i}", twist[0], f"s{i}^-1"]))
+        yield (f"d={d}; " + " ".join(tokens),
+               f"d={d}; " + " ".join(t for t in tokens if t[0] == "s"))
 
 
 def random_free_word(rng: random.Random, rank: int,

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidfloer.braids import (ARTIN, TWIST, BraidIndexError, BraidLetter,
-                               BraidSyntaxError, BraidWord, MAX_STRANDS,
-                               Permutation, _shown, _shown_repr,
-                               induced_permutation, parse_braid)
+from braidfloer.braids import (TWIST, BraidIndexError, BraidSyntaxError,
+                               BraidWord, MAX_STRANDS, Permutation, _shown,
+                               _shown_repr, induced_permutation, parse_braid)
 from braidfloer.freegroup import FreeWord
 
-from _oracles import assert_value_record, braid_inverse, braid_product
-from _samplers import random_braid_word, random_transitive_braid
+from _oracles import (assert_value_record, braid_inverse, braid_product,
+                      parse_braid_by_runs)
+from _samplers import random_braid_word, random_transitive_braid, twisted_words
 
 # values a message may echo, nested up to three levels: strings without
 # a ', whose quotes the cut could switch inside a container
@@ -38,9 +38,10 @@ class TestParsing:
     def test_basic_word(self):
         b = parse_braid("d=3; s1 s2^-1 t3")
         assert b.d == 3
-        assert b.letters == (BraidLetter(ARTIN, 1, 1),
-                             BraidLetter(ARTIN, 2, -1),
-                             BraidLetter(TWIST, 3, 1))
+        # s<i>^+-1 is +-i and t<k>^+-1 is +-(TWIST + k), for every d
+        assert b.letters == (1, -2, TWIST + 3)
+        assert TWIST == MAX_STRANDS
+        assert parse_braid("d=9; t1^-1 s8").letters == (-TWIST - 1, 8)
 
     def test_empty_word(self):
         assert parse_braid("d=4;") == BraidWord.from_letters(4, ())
@@ -60,6 +61,24 @@ class TestParsing:
         # same-sign pairs must not cancel
         assert len(parse_braid("d=3; s1 s1")) == 2
         assert parse_braid("d=3; t2 s1 s1^-1 t2").to_text() == "d=3; t2 t2"
+
+    def test_twisted_text_is_a_fixed_point(self):
+        # twists beside their inverses and beside Artin letters, up to
+        # t<MAX_STRANDS>, the largest letter, TWIST + MAX_STRANDS
+        top = MAX_STRANDS - 1
+        texts = [w for w, _ in twisted_words()] + [
+            f"d={MAX_STRANDS}; t{MAX_STRANDS} s{top} t1^-1 t1 s1^-1",
+            f"d={MAX_STRANDS}; s{top} t{MAX_STRANDS}^-1 s{top}^-1"]
+        twisted = 0
+        for w in texts:
+            b = parse_braid(w)
+            assert parse_braid_by_runs(w) == b
+            text = b.to_text()
+            assert parse_braid(text) == b
+            assert parse_braid(text).to_text() == text
+            twisted += any(abs(x) > TWIST for x in b.letters)
+        assert twisted >= 150
+        assert parse_braid(texts[-2]).letters == (2 * MAX_STRANDS, top, -1)
 
     def test_header_errors(self):
         with pytest.raises(BraidSyntaxError) as exc:
@@ -150,51 +169,42 @@ class TestParsing:
 
 class TestLetterChecks:
     @pytest.mark.parametrize("letter, message", [
-        (BraidLetter("x", 1, 1), "unknown letter kind 'x'"),
-        (BraidLetter(ARTIN, 1, 2), "letter sign must be +-1, got 2"),
-        (BraidLetter(TWIST, 0, -1), "letter index must be positive, got 0"),
+        # TWIST is s<TWIST> and t0: no generator for any d
+        (TWIST, "letter 1000 out of range for d=3"),
+        (0, "0 is not a letter"),
         # a long value is shown by its leading characters
-        (BraidLetter("x" * 9999, 1, 1), "unknown letter kind 'xxxxxxxx...'"),
-        (BraidLetter(ARTIN, 1, 10**5000), "letter sign must be +-1, got 10000000..."),
-        (BraidLetter(ARTIN, -10**5000, 1),
-         "letter index must be positive, got -1000000..."),
-        (BraidLetter(ARTIN, 10**5000, 1), "letter s10000000... out of range for d=3"),
-    ], ids=["kind", "sign", "index", "long-kind", "long-sign", "long-index",
+        ("x" * 9999, "'xxxxxxxx...' is not a letter"),
+        (-10**5000, "letter -1000000... out of range for d=3"),
+        (10**5000, "letter 10000000... out of range for d=3"),
+    ], ids=["kind", "index", "long-kind", "long-index",
             "long-index-out-of-range"])
     def test_the_word_checks_each_letter(self, letter, message):
-        # a letter is a plain record, equal to its tuple; from_letters
-        # checks it, with the message the letter once raised
-        assert letter == (letter.kind, letter.index, letter.sign)
         with pytest.raises(ValueError) as exc:
-            BraidWord.from_letters(3, (BraidLetter(ARTIN, 2, 1), letter))
+            BraidWord.from_letters(3, (2, letter))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("letter, message", [
-        (("s", 1, 1), "not a braid letter: ('s', 1, 1)"),
-        ("s1", "not a braid letter: 's1'"),
-        (BraidLetter(ARTIN, 1.5, 1), "letter index must be an int, got 1.5"),
-        (BraidLetter(ARTIN, True, 1), "letter index must be an int, got True"),
-        (BraidLetter(ARTIN, 1, True), "letter sign must be an int, got True"),
-        (BraidLetter(ARTIN, 1, -1.0), "letter sign must be an int, got -1.0"),
-    ], ids=["tuple", "string", "float-index", "bool-index", "bool-sign",
-            "float-sign"])
+        (("s", 1, 1), "('s', 1, 1) is not a letter"),
+        ("s1", "'s1' is not a letter"),
+        (1.5, "1.5 is not a letter"),
+        (True, "True is not a letter"),
+        (-1.0, "-1.0 is not a letter"),
+    ], ids=["tuple", "string", "float-index", "bool-index", "float-sign"])
     def test_a_letter_of_another_type_is_a_value_error(self, letter, message):
-        # checked before free reduction, which reads the fields, and
-        # before d; a plain tuple equals its BraidLetter but is not one
+        # checked before free reduction and before d
         for d in (3, 1):
             with pytest.raises(ValueError) as exc:
-                BraidWord.from_letters(d, (BraidLetter(ARTIN, 2, 1), letter))
+                BraidWord.from_letters(d, (2, letter))
             assert str(exc.value) == message
 
     def test_each_check_raises_its_message(self):
-        s3 = BraidLetter(ARTIN, 3, 1)
         cases = (
             (lambda: BraidWord.from_letters(1, ()),
              "need at least two marked points, got d=1"),
-            (lambda: BraidWord.from_letters(3, (s3,)),
-             "letter s3 out of range for d=3"),
-            (lambda: BraidWord.from_letters(3, (BraidLetter(TWIST, 4, -1),)),
-             "letter t4^-1 out of range for d=3"),
+            (lambda: BraidWord.from_letters(3, (3,)),
+             "letter 3 out of range for d=3"),
+            (lambda: BraidWord.from_letters(3, (-TWIST - 4,)),
+             "letter -1004 out of range for d=3"),
             (lambda: Permutation((1, 1, 3)),
              "not a permutation of 1..3: (1, 1, 3)"),
             (lambda: Permutation((10**5000, 1)),
@@ -226,6 +236,11 @@ class TestLetterChecks:
             (lambda: Permutation((2, True)),
              "not a permutation of 1..2: (2, True)"),
             (lambda: Permutation((1.0, 2)), "not a permutation of 1..2: (1.0, 2)"),
+            # the images are a tuple, which a record can hash
+            (lambda: Permutation([2, 1]), "images must be a tuple, got [2, 1]"),
+            (lambda: Permutation(""), "images must be a tuple, got ''"),
+            (lambda: Permutation(iter([1])),
+             "images must be a tuple, got <list_it..."),
         )
         for build, message in cases:
             with pytest.raises(ValueError) as exc:
@@ -233,8 +248,8 @@ class TestLetterChecks:
             assert str(exc.value) == message
         # the checks look at the reduced word: s3 s3^-1 cancels, and
         # the twist t3 is in range where the generator s3 is not
-        assert BraidWord.from_letters(3, (s3, s3._replace(sign=-1))).letters == ()
-        assert BraidWord.from_letters(3, (BraidLetter(TWIST, 3, 1),))
+        assert BraidWord.from_letters(3, (3, -3)).letters == ()
+        assert BraidWord.from_letters(3, (TWIST + 3,))
         assert BraidWord.from_letters(MAX_STRANDS, ()).d == MAX_STRANDS
 
     def test_a_long_int_is_shown_by_its_leading_digits(self):
@@ -346,7 +361,7 @@ class TestRecords:
 
     def test_a_record_shows_its_constructor(self):
         assert (repr(parse_braid("d=2; s1^-1"))
-                == "BraidWord(2, (BraidLetter(kind='s', index=1, sign=-1),))")
+                == "BraidWord(2, (-1,))")
         assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
 
 
@@ -400,13 +415,12 @@ class TestInducedPermutation:
         for _ in range(100):
             d = rng.randint(2, 5)
             b = random_braid_word(rng, d, allow_twists=False)
-            flipped = BraidWord.from_letters(
-                d, (BraidLetter(x.kind, x.index, -x.sign) for x in b.letters))
+            flipped = BraidWord.from_letters(d, (-x for x in b.letters))
             assert induced_permutation(flipped) == induced_permutation(b)
             letters = list(b.letters)
             for k in range(1, d + 1):
                 letters.insert(rng.randrange(len(letters) + 1),
-                               BraidLetter(TWIST, k, rng.choice((1, -1))))
+                               (TWIST + k) * rng.choice((1, -1)))
             padded = BraidWord.from_letters(d, letters)
             assert induced_permutation(padded) == induced_permutation(b)
 

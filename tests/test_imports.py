@@ -58,7 +58,6 @@ def test_no_unused_imports(path):
 # the records are data and one checked entry: what tests alone use
 # belongs in tests/_oracles.py
 RECORDS = {
-    "BraidLetter": "index kind sign token",
     "BraidWord": "__init__ __len__ d from_letters letters to_text",
     "Permutation": "__init__ cycles fixed_point_count images "
                    "is_standard_cycle",
@@ -113,9 +112,10 @@ def test_messages_echo_values_by_one_rule(path):
 
 
 # modules a one-braid CLI run does not need: dataclasses brings inspect
-# (and ast, dis, tokenize), no report reaches snf, and the CLI reads its
-# files with open()
-NOT_ON_THE_CLI_PATH = ("dataclasses", "inspect", "braidfloer.snf", "pathlib")
+# (and ast, dis, tokenize), no report reaches snf, the CLI reads its
+# files with open(), and annotations are never evaluated
+NOT_ON_THE_CLI_PATH = ("dataclasses", "inspect", "braidfloer.snf", "pathlib",
+                       "typing")
 
 
 def test_the_cli_imports_only_what_a_report_runs():

@@ -14,10 +14,10 @@ from math import gcd
 import pytest
 
 from braidfloer import nielsen
-from braidfloer.braids import (ARTIN, BraidLetter, BraidWord, Permutation,
+from braidfloer.braids import (BraidWord, Permutation, _reduce,
                                induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat, _inverse,
-                                  _reduce, artin_endo)
+                                  artin_endo)
 from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
                                 ORBIT_BALL_CAP, RefinementLimitError,
                                 _orbit_ball, _seam_index, _seam_partners,
@@ -200,7 +200,7 @@ def squares_braid(rng, d, max_len=6):
     coker(I - A) = coker(0) is infinite."""
     letters = []
     for _ in range(rng.randint(1, max_len)):
-        x = BraidLetter(ARTIN, rng.randint(1, d - 1), rng.choice((1, -1)))
+        x = rng.randint(1, d - 1) * rng.choice((1, -1))
         letters += [x, x]
     return BraidWord.from_letters(d, letters)
 
@@ -405,8 +405,7 @@ class TestDecomposition:
         d = ENUMERATION_CAP + 1
         for signs in ((1,) * (d - 1), (1, -1) * (d // 2)):
             b = BraidWord.from_letters(
-                d, (BraidLetter(ARTIN, i, s)
-                    for i, s in enumerate(signs, start=1)))
+                d, (i * s for i, s in enumerate(signs, start=1)))
             e = artin_endo(b)
             nd = decompose(b)
             assert not nd["complete"]
@@ -453,8 +452,7 @@ class TestClassSpaceAgainstDense:
             for signs in ((1,) * (d - 1),
                           tuple(rng.choice((1, -1)) for _ in range(d - 1))):
                 b = BraidWord.from_letters(
-                    d, (BraidLetter(ARTIN, i, s)
-                        for i, s in enumerate(signs, start=1)))
+                    d, (i * s for i, s in enumerate(signs, start=1)))
                 self.assert_same(artin_endo(b), rng)
 
 

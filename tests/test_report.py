@@ -13,15 +13,14 @@ from pathlib import Path
 import pytest
 
 from braidfloer import braids, floer, fourmanifold, freegroup, nielsen, snf
-from braidfloer.braids import (BraidLetter, BraidWord, induced_permutation,
-                               parse_braid)
+from braidfloer.braids import BraidWord, induced_permutation, parse_braid
 from braidfloer.cli import main
 from braidfloer.fourmanifold import DEFAULT_CONFIGURATION, ConfigurationError
 from braidfloer.freegroup import FreeWord
 from braidfloer.report import build_report, render_text
 
 import _oracles
-from _samplers import sampled_transitive_braids
+from _samplers import sampled_transitive_braids, twisted_words
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,7 +205,7 @@ def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
     assert (report["refined"] is None) == (depth == 0)
     assert calls == Counter()
     # the counters see a checked construction
-    BraidWord.from_letters(4, [BraidLetter("s", 1, 1)])
+    BraidWord.from_letters(4, [1])
     assert calls == Counter({"BraidWord": 1})
 
 
@@ -250,3 +249,19 @@ def test_every_word_a_report_builds_is_its_checked_word(monkeypatch, capsys):
     assert built["parse_braid"] == 160 + 600
     assert set(built) == {"parse_braid", "artin_endo",
                           "reidemeister_trace_raw", "refine_decomposition"}
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_framing_twists_change_only_the_input(depth):
+    # every invariant is framing-blind: deleting a word's twists leaves
+    # every field of its report but the input as it was
+    words = [*twisted_words(), ("d=1000; t1000 " + " ".join(
+        f"s{i} t{i}^-1" for i in range(1, 1000)), "d=1000; " + " ".join(
+            f"s{i}" for i in range(1, 1000)))]
+    transitive = kept = 0
+    for twisted, plain in words:
+        a, b = build_report(twisted, depth), build_report(plain, depth)
+        kept += a.pop("input") != b.pop("input")
+        assert a == b, twisted
+        transitive += a["transitive"]
+    assert transitive >= 90 and kept >= 150
