@@ -18,14 +18,16 @@ the same group element.
 
 A letter is a nonzero int, as in a free-group word: ``s<i>^+-1`` is
 ``+-i`` and ``t<k>^+-1`` is ``+-(TWIST + k)``, the same for every d;
-``_reduce`` reduces words of both kinds.  ``BraidWord`` and
+``_free_reduce`` reduces words of both kinds, and ``_reduce`` checks
+each letter before it.  ``BraidWord`` and
 ``Permutation``, like the records of ``freegroup``, are frozen classes
 on ``_Record``, each with its own ``__init__``, and not dataclasses:
 ``dataclasses`` imports ``inspect``, which would cost every CLI process
 more at startup than it spends on one report.  ``BraidWord`` checks
 nothing.  Letters enter the package checked in one of two places:
 ``parse_braid`` reads the text off the grammar and range-checks d and
-each index, and ``BraidWord.from_letters`` checks that each letter is a
+each distinct token, whose letters it reduces unchecked, and
+``BraidWord.from_letters`` checks that each letter is a
 nonzero int, then d, then that each letter of the reduced word names a
 generator for d strands.  Every other word is built from valid words
 with the record constructor.
@@ -161,18 +163,25 @@ class BraidIndexError(BraidError):
         self.position = position
 
 
-def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """The freely reduced tuple of the letters; ValueError for a letter
-    that is not a nonzero int (a bool is not), checked in order."""
-    out: list[int] = []
+def _free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """The freely reduced tuple of the letters, which are nonzero ints."""
+    out = [0]  # 0 is the inverse of no letter, so nothing cancels it
     for x in letters:
-        if not _is_int(x) or x == 0:
-            raise ValueError(f"{_shown_repr(x)} is not a letter")
-        if out and out[-1] == -x:
+        if out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    return tuple(out)
+    return tuple(out[1:])
+
+
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """The freely reduced tuple of the letters; ValueError for a letter
+    that is not a nonzero int (a bool is not), checked in order."""
+    letters = tuple(letters)
+    for x in letters:
+        if not _is_int(x) or x == 0:
+            raise ValueError(f"{_shown_repr(x)} is not a letter")
+    return _free_reduce(letters)
 
 
 def _token(x: int) -> str:
@@ -221,7 +230,8 @@ class BraidWord(_Record):
         head = f"d={self.d};"
         if not self.letters:
             return head
-        return head + " " + " ".join(map(_token, self.letters))
+        table = {x: _token(x) for x in set(self.letters)}
+        return head + " " + " ".join(map(table.__getitem__, self.letters))
 
 
 # [0-9], not \d, which would also match (and int() read) any Unicode
@@ -243,8 +253,51 @@ def _integer(digits: str, position: int) -> int:
             f"integer of {len(digits)} digits is too long", position) from None
 
 
+def _generator(kind: str, d: int) -> tuple[str, int, int]:
+    """What a token of ``kind`` "s" or "t" names for d strands: its
+    name, its largest index and the offset of its letters."""
+    if kind == "s":
+        return "Artin generator", d - 1, 0
+    return "framing twist", d, TWIST
+
+
+def _letter(token: tuple[str, str, str], d: int) -> int | None:
+    """The letter of a token (kind, digits, "^-1" or ""), as
+    ``_TOKENS.findall`` splits it, for d strands; None for a bad run
+    (no kind), an integer too long to convert or an index out of
+    range, where the scan of ``_first_bad_token`` raises."""
+    kind, digits, inv = token
+    if not kind:
+        return None
+    try:
+        index = int(digits)
+    except ValueError:
+        return None
+    _, limit, offset = _generator(kind, d)
+    if not 1 <= index <= limit:
+        return None
+    return -(offset + index) if inv else offset + index
+
+
+def _first_bad_token(text: str, start: int, d: int) -> None:
+    """Raise the error of the first token of ``text[start:]`` that
+    ``_letter`` rejects, at its offset."""
+    for tok in _TOKENS.finditer(text, start):
+        pos = tok.start()
+        kind, digits, _ = tok.groups()
+        if kind is None:
+            raise BraidSyntaxError(f"bad token {_shown_repr(tok.group())}", pos)
+        index = _integer(digits, pos)
+        what, limit, _ = _generator(kind, d)
+        if not 1 <= index <= limit:
+            raise BraidIndexError(
+                f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
+
+
 def parse_braid(text: str) -> BraidWord:
-    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors."""
+    """Parse the ``d=<INT>; token*`` grammar, with offsets in errors.
+    Each distinct token is converted and range-checked once; a text
+    with a bad one is scanned again, token by token, for the first."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -253,22 +306,11 @@ def parse_braid(text: str) -> BraidWord:
     if not 2 <= d <= MAX_STRANDS:
         raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + digits,
                               m.start(1))
-    letters = []
-    for tok in _TOKENS.finditer(text, m.end()):
-        pos = tok.start()
-        kind, digits, inv = tok.groups()
-        if kind is None:
-            raise BraidSyntaxError(f"bad token {_shown_repr(tok.group())}", pos)
-        index = _integer(digits, pos)
-        if kind == "s":
-            what, limit, x = "Artin generator", d - 1, index
-        else:
-            what, limit, x = "framing twist", d, TWIST + index
-        if not 1 <= index <= limit:
-            raise BraidIndexError(
-                f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
-        letters.append(-x if inv else x)
-    return BraidWord(d, _reduce(letters))
+    tokens = _TOKENS.findall(text, m.end())
+    letter = {t: _letter(t, d) for t in set(tokens)}
+    if None in letter.values():
+        _first_bad_token(text, m.end(), d)
+    return BraidWord(d, _free_reduce(map(letter.__getitem__, tokens)))
 
 
 class Permutation(_Record):

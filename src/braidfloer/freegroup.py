@@ -2,11 +2,11 @@
 
 Words in the free group of rank n on x1..xn are stored as tuples of
 nonzero signed indices (+j for xj, -j for xj^-1) in free reduction
-normal form, which the one reducer, ``braids._reduce``, also makes for
-braid words.  The fundamental group of the d-punctured sphere is the
-quotient of the rank d free group by x1 x2 ... xd = 1; eliminating xd
-via xd = (x1 ... x<d-1>)^-1 identifies it with the free group of rank
-d-1, and that is where braid-induced endomorphisms live.
+normal form, which the one reducer, ``braids._free_reduce``, makes for
+them and for braid words.  The fundamental group of the d-punctured
+sphere is the quotient of the rank d free group by x1 x2 ... xd = 1;
+eliminating xd via xd = (x1 ... x<d-1>)^-1 identifies it with the free
+group of rank d-1, and that is where braid-induced endomorphisms live.
 
 The Artin half-twist s_i acts on the punctured-disc group by
 

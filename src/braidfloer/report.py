@@ -13,8 +13,13 @@ letters, checked on the images for the condition under which a Tietze
 pass would reach the simplified one, and its standard form order and
 abelianization Z x Z/d written from d, so a report runs no Tietze pass
 and uses nothing of ``snf``.  The Floer bounds are computed once from
-the class indices, and the fiber-sum section suspends them.  The gluing
-configuration is checked once per braid; the result is ``config``.
+the class indices, and the fiber-sum section suspends them.  The
+built-in gluing configuration is checked once, at import, and its
+characteristic numbers computed then; a configuration passed to
+``build_report``, or given with ``--config``, is checked for every
+braid.  Each report resolves the "d" volumes at its d; the result is
+``config``.  So ``DEFAULT_CONFIGURATION`` is read at import: to change
+it, edit a copy and pass the copy.
 The report builds the ``refined`` section from the (label, clusters)
 pairs of ``nielsen.refine_decomposition``; every other invariant
 section is stored as the public function that computes it returns it.
@@ -27,7 +32,8 @@ from .braids import induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, fiber_sum_dims)
-from .fourmanifold import (DEFAULT_CONFIGURATION, anticanonical_tori,
+from .fourmanifold import (DEFAULT_CONFIGURATION, _checked_configuration,
+                           _resolved_configuration, anticanonical_tori,
                            characteristic_numbers, configuration_from_dict,
                            pi1_presentations)
 from .freegroup import artin_endo
@@ -37,6 +43,11 @@ from .nielsen import (_check_depth, nielsen_decomposition,
 STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
               RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE)
 
+# the built-in configuration, read once: each report resolves it at its
+# braid's d and copies its characteristic numbers, which d does not change
+_DEFAULT_CHECKED = _checked_configuration(DEFAULT_CONFIGURATION)
+_DEFAULT_NUMBERS = characteristic_numbers(_DEFAULT_CHECKED[0])
+
 
 def build_report(text: str, refine_depth: int = 0,
                  config_data: dict = DEFAULT_CONFIGURATION) -> dict:
@@ -44,10 +55,12 @@ def build_report(text: str, refine_depth: int = 0,
     ``braids.parse_braid`` reads and checks.
 
     ``config_data`` is a parsed gluing-configuration dict, by default
-    ``DEFAULT_CONFIGURATION``; volume tokens "d" resolve against this
-    braid, and anything else, None included, raises ConfigurationError.
-    It is checked for every braid, so a malformed one fails
-    whatever the braid, but only the standard cycle's report shows it.
+    ``DEFAULT_CONFIGURATION``, which was checked when this module was
+    imported and is not read again; volume tokens "d" resolve against
+    this braid.  Any other value, None and an edited copy of the
+    default included, is checked for every braid, so a malformed one
+    raises ConfigurationError whatever the braid, but only the standard
+    cycle's report shows it.
     ``refine_depth`` > 0 adds the bounded twisted-conjugacy refinement
     of the raw trace terms; it is not read for a braid that is not the
     standard cycle, whose report stops at its permutation.
@@ -74,7 +87,9 @@ def build_report(text: str, refine_depth: int = 0,
         "statements": list(STATEMENTS),
         "refined": None,
     }
-    config = configuration_from_dict(config_data, braid.d)
+    default = config_data is DEFAULT_CONFIGURATION
+    config = (_resolved_configuration(_DEFAULT_CHECKED, braid.d) if default
+              else configuration_from_dict(config_data, braid.d))
     if not report["transitive"]:
         report["warning"] = (
             f"braid induces {_cycle_text(sigma)}, not the standard cycle "
@@ -83,7 +98,8 @@ def build_report(text: str, refine_depth: int = 0,
         return report
 
     report["config"] = config
-    report["characteristic_numbers"] = characteristic_numbers(config)
+    report["characteristic_numbers"] = (dict(_DEFAULT_NUMBERS) if default
+                                        else characteristic_numbers(config))
     report["anticanonical_tori"] = anticanonical_tori(braid.d)
     endo = artin_endo(braid)
     # pi1 before refinement's raw trace, so that the relators and the

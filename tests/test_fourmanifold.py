@@ -2,6 +2,7 @@
 against the checked presentations, rescan Tietze pass and
 abelianization of ``_oracles``, and fiber-sum characteristic numbers."""
 
+import copy
 import json
 import os
 import random
@@ -491,13 +492,15 @@ class TestConfigurationSerialization:
 
     def test_the_result_shares_nothing_with_its_input(self):
         # the default is module data that every report reads: neither
-        # the dict a report prints nor any container inside it may be
-        # the default's, nor may the check change it
+        # the dicts a report prints nor any container inside them may be
+        # the default's or the last report's, nor may the check change it
         before = json.dumps(DEFAULT_CONFIGURATION)
         first = build_report("d=3; s1 s2")
         first["config"]["pieces"][0]["tori"]["H1"] = 99
         first["config"]["pieces"].pop()
         first["config"]["pairings"][0].append("H9")
+        first["characteristic_numbers"]["chi"] = 99
+        first["characteristic_numbers"].pop("c2")
         cfg = configuration_from_dict(DEFAULT_CONFIGURATION, 3)
         cfg["pieces"][1]["name"] = "X"
         cfg["pieces"][1]["tori"].clear()
@@ -507,6 +510,31 @@ class TestConfigurationSerialization:
         assert again["config"] == configuration_from_dict(
             json.loads(before), 3)
         assert again["config"]["pieces"][0]["tori"] == {"H1": 3}
+        assert again["characteristic_numbers"] == {
+            "chi": 48, "sigma": -32, "c2": 48, "c1_squared": 0}
+
+    def test_a_changed_copy_of_the_default_is_read_as_given(self):
+        # the default is read once; a copy passed as config_data is
+        # checked for its report, and leaves the next default report be
+        data = copy.deepcopy(DEFAULT_CONFIGURATION)
+        data["pieces"][2].update(kind="custom", chi=30)
+        data["pieces"][1]["tori"]["H3p"] = 2
+        data["pieces"][2]["tori"]["H3"] = 2
+        changed = build_report("d=4; s1 s2 s3", config_data=data)
+        assert changed["config"]["pieces"][2] == {
+            "name": "M3", "kind": "custom", "chi": 30, "sigma": -16,
+            "tori": {"H3": 2}}
+        assert changed["config"]["pieces"][1]["tori"] == {
+            "H1p": 4, "H3p": 2, "H4p": 1}
+        assert changed["characteristic_numbers"] == {
+            "chi": 54, "sigma": -32, "c2": 54, "c1_squared": 12}
+        again = build_report("d=4; s1 s2 s3")
+        assert again["config"] == configuration_from_dict(
+            DEFAULT_CONFIGURATION, 4)
+        assert again["characteristic_numbers"]["chi"] == 48
+        data["pieces"][2]["tori"]["H3"] = 1
+        with pytest.raises(ConfigurationError, match="volume mismatch"):
+            build_report("d=4; s1 s2 s3", config_data=data)
 
     def test_a_valid_configuration_echoes_nothing(self, monkeypatch):
         # a message is built only when a check fails, so checking the

@@ -18,7 +18,7 @@ from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
                                      characteristic_numbers,
                                      configuration_from_dict)
 
-from _oracles import parse_braid_by_runs
+from _oracles import configuration_in_one_pass, parse_braid_by_runs
 from _samplers import random_transitive_braid
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -126,6 +126,15 @@ def parse_outcome(parse, text):
 @example("d=3; s1^-1x s2")
 @example("d=3;s1\x1cs2")
 @example("d=5; s1 s5^-1")
+# each distinct token is read once: two spellings of one letter, and a
+# bad token, an index out of range, a number too long to convert or a
+# separator that is not ASCII whitespace after repeats of a good one
+@example("d=3; s1 s01^-1")
+@example("d=3; " + "s1 " * 200 + "s1x")
+@example("d=3; " + "s1 " * 200 + "s3")
+@example("d=3; s1 s" + "1" * 4301)
+@example("d=3; s1 \x1c s2")
+@example("d=3; s1\x1cs2 s1")
 def test_parse_braid_agrees_with_the_scan_of_runs(text):
     assert (parse_outcome(parse_braid, text)
             == parse_outcome(parse_braid_by_runs, text))
@@ -138,6 +147,47 @@ def test_configuration_raises_only_configuration_errors(data, d):
         characteristic_numbers(configuration_from_dict(data, d))
     except ConfigurationError:
         pass
+
+
+def tied(*pairings, volumes=(("H1", "d"), ("H1p", 3), ("H3", 3))) -> dict:
+    """One custom piece with the given torus volumes, and the pairings."""
+    return {"pieces": [{"name": "A", "chi": 0, "sigma": 0,
+                        "tori": dict(volumes)}],
+            "pairings": [list(x) for x in pairings]}
+
+
+def config_outcome(check, data, d):
+    """The configuration check returns, or its error's class and
+    message."""
+    try:
+        return check(data, d)
+    except ConfigurationError as exc:
+        return type(exc), str(exc)
+
+
+# a pairing with a "d" side is compared at d, in its place among the
+# checks: the rows put it before a pairing that names an unknown torus
+# or reuses one, before an integer mismatch and before an unpaired
+# torus, at a d where it matches and one where it does not
+@FUZZ
+@given(config_like, st.integers(2, 9))
+@example(tied(["H1", "H1p"], ["H9", "H3"]), 3)
+@example(tied(["H1", "H1p"], ["H9", "H3"]), 4)
+@example(tied(["H1", "H1p"], ["H1p", "H3"]), 3)
+@example(tied(["H1", "H1p"], ["H3", "H1"]), 5)
+@example(tied(["H1", "H1p"]), 3)
+@example(tied(["H1", "H1p"]), 2)
+@example(tied(["H3", "H1"], ["H1p", "H4"], volumes=(
+    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", 2))), 3)
+@example(tied(["H3", "H1"], ["H1p", "H4"], volumes=(
+    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", 2))), 6)
+@example(tied(["H1", "H4"], ["H3", "H1p"], volumes=(
+    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", "d"))), 7)
+@example(tied(["H1", "H4"], ["H3", "H9"], volumes=(
+    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", "d"))), 7)
+def test_the_two_step_check_agrees_with_one_pass(data, d):
+    assert (config_outcome(configuration_from_dict, data, d)
+            == config_outcome(configuration_in_one_pass, data, d))
 
 
 @FUZZ

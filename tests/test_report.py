@@ -6,6 +6,7 @@ the standard cycle.  It calls ``from_letters`` on no word it built
 itself, and each of those words equals ``from_letters`` of its own
 letters."""
 
+import copy
 import sys
 from collections import Counter
 from pathlib import Path
@@ -75,6 +76,21 @@ def test_each_object_is_built_once(monkeypatch):
     # simplified or eliminated
     assert calls == Counter({name: 1 for _, name in ONCE})
     assert report["pi1"]["standard_form_order"] == 4
+
+
+def test_the_built_in_configuration_is_checked_once(monkeypatch):
+    # the checks that do not read d ran on the built-in configuration at
+    # import; a configuration passed in, even an equal one, is checked
+    # for every report
+    calls = count_calls(monkeypatch,
+                        ((fourmanifold, "_checked_configuration"),))
+    words = ("d=3; s1 s2", "d=4; s1 s2 s3", "d=4; s1 s1",
+             "d=6; s1 s2 s3 s4 s5")
+    defaults = [build_report(word) for word in words]
+    assert calls == Counter()
+    data = copy.deepcopy(DEFAULT_CONFIGURATION)
+    assert [build_report(word, config_data=data) for word in words] == defaults
+    assert calls == Counter({"_checked_configuration": len(words)})
 
 
 def test_the_report_reads_each_image_in_place(monkeypatch):
