@@ -25,12 +25,12 @@ on ``_Record``, each with its own ``__init__``, and not dataclasses:
 ``dataclasses`` imports ``inspect``, which would cost every CLI process
 more at startup than it spends on one report.  ``BraidWord`` checks
 nothing.  Letters enter the package checked in one of two places:
-``parse_braid`` reads the text off the grammar and range-checks d and
-each distinct token, whose letters it reduces unchecked, and
-``BraidWord.from_letters`` checks that each letter is a
-nonzero int, then d, then that each letter of the reduced word names a
-generator for d strands.  Every other word is built from valid words
-with the record constructor.
+``parse_braid`` reads the text off the grammar, range-checks d and
+checks each distinct token once by ``_letter``, whose letters it
+reduces unchecked, and ``BraidWord.from_letters`` checks that each
+letter is a nonzero int, then d (``_check_strands``), then that each
+letter of the reduced word names a generator for d strands.  Every
+other word is built from valid words with the record constructor.
 
 Composition convention, used consistently by everything this word
 induces (permutations, free group endomorphisms): a word composes like
@@ -97,6 +97,17 @@ def _check_int(x, what: str) -> None:
     """ValueError unless x is an int (a bool is not)."""
     if not _is_int(x):
         raise ValueError(f"{what} must be an int, got {_shown_repr(x)}")
+
+
+def _check_strands(d) -> None:
+    """ValueError unless d is an int (a bool is not) in 2..MAX_STRANDS."""
+    _check_int(d, "d")
+    if d < 2:
+        raise ValueError(
+            f"need at least two marked points, got d={_shown_repr(d)}")
+    if d > MAX_STRANDS:
+        raise ValueError(f"need at most {MAX_STRANDS} marked points, "
+                         f"got d={_shown_repr(d)}")
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
@@ -210,13 +221,7 @@ class BraidWord(_Record):
         for a letter of the reduced word that names no generator for d
         strands: neither 0 < |x| < d nor TWIST < |x| <= TWIST + d."""
         reduced = _reduce(letters)
-        _check_int(d, "d")
-        if d < 2:
-            raise ValueError(
-                f"need at least two marked points, got d={_shown_repr(d)}")
-        if d > MAX_STRANDS:
-            raise ValueError(f"need at most {MAX_STRANDS} marked points, "
-                             f"got d={_shown_repr(d)}")
+        _check_strands(d)
         for x in reduced:
             if not (0 < abs(x) < d or TWIST < abs(x) <= TWIST + d):
                 raise ValueError(
@@ -253,51 +258,28 @@ def _integer(digits: str, position: int) -> int:
             f"integer of {len(digits)} digits is too long", position) from None
 
 
-def _generator(kind: str, d: int) -> tuple[str, int, int]:
-    """What a token of ``kind`` "s" or "t" names for d strands: its
-    name, its largest index and the offset of its letters."""
-    if kind == "s":
-        return "Artin generator", d - 1, 0
-    return "framing twist", d, TWIST
-
-
-def _letter(token: tuple[str, str, str], d: int) -> int | None:
-    """The letter of a token (kind, digits, "^-1" or ""), as
-    ``_TOKENS.findall`` splits it, for d strands; None for a bad run
-    (no kind), an integer too long to convert or an index out of
-    range, where the scan of ``_first_bad_token`` raises."""
+def _letter(token: tuple, d: int, position: int, text: str) -> int:
+    """The letter of a token (kind, digits, "^-1"), as ``_TOKENS``
+    splits the run ``text`` at ``position``, for d strands; the run's
+    BraidSyntaxError or BraidIndexError if it names no letter."""
     kind, digits, inv = token
     if not kind:
-        return None
-    try:
-        index = int(digits)
-    except ValueError:
-        return None
-    _, limit, offset = _generator(kind, d)
+        raise BraidSyntaxError(f"bad token {_shown_repr(text)}", position)
+    index = _integer(digits, position)
+    if kind == "s":
+        what, limit, x = "Artin generator", d - 1, index
+    else:
+        what, limit, x = "framing twist", d, TWIST + index
     if not 1 <= index <= limit:
-        return None
-    return -(offset + index) if inv else offset + index
-
-
-def _first_bad_token(text: str, start: int, d: int) -> None:
-    """Raise the error of the first token of ``text[start:]`` that
-    ``_letter`` rejects, at its offset."""
-    for tok in _TOKENS.finditer(text, start):
-        pos = tok.start()
-        kind, digits, _ = tok.groups()
-        if kind is None:
-            raise BraidSyntaxError(f"bad token {_shown_repr(tok.group())}", pos)
-        index = _integer(digits, pos)
-        what, limit, _ = _generator(kind, d)
-        if not 1 <= index <= limit:
-            raise BraidIndexError(
-                f"{what} index must lie in 1..{limit} for d={d}", tok.group(), pos)
+        raise BraidIndexError(
+            f"{what} index must lie in 1..{limit} for d={d}", text, position)
+    return -x if inv else x
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse the ``d=<INT>; token*`` grammar, with offsets in errors.
-    Each distinct token is converted and range-checked once; a text
-    with a bad one is scanned again, token by token, for the first."""
+    Each distinct token is classified once; a text with a bad one is
+    scanned again, token by token, for the first."""
     m = _HEADER.match(text)
     if m is None:
         raise BraidSyntaxError("expected header of the form 'd=<int>;'", 0)
@@ -307,9 +289,15 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidIndexError(f"d must lie in 2..{MAX_STRANDS}", "d=" + digits,
                               m.start(1))
     tokens = _TOKENS.findall(text, m.end())
-    letter = {t: _letter(t, d) for t in set(tokens)}
-    if None in letter.values():
-        _first_bad_token(text, m.end(), d)
+    try:
+        letter = {t: _letter(t, d, 0, "") for t in set(tokens)}
+    except BraidError:
+        letter = None
+    if letter is None:
+        # a set's order follows the hash seed, so the first bad token
+        # in text order raises, at its offset
+        for tok in _TOKENS.finditer(text, m.end()):
+            _letter(tok.groups(), d, tok.start(), tok.group())
     return BraidWord(d, _free_reduce(map(letter.__getitem__, tokens)))
 
 

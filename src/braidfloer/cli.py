@@ -6,10 +6,10 @@ are ASCII digits 0-9 and its separators ASCII whitespace), 3 for usage
 problems and for a report that runs out of memory.  Usage problems are
 bad flags (``--refine-depth`` too takes ASCII digits 0-9 only, and one
 with more digits than the interpreter converts gets a one-line message
-naming the limit), an unreadable or inconsistent configuration, which
-fails whatever the braid, and a ``--refine-depth`` whose orbit balls,
-with the L(t) an odd depth computes for the boundary elements whose
-first letter is not their conjugator's, would count more than
+naming the limit), an unreadable or inconsistent configuration, and a
+``--refine-depth`` whose orbit balls, with the L(t) an odd depth
+computes for the boundary elements whose first letter is not their
+conjugator's, would count more than
 ``nielsen.ORBIT_BALL_CAP`` elements for one homological class.  The
 images of a pseudo-Anosov braid grow exponentially in its length and
 nothing caps them yet, so a short word can need more memory
@@ -22,7 +22,9 @@ Batch mode reads one braid word per line, skipping blank lines and
 ``#`` comments, and writes the byte-exact concatenation of the single
 runs; the first parse error aborts the batch and names its line of
 the file (``line N: ``, from 1, blank and comment lines counted), as
-does a refinement past ``ORBIT_BALL_CAP``.  Lines end at ``\n`` and lose ASCII
+do a refinement past ``ORBIT_BALL_CAP`` and an inconsistent
+configuration: one that pairs a "d" volume with an integer fails only
+at a braid whose d differs.  Lines end at ``\n`` and lose ASCII
 whitespace only, so a Unicode space or line break (U+3000, NEL) stays
 in its line and is a parse error (exit 2).
 """
@@ -165,12 +167,9 @@ def main(argv: list[str] | None = None) -> int:
         print("braidfloer: stdout was closed before the reports were "
               "written", file=sys.stderr)
         return 3
-    except (BraidError, RefinementLimitError) as exc:
+    except (BraidError, ConfigurationError, RefinementLimitError) as exc:
         print(f"braidfloer: {where}{exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidError) else 3
-    except ConfigurationError as exc:
-        print(f"braidfloer: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
         print("braidfloer: out of memory while computing a report",
               file=sys.stderr)

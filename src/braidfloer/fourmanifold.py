@@ -34,12 +34,12 @@ Characteristic numbers.  Euler characteristic and signature add under
 fiber sum along tori, c2 = chi and c1^2 = 2 chi + 3 sigma; the piece
 invariants live in a configuration table, not in code: a dict in the
 ``--config`` format, ``DEFAULT_CONFIGURATION`` unless one is given.
-``configuration_from_dict`` checks it in two steps: every check that
-does not read d (``_checked_configuration``), then the "d" volumes
-resolved at d (``_resolved_configuration``), whose one check compares a
-pairing with a "d" side in its place among the others.  So the report
-checks the built-in configuration once, at import, and resolves it for
-each braid.  ``characteristic_numbers`` and ``anticanonical_tori``
+``configuration_from_dict`` checks it in one pass, ``_configuration``,
+which resolves each "d" volume at d as it reads it.  The report runs
+that pass once, at import, on the built-in configuration at d = "d",
+which leaves every "d" volume unresolved (it pairs no "d" volume with
+an integer), and ``_resolved`` substitutes each braid's d in a copy.
+``characteristic_numbers`` and ``anticanonical_tori``
 return their report sections, as dicts in the order the report prints
 them.
 """
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .braids import _check_int, _is_int, _shown, _shown_repr
+from .braids import _check_int, _check_strands, _is_int, _shown, _shown_repr
 from .freegroup import FreeGroupEndo
 
 
@@ -206,9 +206,9 @@ def _known_keys(x: dict, keys: tuple[str, ...], what: str) -> None:
             raise ConfigurationError(f"unknown {what} key {_shown_repr(k)}")
 
 
-def _piece(n: int, p) -> dict:
+def _piece(n: int, p, d) -> dict:
     """Piece n (from 1) of a configuration, checked and copied, with
-    ``kind`` filled in and each volume a positive integer or "d"."""
+    ``kind`` filled in and the volume token "d" resolved to d."""
     if not isinstance(p, dict):
         raise _misshapen(p, f"piece {n}", dict)
     _known_keys(p, PIECE_KEYS, "piece")
@@ -225,7 +225,9 @@ def _piece(n: int, p) -> dict:
     volumes = {}
     for t, v in tori.items():
         _text(t, "torus name")
-        if not (v == "d" or _is_integer(v, 1)):
+        if v == "d":
+            v = d
+        elif not _is_integer(v, 1):
             raise _not_integer(v, f"volume of torus {_shown_repr(t)}", 1)
         volumes[t] = v
     expected = KNOWN_KINDS.get(kind)
@@ -245,20 +247,10 @@ def _pairing(x) -> list[str]:
     return list(x)
 
 
-def _mismatch(a: str, b: str, u, v) -> ConfigurationError:
-    return ConfigurationError(
-        f"volume mismatch in pairing ({_shown_repr(a)}, {_shown_repr(b)}): "
-        f"{_shown_repr(u)} != {_shown_repr(v)}")
-
-
-def _checked_configuration(data) -> tuple:
-    """The checks of ``configuration_from_dict`` that do not read d, in
-    its order: (config, tied, late).  ``config`` is the configuration as
-    the report prints it but with the volume token "d" unresolved;
-    ``tied`` lists each pairing (a, b, volume of a, volume of b) with a
-    "d" side, whose volumes ``_resolved_configuration`` compares at d.
-    A check that fails after such a pairing is not raised here: its
-    message is ``late``, which that comparison may pre-empt."""
+def _configuration(data, d) -> dict:
+    """The checks of ``configuration_from_dict`` in one pass, with the
+    volume token "d" resolved to d as each piece is read; d is not
+    checked, so that d = "d" leaves each "d" volume as it is."""
     if not isinstance(data, dict):
         raise _misshapen(data, "configuration", dict)
     _known_keys(data, CONFIG_KEYS, "configuration")
@@ -268,7 +260,7 @@ def _checked_configuration(data) -> tuple:
         raise _no_key("configuration", exc) from None
     if not isinstance(pieces, (list, tuple)):
         raise _misshapen(pieces, "pieces", list)
-    pieces = [_piece(n, p) for n, p in enumerate(pieces, start=1)]
+    pieces = [_piece(n, p, d) for n, p in enumerate(pieces, start=1)]
     if not isinstance(pairings, (list, tuple)):
         raise _misshapen(pairings, "pairings", list)
     pairings = [_pairing(x) for x in pairings]
@@ -279,45 +271,29 @@ def _checked_configuration(data) -> tuple:
                 f"torus {_shown_repr(t)} appears on two pieces")
         volumes[t] = v
     unpaired = set(volumes)
-    tied = []
-    late = None
-    try:
-        for a, b in pairings:
-            for t in (a, b):
-                if t not in volumes:
-                    raise ConfigurationError(
-                        f"pairing references unknown torus {_shown_repr(t)}")
-                if t not in unpaired:
-                    raise ConfigurationError(
-                        f"torus {_shown_repr(t)} used in two pairings")
-                unpaired.remove(t)
-            u, v = volumes[a], volumes[b]
-            if "d" in (u, v):
-                tied.append((a, b, u, v))
-            elif u != v:
-                raise _mismatch(a, b, u, v)
-        if unpaired:
+    for a, b in pairings:
+        for t in (a, b):
+            if t not in volumes:
+                raise ConfigurationError(
+                    f"pairing references unknown torus {_shown_repr(t)}")
+            if t not in unpaired:
+                raise ConfigurationError(
+                    f"torus {_shown_repr(t)} used in two pairings")
+            unpaired.remove(t)
+        if volumes[a] != volumes[b]:
             raise ConfigurationError(
-                f"unpaired tori: {_shown(', '.join(sorted(unpaired)))}")
-    except ConfigurationError as exc:
-        if not tied:
-            raise
-        late = str(exc)
-    return {"pieces": pieces, "pairings": pairings}, tied, late
+                f"volume mismatch in pairing "
+                f"({_shown_repr(a)}, {_shown_repr(b)}): "
+                f"{_shown_repr(volumes[a])} != {_shown_repr(volumes[b])}")
+    if unpaired:
+        raise ConfigurationError(
+            f"unpaired tori: {_shown(', '.join(sorted(unpaired)))}")
+    return {"pieces": pieces, "pairings": pairings}
 
 
-def _resolved_configuration(checked: tuple, d: int) -> dict:
-    """The configuration ``_checked_configuration`` returned as
-    ``checked``, resolved at d: the volumes of each pairing with a "d"
-    side compared, then its late message raised, and the configuration
-    returned in new dicts and lists, with "d" resolved to d."""
-    config, tied, late = checked
-    for a, b, u, v in tied:
-        u, v = (d if x == "d" else x for x in (u, v))
-        if u != v:
-            raise _mismatch(a, b, u, v)
-    if late is not None:
-        raise ConfigurationError(late)
+def _resolved(config: dict, d: int) -> dict:
+    """A configuration ``_configuration`` returned at d = "d", in new
+    dicts and lists, with "d" resolved to d."""
     return {"pieces": [{**p, "tori": {t: d if v == "d" else v
                                       for t, v in p["tori"].items()}}
                        for p in config["pieces"]],
@@ -325,31 +301,27 @@ def _resolved_configuration(checked: tuple, d: int) -> dict:
 
 
 def configuration_from_dict(data: dict, d: int) -> dict:
-    """Check a configuration in the ``--config`` format and return it as
-    the report prints it, in new dicts and lists, with ``kind`` filled
-    in and the volume token "d" resolved to d.  Names are strings, chi
-    and sigma integers (not booleans, floats or strings), volumes
-    positive integers or "d", all of absolute value at most
-    ``CONFIG_INT_BOUND``; ``tori`` is an object and each pairing lists
-    two torus names.  The configuration has no key but those of
+    """Check a configuration in the ``--config`` format in one pass and
+    return it as the report prints it, in new dicts and lists, with
+    ``kind`` filled in and the volume token "d" resolved to d, which
+    must be an int in 2..MAX_STRANDS (ValueError, as for a braid word).
+    Names are strings, chi and sigma integers (not booleans, floats or
+    strings), volumes positive integers or "d", all of absolute value
+    at most ``CONFIG_INT_BOUND``; ``tori`` is an object and each pairing
+    lists two torus names.  The configuration has no key but those of
     ``CONFIG_KEYS`` and a piece none but those of ``PIECE_KEYS``.  A
     known kind has its (chi, sigma), and each torus lies on one piece
     and in one pairing of equal volumes; anything else raises
-    ConfigurationError.  Messages are built only when raised.
-
-    The checks run in one order at every d, in two steps:
-    ``_checked_configuration`` makes each that does not read d, and
-    ``_resolved_configuration`` compares each pairing with a "d" side
-    at d, the one check that reads it."""
-    return _resolved_configuration(_checked_configuration(data), d)
+    ConfigurationError.  Messages are built only when raised."""
+    _check_strands(d)
+    return _configuration(data, d)
 
 
 def characteristic_numbers(config: dict) -> dict:
     """chi and sigma add under fiber sum along tori (chi(T^2) = 0 and
     Novikov additivity); then c2 = chi and c1^2 = 2 chi + 3 sigma.
-    ``config`` is a configuration ``configuration_from_dict`` returned,
-    or the first of what ``_checked_configuration`` returned: chi and
-    sigma do not depend on d.  The result is the report's
+    ``config`` is a configuration ``_configuration`` returned, at any
+    d: chi and sigma do not depend on it.  The result is the report's
     ``characteristic_numbers`` section."""
     chi = sum(p["chi"] for p in config["pieces"])
     sigma = sum(p["sigma"] for p in config["pieces"])

@@ -14,12 +14,13 @@ pass would reach the simplified one, and its standard form order and
 abelianization Z x Z/d written from d, so a report runs no Tietze pass
 and uses nothing of ``snf``.  The Floer bounds are computed once from
 the class indices, and the fiber-sum section suspends them.  The
-built-in gluing configuration is checked once, at import, and its
-characteristic numbers computed then; a configuration passed to
-``build_report``, or given with ``--config``, is checked for every
-braid.  Each report resolves the "d" volumes at its d; the result is
-``config``.  So ``DEFAULT_CONFIGURATION`` is read at import: to change
-it, edit a copy and pass the copy.
+built-in gluing configuration is checked once, at import, by the one
+pass of ``configuration_from_dict`` at d = "d", which leaves its "d"
+volumes unresolved, and its characteristic numbers computed then; each
+report resolves the "d" volumes at its d, and the result is
+``config``.  A configuration passed to ``build_report``, or given with
+``--config``, is checked for every braid.  So ``DEFAULT_CONFIGURATION``
+is read at import: to change it, edit a copy and pass the copy.
 The report builds the ``refined`` section from the (label, clusters)
 pairs of ``nielsen.refine_decomposition``; every other invariant
 section is stored as the public function that computes it returns it.
@@ -32,10 +33,9 @@ from .braids import induced_permutation, parse_braid
 from .floer import (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
                     RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE,
                     dims_lower_bound, fiber_sum_dims)
-from .fourmanifold import (DEFAULT_CONFIGURATION, _checked_configuration,
-                           _resolved_configuration, anticanonical_tori,
-                           characteristic_numbers, configuration_from_dict,
-                           pi1_presentations)
+from .fourmanifold import (DEFAULT_CONFIGURATION, _configuration, _resolved,
+                           anticanonical_tori, characteristic_numbers,
+                           configuration_from_dict, pi1_presentations)
 from .freegroup import artin_endo
 from .nielsen import (_check_depth, nielsen_decomposition,
                       refine_decomposition)
@@ -43,10 +43,11 @@ from .nielsen import (_check_depth, nielsen_decomposition,
 STATEMENTS = (FRAMING_NOTE, MONOTONE_REDUCTION_STATEMENT,
               RESCALING_CAVEAT, SYMPLECTIC_CLASS_NOTE)
 
-# the built-in configuration, read once: each report resolves it at its
-# braid's d and copies its characteristic numbers, which d does not change
-_DEFAULT_CHECKED = _checked_configuration(DEFAULT_CONFIGURATION)
-_DEFAULT_NUMBERS = characteristic_numbers(_DEFAULT_CHECKED[0])
+# the built-in configuration, checked once with its "d" volumes left
+# unresolved: each report resolves it at its braid's d and copies its
+# characteristic numbers, which d does not change
+_DEFAULT = _configuration(DEFAULT_CONFIGURATION, "d")
+_DEFAULT_NUMBERS = characteristic_numbers(_DEFAULT)
 
 
 def build_report(text: str, refine_depth: int = 0,
@@ -59,7 +60,8 @@ def build_report(text: str, refine_depth: int = 0,
     imported and is not read again; volume tokens "d" resolve against
     this braid.  Any other value, None and an edited copy of the
     default included, is checked for every braid, so a malformed one
-    raises ConfigurationError whatever the braid, but only the standard
+    raises ConfigurationError for every braid (a "d" volume paired with
+    an integer only at a d that differs from it), but only the standard
     cycle's report shows it.
     ``refine_depth`` > 0 adds the bounded twisted-conjugacy refinement
     of the raw trace terms; it is not read for a braid that is not the
@@ -88,7 +90,7 @@ def build_report(text: str, refine_depth: int = 0,
         "refined": None,
     }
     default = config_data is DEFAULT_CONFIGURATION
-    config = (_resolved_configuration(_DEFAULT_CHECKED, braid.d) if default
+    config = (_resolved(_DEFAULT, braid.d) if default
               else configuration_from_dict(config_data, braid.d))
     if not report["transitive"]:
         report["warning"] = (

@@ -17,12 +17,7 @@ from typing import Iterable, Sequence
 from braidfloer import snf
 from braidfloer.braids import (_HEADER, MAX_STRANDS, BraidIndexError,
                                BraidSyntaxError, BraidWord, _integer, _reduce,
-                               _shown, _shown_repr, induced_permutation)
-from braidfloer.fourmanifold import (CONFIG_KEYS, KNOWN_KINDS, PIECE_KEYS,
-                                     ConfigurationError, _is_integer,
-                                     _known_keys, _misshapen, _no_key,
-                                     _not_integer, _pairing, _text)
-from braidfloer.fourmanifold import _integer as _config_integer
+                               _shown, induced_permutation)
 from braidfloer.freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
 
 
@@ -665,80 +660,3 @@ def assert_value_record(x, twin, fields: tuple[str, ...], others) -> None:
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and hash(y) == hash(x)
 
-
-def _one_pass_piece(n: int, p, d: int) -> dict:
-    """Piece n (from 1) of a configuration, checked and copied, with the
-    volume token "d" resolved to d."""
-    if not isinstance(p, dict):
-        raise _misshapen(p, f"piece {n}", dict)
-    _known_keys(p, PIECE_KEYS, "piece")
-    try:
-        name, chi, sigma = p["name"], p["chi"], p["sigma"]
-    except KeyError as exc:
-        raise _no_key(f"piece {n}", exc) from None
-    name = _text(name, "piece name")
-    kind = _text(p.get("kind", "custom"), "piece kind")
-    chi, sigma = _config_integer(chi, "chi"), _config_integer(sigma, "sigma")
-    tori = p.get("tori", {})
-    if not isinstance(tori, dict):
-        raise ConfigurationError(
-            f"tori must be an object, got {_shown_repr(tori)}")
-    volumes = {}
-    for t, v in tori.items():
-        _text(t, "torus name")
-        if v == "d":
-            v = d
-        elif not _is_integer(v, 1):
-            raise _not_integer(v, f"volume of torus {_shown_repr(t)}", 1)
-        volumes[t] = v
-    expected = KNOWN_KINDS.get(kind)
-    if expected is not None and (chi, sigma) != expected:
-        raise ConfigurationError(
-            f"piece {_shown_repr(name)} of kind {_shown_repr(kind)} must have "
-            f"(chi, sigma) = {expected}, "
-            f"got ({_shown_repr(chi)}, {_shown_repr(sigma)})")
-    return dict(name=name, kind=kind, chi=chi, sigma=sigma, tori=volumes)
-
-
-def configuration_in_one_pass(data: dict, d: int) -> dict:
-    """``fourmanifold.configuration_from_dict`` as one pass that resolves
-    the volume token "d" to d as it reads each piece, and makes every
-    check in order with d known."""
-    if not isinstance(data, dict):
-        raise _misshapen(data, "configuration", dict)
-    _known_keys(data, CONFIG_KEYS, "configuration")
-    try:
-        pieces, pairings = data["pieces"], data["pairings"]
-    except KeyError as exc:
-        raise _no_key("configuration", exc) from None
-    if not isinstance(pieces, (list, tuple)):
-        raise _misshapen(pieces, "pieces", list)
-    pieces = [_one_pass_piece(n, p, d) for n, p in enumerate(pieces, start=1)]
-    if not isinstance(pairings, (list, tuple)):
-        raise _misshapen(pairings, "pairings", list)
-    pairings = [_pairing(x) for x in pairings]
-    volumes: dict[str, int] = {}
-    for t, v in (item for p in pieces for item in p["tori"].items()):
-        if t in volumes:
-            raise ConfigurationError(
-                f"torus {_shown_repr(t)} appears on two pieces")
-        volumes[t] = v
-    unpaired = set(volumes)
-    for a, b in pairings:
-        for t in (a, b):
-            if t not in volumes:
-                raise ConfigurationError(
-                    f"pairing references unknown torus {_shown_repr(t)}")
-            if t not in unpaired:
-                raise ConfigurationError(
-                    f"torus {_shown_repr(t)} used in two pairings")
-            unpaired.remove(t)
-        if volumes[a] != volumes[b]:
-            raise ConfigurationError(
-                f"volume mismatch in pairing "
-                f"({_shown_repr(a)}, {_shown_repr(b)}): "
-                f"{_shown_repr(volumes[a])} != {_shown_repr(volumes[b])}")
-    if unpaired:
-        raise ConfigurationError(
-            f"unpaired tori: {_shown(', '.join(sorted(unpaired)))}")
-    return {"pieces": pieces, "pairings": pairings}

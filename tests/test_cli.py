@@ -1,6 +1,7 @@
 """Command line contract: formats, batch mode, exit codes, and the
 shipped report schema."""
 
+import copy
 import json
 import os
 import resource
@@ -203,6 +204,19 @@ class TestBatch:
                 if fmt == "json":
                     assert procs[0].stdout == "".join(expected)
 
+    def test_a_parse_error_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # the parser classifies each distinct token once, in set order,
+        # which follows the hash seed; the error names the first bad
+        # token in text order
+        f = tmp_path / "batch.txt"
+        f.write_text("d=3; s1 s2\nd=3; s1 s9 x t7 y s8 s2\n")
+        procs = [run_capped(["--batch", str(f)], {"PYTHONHASHSEED": seed})
+                 for seed in ("0", "1")]
+        assert [proc.returncode for proc in procs] == [2, 2]
+        assert procs[0].stderr == procs[1].stderr == (
+            "braidfloer: line 2: Artin generator index must lie in 1..2 "
+            "for d=3: token 's9' (at position 8)\n")
+
     def test_non_utf8_batch_is_3(self, capsys, tmp_path):
         f = tmp_path / "batch.txt"
         f.write_bytes(b"d=3; s1 s2\n\xfe\n")
@@ -244,16 +258,32 @@ class TestBatch:
         assert code == 3 and len(out.splitlines()) == 1
         assert err.startswith("braidfloer: line 3: twisted-conjugacy "
                               "refinement needs more than ORBIT_BALL_CAP")
-        # a single braid has no line, and a configuration error fails
-        # whatever the braid, so neither names one
-        code, _, err = run(capsys, "--braid", "d=3; nope")
-        assert code == 2
-        assert err == "braidfloer: bad token 'nope' (at position 5)\n"
+        # and so does a configuration error, at the first braid it
+        # fails for: a "d" volume paired with an integer fails only
+        # where d differs
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"pieces": 5}')
         code, out, err = run(capsys, "--batch", str(f), "--config", str(cfg))
         assert code == 3 and out == ""
-        assert err.startswith("braidfloer: malformed configuration: ")
+        assert err.startswith("braidfloer: line 1: malformed configuration: ")
+        data = copy.deepcopy(DEFAULT_CONFIGURATION)
+        data["pieces"][1]["tori"]["H1p"] = 4
+        cfg.write_text(json.dumps(data))
+        f.write_text("d=4; s1 s2 s3\nd=4; s1 s1\n# d=5\nd=5; s1 s2 s3 s4\n")
+        code, out, err = run(capsys, "--batch", str(f), "--config", str(cfg),
+                             "--format", "json")
+        assert code == 3 and len(out.splitlines()) == 2
+        assert err == ("braidfloer: line 4: volume mismatch in pairing "
+                       "('H1', 'H1p'): 5 != 4\n")
+        # a single braid has no line, so no error of one names one
+        code, _, err = run(capsys, "--braid", "d=3; nope")
+        assert code == 2
+        assert err == "braidfloer: bad token 'nope' (at position 5)\n"
+        code, _, err = run(capsys, "--braid", "d=3; s1 s2", "--config",
+                           str(cfg))
+        assert code == 3
+        assert err == ("braidfloer: volume mismatch in pairing "
+                       "('H1', 'H1p'): 3 != 4\n")
 
     @pytest.mark.parametrize("text, bad", [
         ("d=2; s1\nd=3; s1 s2\x85d=3; s1\n", "'s2\\x85d=3;'"),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from braidfloer import fourmanifold
-from braidfloer.braids import induced_permutation, parse_braid
+from braidfloer.braids import BraidWord, induced_permutation, parse_braid
 from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
                                      ConfigurationError, anticanonical_tori,
                                      characteristic_numbers,
@@ -461,6 +461,26 @@ class TestConfigurationSerialization:
         characteristic_numbers(cfg)  # volumes match: "d" resolved to 4
         with pytest.raises(ConfigurationError):
             characteristic_numbers(configuration_from_dict(data, 5))
+
+    @pytest.mark.parametrize("d, message", [
+        ("x", "d must be an int, got 'x'"),
+        (True, "d must be an int, got True"),
+        (-5, "need at least two marked points, got d=-5"),
+        (1, "need at least two marked points, got d=1"),
+        (1001, "need at most 1000 marked points, got d=1001"),
+        (10 ** 30, "need at most 1000 marked points, got d=10000000..."),
+        (float("nan"), "d must be an int, got nan"),
+    ], ids=["str", "bool", "negative", "one", "past-max", "huge", "nan"])
+    def test_d_is_checked_as_for_a_braid_word(self, d, message):
+        # before the configuration, by the check and message of
+        # BraidWord.from_letters
+        for check in (lambda: configuration_from_dict(DEFAULT_CONFIGURATION, d),
+                      lambda: configuration_from_dict(None, d),
+                      lambda: BraidWord.from_letters(d, ())):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == message
 
     def test_malformed_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from braidfloer.braids import MAX_STRANDS, BraidError, parse_braid
 from braidfloer.cli import main
 from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION, ConfigurationError,
+                                     _configuration, _resolved,
                                      characteristic_numbers,
                                      configuration_from_dict)
 
-from _oracles import configuration_in_one_pass, parse_braid_by_runs
+from _oracles import parse_braid_by_runs
 from _samplers import random_transitive_braid
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -135,6 +136,12 @@ def parse_outcome(parse, text):
 @example("d=3; s1 s" + "1" * 4301)
 @example("d=3; s1 \x1c s2")
 @example("d=3; s1\x1cs2 s1")
+# two bad tokens of different kinds, in both orders: the distinct
+# tokens are classified in set order, which follows the hash seed, and
+# the first in text order raises
+@example("d=3; s9 x")
+@example("d=3; x s9")
+@example("d=3; s1 s" + "9" * 4301 + " x")
 def test_parse_braid_agrees_with_the_scan_of_runs(text):
     assert (parse_outcome(parse_braid, text)
             == parse_outcome(parse_braid_by_runs, text))
@@ -156,38 +163,71 @@ def tied(*pairings, volumes=(("H1", "d"), ("H1p", 3), ("H3", 3))) -> dict:
             "pairings": [list(x) for x in pairings]}
 
 
-def config_outcome(check, data, d):
-    """The configuration check returns, or its error's class and
-    message."""
-    try:
-        return check(data, d)
-    except ConfigurationError as exc:
-        return type(exc), str(exc)
+FOUR = (("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", 2))
+TWO_D = (("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", "d"))
+
+# a pairing with a "d" side is compared at d in its place among the
+# checks: before a pairing that names an unknown torus or reuses one,
+# before an integer mismatch and before an unpaired torus, at a d where
+# it matches and one where it does not; None where the check passes
+CHECK_ROWS = (
+    (tied(["H1", "H1p"], ["H9", "H3"]), 3,
+     "pairing references unknown torus 'H9'"),
+    (tied(["H1", "H1p"], ["H9", "H3"]), 4,
+     "volume mismatch in pairing ('H1', 'H1p'): 4 != 3"),
+    (tied(["H1", "H1p"], ["H1p", "H3"]), 3,
+     "torus 'H1p' used in two pairings"),
+    (tied(["H1", "H1p"], ["H3", "H1"]), 5,
+     "volume mismatch in pairing ('H1', 'H1p'): 5 != 3"),
+    (tied(["H1", "H1p"]), 3, "unpaired tori: H3"),
+    (tied(["H1", "H1p"]), 2,
+     "volume mismatch in pairing ('H1', 'H1p'): 2 != 3"),
+    (tied(["H3", "H1"], ["H1p", "H4"], volumes=FOUR), 3,
+     "volume mismatch in pairing ('H1p', 'H4'): 3 != 2"),
+    (tied(["H3", "H1"], ["H1p", "H4"], volumes=FOUR), 6,
+     "volume mismatch in pairing ('H3', 'H1'): 3 != 6"),
+    (tied(["H1", "H4"], ["H3", "H1p"], volumes=TWO_D), 7, None),
+    (tied(["H1", "H4"], ["H3", "H9"], volumes=TWO_D), 7,
+     "pairing references unknown torus 'H9'"),
+)
 
 
-# a pairing with a "d" side is compared at d, in its place among the
-# checks: the rows put it before a pairing that names an unknown torus
-# or reuses one, before an integer mismatch and before an unpaired
-# torus, at a d where it matches and one where it does not
+@pytest.mark.parametrize("data, d, message", CHECK_ROWS, ids=[
+    "unknown-after-a-tied-match", "tied-mismatch-before-unknown",
+    "reuse-after-a-tied-match", "tied-mismatch-before-reuse",
+    "unpaired-after-a-tied-match", "tied-mismatch-before-unpaired",
+    "integer-mismatch-after-a-tied-match",
+    "tied-mismatch-before-integer-mismatch", "two-tied-matches",
+    "unknown-after-two-tied-matches"])
+def test_the_check_raises_in_one_order_at_every_d(data, d, message):
+    if message is None:
+        config = configuration_from_dict(data, d)
+        assert [p["tori"] for p in config["pieces"]] == [
+            {t: d if v == "d" else v for t, v in dict(TWO_D).items()}]
+    else:
+        with pytest.raises(ConfigurationError) as exc:
+            configuration_from_dict(data, d)
+        assert str(exc.value) == message
+
+
+# the one pass at d = "d" leaves each "d" volume unresolved; where it
+# passes, substituting d in a copy is the check at d
 @FUZZ
-@given(config_like, st.integers(2, 9))
-@example(tied(["H1", "H1p"], ["H9", "H3"]), 3)
-@example(tied(["H1", "H1p"], ["H9", "H3"]), 4)
-@example(tied(["H1", "H1p"], ["H1p", "H3"]), 3)
-@example(tied(["H1", "H1p"], ["H3", "H1"]), 5)
-@example(tied(["H1", "H1p"]), 3)
-@example(tied(["H1", "H1p"]), 2)
-@example(tied(["H3", "H1"], ["H1p", "H4"], volumes=(
-    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", 2))), 3)
-@example(tied(["H3", "H1"], ["H1p", "H4"], volumes=(
-    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", 2))), 6)
-@example(tied(["H1", "H4"], ["H3", "H1p"], volumes=(
-    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", "d"))), 7)
-@example(tied(["H1", "H4"], ["H3", "H9"], volumes=(
-    ("H1", "d"), ("H1p", 3), ("H3", 3), ("H4", "d"))), 7)
-def test_the_two_step_check_agrees_with_one_pass(data, d):
-    assert (config_outcome(configuration_from_dict, data, d)
-            == config_outcome(configuration_in_one_pass, data, d))
+@given(config_like)
+def test_the_check_at_d_resolves_the_check_at_the_token(data):
+    try:
+        checked = _configuration(data, "d")
+    except ConfigurationError:
+        return
+    for d in range(2, 10):
+        assert _resolved(checked, d) == configuration_from_dict(data, d)
+
+
+def test_the_built_in_configuration_resolves_at_every_d():
+    checked = _configuration(DEFAULT_CONFIGURATION, "d")
+    for d in range(2, MAX_STRANDS + 1):
+        assert (_resolved(checked, d)
+                == configuration_from_dict(DEFAULT_CONFIGURATION, d))
 
 
 @FUZZ

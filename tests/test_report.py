@@ -79,18 +79,17 @@ def test_each_object_is_built_once(monkeypatch):
 
 
 def test_the_built_in_configuration_is_checked_once(monkeypatch):
-    # the checks that do not read d ran on the built-in configuration at
-    # import; a configuration passed in, even an equal one, is checked
-    # for every report
-    calls = count_calls(monkeypatch,
-                        ((fourmanifold, "_checked_configuration"),))
+    # the one-pass check ran on the built-in configuration at import;
+    # a configuration passed in, even an equal one, is checked for every
+    # report
+    calls = count_calls(monkeypatch, ((fourmanifold, "_configuration"),))
     words = ("d=3; s1 s2", "d=4; s1 s2 s3", "d=4; s1 s1",
              "d=6; s1 s2 s3 s4 s5")
     defaults = [build_report(word) for word in words]
     assert calls == Counter()
     data = copy.deepcopy(DEFAULT_CONFIGURATION)
     assert [build_report(word, config_data=data) for word in words] == defaults
-    assert calls == Counter({"_checked_configuration": len(words)})
+    assert calls == Counter({"_configuration": len(words)})
 
 
 def test_the_report_reads_each_image_in_place(monkeypatch):
