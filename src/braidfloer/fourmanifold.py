@@ -46,10 +46,10 @@ them.
 
 from __future__ import annotations
 
-from operator import add
+from operator import itemgetter
 
-from .braids import _check_int, _check_strands, _is_int, _shown, _shown_repr
-from .freegroup import FreeGroupEndo
+from .braids import _check_strands, _is_int, _shown, _shown_repr
+from .freegroup import FreeGroupEndo, _middle
 
 
 def pi1_presentations(e: FreeGroupEndo) -> dict:
@@ -92,19 +92,21 @@ def pi1_presentations(e: FreeGroupEndo) -> dict:
     result has the standard form of order d, and the group abelianizes
     to Z x Z/d.
 
-    The condition is checked on the mirrored pairs of each image: the
-    middle letter is x(k+1) and each letter before it is the inverse
-    of its mirror after it, so their signed indices add to 0.  The last
-    image must be nonempty, so that no monodromy relator cancels at its
-    l2^-1 seam or cyclically; an image that fails either check raises
-    ValueError.
+    The condition is checked on the mirrored pairs of each image
+    (``freegroup._middle``): the middle letter is x(k+1) and each letter
+    before it is the inverse of its mirror after it, so their signed
+    indices add to 0.  The last image must be nonempty, so that no
+    monodromy relator cancels at its l2^-1 seam or cyclically; an image
+    that fails either check raises ValueError.  Each monodromy relator
+    prints phi(xk)^-1 by one lookup of its reversed letters in a list
+    of inverse-letter texts.
     """
     if e.rank < 1:
         raise ValueError("need an endomorphism of rank >= 1 (d >= 2)")
     for k, image in enumerate(e.images[:-1], start=1):
         w = image.letters
-        m = len(w) // 2
-        if len(w) % 2 == 0 or w[m] != k + 1 or any(map(add, w[:m], w[:m:-1])):
+        m = _middle(w)
+        if m < 0 or w[m] != k + 1:
             raise ValueError(
                 f"the image of x{k} is not a conjugate of x{k + 1}")
     d = e.rank + 1
@@ -116,9 +118,13 @@ def pi1_presentations(e: FreeGroupEndo) -> dict:
     inverse = ["", *(f"{x}^-1" for x in names), *reversed(names)]
     relators = ["l1 l2 l1^-1 l2^-1"]
     relators += [f"l1 {x} l1^-1 {x}^-1" for x in names]
-    relators += [f"l2 {x} l2^-1 "
-                 + " ".join(map(inverse.__getitem__, reversed(image.letters)))
-                 for x, image in zip(names, e.images)]
+    for x, image in zip(names, e.images):
+        w = image.letters
+        # every image is nonempty here; itemgetter of one index returns
+        # the bare text, not a tuple
+        text = (" ".join(itemgetter(*w[::-1])(inverse)) if len(w) > 1
+                else inverse[w[0]])
+        relators.append(f"l2 {x} l2^-1 {text}")
     generators = ["l1", "l2", *names]
     longitude = " ".join(["l2"] * d)
     return {
@@ -332,9 +338,8 @@ def characteristic_numbers(config: dict) -> dict:
 def anticanonical_tori(d: int) -> dict:
     """-d times the canonical class is represented by 6d - 2 disjoint
     tori: 2d - 2 parallel copies of H1 and 2d copies each of H3, H4;
-    the result is the report's ``anticanonical_tori`` section."""
-    _check_int(d, "d")
-    if d < 2:
-        raise ValueError("need d >= 2")
+    the result is the report's ``anticanonical_tori`` section.  d must
+    be an int in 2..MAX_STRANDS (ValueError, as for a braid word)."""
+    _check_strands(d)
     return {"total": 6 * d - 2, "h1_parallel": 2 * d - 2,
             "h3_copies": 2 * d, "h4_copies": 2 * d}

@@ -44,7 +44,7 @@ a prefix of a reduced word is reduced.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import neg
+from operator import add, neg
 
 from .braids import (TWIST, BraidWord, _check_int, _Record, _reduce, _set,
                      _shown_repr)
@@ -62,6 +62,17 @@ def _concat(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     while k < m and u[-1 - k] == -v[k]:
         k += 1
     return u[:len(u) - k] + v[k:]
+
+
+def _middle(w: tuple[int, ...]) -> int:
+    """m when the reduced letters w read u y u^-1 for one letter y = w[m]
+    (so |u| = m): odd length, and each letter before the middle is the
+    inverse of its mirror after it, so their signed indices add to 0.
+    Otherwise -1."""
+    m = len(w) // 2
+    if len(w) % 2 and not any(map(add, w[:m], w[:m:-1])):
+        return m
+    return -1
 
 
 class FreeWord(_Record):

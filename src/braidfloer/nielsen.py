@@ -20,14 +20,19 @@ The decomposition is built only for a braid whose permutation sigma is
 one d-cycle, which is what the report surgers.  A permutes the puncture
 classes of Z^d/(1, ..., 1) as sigma does, so coker(I - A) is Z/d, every
 generator xj lies in class 1, and the class of a group element is its
-exponent sum mod d; a d-cycle fixes no puncture, so L = 2.  The N_c are
-read off one prefix scan of each image phi(xj) (``_trace_terms``), in
-time linear in the image letters, and must sum to 2, which checks the
-images against sigma: every term of R is a prefix of an image, labelled
-by its exponent sum; ``nielsen_decomposition`` returns them as the
-report's ``nielsen`` section.  R itself, as words
-(``reidemeister_trace_raw``), is built only for the refinement, which
-returns one (label, clusters) pair per class.
+exponent sum mod d; a d-cycle fixes no puncture, so L = 2.  Every term
+of R is a prefix of an image, labelled by its exponent sum, and the N_c
+are read off one prefix scan of each image phi(xj) (``_class_indices``),
+in time linear in the image letters.  An image u y u^-1 with y > 0 and
+y != xj, which is what a standard-cycle braid gives for j <= d-2, is
+scanned only over u: by Fox's rule d(u y u^-1)/dxj = (1 - u y u^-1)
+d(u)/dxj, and u y u^-1 lies in class 1, so its terms are those of u
+and, at the next class, their negatives.  The N_c must sum to 2, which
+checks the images against sigma; ``nielsen_decomposition`` returns them
+as the report's ``nielsen`` section.  R itself, as words
+(``reidemeister_trace_raw``, from the whole-image scan
+``_trace_terms``), is built only for the refinement, which returns one
+(label, clusters) pair per class.
 
 ``class_space`` reads coker(I - A) off the images instead
 (``_identity_minus_action``), for any endomorphism: it is the
@@ -50,7 +55,7 @@ from collections.abc import Iterator
 from math import gcd
 
 from .braids import Permutation, _is_int, _shown_repr
-from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse
+from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse, _middle
 
 ENUMERATION_CAP = 512  # list every class of Z/d up to this d
 # Orbit-ball elements one refinement may build for one class, over the
@@ -89,7 +94,9 @@ def _trace_terms(e: FreeGroupEndo) -> Iterator[tuple]:
     xj and +[p xj^-1] for each xj^-1, p the prefix before the letter, so
     the term of an xj^-1 is the prefix after it.  The scan reads each
     image in place and tests a letter's sign first, so most letters,
-    which give no term, cost one comparison and the running sum."""
+    which give no term, cost one comparison and the running sum.  It
+    reads whole images, since refinement needs every prefix as a word;
+    ``_class_indices`` scans the same way but may stop halfway."""
     yield (), 0, 1, 0
     for j, image in enumerate(e.images, start=1):
         w = image.letters
@@ -123,11 +130,36 @@ def reidemeister_trace_raw(e: FreeGroupEndo) -> dict[FreeWord, int]:
 
 def _class_indices(e: FreeGroupEndo, d: int) -> list[int]:
     """The raw trace summed per class of Z/d, indexed by class: a term's
-    class is its exponent sum mod d, which ``_trace_terms`` carries, so
-    no term, word or exponent vector is built."""
+    class is its exponent sum mod d, so no term, word or exponent vector
+    is built.  Each image is scanned as ``_trace_terms`` scans it, but
+    an image w = u y u^-1 (``freegroup._middle``) with y > 0 and y != xj
+    is scanned only over u.  For such w, Fox's rule gives
+    d(w)/dxj = (1 - u y u^-1) d(u)/dxj, which projects to (1 - t)
+    times the projection of d(u)/dxj in Z[Z/d], t the class 1: each
+    term of u, of exponent sum s, has its mirror term in u^-1, with the
+    opposite coefficient, at s + 1.  Any other image is scanned whole,
+    so the sums are exact for any endomorphism."""
     totals = [0] * d
-    for _, _, coeff, s in _trace_terms(e):
-        totals[s % d] += coeff
+    totals[0] = 1
+    for j, image in enumerate(e.images, start=1):
+        w = image.letters
+        m = _middle(w)
+        half = m >= 0 and 0 < w[m] != j
+        inv = -j
+        s = 0
+        for x in (w[:m] if half else w):
+            if x > 0:
+                if x == j:
+                    totals[s % d] -= 1
+                    if half:
+                        totals[(s + 1) % d] += 1
+                s += 1
+            else:
+                s -= 1
+                if x == inv:
+                    totals[s % d] += 1
+                    if half:
+                        totals[(s + 1) % d] -= 1
     return totals
 
 
@@ -152,7 +184,8 @@ def nielsen_decomposition(e: FreeGroupEndo, sigma: Permutation) -> dict:
     """The report's ``nielsen`` section for the action e of a braid
     whose permutation sigma is one cycle of degree d = e.rank + 1: the
     class space Z/d, and the raw trace's index N_c per class of Z/d, by
-    one prefix scan per image (``_class_indices``).  Each class lists
+    one prefix scan of each image, or of its conjugator half
+    (``_class_indices``).  Each class lists
     its label [k], k the exponent sum mod d, its order in Z/d and its
     index, in label order; ``bound`` is sum_c |N_c|, the Nielsen-type
     lower bound.  When d <= ENUMERATION_CAP, classes of index 0 are

@@ -19,7 +19,7 @@ from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
                                      characteristic_numbers,
                                      configuration_from_dict,
                                      pi1_presentations)
-from braidfloer.freegroup import FreeGroupEndo, FreeWord, artin_endo
+from braidfloer.freegroup import FreeGroupEndo, FreeWord, _inverse, artin_endo
 from braidfloer.report import build_report
 
 from _oracles import (W, PresentedGroup, _cyclic_key, abelianization,
@@ -265,6 +265,25 @@ class TestSimplifiedPi1:
     def test_standard_words(self):
         assert self.assert_report_matches(standard_braids((*range(2, 61), 150))) == 60
 
+    def test_each_monodromy_relator_prints_the_inverse_image(self):
+        # one-letter images too: phi(x1) = x1^-1 for d=2; s1, and
+        # phi(x1) = x2, phi(x2) = x3 for d=4; s1^-1 s2^-1 s3^-1
+        braids = [parse_braid("d=2; s1"),
+                  parse_braid("d=4; s1^-1 s2^-1 s3^-1"),
+                  parse_braid("d=5; " + "s1 s2^-1 s3 s4^-1 " * 5
+                              + "s1 s2 s3 s4"),
+                  *transitive_golden_braids("golden_words.txt")]
+        one_letter = long = 0
+        for b in braids:
+            e = artin_endo(b)
+            relators = pi1_presentations(e)["mapping_torus"]["relators"]
+            assert relators[b.d:] == [
+                f"l2 x{k} l2^-1 " + FreeWord(e.rank, _inverse(w.letters)).to_text()
+                for k, w in enumerate(e.images, start=1)], b.to_text()
+            one_letter += sum(len(w) == 1 for w in e.images)
+            long += sum(len(w) > 100 for w in e.images)
+        assert one_letter >= 3 and long >= 1
+
     def test_rank_one_has_no_condition(self):
         out = pi1_presentations(identity_endo(1))["simplified"]
         assert out == {"generators": ["l1", "l2"],
@@ -286,7 +305,9 @@ class TestSimplifiedPi1:
     def test_image_that_is_not_a_conjugate_is_rejected(self, images, k):
         e = FreeGroupEndo(3, tuple(W(3, *w) for w in images))
         assert all(W(3, *w).letters == w for w in images)  # each reduced
-        with pytest.raises(ValueError, match=f"image of x{k} is not"):
+        with pytest.raises(
+                ValueError,
+                match=f"^the image of x{k} is not a conjugate of x{k + 1}$"):
             pi1_presentations(e)
 
     def test_a_long_conjugate_is_accepted(self):
@@ -633,8 +654,16 @@ class TestAnticanonicalTori:
                     == t["total"])
 
     def test_small_d_rejected(self):
-        with pytest.raises(ValueError):
-            anticanonical_tori(1)
-        for d in (2.5, "3", True):
-            with pytest.raises(ValueError, match="d must be an int, got "):
+        # the check and message of BraidWord.from_letters; past
+        # MAX_STRANDS too, where the counts were once returned as given
+        for d, message in (
+                (1, "need at least two marked points, got d=1"),
+                (1001, "need at most 1000 marked points, got d=1001"),
+                (10 ** 30, "need at most 1000 marked points, got d=10000000..."),
+                (True, "d must be an int, got True"),
+                ("3", "d must be an int, got '3'"),
+                (2.5, "d must be an int, got 2.5")):
+            with pytest.raises(ValueError) as exc:
                 anticanonical_tori(d)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == message

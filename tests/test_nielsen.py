@@ -17,7 +17,7 @@ from braidfloer import nielsen
 from braidfloer.braids import (BraidWord, Permutation, _reduce,
                                induced_permutation, parse_braid)
 from braidfloer.freegroup import (FreeGroupEndo, FreeWord, _concat, _inverse,
-                                  artin_endo)
+                                  _middle, artin_endo)
 from braidfloer.nielsen import (BALL_LETTERS_PER_ELEMENT, ENUMERATION_CAP,
                                 ORBIT_BALL_CAP, RefinementLimitError,
                                 _orbit_ball, _seam_index, _seam_partners,
@@ -28,7 +28,8 @@ from braidfloer.report import build_report
 
 import _oracles
 from _oracles import W, braid_inverse, braid_product, lefschetz_number
-from _samplers import random_braid_word, random_free_word, random_transitive_braid
+from _samplers import (random_braid_word, random_free_word,
+                       random_transitive_braid, sampled_transitive_braids)
 
 
 # the Lefschetz number of a braid whose permutation is one d-cycle
@@ -193,6 +194,46 @@ def projected_entries(e):
     else:
         totals = {label: c for label, c in totals.items() if c}
     return tuple(sorted(totals.items()))
+
+
+def fox_class_totals(e, d):
+    """The Fox-derivative trace of e summed per exponent sum mod d, the
+    reference for ``_class_indices``."""
+    totals = [0] * d
+    for word, coeff in _oracles.reidemeister_trace_raw(e).items():
+        totals[sum(word.exponent_vector()) % d] += coeff
+    return totals
+
+
+def conjugate_form_image(rng, n, j, kind):
+    """A reduced image of xj, rank n >= 2, for the half scan's edge cases:
+    u xc u^-1 with c = j ("same"), 0 < c != j ("other") or c < 0
+    ("negative"), "other" with one mirrored pair broken ("broken"), or a
+    word of even length ("even")."""
+    while True:
+        if kind == "even":
+            w = random_free_word(rng, n, max_len=12).letters
+            if w and len(w) % 2 == 0:
+                return w
+            continue
+        if kind == "same":
+            c = j
+        elif kind == "negative":
+            c = -rng.randint(1, n)
+        else:
+            c = rng.choice([i for i in range(1, n + 1) if i != j])
+        u = random_free_word(rng, n, max_len=6).letters
+        if not u or u[-1] in (c, -c):
+            continue
+        w = u + (c,) + _inverse(u)
+        if kind == "broken":
+            i = rng.randrange(len(u))
+            z = rng.choice([x for x in (*range(-n, 0), *range(1, n + 1))
+                            if x != -w[i]])
+            w = w[:len(w) - 1 - i] + (z,) + w[len(w) - i:]
+            if W(n, *w).letters != w:
+                continue
+        return w
 
 
 def squares_braid(rng, d, max_len=6):
@@ -385,6 +426,40 @@ class TestDecomposition:
                     == reference), conj.to_text()
             conjugated += 1
         assert standard >= 180 and conjugated >= 100
+
+    def test_half_image_scan_matches_the_fox_trace(self):
+        # _class_indices reads only u of an image u y u^-1 with y > 0,
+        # y != xj, and the whole of any other image; the sums must be the
+        # Fox trace's on standard-cycle braids, conjugated d-cycles and
+        # images made for each side of that rule
+        rng = random.Random(409)
+        cases = [(artin_endo(b), b.d) for b in mixed_words()
+                 if induced_permutation(b).is_standard_cycle()]
+        # a pseudo-Anosov word with images of 267 to 603 letters
+        cases.append((artin_endo(parse_braid(
+            "d=4; " + "s1 s2^-1 s3 " * 4 + "s1 s2 s3")), 4))
+        for b, _ in zip(sampled_transitive_braids(), range(100)):
+            g = random_braid_word(rng, b.d, max_len=6)
+            conj = braid_product(g, b, braid_inverse(g))
+            if not induced_permutation(conj).is_standard_cycle():
+                cases.append((artin_endo(conj), b.d))
+        kinds = ("same", "other", "negative", "broken", "even")
+        for k in range(300):
+            n = 2 + k % 4
+            e = FreeGroupEndo(n, tuple(
+                W(n, *conjugate_form_image(rng, n, j, rng.choice(kinds)))
+                for j in range(1, n + 1)))
+            cases += [(e, n + 1), (e, 2 + k % 7)]
+        half = whole = 0
+        for e, d in cases:
+            assert nielsen._class_indices(e, d) == fox_class_totals(e, d), e
+            for j, w in enumerate(e.images, start=1):
+                m = _middle(w.letters)
+                if m >= 0 and 0 < w.letters[m] != j:
+                    half += 1
+                else:
+                    whole += 1
+        assert len(cases) > 800 and half > 1000 and whole > 1500
 
     def test_precondition_is_one_cycle_of_degree_rank_plus_one(self):
         e = artin_endo(parse_braid("d=4; s1 s2 s3"))
