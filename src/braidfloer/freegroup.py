@@ -37,8 +37,8 @@ rank is an int >= 0 and that its images are a tuple of one
 build their images as records: their starting images are reduced words
 in range, and ``_act`` only inverts reduced words and joins them with
 ``_concat``, which keep both properties.
-``nielsen.reidemeister_trace_raw`` builds its terms the same way, since
-a prefix of a reduced word is reduced.
+``nielsen`` builds its trace terms the same way, since a prefix of a
+reduced word is reduced.
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ scanned only over u: by Fox's rule d(u y u^-1)/dxj = (1 - u y u^-1)
 d(u)/dxj, and u y u^-1 lies in class 1, so its terms are those of u
 and, at the next class, their negatives.  The N_c must sum to 2, which
 checks the images against sigma; ``nielsen_decomposition`` returns them
-as the report's ``nielsen`` section.  R itself, as words
-(``reidemeister_trace_raw``, from the whole-image scan
-``_trace_terms``), is built only for the refinement, which returns one
-(label, clusters) pair per class.
+as the report's ``nielsen`` section.  R itself is built only for the
+refinement, which reads each term and its running exponent sum off the
+whole-image scan ``_trace_terms``; ``reidemeister_trace_raw``, the
+library's word-level trace, is called by no report.
 
 ``class_space`` reads coker(I - A) off the images instead
 (``_identity_minus_action``), for any endomorphism: it is the
@@ -52,17 +52,17 @@ The sign and projection conventions above are pinned by geometry:
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import groupby
 from math import gcd
 
 from .braids import Permutation, _is_int, _shown_repr
 from .freegroup import FreeGroupEndo, FreeWord, _concat, _inverse, _middle
 
 ENUMERATION_CAP = 512  # list every class of Z/d up to this d
-# Orbit-ball elements one refinement may build for one class, over the
-# balls of its terms and the L(t) an odd depth computes (only one
-# class's balls are alive at once); an element also counts once per
-# BALL_LETTERS_PER_ELEMENT of its letters, so that the cap bounds memory
-# when long images make long elements.
+# What one refinement may build for one class (only one class's balls
+# are alive at once): each ball counts its elements plus its total
+# letters // BALL_LETTERS_PER_ELEMENT, each L(t) of an odd depth 1 plus
+# its letters // that, so the cap bounds memory when elements are long.
 ORBIT_BALL_CAP = 1_000_000
 BALL_LETTERS_PER_ELEMENT = 32
 
@@ -333,9 +333,9 @@ def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
     clusters are NOT claimed to be distinct fixed point classes.
 
     e is the action of a braid whose permutation sigma is one cycle of
-    degree d = e.rank + 1, else ValueError (``_check_cycle``); the terms
-    of ``reidemeister_trace_raw(e)``, which only refinement builds, are
-    labelled (k,), k their exponent sum mod d, as in
+    degree d = e.rank + 1, else ValueError (``_check_cycle``); the raw
+    trace's terms, summed per prefix as ``_trace_terms`` yields them, are
+    labelled (k,), k the scan's running exponent sum mod d, as in
     ``nielsen_decomposition``.  The search meets in the middle: if
     u = a b with |a| <= depth // 2 and |b| <= (depth + 1) // 2, then
     h = u g e(u)^-1 exactly when b g e(b)^-1 = a^-1 h e(a^-1)^-1, so
@@ -358,9 +358,9 @@ def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
     L(t) is the element before t in the same ball, which the ball's own
     lookups have merged already, and a later term whose boundary holds
     it finds it in the map of balls.  The balls and the L(t) computed
-    for one class together may count at most ORBIT_BALL_CAP, each
-    element as ``_orbit_ball`` counts it (one plus its letters //
-    BALL_LETTERS_PER_ELEMENT); past that RefinementLimitError is
+    for one class together may count at most ORBIT_BALL_CAP (a ball its
+    elements plus its total letters // b, an L(t) 1 + its letters // b,
+    b = BALL_LETTERS_PER_ELEMENT); past that RefinementLimitError is
     raised.  Each class starts the count afresh: the balls of a class
     are dropped before the next class is searched.
     """
@@ -371,15 +371,15 @@ def refine_decomposition(e: FreeGroupEndo, sigma: Permutation, depth: int
     if depth % 2:
         step_inv = dict(steps)
         seams = _seam_index(steps)
-    groups: dict[tuple[int, ...], list[tuple[FreeWord, int]]] = {}
-    for term in reidemeister_trace_raw(e).items():
-        p = term[0].letters
-        # exponent sum: len(p) less twice the number of inverse letters
-        label = ((len(p) - 2 * sum(map((0).__gt__, p))) % d,)
-        groups.setdefault(label, []).append(term)
+    # (label, length, prefix) -> coefficient; sorted, in members' order
+    terms: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for w, t, coeff, s in _trace_terms(e):
+        key = (s % d, t, w[:t])
+        terms[key] = terms.get(key, 0) + coeff
     out = []
-    for label in sorted(groups):
-        members = sorted(groups[label], key=lambda t: (len(t[0]), t[0].letters))
+    for label, group in groupby(sorted(m for m in terms.items() if m[1]),
+                                lambda m: m[0][:1]):
+        members = [(FreeWord(e.rank, p), c) for (_, _, p), c in group]
         parent = list(range(len(members)))
 
         def find(i: int) -> int:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from braidfloer.braids import TWIST, BraidWord, induced_permutation
+from braidfloer.braids import (TWIST, BraidWord, induced_permutation,
+                               parse_braid)
 from braidfloer.freegroup import FreeWord
 
 from _oracles import W, IntMatrix
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_letter(rng: random.Random, d: int,
@@ -73,6 +77,17 @@ def sampled_transitive_braids():
         d = rng.randint(2, 8)
         yield random_transitive_braid(rng, d,
                                       max_len=rng.choice((2 * d, 3 * d)))
+
+
+def transitive_golden_braids(*names):
+    """The golden words of the named data files that induce the
+    standard cycle."""
+    for name in names:
+        for line in (DATA / name).read_text().splitlines():
+            if line and not line.startswith("#"):
+                b = parse_braid(line)
+                if induced_permutation(b).is_standard_cycle():
+                    yield b
 
 
 def twisted_words(n: int = 200):

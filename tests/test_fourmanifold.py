@@ -8,12 +8,11 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from braidfloer import fourmanifold
-from braidfloer.braids import BraidWord, induced_permutation, parse_braid
+from braidfloer.braids import BraidWord, parse_braid
 from braidfloer.fourmanifold import (DEFAULT_CONFIGURATION,
                                      ConfigurationError, anticanonical_tori,
                                      characteristic_numbers,
@@ -25,9 +24,8 @@ from braidfloer.report import build_report
 from _oracles import (W, PresentedGroup, _cyclic_key, abelianization,
                       assemble_pi1, identity_endo, mapping_torus_presentation,
                       presented_group, standard_form_order, tietze_simplify)
-from _samplers import random_transitive_braid, sampled_transitive_braids
-
-DATA = Path(__file__).parent / "data"
+from _samplers import (random_transitive_braid, sampled_transitive_braids,
+                       transitive_golden_braids)
 
 
 def mapping_torus(b):
@@ -36,17 +34,6 @@ def mapping_torus(b):
 
 def assembled_pi1(b):
     return assemble_pi1(mapping_torus(b))
-
-
-def transitive_golden_braids(*names):
-    """The golden words of the named data files that induce the
-    standard cycle."""
-    for name in names:
-        for line in (DATA / name).read_text().splitlines():
-            if line and not line.startswith("#"):
-                b = parse_braid(line)
-                if induced_permutation(b).is_standard_cycle():
-                    yield b
 
 
 def standard_braids(ds):

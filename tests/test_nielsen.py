@@ -29,7 +29,8 @@ from braidfloer.report import build_report
 import _oracles
 from _oracles import W, braid_inverse, braid_product, lefschetz_number
 from _samplers import (random_braid_word, random_free_word,
-                       random_transitive_braid, sampled_transitive_braids)
+                       random_transitive_braid, sampled_transitive_braids,
+                       transitive_golden_braids)
 
 
 # the Lefschetz number of a braid whose permutation is one d-cycle
@@ -898,6 +899,35 @@ class TestRefinement:
         refined = refine_decomposition(artin_endo(b), induced_permutation(b), 0)
         assert len(refined) == 2
         assert all(len(clusters) == 1 for _, clusters in refined)
+
+    def test_depth_zero_lists_the_word_level_trace_by_exponent_sum(self):
+        # refinement sums the scan's terms itself; at depth 0 it must list
+        # each nonzero term of reidemeister_trace_raw alone, under its
+        # exponent sum mod d, in (length, letters) order, so a label whose
+        # terms all cancel is absent
+        rng = random.Random(419)
+        braids = [*transitive_golden_braids("golden_words.txt",
+                                            "golden_words_depth3.txt")]
+        for b in sampled_transitive_braids():
+            braids.append(b)
+            g = random_braid_word(rng, b.d, max_len=6)
+            conj = braid_product(g, b, braid_inverse(g))
+            if not induced_permutation(conj).is_standard_cycle():
+                braids.append(conj)
+        cancelled = 0
+        for b in braids:
+            e, sigma = artin_endo(b), induced_permutation(b)
+            labels = {}
+            for w, c in sorted(reidemeister_trace_raw(e).items(),
+                               key=lambda t: (len(t[0]), t[0].letters)):
+                labels.setdefault((exponent_class(w.letters, b.d),),
+                                  []).append(((w,), c))
+            assert (refine_decomposition(e, sigma, 0)
+                    == tuple(sorted((k, tuple(v)) for k, v in labels.items()))
+                    ), b.to_text()
+            cancelled += len(labels) < len(
+                {s % b.d for *_, s in nielsen._trace_terms(e)})
+        assert len(braids) > 1000 and cancelled >= 50
 
     def test_negative_depth_rejected(self):
         # only a non-bool int >= 0 is a depth; True would print as a

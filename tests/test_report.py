@@ -28,7 +28,7 @@ DATA = Path(__file__).parent / "data"
 ONCE = ((braids, "induced_permutation"),
         (freegroup, "artin_endo"),
         (fourmanifold, "pi1_presentations"),
-        (nielsen, "reidemeister_trace_raw"),
+        (nielsen, "_trace_terms"),
         (floer, "dims_lower_bound"))
 
 
@@ -61,7 +61,8 @@ def replace(monkeypatch, home, name, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
-NEVER = ((nielsen, "_identity_minus_action"),
+NEVER = ((nielsen, "reidemeister_trace_raw"),
+         (nielsen, "_identity_minus_action"),
          (snf.ClassSpace, "from_rows"),
          (snf, "_smith_eliminate"))
 
@@ -70,8 +71,9 @@ def test_each_object_is_built_once(monkeypatch):
     calls = count_calls(monkeypatch, ONCE + NEVER)
     report = build_report("d=4; s1 s2 s3", refine_depth=2)
     assert report["transitive"] and report["refined"] is not None
-    # the class space Z/4 comes from the permutation, so I - A is never
-    # read off the images and no ClassSpace is built, and the
+    # refinement sums the trace scan's terms itself, with no word-level
+    # trace; the class space Z/4 comes from the permutation, so I - A is
+    # never read off the images and no ClassSpace is built, and the
     # simplified pi1 and its group Z x Z/4 come from d, so nothing is
     # simplified or eliminated
     assert calls == Counter({name: 1 for _, name in ONCE})
@@ -159,9 +161,10 @@ def sections_are_return_values(word: str, depth: int) -> bool:
 
 
 def test_no_word_level_trace_without_refinement(monkeypatch):
-    # reidemeister_trace_raw is the one function that builds the prefix
-    # words of the trace; the class indices are summed without them
-    calls = count_calls(monkeypatch, ((nielsen, "reidemeister_trace_raw"),))
+    # _trace_terms is the one scan that yields the prefixes of the
+    # trace, which only refinement reads; the class indices are summed
+    # without them
+    calls = count_calls(monkeypatch, ((nielsen, "_trace_terms"),))
     for word in ("d=4; s1 s2 s3", "d=5; s1 s1 s2^-1 s3 s4 s2", "d=4; s1 s1"):
         report = build_report(word, refine_depth=0)
         assert report["refined"] is None
@@ -226,10 +229,10 @@ def test_a_report_rescans_nothing_it_built(monkeypatch, depth):
 
 def test_every_word_a_report_builds_is_its_checked_word(monkeypatch, capsys):
     # the record constructors check nothing, so each word a report
-    # builds (the parsed braid, the images, the raw trace terms and the
-    # refinement's cluster members) must equal from_letters of its own
-    # letters: freely reduced, with every letter in range; run over the
-    # golden words and 600 sampled transitive words
+    # builds (the parsed braid, the images and the refinement's cluster
+    # members) must equal from_letters of its own letters: freely
+    # reduced, with every letter in range; run over the golden words and
+    # 600 sampled transitive words
     built = Counter()
 
     def check(kind, word):
@@ -248,7 +251,6 @@ def test_every_word_a_report_builds_is_its_checked_word(monkeypatch, capsys):
     for home, name, words in (
             (braids, "parse_braid", lambda b: (b,)),
             (freegroup, "artin_endo", lambda e: e.images),
-            (nielsen, "reidemeister_trace_raw", lambda terms: terms),
             (nielsen, "refine_decomposition", lambda pairs: (
                 w for _, clusters in pairs for ws, _ in clusters for w in ws))):
         replace(monkeypatch, home, name,
@@ -262,8 +264,7 @@ def test_every_word_a_report_builds_is_its_checked_word(monkeypatch, capsys):
     for k, b in enumerate(sampled_transitive_braids()):
         build_report(b.to_text(), refine_depth=3 if k % 4 == 0 else 0)
     assert built["parse_braid"] == 160 + 600
-    assert set(built) == {"parse_braid", "artin_endo",
-                          "reidemeister_trace_raw", "refine_decomposition"}
+    assert set(built) == {"parse_braid", "artin_endo", "refine_decomposition"}
 
 
 @pytest.mark.parametrize("depth", [0, 2])
